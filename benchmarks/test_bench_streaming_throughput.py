@@ -48,14 +48,22 @@ def _campaign():
     return flow, list(traffic.lots(N_LOTS))
 
 
-def _best_of(fn, repeats=5):
-    best = np.inf
-    result = None
+def _best_of_interleaved(fns, repeats=5):
+    """Best-of-``repeats`` wall time of each of ``fns``, and its last result.
+
+    The repeats alternate between the functions, so drift in the host's
+    speed during the measurement lands on every side of the ratio alike
+    instead of on whichever function happened to run during a slow
+    spell.
+    """
+    best = [np.inf] * len(fns)
+    results = [None] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, results))
 
 
 def test_bench_streaming_throughput(benchmark, report):
@@ -80,8 +88,9 @@ def test_bench_streaming_throughput(benchmark, report):
             records = list(service.records())
         return records, service.metrics()
 
-    offline_s, offline_results = _best_of(offline)
-    streamed_s, (stream_records, metrics) = _best_of(streamed)
+    (offline_s, offline_results), (streamed_s, (stream_records, metrics)) = (
+        _best_of_interleaved([offline, streamed])
+    )
 
     # the streaming contract, end to end on the real campaign
     offline_records = [r for res in offline_results for r in res.records]

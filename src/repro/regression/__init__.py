@@ -19,6 +19,9 @@ a dependency; the needed pieces are implemented here from scratch:
   model selection.
 * :mod:`repro.regression.metrics` -- RMS error, std(err) and friends, the
   statistics the paper reports under Figures 8-13.
+* :mod:`repro.regression.rowwise` -- the batch-size-invariant matrix
+  product every predict path uses, so a device's predicted specs do not
+  depend on the lot chunk it was predicted in.
 """
 
 from repro.regression.scaling import StandardScaler

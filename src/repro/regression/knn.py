@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.regression.rowwise import rowwise_matmul
+
 __all__ = ["KNNRegressor"]
 
 
@@ -64,7 +66,7 @@ class KNNRegressor:
         # pairwise squared distances, (n_query, n_train)
         d2 = (
             np.sum(x**2, axis=1)[:, None]
-            - 2.0 * x @ self._x.T
+            - 2.0 * rowwise_matmul(x, self._x)
             + np.sum(self._x**2, axis=1)[None, :]
         )
         d2 = np.maximum(d2, 0.0)

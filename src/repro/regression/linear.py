@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.regression.rowwise import rowwise_matmul
+
 __all__ = ["LinearRegression", "RidgeRegression"]
 
 
@@ -20,7 +22,9 @@ class RidgeRegression:
     """Linear model ``y = X w + b`` with L2 penalty on ``w``.
 
     Solved in closed form: ``w = (X^T X + alpha I)^-1 X^T y`` on centered
-    data, so the intercept is never penalized.
+    data, so the intercept is never penalized.  With fewer samples than
+    features the equivalent dual form ``w = X^T (X X^T + alpha I)^-1 y``
+    is solved instead.
 
     lint-ranges: alpha=[0, 1e6]
     """
@@ -45,12 +49,21 @@ class RidgeRegression:
         y_mean = y.mean()
         xc = x - x_mean
         yc = y - y_mean
-        n_features = x.shape[1]
-        gram = xc.T @ xc + self.alpha * np.eye(n_features)
+        n_samples, n_features = x.shape
         # solve instead of invert: better conditioned and faster
         try:
-            w = np.linalg.solve(gram, xc.T @ yc)
+            if n_samples < n_features:
+                # wide data (e.g. thousands of raw FFT bins, a dozen
+                # devices): the dual form w = Xc^T (Xc Xc^T + alpha I)^-1 yc
+                # is the same solution from an n x n system, O(n^2 d)
+                # instead of O(d^3)
+                kernel = xc @ xc.T + self.alpha * np.eye(n_samples)
+                w = xc.T @ np.linalg.solve(kernel, yc)
+            else:
+                gram = xc.T @ xc + self.alpha * np.eye(n_features)
+                w = np.linalg.solve(gram, xc.T @ yc)
         except np.linalg.LinAlgError:
+            gram = xc.T @ xc + self.alpha * np.eye(n_features)
             w, *_ = np.linalg.lstsq(gram, xc.T @ yc, rcond=None)
         self.coef_ = w
         self.intercept_ = float(y_mean - x_mean @ w)
@@ -67,7 +80,7 @@ class RidgeRegression:
             raise ValueError(
                 f"feature count {x.shape[1]} != fitted {len(self.coef_)}"
             )
-        out = x @ self.coef_ + self.intercept_
+        out = rowwise_matmul(x, self.coef_) + self.intercept_
         return out[0] if single else out
 
 

@@ -20,6 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.regression.rowwise import rowwise_matmul
+
 __all__ = ["HingeBasis", "MARSRegressor"]
 
 
@@ -149,7 +151,7 @@ class MARSRegressor:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        out = self._design(x, self.bases_) @ self.coef_
+        out = rowwise_matmul(self._design(x, self.bases_), self.coef_)
         return out[0] if single else out
 
     @property

@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.regression.rowwise import rowwise_matmul
+
 __all__ = ["PCA"]
 
 
@@ -60,7 +62,7 @@ class PCA:
             raise ValueError(
                 f"feature count {x.shape[1]} != fitted {len(self.mean_)}"
             )
-        z = (x - self.mean_) @ self.components_.T
+        z = rowwise_matmul(x - self.mean_, self.components_)
         return z[0] if single else z
 
     def inverse_transform(self, z: np.ndarray) -> np.ndarray:

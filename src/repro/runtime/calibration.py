@@ -45,14 +45,6 @@ __all__ = [
 ]
 
 
-def _capture_task(board, stimulus, n_bins, task) -> np.ndarray:
-    """One pickled signature capture (module-level for ProcessExecutor)."""
-    device, seed = task
-    return board.signature(
-        device, stimulus, rng=np.random.default_rng(seed), n_bins=n_bins
-    )
-
-
 def _capture_batch_task(board, stimulus, n_bins, engine, task) -> np.ndarray:
     """One pickled batched capture over a device chunk."""
     devices, seeds = task
@@ -102,15 +94,15 @@ def measure_signatures(
     from its own RNG stream spawned from ``rng`` (one 64-bit draw
     consumed), so the matrix is bit-identical for any ``executor``
     backend -- serial, thread, or process -- any worker count, and any
-    ``chunksize``.  Boards exposing ``signature_batch`` are measured in
-    vectorized device chunks (the whole lot at once on a serial
-    backend); others fall back to one capture per device.
+    ``chunksize``.  Devices are measured in vectorized chunks through
+    ``board.signature_batch`` (the whole lot at once on a serial
+    backend).
 
     Parameters
     ----------
     board:
         :class:`~repro.loadboard.signature_path.SignatureTestBoard` (or
-        anything with its ``signature`` method).
+        anything with its ``signature_batch`` method).
     stimulus:
         Stimulus applied to every device.
     devices:
@@ -118,7 +110,7 @@ def measure_signatures(
     rng:
         Master generator for the batch's measurement noise.
     n_bins:
-        Signature truncation forwarded to ``board.signature``.
+        Signature truncation forwarded to ``board.signature_batch``.
     executor:
         Batch backend (:mod:`repro.parallel`): an Executor instance, a
         backend name like ``"process"``, or ``None`` for serial.
@@ -131,34 +123,26 @@ def measure_signatures(
     """
     devices = list(devices)
     seeds = spawn_seeds(rng, len(devices))
-    ex = get_executor(executor)
-    if hasattr(board, "signature_batch"):
-        if not devices:
-            # an empty capture still knows its bin count: (0, m), not (0, 0)
-            return board.signature_batch(
-                [], stimulus, rngs=[], n_bins=n_bins, engine=engine
-            )
-        # vectorized path: ship device *chunks*, one batched capture per
-        # task; per-device seeds keep the result independent of chunking
-        tasks = [
-            (devices[a:b], seeds[a:b])
-            for a, b in _chunk_bounds(
-                len(devices), ex, chunksize,
-                getattr(board, "chunk_alignment", 1),
-            )
-        ]
-        blocks = ex.map_tasks(
-            partial(_capture_batch_task, board, stimulus, n_bins, engine),
-            tasks,
-            chunksize=1,
+    if not devices:
+        # an empty capture still knows its bin count: (0, m), not (0, 0)
+        return board.signature_batch(
+            [], stimulus, rngs=[], n_bins=n_bins, engine=engine
         )
-        return np.vstack(blocks) if blocks else np.empty((0, 0))
-    rows = ex.map_tasks(
-        partial(_capture_task, board, stimulus, n_bins),
-        list(zip(devices, seeds)),
-        chunksize=chunksize,
+    ex = get_executor(executor)
+    # ship device *chunks*, one batched capture per task; per-device
+    # seeds keep the result independent of chunking
+    tasks = [
+        (devices[a:b], seeds[a:b])
+        for a, b in _chunk_bounds(
+            len(devices), ex, chunksize, getattr(board, "chunk_alignment", 1)
+        )
+    ]
+    blocks = ex.map_tasks(
+        partial(_capture_batch_task, board, stimulus, n_bins, engine),
+        tasks,
+        chunksize=1,
     )
-    return np.vstack(rows) if rows else np.empty((0, 0))
+    return np.vstack(blocks)
 
 
 def default_candidates(n_train: int) -> Dict[str, Callable[[], Pipeline]]:

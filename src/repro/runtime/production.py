@@ -28,16 +28,17 @@ from repro.runtime.specs import SpecificationLimits
 __all__ = ["DeviceTestRecord", "ProductionRunResult", "ProductionTestFlow"]
 
 
-def _insertion_task(flow: "ProductionTestFlow", task) -> "DeviceTestRecord":
-    """One pickled production insertion (module-level for ProcessExecutor)."""
-    device_id, device, seed = task
-    return flow.test_device(device, np.random.default_rng(seed), device_id=device_id)
-
-
 def _insertion_batch_task(
     flow: "ProductionTestFlow", task
 ) -> List["DeviceTestRecord"]:
-    """One pickled batched insertion over a device chunk."""
+    """One pickled insertion over a device chunk: capture, predict, bin.
+
+    The chunk is captured, predicted and binned as whole matrices (one
+    ``signature_batch``, one ``predict_matrix``, one limit check); each
+    record then reads its row.  The regression kernels are row-invariant
+    (:mod:`repro.regression.rowwise`), so a row's prediction does not
+    depend on the chunk it was predicted in.
+    """
     ids, devices, seeds = task
     rngs = [np.random.default_rng(seed) for seed in seeds]
     signatures = flow.board.signature_batch(
@@ -47,6 +48,11 @@ def _insertion_batch_task(
         n_bins=flow.signature_bins,
         engine=flow.capture_engine,
     )
+    predicted = flow.calibration.predict_matrix(signatures)
+    if flow.limits is not None:
+        passed = [bool(p) for p in flow.limits.check_matrix(predicted)]
+    else:
+        passed = [None] * len(ids)
     # multi-site boards amortize the (contention-inflated) insertion
     # time over the sites; single-site boards keep the config's time
     if hasattr(flow.board, "device_test_time"):
@@ -54,24 +60,20 @@ def _insertion_batch_task(
     else:
         test_time = flow.board.config.total_test_time()
     site_of = getattr(flow.board, "site_of", None)
-    records = []
-    for position, (device_id, signature) in enumerate(zip(ids, signatures)):
-        signature = signature.copy()  # detach the row from the batch matrix
-        predicted = flow.calibration.predict(signature)
-        passed = flow.limits.check(predicted) if flow.limits is not None else None
-        records.append(
-            DeviceTestRecord(
-                device_id=device_id,
-                predicted=predicted,
-                passed=passed,
-                test_time=test_time,
-                signature=signature,
-                # chunk bounds are aligned to the site count, so the
-                # chunk-local position determines the site
-                site_index=site_of(position) if site_of is not None else 0,
-            )
+    return [
+        DeviceTestRecord(
+            device_id=device_id,
+            predicted=SpecSet.from_vector(predicted[position]),
+            passed=passed[position],
+            test_time=test_time,
+            # detach the row from the batch matrix
+            signature=signatures[position].copy(),
+            # chunk bounds are aligned to the site count, so the
+            # chunk-local position determines the site
+            site_index=site_of(position) if site_of is not None else 0,
         )
-    return records
+        for position, device_id in enumerate(ids)
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,19 +157,17 @@ class ProductionTestFlow:
         rng: np.random.Generator,
         device_id: int = 0,
     ) -> DeviceTestRecord:
-        """One production insertion."""
-        signature = self.board.signature(
-            device, self.stimulus, rng=rng, n_bins=self.signature_bins
+        """One production insertion: a one-device lot.
+
+        Like :meth:`run`, this spawns the device's noise stream from
+        ``rng`` (one 64-bit draw consumed) instead of drawing from
+        ``rng`` directly, so the record equals ``run([device], rng)``'s
+        only record (up to ``device_id``).
+        """
+        (record,) = _insertion_batch_task(
+            self, ([device_id], [device], spawn_seeds(rng, 1))
         )
-        predicted = self.calibration.predict(signature)
-        passed = self.limits.check(predicted) if self.limits is not None else None
-        return DeviceTestRecord(
-            device_id=device_id,
-            predicted=predicted,
-            passed=passed,
-            test_time=self.board.config.total_test_time(),
-            signature=signature,
-        )
+        return record
 
     def run(
         self,
@@ -182,10 +182,9 @@ class ProductionTestFlow:
         Each device gets its own RNG stream spawned from ``rng`` (one
         64-bit draw is consumed), so the per-device records -- kept in
         input order -- are bit-identical for any ``executor`` backend,
-        worker count, or ``chunksize``.  Boards exposing
-        ``signature_batch`` are captured in vectorized device chunks
-        (the whole lot at once on a serial backend); spec prediction
-        stays per-device either way.
+        worker count, or ``chunksize``.  The lot is split into device
+        chunks (the whole lot at once on a serial backend), and each
+        chunk is captured, predicted and binned as one matrix.
 
         Parameters
         ----------
@@ -204,23 +203,14 @@ class ProductionTestFlow:
         devices = list(devices)
         seeds = spawn_seeds(rng, len(devices))
         ex = get_executor(executor)
-        if hasattr(self.board, "signature_batch"):
-            ids = list(range(len(devices)))
-            tasks = [
-                (ids[a:b], devices[a:b], seeds[a:b])
-                for a, b in _chunk_bounds(
-                    len(devices), ex, chunksize,
-                    getattr(self.board, "chunk_alignment", 1),
-                )
-            ]
-            blocks = ex.map_tasks(
-                partial(_insertion_batch_task, self), tasks, chunksize=1
+        tasks = [
+            (list(range(a, b)), devices[a:b], seeds[a:b])
+            for a, b in _chunk_bounds(
+                len(devices), ex, chunksize,
+                getattr(self.board, "chunk_alignment", 1),
             )
-            return ProductionRunResult(
-                records=[record for block in blocks for record in block]
-            )
-        tasks = list(zip(range(len(devices)), devices, seeds))
-        records = ex.map_tasks(
-            partial(_insertion_task, self), tasks, chunksize=chunksize
+        ]
+        blocks = ex.map_tasks(partial(_insertion_batch_task, self), tasks, chunksize=1)
+        return ProductionRunResult(
+            records=[record for block in blocks for record in block]
         )
-        return ProductionRunResult(records=list(records))

@@ -1,9 +1,15 @@
-"""Datasheet specification limits and pass/fail binning."""
+"""Datasheet specification limits and pass/fail binning.
+
+Binning fails closed: a non-finite value (NaN or inf) never satisfies a
+limit, so a device whose prediction went wrong can never bin as good.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.circuits.device import SpecSet
 
@@ -28,12 +34,19 @@ class SpecificationLimit:
         ):
             raise ValueError(f"{self.name}: minimum exceeds maximum")
 
+    def check_array(self, values: np.ndarray) -> np.ndarray:
+        """Elementwise :meth:`check`: a boolean array shaped like ``values``."""
+        values = np.asarray(values, dtype=float)
+        ok = np.isfinite(values)
+        if self.minimum is not None:
+            ok &= values >= self.minimum
+        if self.maximum is not None:
+            ok &= values <= self.maximum
+        return ok
+
     def check(self, value: float) -> bool:
-        if self.minimum is not None and value < self.minimum:
-            return False
-        if self.maximum is not None and value > self.maximum:
-            return False
-        return True
+        """True when ``value`` is within the bounds; NaN and inf always fail."""
+        return bool(self.check_array(value))
 
     def margin(self, value: float) -> float:
         """Distance to the nearest limit (negative when failing)."""
@@ -54,14 +67,29 @@ class SpecificationLimits:
                 raise ValueError(f"key {name!r} != limit name {limit.name!r}")
         self.limits = dict(limits)
 
+    def check_matrix(self, predicted: np.ndarray) -> np.ndarray:
+        """Pass verdicts for an ``(n, 3)`` matrix of spec rows.
+
+        Columns are ordered as :attr:`SpecSet.NAMES`.  A row passes when
+        every limited spec is within its bounds *and* every spec is
+        finite: a NaN or inf anywhere in the row means the prediction
+        went wrong, so the device fails closed, limited spec or not.
+        """
+        predicted = np.asarray(predicted, dtype=float).reshape(-1, len(SpecSet.NAMES))
+        passed = np.isfinite(predicted).all(axis=1)
+        for j, name in enumerate(SpecSet.NAMES):
+            limit = self.limits.get(name)
+            if limit is not None:
+                passed &= limit.check_array(predicted[:, j])
+        return passed
+
     def check(self, specs: SpecSet) -> bool:
-        """True when every limited spec is within its bounds."""
-        values = specs.as_dict()
-        return all(
-            limit.check(values[name])
-            for name, limit in self.limits.items()
-            if name in values
-        )
+        """True when every limited spec is within its bounds.
+
+        The one-row case of :meth:`check_matrix`: any non-finite spec
+        fails.
+        """
+        return bool(self.check_matrix(specs.as_vector())[0])
 
     def failures(self, specs: SpecSet) -> Dict[str, float]:
         """Failing specs and their (negative) margins."""

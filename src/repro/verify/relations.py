@@ -32,6 +32,9 @@ multisite-serial-equivalence    a zero-crosstalk N-site capture ==
 bist-calibration-predicts       ridge calibration predicts gain through
                                 the coarse on-die BIST path to the
                                 declared tolerance
+predict-batch-invariance        every model family predicts each row
+                                bit-identically whatever batch it is
+                                predicted in
 ==============================  ========================================
 
 Tolerances are calibrated, not guessed: each non-exact bound sits an
@@ -67,7 +70,11 @@ from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
-from repro.runtime.calibration import CalibrationModel, measure_signatures
+from repro.runtime.calibration import (
+    CalibrationModel,
+    default_candidates,
+    measure_signatures,
+)
 from repro.runtime.executor import SerialExecutor, spawn_seeds
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
@@ -973,3 +980,61 @@ def _rel_bist_calibration_predicts(case, rng):
         f"{BIST_GAIN_SKILL_TOL}: the BIST signature carries no usable "
         "device information",
     )
+
+
+# ----------------------------------------------------------------------
+# spec prediction is independent of the batch it runs in
+# ----------------------------------------------------------------------
+@relation(
+    "predict-batch-invariance",
+    params={
+        "n_train": integers(16, 48, origin=16),
+        "n_features": integers(3, 24, origin=3),
+        "n_lot": integers(1, 40, origin=1),
+        "n_cuts": integers(0, 6, origin=0),
+    },
+    equation="reproduction contract (row-invariant prediction)",
+)
+def _rel_predict_batch_invariance(case, rng):
+    """Each row's predicted specs are bit-identical in any batch.
+
+    Production predicts a lot chunk by chunk, and the chunk sizes depend
+    on the executor, ``chunksize`` and the streaming lot size.  For
+    every :func:`default_candidates` model family, fitted on a small
+    random training set, ``predict_matrix`` over any split of a lot must
+    be ``np.array_equal`` to the whole-lot rows, and ``predict`` of one
+    signature must equal its row.  BLAS matrix products fail this: their
+    summation order depends on the batch shape.
+    """
+    n, m = case["n_train"], case["n_features"]
+    x_train = rng.normal(size=(n, m))
+    mix = rng.normal(size=(m, len(SpecSet.NAMES)))
+    latent = x_train @ mix
+    y_train = latent + 0.3 * latent**2 + 0.01 * rng.normal(size=latent.shape)
+    lot = rng.normal(size=(case["n_lot"], m))
+    n_cuts = min(case["n_cuts"], case["n_lot"] - 1)
+    cuts = np.sort(rng.choice(np.arange(1, case["n_lot"]), size=n_cuts, replace=False))
+
+    for family, make in default_candidates(n).items():
+        pipelines = {}
+        for j, name in enumerate(SpecSet.NAMES):
+            pipelines[name] = make().fit(x_train, y_train[:, j])
+        model = CalibrationModel(
+            spec_names=SpecSet.NAMES,
+            pipelines=pipelines,
+            chosen={name: family for name in SpecSet.NAMES},
+            cv_scores={name: {family: 0.0} for name in SpecSet.NAMES},
+        )
+        whole = model.predict_matrix(lot)
+        pieces = [model.predict_matrix(piece) for piece in np.split(lot, cuts)]
+        check_array_equal(
+            np.vstack(pieces),
+            whole,
+            label=f"{family}: lot split at {cuts.tolist()} vs whole lot",
+        )
+        for i, row in enumerate(lot):
+            check_array_equal(
+                model.predict(row).as_vector(),
+                whole[i],
+                label=f"{family}: predict(row {i}) vs whole-lot row",
+            )

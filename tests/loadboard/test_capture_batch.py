@@ -253,26 +253,6 @@ class TestRuntimeBatchDispatch:
         )
         assert np.array_equal(ref, out)
 
-    def test_matches_boards_without_signature_batch(self, stim):
-        class PerDeviceBoard:
-            """A board exposing only the one-device API."""
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def signature(self, device, stimulus, rng=None, n_bins=None):
-                return self._inner.signature(device, stimulus, rng, n_bins)
-
-        board = SignatureTestBoard(simulation_config())
-        devices = make_lot(n=5)
-        batched = measure_signatures(
-            board, stim, devices, np.random.default_rng(4)
-        )
-        looped = measure_signatures(
-            PerDeviceBoard(board), stim, devices, np.random.default_rng(4)
-        )
-        assert np.array_equal(batched, looped)
-
     def test_thread_executor_instance(self, stim):
         board = SignatureTestBoard(simulation_config())
         devices = make_lot(n=6)

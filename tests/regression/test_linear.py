@@ -55,6 +55,19 @@ class TestRidgeRegression:
         model = RidgeRegression(alpha=1e6).fit(x, y)
         assert model.intercept_ == pytest.approx(100.0, abs=0.1)
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+    def test_wide_data_matches_normal_equations(self, alpha):
+        # fewer samples than features takes the dual (n x n) solve; it
+        # must reproduce the primal (d x d) ridge solution
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(12, 300))
+        y = x[:, 0] - 0.5 * x[:, 7] + rng.normal(0, 0.1, 12)
+        model = RidgeRegression(alpha=alpha).fit(x, y)
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        w = np.linalg.solve(xc.T @ xc + alpha * np.eye(300), xc.T @ yc)
+        np.testing.assert_allclose(model.coef_, w, rtol=1e-9, atol=1e-12)
+        assert model.intercept_ == pytest.approx(y.mean() - x.mean(axis=0) @ w)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             RidgeRegression(alpha=-1.0)

@@ -78,6 +78,17 @@ class TestProductionFlow:
         assert result.throughput_per_hour() > 100.0
         assert result.predicted_matrix().shape == (10, 3)
 
+    def test_test_device_is_a_one_device_lot(self, flow_setup):
+        space, factory, board, stim, calibration = flow_setup
+        flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
+        device = factory(space.to_dict(space.nominal_vector()))
+        rec = flow.test_device(device, np.random.default_rng(8), device_id=4)
+        (ref,) = flow.run([device], np.random.default_rng(8)).records
+        assert rec.device_id == 4
+        assert np.array_equal(rec.signature, ref.signature)
+        assert np.array_equal(rec.predicted.as_vector(), ref.predicted.as_vector())
+        assert rec.passed is ref.passed
+
     def test_no_limits_means_no_verdict(self, flow_setup):
         space, factory, board, stim, calibration = flow_setup
         flow = ProductionTestFlow(board, stim, calibration, limits=None)
@@ -92,6 +103,29 @@ class TestProductionFlow:
             result.mean_test_time
         with pytest.raises(ValueError):
             result.yield_fraction
+
+
+@pytest.mark.allow_nonfinite
+class TestFailClosed:
+    """A non-finite prediction never bins as a pass."""
+
+    @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+    def test_nan_device_fails_inside_good_lot(self, flow_setup, executor):
+        space, factory, board, stim, calibration = flow_setup
+        flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
+        nominal = space.to_dict(space.nominal_vector())
+        devices = [factory(nominal) for _ in range(6)]
+        # a NaN gain poisons the signature, hence the signature-driven
+        # predictions (a spec whose model ignores the signature stays finite)
+        devices[3] = factory({**nominal, "gain_db": float("nan")})
+        result = flow.run(
+            devices, np.random.default_rng(5), executor=executor, chunksize=2
+        )
+        assert np.isnan(result.records[3].predicted.gain_db)
+        assert [r.passed for r in result.records] == [True] * 3 + [False] + [True] * 2
+        # the chunk's vectorized verdict equals the per-SpecSet check
+        for record in result.records:
+            assert flow.limits.check(record.predicted) is record.passed
 
 
 class TestEdgeLots:

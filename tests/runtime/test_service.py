@@ -120,6 +120,30 @@ class TestBitEquality:
             _assert_records_match(mine, offline.records)
 
 
+@pytest.mark.allow_nonfinite
+class TestFailClosed:
+    @pytest.mark.parametrize("executor", BACKENDS)
+    def test_nan_device_fails_in_stream(self, flow_setup, executor):
+        space, factory, flow = flow_setup
+        nominal = space.to_dict(space.nominal_vector())
+        devices = [factory(nominal) for _ in range(5)]
+        devices[2] = factory({**nominal, "gain_db": float("nan")})
+        offline = flow.run(devices, np.random.default_rng(21))
+        with StreamingTestService(flow, executor=executor, chunksize=2) as svc:
+            svc.submit(devices, np.random.default_rng(21))
+            svc.close()
+            streamed = [stream_record.record for stream_record in svc.records()]
+        assert [r.passed for r in streamed] == [True, True, False, True, True]
+        for record, reference in zip(streamed, offline.records):
+            assert np.array_equal(
+                record.predicted.as_vector(),
+                reference.predicted.as_vector(),
+                equal_nan=True,
+            )
+            assert record.passed is reference.passed
+            assert flow.limits.check(record.predicted) is record.passed
+
+
 class TestGracefulShutdown:
     @pytest.mark.parametrize("executor", BACKENDS)
     def test_empty_stream(self, flow_setup, executor):

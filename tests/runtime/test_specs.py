@@ -1,5 +1,6 @@
 """Tests for repro.runtime.specs."""
 
+import numpy as np
 import pytest
 
 from repro.circuits.device import SpecSet
@@ -21,6 +22,17 @@ class TestSpecificationLimit:
         lim = SpecificationLimit("gain_db", minimum=14.0, maximum=18.0)
         assert lim.check(16.0)
         assert not lim.check(19.0)
+
+    @pytest.mark.allow_nonfinite
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fails_every_limit(self, value):
+        for lim in (
+            SpecificationLimit("gain_db", minimum=14.0),
+            SpecificationLimit("nf_db", maximum=2.5),
+            SpecificationLimit("gain_db", minimum=14.0, maximum=18.0),
+        ):
+            assert lim.check(value) is False
+            assert not lim.check_array(np.array([16.0, value, 2.0]))[1]
 
     def test_margin(self):
         lim = SpecificationLimit("gain_db", minimum=14.0, maximum=18.0)
@@ -58,3 +70,37 @@ class TestSpecificationLimits:
     def test_key_name_consistency(self):
         with pytest.raises(ValueError):
             SpecificationLimits({"a": SpecificationLimit("b", minimum=0.0)})
+
+
+@pytest.mark.allow_nonfinite
+class TestCheckMatrix:
+    def test_matches_per_specset_check(self):
+        limits = lna_limits()
+        rows = np.array(
+            [
+                [16.0, 2.0, 3.0],
+                [12.0, 2.0, 3.0],
+                [16.0, np.nan, 3.0],
+                [np.nan, np.nan, np.nan],
+                [16.0, 2.0, np.inf],
+                [16.0, 3.5, 3.0],
+                [14.0, 3.3, -1.0],
+            ]
+        )
+        verdicts = limits.check_matrix(rows)
+        assert verdicts.tolist() == [True, False, False, False, False, False, True]
+        for row, verdict in zip(rows, verdicts):
+            assert limits.check(SpecSet.from_vector(row)) is bool(verdict)
+
+    def test_all_nan_specset_fails(self):
+        assert not lna_limits().check(SpecSet(np.nan, np.nan, np.nan))
+
+    def test_non_finite_unlimited_spec_fails_closed(self):
+        gain_only = SpecificationLimits(
+            {"gain_db": SpecificationLimit("gain_db", minimum=14.0)}
+        )
+        assert gain_only.check(SpecSet(16.0, 2.0, 3.0))
+        assert not gain_only.check(SpecSet(16.0, np.nan, 3.0))
+
+    def test_empty_matrix(self):
+        assert lna_limits().check_matrix(np.empty((0, 3))).shape == (0,)
