@@ -9,6 +9,9 @@ LINT_FORMAT ?= text
 # incremental result cache; warm re-runs only re-analyze edited files
 LINT_CACHE ?= .lint-cache
 BENCH_JSON ?= bench.json
+# end-to-end benchmark: runs per workload and the results file
+E2E_REPEAT ?= 5
+E2E_OUT ?= benchmarks/e2e/results/latest.json
 # sampled configurations per verification relation
 VERIFY_CONFIGS ?= 50
 VERIFY_REPORT ?= benchmarks/results/verify_campaign.json
@@ -18,7 +21,7 @@ SOAK_EXECUTOR ?= thread:2
 SOAK_SITES ?= 1
 SOAK_REPORT ?= benchmarks/results/streaming_soak.json
 
-.PHONY: install test lint lint-stats lint-numerics lint-concurrency lint-sarif verify soak bench bench-json bench-check bench-profile examples all clean
+.PHONY: install test lint lint-stats lint-numerics lint-concurrency lint-sarif verify soak bench bench-json bench-check bench-profile bench-e2e bench-e2e-compare examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -93,6 +96,16 @@ bench-profile:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_bench_capture_hotpath.py --benchmark-only -q
 	@$(PYTHON) benchmarks/profile_stages.py
+
+# the paper's workloads end to end (GA search, production lot, stream),
+# each run in its own subprocess; see benchmarks/e2e/README.md
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --repeat $(E2E_REPEAT) --out $(E2E_OUT)
+
+# per-metric, per-workload comparison of two bench-e2e results files:
+# make bench-e2e-compare A=parent.json B=change.json
+bench-e2e-compare:
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 examples:
 	@for f in examples/*.py; do \

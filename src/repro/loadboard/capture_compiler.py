@@ -7,7 +7,8 @@ two-sided coefficient tables, and materializes every harmonic of every
 mixer cross product -- even though the signature only ever reads the
 *baseband* (harmonic 0) of the mixer-2 output.
 
-This module compiles that stage once per capture plan:
+This module compiles that stage once per board and capture shape
+(precision, record length and the DUT output's harmonics):
 
 1. **Trace.**  The real :func:`mix_envelope` runs over symbolic
    envelopes (:class:`_SymbolicEnvelope`) whose operations record an op
@@ -35,7 +36,7 @@ This module compiles that stage once per capture plan:
    is one nonzero of the harmonic-product matrix); subgraphs fed only
    by plan-bound inputs (the cached LO and its powers) fold into
    precomputed constants at compile time using the same kernels.
-4. **Execute.**  The surviving ops run over preallocated per-plan
+4. **Execute.**  The surviving ops run over preallocated per-program
    workspaces with ``out=`` kernels -- the steady-state inner loop
    performs no Python-level envelope bookkeeping and no allocations.
 
@@ -134,7 +135,7 @@ class CaptureTape:
 
     A tape is mutated only while the compiling thread traces the mixer
     chain; once ``CompiledCaptureProgram`` is built the tape is frozen,
-    and the program's publication into the board's plan cache (under
+    and the program's publication into the board's program cache (under
     ``SignatureTestBoard._state_lock``) orders the writes before
     any cross-thread read.
     """
@@ -482,7 +483,7 @@ class CompiledCaptureProgram:
 
     The per-batch-size workspaces are produced lazily and kept in a
     small LRU pool (:attr:`workspace_pool_size`); :meth:`nbytes` and
-    :meth:`release_workspaces` support the board's plan-cache memory
+    :meth:`release_workspaces` support the board's cache memory
     accounting.  Stage wall times accumulate in :attr:`stage_seconds`
     (guarded by the workspace lock) with the calling thread's most
     recent capture in :attr:`last_stage_seconds`.
@@ -491,7 +492,7 @@ class CompiledCaptureProgram:
 
     The tagged attributes are written once by ``_schedule`` while the
     program is still private to the compiling thread; sharing starts
-    only when the board publishes the finished program into its plan
+    only when the board publishes the finished program into its program
     cache under ``SignatureTestBoard._state_lock``.
     """
 
@@ -632,7 +633,7 @@ class CompiledCaptureProgram:
 
     # -- workspaces ----------------------------------------------------
     def _buffers(self, batch: int, n: int) -> List[np.ndarray]:
-        # keyed by thread ident: concurrent captures on a shared plan
+        # keyed by thread ident: concurrent captures on a shared program
         # (thread executors) must not scribble over each other's buffers
         key = (threading.get_ident(), batch, n)
         with self._workspace_lock:

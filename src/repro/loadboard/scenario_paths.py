@@ -19,11 +19,11 @@ signature-to-specification calibration machinery:
 
 Both expose the duck-typed board surface the runtime layer dispatches
 on (``signature`` / ``signature_batch`` / ``config`` /
-``overdrive_snapshot``), so calibration, the production flow, the
-streaming service and the stimulus optimizer work unchanged.  The
-``bist-calibration-predicts`` relation in :mod:`repro.verify` checks
-that ridge calibration still predicts specs through the coarse BIST
-path to a declared tolerance.
+``overdrive_snapshot`` / ``peak_drive``), so calibration, the
+production flow, the streaming service and the stimulus optimizer work
+unchanged.  The ``bist-calibration-predicts`` relation in
+:mod:`repro.verify` checks that ridge calibration still predicts specs
+through the coarse BIST path to a declared tolerance.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ __all__ = [
     "BistPathConfig",
     "BistSignaturePath",
 ]
+
+
+def _peak(amps: np.ndarray) -> float:
+    """Largest drive magnitude of a record (0 for an empty one)."""
+    return float(amps.max()) if len(amps) else 0.0
 
 
 @dataclass
@@ -182,7 +187,7 @@ class BistSignaturePath:
         cfg = self.config
         u = self._drive_record(stimulus)
         amps = np.abs(u)
-        peak = float(amps.max()) if len(amps) else 0.0
+        peak = _peak(amps)
 
         polys = [PolynomialNonlinearity(*d.envelope_poly()) for d in devices]
         ratios = [
@@ -303,6 +308,12 @@ class BistSignaturePath:
         """The last capture's (peak ratio, per-device ratios), atomically."""
         with self._state_lock:
             return self.last_overdrive_ratio, self.last_overdrive_ratios
+
+    def peak_drive(
+        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
+    ) -> float:
+        """Peak on-die drive for this stimulus, without capturing."""
+        return _peak(np.abs(self._drive_record(stimulus)))
 
 
 @dataclass
@@ -450,3 +461,9 @@ class AbmAccessPath:
     def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
         """Delegate to the inner board (the DUT drive is the board's)."""
         return self.board.overdrive_snapshot()
+
+    def peak_drive(
+        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
+    ) -> float:
+        """Delegate to the inner board (the DUT drive is the board's)."""
+        return self.board.peak_drive(stimulus)

@@ -235,10 +235,6 @@ class CapturePlan:
     lo2: Optional[EnvelopeSignal] = None
     #: memoized LO2 power chain for mixer 2 (mutated by ``mix_envelope``)
     lo2_pows: Optional[Dict[int, EnvelopeSignal]] = None
-    #: compiled mixer-2 programs keyed (precision, max_harmonic, rf keys)
-    programs: Dict[tuple, CompiledCaptureProgram] = field(default_factory=dict)
-    #: memoized fast-path refusal verdicts keyed (rf keys, ceiling)
-    fast_refusals: Dict[tuple, bool] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -246,11 +242,10 @@ class CapturePlan:
         return len(self.record)
 
     def nbytes(self) -> int:
-        """Approximate retained bytes: envelopes, arrays, and programs.
+        """Approximate retained bytes: envelopes and arrays.
 
-        Drives the board's plan-cache memory bound; compiled-program
-        workspaces dominate for large lots, and they are the first thing
-        the bound evicts (:meth:`release_workspaces`).
+        Counts toward the board's plan-and-program memory bound
+        (:meth:`SignatureTestBoard._enforce_plan_cache_bytes`).
         """
         def env_bytes(env: Optional[EnvelopeSignal]) -> int:
             if env is None:
@@ -271,14 +266,7 @@ class CapturePlan:
         for arr in (self.u1, self.amps):
             if arr is not None:
                 total += np.asarray(arr).nbytes
-        for program in self.programs.values():
-            total += program.nbytes()
         return total
-
-    def release_workspaces(self) -> None:
-        """Drop compiled-program workspaces (kept plans stay usable)."""
-        for program in self.programs.values():
-            program.release_workspaces()
 
 
 class SignatureTestBoard:
@@ -293,7 +281,7 @@ class SignatureTestBoard:
     #: distinct (stimulus, config) plans kept per board (LRU)
     _plan_cache_size = 8
     #: byte budget for cached plans + compiled programs + workspaces;
-    #: over-budget caches first shed LRU workspaces, then whole plans
+    #: over-budget caches first shed workspaces, then whole LRU plans
     _plan_cache_max_bytes = 64 * 1024 * 1024
     #: capture engine used by :meth:`signature_batch` when none is named
     default_engine = "compiled"
@@ -318,15 +306,26 @@ class SignatureTestBoard:
         #: per-stage wall-clock breakdown of the last compiled capture
         self.last_stage_seconds: Dict[str, float] = {}
         self._plan_cache: "OrderedDict[tuple, CapturePlan]" = OrderedDict()
-        #: guards the plan cache and the last-capture telemetry above:
-        #: thread executors share one board across concurrent captures
+        #: compiled mixer-2 programs keyed (precision, max_harmonic, rf
+        #: keys, n) (LRU): the tape and its folded LO constants depend on
+        #: the board config and the record length, never on the stimulus,
+        #: so every plan of one length shares them
+        self._programs: "OrderedDict[tuple, CompiledCaptureProgram]" = OrderedDict()
+        #: memoized fast-path refusal verdicts keyed (rf keys, ceiling)
+        self._fast_refusals: Dict[tuple, bool] = {}
+        #: guards the plan and program caches and the last-capture
+        #: telemetry above: thread executors share one board across
+        #: concurrent captures
         self._state_lock = threading.Lock()
 
     def __getstate__(self):
-        # the plan cache can hold megabytes of envelopes; rebuilding it
-        # in a worker is cheaper than pickling it across every task
+        # the caches can hold megabytes of envelopes and constants;
+        # rebuilding them in a worker is cheaper than pickling them
+        # across every task
         state = self.__dict__.copy()
         state["_plan_cache"] = OrderedDict()
+        state["_programs"] = OrderedDict()
+        state["_fast_refusals"] = {}
         del state["_state_lock"]
         return state
 
@@ -394,32 +393,50 @@ class SignatureTestBoard:
             self._enforce_plan_cache_bytes()
         return plan
 
+    def _cache_nbytes(self) -> int:
+        """Bytes retained by cached plans and compiled programs."""
+        return sum(p.nbytes() for p in self._plan_cache.values()) + sum(
+            p.nbytes() for p in self._programs.values()
+        )
+
     def _enforce_plan_cache_bytes(self) -> None:
-        """Shrink the plan cache under :attr:`_plan_cache_max_bytes`.
+        """Shrink the plan and program caches under :attr:`_plan_cache_max_bytes`.
 
-        Cheapest reclaim first: compiled-program workspaces of the
-        least-recently-used plans (they rebuild lazily), then whole LRU
-        plans.  The most recent plan always survives, workspaces intact,
-        so the active lot never loses its steady-state buffers.  The
-        caller must hold :attr:`_state_lock`.
+        Cheapest reclaim first: compiled-program workspaces (they
+        rebuild lazily), least recently used program first, then whole
+        LRU plans, then LRU programs.  The most recent plan and program
+        always survive.  Enforcement runs only when a plan or program is
+        published, so a lot that keeps reusing its plan keeps its
+        steady-state buffers.  The caller must hold :attr:`_state_lock`.
         """
-        def total() -> int:
-            return sum(p.nbytes() for p in self._plan_cache.values())
-
-        if total() <= self._plan_cache_max_bytes:
+        budget = self._plan_cache_max_bytes
+        if self._cache_nbytes() <= budget:
             return
-        plans = list(self._plan_cache.values())
-        for plan in plans[:-1]:  # LRU first, never the active plan
-            plan.release_workspaces()
-            if total() <= self._plan_cache_max_bytes:
+        for program in list(self._programs.values()):
+            program.release_workspaces()
+            if self._cache_nbytes() <= budget:
                 return
-        while len(self._plan_cache) > 1 and total() > self._plan_cache_max_bytes:
-            self._plan_cache.popitem(last=False)
+        for cache in (self._plan_cache, self._programs):
+            while len(cache) > 1 and self._cache_nbytes() > budget:
+                cache.popitem(last=False)
 
     def clear_plan_cache(self) -> None:
-        """Drop all cached capture plans (each rebuilds on next use)."""
+        """Drop all cached plans and compiled programs (each rebuilds on next use)."""
         with self._state_lock:
             self._plan_cache.clear()
+            self._programs.clear()
+            self._fast_refusals.clear()
+
+    def peak_drive(
+        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
+    ) -> float:
+        """Peak DUT drive for this stimulus, without capturing.
+
+        The numerator of every overdrive ratio a capture records
+        (:meth:`overdrive_snapshot`); device-independent, so it reads
+        the cached plan a following capture reuses.
+        """
+        return self.capture_plan(stimulus).peak
 
     def _build_plan(self, record: Waveform) -> CapturePlan:
         cfg = self.config
@@ -687,7 +704,7 @@ class SignatureTestBoard:
     def _compiled_program(
         self, plan: CapturePlan, rf_keys: tuple, precision: str
     ) -> CompiledCaptureProgram:
-        """The (plan-cached) compiled mixer-2 program for this rf shape.
+        """The (board-cached) compiled mixer-2 program for this rf shape.
 
         Exact mode traces at the configured ``max_harmonic``; the
         float32 fast path traces at :attr:`fast_harmonic_cutoff` and
@@ -700,12 +717,14 @@ class SignatureTestBoard:
         if precision == "float32":
             ceiling = min(cfg.max_harmonic, self.fast_harmonic_cutoff)
             refusal_key = (rf_keys, ceiling)
-            drops = plan.fast_refusals.get(refusal_key)
+            with self._state_lock:
+                drops = self._fast_refusals.get(refusal_key)
             if drops is None:
                 drops = reduction_drops_content(
                     cfg.mixer2, rf_keys, (1,), cfg.max_harmonic, ceiling
                 )
-                plan.fast_refusals[refusal_key] = drops
+                with self._state_lock:
+                    self._fast_refusals[refusal_key] = drops
             if drops:
                 raise FastPathError(
                     f"fast path refused: stimulus populates harmonics whose "
@@ -714,9 +733,12 @@ class SignatureTestBoard:
                     f"the exact engine or raise fast_harmonic_cutoff"
                 )
             max_h = ceiling
-        key = (precision, max_h, rf_keys, cfg.random_path_phase)
+        # the folded LO depends on the plan only through its length
+        key = (precision, max_h, rf_keys, plan.n)
         with self._state_lock:
-            program = plan.programs.get(key)
+            program = self._programs.get(key)
+            if program is not None:
+                self._programs.move_to_end(key)
         if program is None:
             # compile outside the lock (tracing + constant folding is
             # the expensive part); first publication wins
@@ -728,10 +750,10 @@ class SignatureTestBoard:
                 tape, out, const_inputs=const_inputs, precision=precision
             )
             with self._state_lock:
-                winner = plan.programs.get(key)
+                winner = self._programs.get(key)
                 if winner is not None:
                     return winner
-                plan.programs[key] = program
+                self._programs[key] = program
                 self._enforce_plan_cache_bytes()
         return program
 

@@ -379,3 +379,12 @@ class MultiSiteBoard:
             peaks.append(peak)
             ratio_blocks.append(np.asarray(ratios))
         return max(peaks), np.concatenate(ratio_blocks)
+
+    def peak_drive(
+        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
+    ) -> float:
+        """Site 0's peak DUT drive for this stimulus, without capturing.
+
+        Site skew only adds output loss, so every site sees this drive.
+        """
+        return self.site_boards[0].peak_drive(stimulus)

@@ -14,8 +14,8 @@ together:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,11 @@ from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
 from repro.testgen.mapping import LinearSignatureMap
 from repro.testgen.objective import signature_noise_std, signature_test_objective
 from repro.testgen.pwl import StimulusEncoding
-from repro.testgen.sensitivity import performance_sensitivity, signature_sensitivity
+from repro.testgen.sensitivity import (
+    difference_star,
+    performance_sensitivity,
+    star_jacobian,
+)
 
 __all__ = ["OptimizationResult", "SignatureStimulusOptimizer"]
 
@@ -96,7 +100,7 @@ class SignatureStimulusOptimizer:
         Prebuilt capture front end to optimize against instead of a
         fresh ``SignatureTestBoard(board_config)`` -- any object with
         the board surface (``signature`` / ``signature_batch`` /
-        ``overdrive_snapshot``), e.g. a
+        ``overdrive_snapshot`` / ``peak_drive``), e.g. a
         :class:`~repro.loadboard.sites.MultiSiteBoard` or a
         :class:`~repro.loadboard.scenario_paths.BistSignaturePath`.
         ``board_config`` then only supplies the capture geometry for
@@ -146,6 +150,8 @@ class SignatureStimulusOptimizer:
         self.overdrive_weight = 1e3
         self._a_p: Optional[np.ndarray] = None
         self._weakest_device: Optional[RFDevice] = None
+        self._weakest_saturation = np.inf
+        self._star_devices: Optional[List[RFDevice]] = None
 
     # ------------------------------------------------------------------
     # pieces
@@ -164,36 +170,20 @@ class SignatureStimulusOptimizer:
             self._a_p = jac * self.space.fractional_std_vector()[None, :]
         return self._a_p
 
-    def signature_function(
-        self, stimulus: PiecewiseLinearStimulus
-    ) -> Callable[[Dict[str, float]], np.ndarray]:
-        """Noise-free signature of a device instance for this stimulus."""
+    def _fd_star(self) -> List[RFDevice]:
+        """The central-difference star's devices, built once.
 
-        def fn(params: Dict[str, float]) -> np.ndarray:
-            device = self.device_factory(params)
-            return self.board.signature(
-                device, stimulus, rng=None, n_bins=self.signature_bins
-            )
-
-        return fn
-
-    def signature_batch_function(
-        self, stimulus: PiecewiseLinearStimulus
-    ) -> Callable[[List[Dict[str, float]]], np.ndarray]:
-        """Noise-free signatures of many device instances in one capture.
-
-        Row ``i`` is bit-identical to :meth:`signature_function` on the
-        i-th parameter dict -- the batched board path shares every
-        operation with the one-device path.
+        The star depends only on ``space`` and ``rel_step``, never on the
+        stimulus.  :meth:`optimize` builds it before the GA starts, so
+        thread executors only read it and process workers receive it
+        built.
         """
-
-        def fn(param_dicts: List[Dict[str, float]]) -> np.ndarray:
-            devices = [self.device_factory(p) for p in param_dicts]
-            return self.board.signature_batch(
-                devices, stimulus, rng=None, n_bins=self.signature_bins
-            )
-
-        return fn
+        if self._star_devices is None:
+            self._star_devices = [
+                self.device_factory(params)
+                for params in difference_star(self.space, self.rel_step, central=True)
+            ]
+        return self._star_devices
 
     def signature_matrix(self, stimulus: PiecewiseLinearStimulus) -> np.ndarray:
         """``A_s`` in process-sigma units for a candidate stimulus.
@@ -202,13 +192,13 @@ class SignatureStimulusOptimizer:
         the process range (compression, FFT magnitudes), and forward
         differences leak enough curvature into ``A_s`` to contaminate its
         singular directions.  The whole difference star runs as one
-        batched capture -- this is the GA fitness loop's hot path.
+        noise-free batched capture -- this is the GA fitness loop's hot
+        path.
         """
-        a_s, _ = signature_sensitivity(
-            self.signature_function(stimulus), self.space, self.rel_step,
-            central=True,
-            batch_func=self.signature_batch_function(stimulus),
+        signatures = self.board.signature_batch(
+            self._fd_star(), stimulus, rng=None, n_bins=self.signature_bins
         )
+        a_s, _ = star_jacobian(signatures, self.space, self.rel_step, central=True)
         return a_s * self.space.fractional_std_vector()[None, :]
 
     def _find_weakest_device(self) -> RFDevice:
@@ -218,7 +208,9 @@ class SignatureStimulusOptimizer:
         point and a fixed-seed Monte-Carlo sample (multi-parameter worst
         cases are not at the one-at-a-time corners); the drive-level
         penalty is evaluated against this device so the optimized
-        stimulus stays inside every device's physical range.
+        stimulus stays inside every device's physical range.  Its
+        saturation amplitude is kept too (``inf`` when no scanned device
+        saturates; the nominal device is returned then).
         """
         if self._weakest_device is None:
             from repro.circuits.nonlinear import PolynomialNonlinearity
@@ -239,17 +231,25 @@ class SignatureStimulusOptimizer:
                 sat = PolynomialNonlinearity(
                     *device.envelope_poly()
                 ).saturation_amplitude
-                if sat < best_sat:
+                if best is None or sat < best_sat:
                     best_sat = sat
                     best = device
+            self._weakest_saturation = best_sat
             self._weakest_device = best
         return self._weakest_device
 
     def overdrive_ratio(self, stimulus: PiecewiseLinearStimulus) -> float:
-        """Peak drive / saturation amplitude for the weakest corner device."""
-        self.board.capture(self._find_weakest_device(), stimulus, rng=None)
-        ratio, _ = self.board.overdrive_snapshot()
-        return ratio
+        """Peak drive / saturation amplitude for the weakest corner device.
+
+        The ratio a capture of that device would record
+        (``board.overdrive_snapshot()[0]``), from the board's
+        ``peak_drive`` without capturing; 0.0 when the saturation
+        amplitude is not finite, as in the capture's bookkeeping.
+        """
+        self._find_weakest_device()
+        if not np.isfinite(self._weakest_saturation):
+            return 0.0
+        return float(self.board.peak_drive(stimulus) / self._weakest_saturation)
 
     def objective(self, gene: np.ndarray) -> float:
         """GA fitness: Equation 10's mean error variance for this gene.
@@ -274,6 +274,11 @@ class SignatureStimulusOptimizer:
     def optimize(self, rng: np.random.Generator) -> OptimizationResult:
         """Run the GA and package the winning stimulus with diagnostics."""
         lower, upper = self.encoding.bounds()
+        # the stimulus-independent pieces, built before any fitness call
+        # so concurrent evaluations only read them
+        self.performance_matrix()
+        self._find_weakest_device()
+        self._fd_star()
         ga = GeneticAlgorithm(
             self.objective, lower, upper, config=self.ga_config, rng=rng,
             executor=self.executor,

@@ -10,20 +10,71 @@ wildly different physical units share a common scale.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.circuits.parameters import ParameterSpace
 
 __all__ = [
+    "difference_star",
     "finite_difference_jacobian",
     "performance_sensitivity",
     "signature_sensitivity",
+    "star_jacobian",
 ]
 
 VectorFunction = Callable[[Dict[str, float]], np.ndarray]
-BatchVectorFunction = Callable[[List[Dict[str, float]]], np.ndarray]
+
+
+def difference_star(
+    space: ParameterSpace, rel_step: float = 0.05, central: bool = False
+) -> List[Dict[str, float]]:
+    """The finite-difference star's parameter dicts, in evaluation order.
+
+    The nominal point, then for each parameter its ``+rel_step`` point
+    (and, for central differences, its ``-rel_step`` point).  The star
+    depends only on the space and the step, so a caller that evaluates
+    it many times (the GA fitness loop) can build its devices once,
+    evaluate them in one batch and pass the rows to
+    :func:`star_jacobian`.
+    """
+    if not (0.0 < rel_step < 0.5):
+        raise ValueError("rel_step should be a small positive fraction")
+    points = [space.to_dict(space.nominal_vector())]
+    for name in space.names():
+        points.append(space.to_dict(space.perturbed_vector(name, rel_step)))
+        if central:
+            points.append(space.to_dict(space.perturbed_vector(name, -rel_step)))
+    return points
+
+
+def star_jacobian(
+    outs: np.ndarray,
+    space: ParameterSpace,
+    rel_step: float = 0.05,
+    central: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Jacobian from one output row per :func:`difference_star` point.
+
+    Returns ``(J, baseline)`` where ``J[i, j] = d out_i / d (dx_j)`` with
+    ``dx_j`` the *fractional* deviation of parameter ``j``, and
+    ``baseline`` the nominal output (row 0).
+    """
+    stride = 2 if central else 1
+    outs = np.asarray(outs, dtype=float)
+    if outs.ndim != 2 or len(outs) != 1 + stride * len(space):
+        raise ValueError("need one 1-D output vector per difference-star point")
+    baseline = outs[0].copy()
+    jac = np.empty((outs.shape[1], len(space)))
+    for j in range(len(space)):
+        plus = outs[1 + stride * j]
+        if central:
+            minus = outs[2 + stride * j]
+            jac[:, j] = (plus - minus) / (2.0 * rel_step)
+        else:
+            jac[:, j] = (plus - baseline) / rel_step
+    return jac, baseline
 
 
 def finite_difference_jacobian(
@@ -31,7 +82,6 @@ def finite_difference_jacobian(
     space: ParameterSpace,
     rel_step: float = 0.05,
     central: bool = False,
-    batch_func: Optional[BatchVectorFunction] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Jacobian of ``func`` w.r.t. normalized process deviations.
 
@@ -46,69 +96,17 @@ def finite_difference_jacobian(
         Fractional perturbation of each parameter.
     central:
         Use central differences (2x the evaluations, 2nd-order accurate).
-    batch_func:
-        Optional vectorized evaluator: maps a *list* of parameter dicts
-        to a matrix with one output row per dict.  When given, the whole
-        finite-difference star (nominal plus every perturbed point) is
-        evaluated in one call -- e.g. one batched load-board capture --
-        and ``func`` is not called.  Rows must equal ``func`` on the same
-        dicts for the Jacobian to be unchanged.
 
     Returns
     -------
-    ``(J, baseline)`` where ``J[i, j] = d out_i / d (dx_j)`` with ``dx_j``
-    the *fractional* deviation of parameter ``j``, and ``baseline`` the
-    nominal output.
+    ``(J, baseline)`` as :func:`star_jacobian`, with ``func`` called once
+    per :func:`difference_star` point, in star order.
     """
-    if not (0.0 < rel_step < 0.5):
-        raise ValueError("rel_step should be a small positive fraction")
-    if batch_func is not None:
-        return _batched_jacobian(batch_func, space, rel_step, central)
-    baseline = np.asarray(func(space.to_dict(space.nominal_vector())), dtype=float)
-    if baseline.ndim != 1:
+    points = difference_star(space, rel_step, central)
+    outs = [np.asarray(func(p), dtype=float) for p in points]
+    if any(out.ndim != 1 for out in outs):
         raise ValueError("func must return a 1-D vector")
-    jac = np.empty((len(baseline), len(space)))
-    for j, name in enumerate(space.names()):
-        plus = np.asarray(
-            func(space.to_dict(space.perturbed_vector(name, rel_step))), dtype=float
-        )
-        if central:
-            minus = np.asarray(
-                func(space.to_dict(space.perturbed_vector(name, -rel_step))),
-                dtype=float,
-            )
-            jac[:, j] = (plus - minus) / (2.0 * rel_step)
-        else:
-            jac[:, j] = (plus - baseline) / rel_step
-    return jac, baseline
-
-
-def _batched_jacobian(
-    batch_func: BatchVectorFunction,
-    space: ParameterSpace,
-    rel_step: float,
-    central: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot finite differences: the whole star in a single evaluation."""
-    points = [space.to_dict(space.nominal_vector())]
-    for name in space.names():
-        points.append(space.to_dict(space.perturbed_vector(name, rel_step)))
-        if central:
-            points.append(space.to_dict(space.perturbed_vector(name, -rel_step)))
-    outs = np.asarray(batch_func(points), dtype=float)
-    if outs.ndim != 2 or len(outs) != len(points):
-        raise ValueError("batch_func must return one output row per point")
-    baseline = outs[0].copy()
-    jac = np.empty((outs.shape[1], len(space)))
-    stride = 2 if central else 1
-    for j in range(len(space)):
-        plus = outs[1 + stride * j]
-        if central:
-            minus = outs[2 + stride * j]
-            jac[:, j] = (plus - minus) / (2.0 * rel_step)
-        else:
-            jac[:, j] = (plus - baseline) / rel_step
-    return jac, baseline
+    return star_jacobian(np.array(outs), space, rel_step, central)
 
 
 def performance_sensitivity(
@@ -135,18 +133,13 @@ def signature_sensitivity(
     space: ParameterSpace,
     rel_step: float = 0.05,
     central: bool = False,
-    batch_func: Optional[BatchVectorFunction] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The matrix ``A_s`` of Equation 7 (signature vs process).
 
     ``signature_fn`` maps a parameter dict to the *noise-free* signature
     vector for the stimulus under evaluation.  Forward differences are the
-    default: the GA calls this inside its fitness loop, and forward
-    differencing halves the cost.  ``batch_func`` (one signature matrix
-    for a list of parameter dicts, e.g. a batched load-board capture)
-    evaluates the whole difference star in one call.  Returns
-    ``(A_s, nominal_signature)``.
+    default; the stimulus optimizer instead evaluates the central star
+    as one batched capture (:func:`difference_star` /
+    :func:`star_jacobian`).  Returns ``(A_s, nominal_signature)``.
     """
-    return finite_difference_jacobian(
-        signature_fn, space, rel_step, central, batch_func=batch_func
-    )
+    return finite_difference_jacobian(signature_fn, space, rel_step, central)

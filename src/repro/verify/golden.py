@@ -385,9 +385,8 @@ def check_fast_path(name: str, directory: Optional[str] = None) -> List[str]:
             f"but it returned signatures"
         ]
 
-    plan = board.capture_plan(stimulus)
     program = next(
-        p for key, p in plan.programs.items() if key[0] == "float32"
+        p for key, p in board._programs.items() if key[0] == "float32"
     )
     cfg = board.config
     lsb = (

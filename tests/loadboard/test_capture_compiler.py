@@ -314,9 +314,8 @@ class TestFastPath:
         fast = board.signature_batch(
             devices, stim, rng=np.random.default_rng(2), engine="fast"
         )
-        plan = next(iter(board._plan_cache.values()))
         program = next(
-            p for key, p in plan.programs.items() if key[0] == "float32"
+            p for key, p in board._programs.items() if key[0] == "float32"
         )
         lsb = 0.0
         if cfg.digitizer_bits is not None:
@@ -334,9 +333,8 @@ class TestFastPath:
             board.signature_batch(
                 make_lot(2), stim, rng=np.random.default_rng(2), engine="fast"
             )
-        # the refusal decision is memoized on the plan
-        plan = next(iter(board._plan_cache.values()))
-        assert any(plan.fast_refusals.values())
+        # the refusal decision is memoized on the board
+        assert any(board._fast_refusals.values())
 
     def test_refusal_is_structural(self):
         # the cubic DUT populates rf harmonics up to 3; mixer products
@@ -373,18 +371,45 @@ def _stimuli(k):
     ]
 
 
+class TestProgramCache:
+    def test_one_program_serves_every_stimulus(self):
+        cfg = simulation_config()
+        board = SignatureTestBoard(cfg)
+        devices = make_lot(3)
+        stimuli = _stimuli(5)
+        shared = [
+            board.signature_batch(devices, s, rng=np.random.default_rng(8))
+            for s in stimuli
+        ]
+        assert len(board._plan_cache) == len(stimuli)
+        assert [key[0] for key in board._programs] == ["float64"]
+        for s, sig in zip(stimuli, shared):
+            fresh = SignatureTestBoard(cfg).signature_batch(
+                devices, s, rng=np.random.default_rng(8)
+            )
+            assert np.array_equal(sig, fresh)
+
+    def test_clear_plan_cache_drops_programs(self, stim):
+        board = SignatureTestBoard(simulation_config())
+        board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(1))
+        assert board._programs
+        board.clear_plan_cache()
+        assert not board._plan_cache and not board._programs
+
+
 class TestPlanCacheBytes:
     def test_workspaces_shed_before_plans(self):
         board = SignatureTestBoard(simulation_config())
         devices = make_lot(3)
         for s in _stimuli(2):
             board.signature_batch(devices, s, rng=np.random.default_rng(1))
-        total = sum(p.nbytes() for p in board._plan_cache.values())
+        total = board._cache_nbytes()
         board._plan_cache_max_bytes = total - 1
         board._enforce_plan_cache_bytes()
-        # both plans survive: dropping the LRU plan's workspaces was enough
+        # both plans survive: dropping the program's workspaces was enough
         assert len(board._plan_cache) == 2
-        assert sum(p.nbytes() for p in board._plan_cache.values()) < total
+        assert len(board._programs) == 1
+        assert board._cache_nbytes() < total
 
     def test_hard_bound_evicts_lru_plans_keeps_newest(self):
         board = SignatureTestBoard(simulation_config())
@@ -410,8 +435,8 @@ class TestPlanCacheBytes:
         board = SignatureTestBoard(simulation_config())
         devices = make_lot(3)
         first = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
-        for plan in board._plan_cache.values():
-            plan.release_workspaces()
+        for program in board._programs.values():
+            program.release_workspaces()
         again = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
         assert np.array_equal(first, again)
 
@@ -421,7 +446,7 @@ class TestPickling:
         board = SignatureTestBoard(simulation_config())
         board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(3))
         plan = next(iter(board._plan_cache.values()))
-        program = next(iter(plan.programs.values()))
+        program = next(iter(board._programs.values()))
         assert program._workspaces  # populated by the capture
         clone = pickle.loads(pickle.dumps(program))
         assert clone._workspaces == {}
@@ -436,14 +461,19 @@ class TestPickling:
         out_clone = clone.execute(inputs["rf"], inputs["lo"])
         assert np.array_equal(out, out_clone)
 
-    def test_plan_roundtrip_reuses_compiled_fingerprint(self, stim):
+    def test_board_roundtrip_recompiles_same_fingerprint(self, stim):
         board = SignatureTestBoard(simulation_config())
-        board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(3))
-        plan = next(iter(board._plan_cache.values()))
-        clone = pickle.loads(pickle.dumps(plan))
-        assert set(clone.programs) == set(plan.programs)
-        for key, program in plan.programs.items():
-            assert clone.programs[key].fingerprint == program.fingerprint
+        devices = make_lot(2)
+        first = board.signature_batch(devices, stim, rng=np.random.default_rng(3))
+        clone = pickle.loads(pickle.dumps(board))
+        # compiled programs stay behind, like plans; the worker-side
+        # board recompiles the same tape on its first capture
+        assert len(clone._programs) == 0
+        again = clone.signature_batch(devices, stim, rng=np.random.default_rng(3))
+        assert np.array_equal(first, again)
+        assert set(clone._programs) == set(board._programs)
+        for key, program in board._programs.items():
+            assert clone._programs[key].fingerprint == program.fingerprint
 
     def test_process_executor_identity(self, stim):
         cfg = simulation_config()

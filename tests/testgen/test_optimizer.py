@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.circuits.behavioral import BehavioralAmplifier
+from repro.circuits.lna import LNA900, lna_parameter_space
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig
 from repro.testgen.genetic import GAConfig
 from repro.testgen.optimizer import SignatureStimulusOptimizer
 from repro.testgen.pwl import StimulusEncoding
+from repro.testgen.sensitivity import difference_star, star_jacobian
 
 
 def behavioral_space():
@@ -174,3 +176,120 @@ class TestScenarioBoards:
         from repro.loadboard.signature_path import SignatureTestBoard
 
         assert isinstance(make_optimizer().board, SignatureTestBoard)
+
+
+# ----------------------------------------------------------------------
+# the capture-free fitness loop against the capturing oracle
+# ----------------------------------------------------------------------
+def _scenario_boards():
+    """(board_config, board) for every board surface the optimizer drives."""
+    from repro.loadboard.scenario_paths import (
+        AbmAccessPath,
+        AbmPathConfig,
+        BistPathConfig,
+        BistSignaturePath,
+    )
+    from repro.loadboard.signature_path import SignatureTestBoard
+    from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
+
+    tuned = small_config()
+    wideband = small_config()
+    wideband.dut_coupling = "wideband"
+    bist = BistPathConfig(adc_noise_vrms=1e-3, include_device_noise=False)
+    abm = AbmAccessPath(AbmPathConfig(base=small_config()))
+    sites = MultiSiteConfig(
+        n_sites=3, crosstalk_coupling=0.01, site_loss_skew_db=[0.5, 0.0, 1.0]
+    )
+    return {
+        "tuned": (tuned, SignatureTestBoard(tuned)),
+        "wideband": (wideband, SignatureTestBoard(wideband)),
+        "multisite": (tuned, MultiSiteBoard(tuned, sites)),
+        "bist": (bist, BistSignaturePath(bist)),
+        "abm": (abm.config, abm),
+    }
+
+
+class CaptureOracleOptimizer(SignatureStimulusOptimizer):
+    """The fitness loop the long way: every evaluation rebuilds the
+    finite-difference devices and captures the weakest device to read
+    its overdrive ratio off the board."""
+
+    def signature_matrix(self, stimulus):
+        star = difference_star(self.space, self.rel_step, central=True)
+        signatures = self.board.signature_batch(
+            [self.device_factory(p) for p in star],
+            stimulus,
+            rng=None,
+            n_bins=self.signature_bins,
+        )
+        a_s, _ = star_jacobian(signatures, self.space, self.rel_step, central=True)
+        return a_s * self.space.fractional_std_vector()[None, :]
+
+    def overdrive_ratio(self, stimulus):
+        self.board.capture(self._find_weakest_device(), stimulus, rng=None)
+        ratio, _ = self.board.overdrive_snapshot()
+        return ratio
+
+
+class TestCaptureFreeFitness:
+    @pytest.mark.parametrize(
+        "name", ["tuned", "wideband", "multisite", "bist", "abm"]
+    )
+    def test_overdrive_ratio_equals_captured_ratio(self, name):
+        board_config, board = _scenario_boards()[name]
+        opt = make_optimizer(
+            board_config=board_config,
+            board=board,
+            encoding=StimulusEncoding(
+                n_breakpoints=8, duration=5e-6, v_limit=0.4
+            ),
+        )
+        weakest = opt._find_weakest_device()
+        rng = np.random.default_rng(5)
+        genes = [np.full(8, 0.05), np.full(8, 0.4)] + [
+            rng.uniform(-0.4, 0.4, 8) for _ in range(3)
+        ]
+        for gene in genes:
+            stim = opt.encoding.decode(gene)
+            ratio = opt.overdrive_ratio(stim)
+            board.capture(weakest, stim, rng=None)
+            assert ratio == board.overdrive_snapshot()[0]
+            assert ratio > 0.0
+
+    @pytest.mark.parametrize("executor", ["serial", "thread:2"])
+    def test_ga_run_equals_capturing_oracle(self, executor):
+        from repro.parallel import get_executor
+
+        oracle = CaptureOracleOptimizer(
+            board_config=small_config(),
+            device_factory=factory,
+            space=behavioral_space(),
+            encoding=StimulusEncoding(n_breakpoints=8, duration=5e-6, v_limit=0.4),
+            ga_config=GAConfig(population_size=8, generations=2),
+            rel_step=0.03,
+        ).optimize(np.random.default_rng(3))
+        with get_executor(executor) as ex:
+            fast = make_optimizer(executor=ex).optimize(np.random.default_rng(3))
+        assert np.array_equal(fast.gene, oracle.gene)
+        assert fast.objective_value == oracle.objective_value
+        assert fast.ga_result.history == oracle.ga_result.history
+        assert np.array_equal(fast.a_s, oracle.a_s)
+
+
+class LinearLNA(LNA900):
+    """An LNA family with no compression: nothing ever saturates."""
+
+    def envelope_poly(self):
+        a1, _, _ = super().envelope_poly()
+        return a1, 0.0, 0.0
+
+
+class TestNonSaturatingFamily:
+    def test_overdrive_ratio_is_zero(self):
+        opt = make_optimizer(
+            device_factory=LinearLNA, space=lna_parameter_space()
+        )
+        stim = opt.encoding.decode(np.full(8, 0.4))
+        assert opt.overdrive_ratio(stim) == 0.0
+        # no penalty: the fitness is Equation 10 alone
+        assert np.isfinite(opt.objective(np.full(8, 0.4)))
