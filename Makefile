@@ -21,7 +21,7 @@ SOAK_EXECUTOR ?= thread:2
 SOAK_SITES ?= 1
 SOAK_REPORT ?= benchmarks/results/streaming_soak.json
 
-.PHONY: install test lint lint-stats lint-numerics lint-concurrency lint-sarif verify soak bench bench-json bench-check bench-profile bench-e2e bench-e2e-compare examples all clean
+.PHONY: install test lint lint-stats lint-concurrency lint-sarif verify soak bench bench-json bench-check bench-profile bench-e2e bench-e2e-compare examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -38,15 +38,6 @@ lint:
 lint-stats:
 	@PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
 		--cache-dir $(LINT_CACHE) --stats | sed -n '/^| rule/,$$p'
-
-# the four interval rules alone, plus the float32 certification report;
-# own cache dir -- --select changes the rule-set part of the cache key
-lint-numerics:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
-		--select num-log-nonpositive,num-div-zero,num-cancellation,num-float32-unsafe \
-		--cache-dir $(LINT_CACHE)-numerics
-	@PYTHONPATH=src $(PYTHON) -m repro.analysis src \
-		--cache-dir $(LINT_CACHE)-numerics --numerics-report
 
 # the four lockset/lock-order rules alone; own cache dir -- --select
 # changes the rule-set part of the cache key
@@ -116,6 +107,6 @@ examples:
 all: lint test bench
 
 clean:
-	rm -rf .pytest_cache .hypothesis .lint-cache .lint-cache-numerics \
+	rm -rf .pytest_cache .hypothesis .lint-cache \
 		.lint-cache-concurrency build *.egg-info src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,20 +1,21 @@
-"""Compiled capture engine: the fused whole-lot program claim, measured.
+"""Compiled capture program: the fused whole-lot program claim, measured.
 
 Runs the same 64-device lot four ways and records the wall-clock
 numbers as JSON under ``benchmarks/results/``:
 
-* one-device-at-a-time with the plan cache cleared before every capture
-  -- the pre-batching signature path, which recomputed the
+* one-device-at-a-time through the uncompiled reference oracle
+  (``_reference_signature_batch``) with the plan cache cleared before
+  every capture -- the pre-batching signature path, which recomputed the
   device-independent front half per capture;
-* one-device-at-a-time with a warm plan cache;
-* one ``signature_batch`` call through the *reference* envelope algebra
-  (the uncompiled batched engine);
+* the same one-device-at-a-time loop with a warm plan cache;
+* one ``_reference_signature_batch`` call over the whole lot (the
+  uncompiled batched envelope algebra);
 * one ``signature_batch`` call through the **compiled** whole-lot
-  program (the default engine): the mixer-2 downconversion lowered to
-  a DCE'd op tape over preallocated workspaces.
+  program: the mixer-2 downconversion lowered to a DCE'd op tape over
+  preallocated workspaces.
 
 All four are checked bit-identical (the batching + compilation
-contract); the speedup gates compare the compiled engine against the
+contract); the speedup gates compare the compiled program against the
 per-device path it replaced -- cold plans and warm plans separately --
 and the per-stage breakdown of the compiled capture is recorded for
 ``make bench-profile`` and the CI stage table.
@@ -83,24 +84,25 @@ def test_bench_capture_hotpath(benchmark, report):
             # the pre-batching engine rebuilt the stimulus front half
             # (mixers, LO envelopes, drive powers) on every capture
             board.clear_plan_cache()
-            rows.append(board.signature(device, stim, rng=gen))
+            rows.append(board._reference_signature_batch([device], stim, rngs=[gen]))
         return np.vstack(rows)
 
     def per_device_warm():
         gens = spawn_generators(np.random.default_rng(LOT_SEED), len(lot))
         return np.vstack(
-            [board.signature(d, stim, rng=g) for d, g in zip(lot, gens)]
+            [
+                board._reference_signature_batch([d], stim, rngs=[g])
+                for d, g in zip(lot, gens)
+            ]
         )
 
     def reference_batched():
-        return board.signature_batch(
-            lot, stim, rng=np.random.default_rng(LOT_SEED), engine="reference"
+        return board._reference_signature_batch(
+            lot, stim, rng=np.random.default_rng(LOT_SEED)
         )
 
     def compiled():
-        return board.signature_batch(
-            lot, stim, rng=np.random.default_rng(LOT_SEED), engine="compiled"
-        )
+        return board.signature_batch(lot, stim, rng=np.random.default_rng(LOT_SEED))
 
     uncached_s, uncached_sigs = _best_of(per_device_uncached)
     warm_s, warm_sigs = _best_of(per_device_warm)

@@ -30,10 +30,6 @@ imports and call edges across the whole repository
   from ``map_tasks`` dispatch sites;
 * :mod:`repro.analysis.contracts` -- ``batch-shape-mismatch`` for
   ``*_batch`` / ``*_matrix`` sibling APIs fed the wrong-shaped value;
-* :mod:`repro.analysis.absint` -- interval abstract interpretation of
-  the numeric chain (``num-log-nonpositive``, ``num-div-zero``,
-  ``num-cancellation``, ``num-float32-unsafe``) plus the
-  ``--numerics-report`` float32 certification artifact;
 * :mod:`repro.analysis.concurrency` -- lockset/lock-order analysis over
   thread roots discovered in the call graph
   (``conc-unlocked-shared-write``, ``conc-lock-escape``,
@@ -87,7 +83,6 @@ __all__ = [
 
 def default_rules() -> List[Rule]:
     """Fresh instances of every built-in rule, in reporting order."""
-    from repro.analysis.absint.rules import ABSINT_RULES
     from repro.analysis.api import API_RULES
     from repro.analysis.concurrency.rules import CONCURRENCY_RULES
     from repro.analysis.contracts import CONTRACT_RULES
@@ -107,7 +102,6 @@ def default_rules() -> List[Rule]:
         *PARALLEL_RULES,
         *CONTRACT_RULES,
         *VERIFY_RULES,
-        *ABSINT_RULES,
         *CONCURRENCY_RULES,
     ]
     rules.append(UnknownSuppressionRule(rule.name for rule in rules))

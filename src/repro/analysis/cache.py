@@ -36,11 +36,9 @@ def rules_signature(rules: Sequence[Rule]) -> str:
     """Hash identifying the rule set *and* the analyzer implementation.
 
     Any edit to a module in ``repro.analysis`` -- including the
-    ``absint/`` subpackage, hence the recursive walk -- bumps the
+    ``concurrency/`` subpackage, hence the recursive walk -- bumps the
     signature via the package files' stats, so a stale cache can never
-    mask a behavior change in the linter itself.  Range annotations live
-    in the analyzed files and invalidate per-file entries through the
-    ordinary ``(mtime_ns, size)`` keys.
+    mask a behavior change in the linter itself.
     """
     digest = hashlib.sha256()
     digest.update(str(CACHE_SCHEMA_VERSION).encode())
@@ -157,7 +155,7 @@ class LintCache:
         """Hash of every analyzed file's ``(path, mtime_ns, size)``.
 
         When nothing under the analyzed roots changed, the cross-module
-        pass (symbol resolution, dataflow, the absint fixpoint) would
+        pass (symbol resolution, dataflow, the concurrency fixpoints) would
         recompute exactly the same findings -- so a warm run replays
         them from the manifest instead.
         """

@@ -8,9 +8,8 @@ Usage::
     python -m repro.analysis src --format sarif    # code-scanning upload
     python -m repro.analysis src --cache-dir .lint-cache
     python -m repro.analysis src --stats           # findings-per-rule table
-    python -m repro.analysis src --select num-div-zero,num-log-nonpositive
+    python -m repro.analysis src --select units-inline-db-conversion
     python -m repro.analysis src --severity-threshold error
-    python -m repro.analysis src --numerics-report # float32 certification
     python -m repro.analysis --list-rules
     python -m repro lint src          # same engine via the main CLI
 
@@ -115,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="append a findings-per-rule markdown table to the report",
-    )
-    parser.add_argument(
-        "--numerics-report",
-        action="store_true",
-        help=(
-            "emit the machine-readable float32 certification report "
-            "(proven output intervals + error bounds per function) "
-            "instead of findings"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -246,7 +236,6 @@ def run_lint(
     cache_dir: Optional[str] = None,
     stats: bool = False,
     severity_threshold: str = "note",
-    numerics_report: bool = False,
 ) -> int:
     """Analyze ``paths`` and print a report; returns the exit code."""
     all_rules = list(rules) if rules is not None else _default_rules()
@@ -262,16 +251,6 @@ def run_lint(
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if numerics_report:
-        from repro.analysis.absint import certification_report
-        from repro.analysis.project import ProjectIndex
-
-        print(
-            json.dumps(
-                certification_report(ProjectIndex(report.summaries)), indent=2
-            )
-        )
-        return EXIT_CLEAN
     findings = report.findings
     if fmt == "sarif":
         print(json.dumps(format_sarif(report, chosen), indent=2))
@@ -330,5 +309,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         stats=args.stats,
         severity_threshold=args.severity_threshold,
-        numerics_report=args.numerics_report,
     )

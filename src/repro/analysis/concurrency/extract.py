@@ -1,9 +1,8 @@
 """AST -> concurrency IR: locks held, state touched, threads spawned.
 
 The lockset/lock-order rules replay from the lint cache without
-re-parsing unchanged files, so -- like the numeric IR next door in
-``absint/extract.py`` -- everything they need is compressed into
-JSON-serializable per-function facts at parse time:
+re-parsing unchanged files, so everything they need is compressed
+into JSON-serializable per-function facts at parse time:
 
 * every ``with <lock>:`` region and bare ``.acquire()`` call, with the
   lock expression as written and the locks already held at that point

@@ -2,8 +2,7 @@
 
 One memoized :func:`analyze_concurrency` pass computes everything the
 four ``conc-*`` rules report, so ``--select conc-lock-escape`` does not
-re-run the fixpoints three more times (the same bargain as the absint
-rules).  The pass:
+re-run the fixpoints three more times.  The pass:
 
 1. **discovers thread roots** -- ``threading.Thread(target=...)`` spawn
    sites, ``threading.Thread`` subclasses' ``run`` methods, and executor

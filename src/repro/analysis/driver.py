@@ -51,11 +51,8 @@ class ProjectReport:
     analyzed: int = 0
     #: files served entirely from the cache
     cached: int = 0
-    #: the run's module summaries (for post-hoc project queries like
-    #: the --numerics-report certification; not serialized anywhere)
-    summaries: List[ModuleSummary] = field(default_factory=list, repr=False)
     #: True when the cross-module findings were replayed from the cache
-    #: instead of re-running symbol resolution and the absint fixpoint
+    #: instead of re-running symbol resolution and the project rules
     project_from_cache: bool = False
 
     @property
@@ -170,8 +167,8 @@ def analyze_project(
                 pass
 
     # cross-module pass: replayed from the manifest when nothing changed,
-    # so a fully-warm run never re-runs symbol resolution or the absint
-    # fixpoint (see tests/analysis/test_absint_cache.py)
+    # so a fully-warm run never re-runs symbol resolution or the
+    # project rules
     project_findings: Optional[List[Finding]] = None
     project_key: Optional[str] = None
     if cache is not None:
@@ -185,7 +182,6 @@ def analyze_project(
 
     report.findings.extend(project_findings)
     report.findings.sort()
-    report.summaries = summaries
     if cache is not None:
         cache.save()
     return report

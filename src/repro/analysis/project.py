@@ -418,11 +418,9 @@ class ModuleSummary:
     #: line -> suppressed rule names (copied so cached project findings
     #: can be filtered without re-reading the file)
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
-    #: numeric IR for the absint pass (a ``ModuleNumerics.to_dict()``
-    #: payload, kept as a plain dict so it round-trips the cache as-is)
-    numerics: Optional[Dict[str, object]] = None
     #: concurrency IR for the lockset/lock-order pass (a
-    #: ``ModuleConcurrency.to_dict()`` payload, same bargain)
+    #: ``ModuleConcurrency.to_dict()`` payload, kept as a plain dict so
+    #: it round-trips the cache as-is)
     concurrency: Optional[Dict[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -439,7 +437,6 @@ class ModuleSummary:
             "suppressions": {
                 str(line): sorted(names) for line, names in self.suppressions.items()
             },
-            "numerics": self.numerics,
             "concurrency": self.concurrency,
         }
 
@@ -460,7 +457,6 @@ class ModuleSummary:
                 int(line): set(names)
                 for line, names in data.get("suppressions", {}).items()  # type: ignore[union-attr]
             },
-            numerics=data.get("numerics"),  # type: ignore[arg-type]
             concurrency=data.get("concurrency"),  # type: ignore[arg-type]
         )
 
@@ -1156,8 +1152,7 @@ def summarize_module(module: ModuleSource) -> ModuleSummary:
                 )
             )
 
-    # imported late: absint's interpreter itself builds on this module
-    from repro.analysis.absint.extract import extract_numerics
+    # imported late: the concurrency package's rules import this module
     from repro.analysis.concurrency.extract import extract_concurrency
 
     return ModuleSummary(
@@ -1170,7 +1165,6 @@ def summarize_module(module: ModuleSource) -> ModuleSummary:
         functions=functions,
         classes=classes,
         suppressions={k: set(v) for k, v in module.suppressions.items()},
-        numerics=extract_numerics(tree).to_dict(),
         concurrency=extract_concurrency(tree).to_dict(),
     )
 

@@ -41,11 +41,7 @@ def nf_db_to_factor(nf_db: float) -> float:
 
 
 def factor_to_nf_db(factor: float) -> float:
-    """Noise factor F (linear) to noise figure (dB).
-
-    lint-ranges: factor=[1, 1e6]
-    lint-float32-budget: 1e-3
-    """
+    """Noise factor F (linear) to noise figure (dB)."""
     if factor < 1.0:
         raise ValueError(f"noise factor must be >= 1, got {factor}")
     return db(factor)
@@ -87,8 +83,6 @@ def y_factor_nf_db(y: float, enr_db: float) -> float:
 
     ``Y`` is the ratio of measured output noise powers with the noise
     source hot vs cold; ``F = ENR / (Y - 1)``.
-
-    lint-ranges: y=[1, 1e3] enr_db=[0, 30]
     """
     if y <= 1.0:
         raise ValueError(f"Y factor must exceed 1 (got {y}); device swamped by noise?")

@@ -27,8 +27,6 @@ class SwitchParasitics:
     ``r_on_ohm`` is the closed-channel series resistance (tens of ohms
     for CMOS transmission gates); ``c_node_farads`` the total shunt
     capacitance of the switched node (junction + bus-segment trace).
-
-    lint-ranges: r_on_ohm=[0, 1e4] c_node_farads=[1e-15, 1e-6]
     """
 
     r_on_ohm: float = 50.0

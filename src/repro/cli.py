@@ -271,14 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a findings-per-rule table to the report",
     )
-    p_lint.add_argument(
-        "--numerics-report",
-        action="store_true",
-        help=(
-            "emit the float32 certification report (proven intervals + "
-            "error bounds) instead of findings"
-        ),
-    )
 
     return parser
 
@@ -602,7 +594,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         stats=args.stats,
         severity_threshold=args.severity_threshold,
-        numerics_report=args.numerics_report,
     )
 
 

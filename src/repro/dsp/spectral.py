@@ -72,8 +72,6 @@ class Spectrum:
     ``freqs[k]``; a pure full-scale sine shows up as its peak amplitude in
     the bin nearest its frequency (given a coherent record or an
     amplitude-flat window).
-
-    lint-ranges: amplitudes=[0, inf] resolution_hz=[0, inf]
     """
 
     freqs: np.ndarray
@@ -167,8 +165,6 @@ def fft_magnitude_signature(
         features because spec errors are naturally expressed in dB.
     floor:
         Small constant preventing ``log(0)``.
-
-    lint-ranges: floor=[1e-12, 1e-3]
     """
     spec = amplitude_spectrum(wf, window_kind)
     mags = spec.amplitudes

@@ -47,42 +47,26 @@ FloatOrArray = Union[float, np.ndarray]
 
 
 def db(ratio: FloatOrArray) -> FloatOrArray:
-    """Power ratio (linear) to decibels: ``10 log10(ratio)``.
-
-    lint-ranges: ratio=[1e-30, 1e30]
-    lint-float32-budget: 1e-3
-    """
+    """Power ratio (linear) to decibels: ``10 log10(ratio)``."""
     if isinstance(ratio, np.ndarray):
         return 10.0 * np.log10(ratio)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
     return 10.0 * math.log10(ratio)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
 
 
 def undb(value_db: FloatOrArray) -> FloatOrArray:
-    """Decibels to power ratio (linear): ``10**(value_db / 10)``.
-
-    lint-ranges: value_db=[-60, 60]
-    lint-float32-budget: 1e1
-    """
+    """Decibels to power ratio (linear): ``10**(value_db / 10)``."""
     return 10.0 ** (value_db / 10.0)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
 
 
 def db20(ratio: FloatOrArray) -> FloatOrArray:
-    """Amplitude ratio (linear) to decibels: ``20 log10(ratio)``.
-
-    lint-ranges: ratio=[1e-30, 1e30]
-    lint-float32-budget: 1e-3
-    """
+    """Amplitude ratio (linear) to decibels: ``20 log10(ratio)``."""
     if isinstance(ratio, np.ndarray):
         return 20.0 * np.log10(ratio)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
     return 20.0 * math.log10(ratio)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
 
 
 def undb20(value_db: FloatOrArray) -> FloatOrArray:
-    """Decibels to amplitude ratio (linear): ``10**(value_db / 20)``.
-
-    lint-ranges: value_db=[-120, 120]
-    lint-float32-budget: 1e1
-    """
+    """Decibels to amplitude ratio (linear): ``10**(value_db / 20)``."""
     return 10.0 ** (value_db / 20.0)  # repro-lint: disable=units-inline-db-conversion -- canonical definition
 
 
@@ -94,8 +78,6 @@ def watts_to_dbm(watts: FloatOrArray) -> FloatOrArray:
     sentinel survives the test suite's FP sanitizer
     (:mod:`repro.analysis.sanitizer`), which otherwise raises on any
     ``log10(0)``.
-
-    lint-ranges: watts=[0, 10]
     """
     if isinstance(watts, np.ndarray):
         with np.errstate(divide="ignore"):
@@ -106,9 +88,5 @@ def watts_to_dbm(watts: FloatOrArray) -> FloatOrArray:
 
 
 def dbm_to_watts(power_dbm: FloatOrArray) -> FloatOrArray:
-    """Absolute power in dBm to watts.
-
-    lint-ranges: power_dbm=[-120, 40]
-    lint-float32-budget: 1e-2
-    """
+    """Absolute power in dBm to watts."""
     return undb(power_dbm - 30.0)

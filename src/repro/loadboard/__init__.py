@@ -12,11 +12,7 @@ response back to a baseband signature.  Two simulation engines exist:
   ``tests/loadboard/test_envelope_vs_passband.py``).
 """
 
-from repro.loadboard.capture_compiler import (
-    CompiledCaptureProgram,
-    FastPathError,
-    fast_path_error_bound,
-)
+from repro.loadboard.capture_compiler import CompiledCaptureProgram
 from repro.loadboard.envelope import EnvelopeSignal, one_pole_lowpass
 from repro.loadboard.scenario_paths import (
     AbmAccessPath,
@@ -41,12 +37,10 @@ __all__ = [
     "CapturePlan",
     "CompiledCaptureProgram",
     "EnvelopeSignal",
-    "FastPathError",
     "MultiSiteBoard",
     "MultiSiteConfig",
     "SignaturePathConfig",
     "SignatureTestBoard",
-    "fast_path_error_bound",
     "one_pole_lowpass",
     "simulation_config",
     "hardware_config",

@@ -1,14 +1,15 @@
 """Capture-chain compiler: the mixer-2 downconversion as a fused op tape.
 
-``SignatureTestBoard._capture_batch_matrix`` spends most of a batched
-capture inside :func:`~repro.loadboard.signature_path.mix_envelope`:
+The uncompiled capture chain (the reference oracle,
+``SignatureTestBoard._reference_front_matrix``) spends most of a
+batched capture inside :func:`~repro.loadboard.signature_path.mix_envelope`:
 the generic harmonic-envelope algebra walks Python dicts, builds
 two-sided coefficient tables, and materializes every harmonic of every
 mixer cross product -- even though the signature only ever reads the
 *baseband* (harmonic 0) of the mixer-2 output.
 
 This module compiles that stage once per board and capture shape
-(precision, record length and the DUT output's harmonics):
+(record length and the DUT output's harmonics):
 
 1. **Trace.**  The real :func:`mix_envelope` runs over symbolic
    envelopes (:class:`_SymbolicEnvelope`) whose operations record an op
@@ -40,13 +41,8 @@ This module compiles that stage once per board and capture shape
    workspaces with ``out=`` kernels -- the steady-state inner loop
    performs no Python-level envelope bookkeeping and no allocations.
 
-Exact mode is bit-identical (``np.array_equal``) to the traced
-reference chain.  The opt-in float32 fast path
-(:meth:`CompiledCaptureProgram` with ``precision="float32"``) runs the
-same tape in complex64/float32 under the certified error budget of
-:func:`fast_path_error_bound`, and *refuses* (:class:`FastPathError`)
-whenever its reduced harmonic ceiling would actually drop populated
-stimulus content (see :func:`reduction_drops_content`).
+The compiled program is bit-identical (``np.array_equal``) to the
+traced reference chain.
 """
 
 from __future__ import annotations
@@ -62,52 +58,9 @@ import numpy as np
 __all__ = [
     "CaptureTape",
     "CompiledCaptureProgram",
-    "FastPathError",
     "TapeNode",
-    "FLOAT32_EPS",
-    "fast_path_error_bound",
-    "fast_path_quantization_bound",
-    "reduction_drops_content",
     "trace_mixer_baseband",
 ]
-
-#: machine epsilon of IEEE-754 binary32 (2**-23)
-FLOAT32_EPS = 1.1920928955078125e-07
-
-
-class FastPathError(ValueError):
-    """The reduced-harmonic fast path would drop populated stimulus content."""
-
-
-def fast_path_error_bound(op_count: float) -> float:
-    """Certified relative-L2 error budget of the float32 mixer tape.
-
-    Every elementwise float32 kernel rounds with relative error at most
-    ``FLOAT32_EPS / 2``; a tape of ``op_count`` stages compounds at most
-    linearly in the op count, and the factor 16 budgets constructive
-    accumulation across the downstream filter + FFT (empirical residuals
-    on the golden corpora sit two orders of magnitude below this line).
-
-    lint-ranges: op_count=[1, 4096]
-    lint-float32-budget: 1e-8
-    """
-    return 16.0 * op_count * 1.1920928955078125e-07
-
-
-def fast_path_quantization_bound(lsb: float, n_bins: float) -> float:
-    """Absolute L2 slack for ADC requantization of the fast path.
-
-    A float32 rounding of the analog record can move samples sitting on
-    a quantizer decision boundary by one code.  In the worst case every
-    retained FFT bin absorbs a full LSB of the ``2/n``-normalized
-    spectrum, so the signature vector moves by at most
-    ``2 * lsb * sqrt(n_bins)`` in L2.  ``lsb`` is 0 for an ideal
-    (unquantized) digitizer, collapsing the bound to zero.
-
-    lint-ranges: lsb=[0, 1] n_bins=[1, 65536]
-    lint-float32-budget: 1e-3
-    """
-    return 2.0 * lsb * np.sqrt(n_bins)
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +229,7 @@ class CaptureTape:
     def fingerprint(self, out: int) -> tuple:
         """Canonical structure of the dag reaching ``out``.
 
-        Two tapes whose fingerprints match compute the same expression;
-        the fast path compares reduced vs full-ceiling fingerprints to
-        detect whether a harmonic ceiling actually drops content.
+        Two tapes whose fingerprints match compute the same expression.
         """
         order: List[int] = []
         index: Dict[int, int] = {}
@@ -401,32 +352,6 @@ def trace_mixer_baseband(
     return tape, out.keep_harmonics([0]).baseband()
 
 
-def reduction_drops_content(
-    mixer,
-    rf_harmonics: Sequence[int],
-    lo_harmonics: Sequence[int],
-    max_harmonic: int,
-    harmonic_ceiling: int,
-) -> bool:
-    """Would truncating the algebra at ``harmonic_ceiling`` change the result?
-
-    Compares the dag structure of the baseband output traced at the full
-    ``max_harmonic`` against the reduced ceiling, over the *populated*
-    input harmonics only.  A differing structure means the ceiling drops
-    cross products that feed the signature -- the fast path must refuse
-    rather than silently degrade.
-    """
-    if harmonic_ceiling >= max_harmonic:
-        return False
-    full_tape, full_out = trace_mixer_baseband(
-        mixer, rf_harmonics, lo_harmonics, max_harmonic
-    )
-    red_tape, red_out = trace_mixer_baseband(
-        mixer, rf_harmonics, lo_harmonics, harmonic_ceiling
-    )
-    return full_tape.fingerprint(full_out) != red_tape.fingerprint(red_out)
-
-
 # ----------------------------------------------------------------------
 # compilation: DCE, constant folding, buffer planning
 # ----------------------------------------------------------------------
@@ -477,9 +402,6 @@ class CompiledCaptureProgram:
     const_inputs:
         Concrete arrays for plan-bound input slots (the cached LO
         envelopes); every subgraph they feed folds at compile time.
-    precision:
-        ``"float64"`` (exact mode -- bit-identical to the reference) or
-        ``"float32"`` (fast path: complex64/float32 workspaces).
 
     The per-batch-size workspaces are produced lazily and kept in a
     small LRU pool (:attr:`workspace_pool_size`); :meth:`nbytes` and
@@ -504,13 +426,7 @@ class CompiledCaptureProgram:
         tape: CaptureTape,
         out: int,
         const_inputs: Optional[Dict[Tuple[str, int], np.ndarray]] = None,
-        precision: str = "float64",
     ):
-        if precision not in ("float64", "float32"):
-            raise ValueError("precision must be 'float64' or 'float32'")
-        self.precision = precision
-        self._cdtype = np.complex128 if precision == "float64" else np.complex64
-        self._rdtype = np.float64 if precision == "float64" else np.float32
         const_inputs = dict(const_inputs or {})
 
         needed = self._needed(tape, out)
@@ -555,12 +471,6 @@ class CompiledCaptureProgram:
                 a = args[0]
                 b = args[1] if len(args) > 1 else None
                 consts[nid] = _apply_kernel(node, a, b)
-        if self.precision == "float32":
-            cast = {}
-            for nid, arr in consts.items():
-                kind = np.complex64 if np.iscomplexobj(arr) else np.float32
-                cast[nid] = np.ascontiguousarray(arr, dtype=kind)
-            consts = cast
         return consts
 
     def _schedule(self, tape, needed, consts, out) -> None:
@@ -642,7 +552,7 @@ class CompiledCaptureProgram:
                 bufs = [
                     np.empty(
                         (batch, n),
-                        dtype=self._cdtype if dt == "c" else self._rdtype,
+                        dtype=np.complex128 if dt == "c" else np.float64,
                     )
                     for dt in self._slot_dtype
                 ]
@@ -741,10 +651,6 @@ class CompiledCaptureProgram:
             arr = np.asarray(arr)
             if self._input_dtype[key] == "r":
                 arr = arr.real
-            if self.precision == "float32":
-                arr = arr.astype(
-                    np.complex64 if np.iscomplexobj(arr) else np.float32
-                )
             if arr.ndim == 2:
                 batch = arr.shape[0]
             n = arr.shape[-1]
@@ -774,6 +680,4 @@ class CompiledCaptureProgram:
             result = _apply_kernel(step.node, a, b, out=bufs[step.out_slot])
         if self._out_slot is not None:
             result = bufs[self._out_slot]
-        if self.precision == "float32":
-            result = result.astype(np.float64)
         return result

@@ -74,9 +74,6 @@ class BistPathConfig:
     stimulus volt); the detector is a square-law diode whose video
     filter has ``detector_bandwidth_hz``; the on-die ADC is coarse --
     ``adc_bits`` defaults to 6 -- and noisier than a bench digitizer.
-
-    lint-ranges: capture_seconds=[1e-7, 1e-3] adc_noise_vrms=[0, 1]
-    lint-ranges: setup_time=[0, 1] drive_scale=[0, 10]
     """
 
     carrier_freq: float = 900e6
@@ -270,15 +267,8 @@ class BistSignaturePath:
         log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
-        """FFT-magnitude signatures of the detected envelopes, ``(batch, m)``.
-
-        ``engine`` is accepted for interface compatibility; the BIST
-        chain has a single implementation (there is no mixer tape to
-        compile), so any requested engine runs the same path.
-        """
-        del engine  # single-implementation path
+        """FFT-magnitude signatures of the detected envelopes, ``(batch, m)``."""
         cfg = self.config
         devices = list(devices)
         gens = resolve_rng_streams(rng, rngs, len(devices))
@@ -328,8 +318,6 @@ class AbmPathConfig:
     node one RC pole on the captured baseband record.  Input-side node
     poles sit at the carrier, far above the envelope band, and are
     frequency-flat there.
-
-    lint-ranges: port_impedance_ohm=[1, 1e4]
     """
 
     base: SignaturePathConfig
@@ -397,10 +385,9 @@ class AbmAccessPath:
         rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> List[Waveform]:
         """One digitized record per device, accessed through the ABM network."""
-        mat = self._capture_matrix(devices, stimulus, rng, rngs, engine)
+        mat = self._capture_matrix(devices, stimulus, rng, rngs)
         return [
             Waveform(row, self.board.config.digitizer_rate, 0.0) for row in mat
         ]
@@ -411,10 +398,9 @@ class AbmAccessPath:
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         rng: Optional[np.random.Generator],
         rngs: Optional[RngList],
-        engine: Optional[str],
     ) -> np.ndarray:
         filtered, gens = self.board.filtered_baseband_matrix(
-            devices, stimulus, rng, rngs=rngs, engine=engine
+            devices, stimulus, rng, rngs=rngs
         )
         return self.board.digitize_matrix(self._bus_filtered(filtered), gens)
 
@@ -436,10 +422,9 @@ class AbmAccessPath:
         log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
         """FFT-magnitude signatures through the ABM network, ``(batch, m)``."""
-        mat = self._capture_matrix(devices, stimulus, rng, rngs, engine)
+        mat = self._capture_matrix(devices, stimulus, rng, rngs)
         return fft_magnitude_signature_matrix(
             mat, n_bins=n_bins, log_scale=log_scale
         )

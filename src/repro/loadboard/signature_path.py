@@ -27,6 +27,12 @@ Per-device RNG streams are spawned exactly like the executor layer's
 step is elementwise along the record axis, so batched results are
 bit-identical to the one-device-at-a-time path -- :meth:`capture` itself
 is a batch of one.
+
+Every capture runs the mixer-2 downconversion as a compiled op tape
+(:mod:`repro.loadboard.capture_compiler`).  The uncompiled envelope
+algebra survives as the test oracle,
+:meth:`SignatureTestBoard._reference_signature_batch`, which the
+compiled program equals bit for bit.
 """
 
 from __future__ import annotations
@@ -54,15 +60,12 @@ from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.instruments.digitizer import BasebandDigitizer
 from repro.loadboard.capture_compiler import (
     CompiledCaptureProgram,
-    FastPathError,
-    reduction_drops_content,
     trace_mixer_baseband,
 )
 from repro.loadboard.envelope import EnvelopeSignal, one_pole_lowpass
 
 __all__ = [
     "CapturePlan",
-    "FastPathError",
     "SignaturePathConfig",
     "SignatureTestBoard",
     "mix_envelope",
@@ -147,10 +150,6 @@ class SignaturePathConfig:
     ``dut_coupling`` is ``"tuned"`` for narrowband DUTs (an LNA's matched
     input/output pass only the carrier band) or ``"wideband"`` for DUTs
     that pass all products.
-
-    lint-ranges: carrier_power_dbm=[-30, 30] capture_seconds=[1e-7, 1e-3]
-    lint-ranges: setup_time=[0, 1] digitizer_noise_vrms=[0, 1]
-    lint-ranges: input_loss_db=[0, 40] output_loss_db=[0, 40]
     """
 
     carrier_freq: float = 900e6
@@ -283,10 +282,6 @@ class SignatureTestBoard:
     #: byte budget for cached plans + compiled programs + workspaces;
     #: over-budget caches first shed workspaces, then whole LRU plans
     _plan_cache_max_bytes = 64 * 1024 * 1024
-    #: capture engine used by :meth:`signature_batch` when none is named
-    default_engine = "compiled"
-    #: harmonic ceiling of the reduced fast path (``engine="fast"``)
-    fast_harmonic_cutoff = 6
 
     def __init__(self, config: SignaturePathConfig):
         self.config = config
@@ -306,13 +301,11 @@ class SignatureTestBoard:
         #: per-stage wall-clock breakdown of the last compiled capture
         self.last_stage_seconds: Dict[str, float] = {}
         self._plan_cache: "OrderedDict[tuple, CapturePlan]" = OrderedDict()
-        #: compiled mixer-2 programs keyed (precision, max_harmonic, rf
-        #: keys, n) (LRU): the tape and its folded LO constants depend on
-        #: the board config and the record length, never on the stimulus,
-        #: so every plan of one length shares them
+        #: compiled mixer-2 programs keyed (rf keys, n) (LRU): the tape
+        #: and its folded LO constants depend on the board config and the
+        #: record length, never on the stimulus, so every plan of one
+        #: length shares them
         self._programs: "OrderedDict[tuple, CompiledCaptureProgram]" = OrderedDict()
-        #: memoized fast-path refusal verdicts keyed (rf keys, ceiling)
-        self._fast_refusals: Dict[tuple, bool] = {}
         #: guards the plan and program caches and the last-capture
         #: telemetry above: thread executors share one board across
         #: concurrent captures
@@ -325,7 +318,6 @@ class SignatureTestBoard:
         state = self.__dict__.copy()
         state["_plan_cache"] = OrderedDict()
         state["_programs"] = OrderedDict()
-        state["_fast_refusals"] = {}
         del state["_state_lock"]
         return state
 
@@ -425,7 +417,6 @@ class SignatureTestBoard:
         with self._state_lock:
             self._plan_cache.clear()
             self._programs.clear()
-            self._fast_refusals.clear()
 
     def peak_drive(
         self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
@@ -568,11 +559,9 @@ class SignatureTestBoard:
     ) -> np.ndarray:
         """Filtered baseband for a batch, stopping short of the digitizer.
 
-        The uncompiled analog front half of :meth:`_capture_batch_matrix`:
+        The uncompiled analog front half of :meth:`_reference_signature_batch`:
         plan, DUT response, fixture output loss, device noise, mixer-2
-        downconversion and the anti-alias LPF.  Multi-site boards couple
-        these rows (shared baseband routing into the shared digitizer)
-        before handing them to :meth:`digitize_matrix`.
+        downconversion through :func:`mix_envelope` and the anti-alias LPF.
         """
         cfg = self.config
         plan = self.capture_plan(stimulus)
@@ -614,8 +603,8 @@ class SignatureTestBoard:
     def digitize_matrix(self, filtered: np.ndarray, gens: RngList) -> np.ndarray:
         """Digitize filtered-baseband rows: jitter, resample, noise, quantize.
 
-        The back half shared by every engine; row ``i`` draws its
-        digitizer noise from ``gens[i]``.
+        The back half shared by the compiled program and the reference
+        oracle; row ``i`` draws its digitizer noise from ``gens[i]``.
         """
         cfg = self.config
         return self._digitizer.capture_matrix(
@@ -629,7 +618,6 @@ class SignatureTestBoard:
         rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[np.ndarray, List[Optional[np.random.Generator]]]:
         """The analog front half for a batch: ``(filtered, gens)``.
 
@@ -642,39 +630,39 @@ class SignatureTestBoard:
         digitizer while every stage stays bit-identical to this board's
         own :meth:`signature_batch`.
         """
-        engine = engine or self.default_engine
         devices = list(devices)
         gens = self._resolve_rngs(rng, rngs, len(devices))
-        if engine == "reference":
-            return self._reference_front_matrix(devices, stimulus, gens), gens
-        if engine == "compiled":
-            filtered, program = self._compiled_front_matrix(
-                devices, stimulus, gens
-            )
-        elif engine == "fast":
-            filtered, program = self._compiled_front_matrix(
-                devices, stimulus, gens, precision="float32"
-            )
-        else:
-            raise ValueError(
-                f"unknown capture engine {engine!r}; "
-                "expected 'compiled', 'reference', or 'fast'"
-            )
+        filtered, program = self._compiled_front_matrix(devices, stimulus, gens)
         with self._state_lock:
             self.last_stage_seconds = dict(program.last_stage_seconds)
         return filtered, gens
 
-    def _capture_batch_matrix(
+    def _reference_signature_batch(
         self,
         devices: Sequence[RFDevice],
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator],
-        rngs: Optional[RngList],
+        rng: Optional[np.random.Generator] = None,
+        n_bins: Optional[int] = None,
+        log_scale: bool = False,
+        *,
+        rngs: Optional[RngList] = None,
     ) -> np.ndarray:
-        """Digitized records for a device batch as a ``(batch, n)`` matrix."""
+        """The test oracle for :meth:`signature_batch`: uncompiled algebra.
+
+        Same arguments and, bit for bit, the same result as
+        :meth:`signature_batch`, with the mixer-2 downconversion run
+        through the generic envelope algebra instead of the compiled
+        program.  Only tests, :mod:`repro.verify` and the capture
+        benchmarks call it.
+        """
+        devices = list(devices)
         gens = self._resolve_rngs(rng, rngs, len(devices))
         filtered = self._reference_front_matrix(devices, stimulus, gens)
-        return self.digitize_matrix(filtered, gens)
+        return fft_magnitude_signature_matrix(
+            self.digitize_matrix(filtered, gens),
+            n_bins=n_bins,
+            log_scale=log_scale,
+        )
 
     def _envelope_bandwidth_batch(
         self, dut_out: EnvelopeSignal, devices: Sequence[RFDevice]
@@ -699,42 +687,15 @@ class SignatureTestBoard:
         return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
 
     # ------------------------------------------------------------------
-    # the compiled whole-lot engine
+    # the compiled whole-lot program
     # ------------------------------------------------------------------
     def _compiled_program(
-        self, plan: CapturePlan, rf_keys: tuple, precision: str
+        self, plan: CapturePlan, rf_keys: tuple
     ) -> CompiledCaptureProgram:
-        """The (board-cached) compiled mixer-2 program for this rf shape.
-
-        Exact mode traces at the configured ``max_harmonic``; the
-        float32 fast path traces at :attr:`fast_harmonic_cutoff` and
-        *refuses* (:class:`FastPathError`) when that ceiling would drop
-        populated content -- detected structurally, so truncated
-        intermediate powers that feed baseband count as drops too.
-        """
+        """The (board-cached) compiled mixer-2 program for this rf shape."""
         cfg = self.config
-        max_h = cfg.max_harmonic
-        if precision == "float32":
-            ceiling = min(cfg.max_harmonic, self.fast_harmonic_cutoff)
-            refusal_key = (rf_keys, ceiling)
-            with self._state_lock:
-                drops = self._fast_refusals.get(refusal_key)
-            if drops is None:
-                drops = reduction_drops_content(
-                    cfg.mixer2, rf_keys, (1,), cfg.max_harmonic, ceiling
-                )
-                with self._state_lock:
-                    self._fast_refusals[refusal_key] = drops
-            if drops:
-                raise FastPathError(
-                    f"fast path refused: stimulus populates harmonics whose "
-                    f"mixer products feed the signature above the reduction "
-                    f"ceiling {ceiling} (rf harmonics {list(rf_keys)}); use "
-                    f"the exact engine or raise fast_harmonic_cutoff"
-                )
-            max_h = ceiling
         # the folded LO depends on the plan only through its length
-        key = (precision, max_h, rf_keys, plan.n)
+        key = (rf_keys, plan.n)
         with self._state_lock:
             program = self._programs.get(key)
             if program is not None:
@@ -742,13 +703,13 @@ class SignatureTestBoard:
         if program is None:
             # compile outside the lock (tracing + constant folding is
             # the expensive part); first publication wins
-            tape, out = trace_mixer_baseband(cfg.mixer2, rf_keys, (1,), max_h)
+            tape, out = trace_mixer_baseband(
+                cfg.mixer2, rf_keys, (1,), cfg.max_harmonic
+            )
             const_inputs = None
             if not cfg.random_path_phase:
                 const_inputs = {("lo", 1): np.asarray(plan.lo2.envelopes[1])}
-            program = CompiledCaptureProgram(
-                tape, out, const_inputs=const_inputs, precision=precision
-            )
+            program = CompiledCaptureProgram(tape, out, const_inputs=const_inputs)
             with self._state_lock:
                 winner = self._programs.get(key)
                 if winner is not None:
@@ -762,17 +723,14 @@ class SignatureTestBoard:
         devices: Sequence[RFDevice],
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         gens: RngList,
-        precision: str = "float64",
     ) -> Tuple[np.ndarray, CompiledCaptureProgram]:
         """Compiled analog front half: ``(filtered, program)``.
 
         Identical pipeline to :meth:`_reference_front_matrix` except the
-        mixer-2 downconversion runs as the compiled op tape: exact mode
-        (``precision="float64"``) is bit-identical, the float32 fast
-        path stays inside :func:`fast_path_error_bound` and upcasts to
-        float64 before the filter/digitizer (quantization unchanged).
-        Per-stage wall times accumulate on the returned program; the
-        caller publishes them to :attr:`last_stage_seconds`.
+        mixer-2 downconversion runs as the compiled op tape, bit-identical
+        to the envelope algebra.  Per-stage wall times accumulate on the
+        returned program; the caller publishes them to
+        :attr:`last_stage_seconds`.
         """
         cfg = self.config
         t_start = time.perf_counter()
@@ -793,7 +751,7 @@ class SignatureTestBoard:
         t_noise = time.perf_counter() - t_start
 
         rf_keys = tuple(dut_out.envelopes.keys())
-        program = self._compiled_program(plan, rf_keys, precision)
+        program = self._compiled_program(plan, rf_keys)
         program.begin_capture()
         program.last_stage_seconds["plan"] = t_plan
         program.last_stage_seconds["nonlinearity"] = t_nonlin
@@ -832,7 +790,6 @@ class SignatureTestBoard:
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         rng: Optional[np.random.Generator],
         rngs: Optional[RngList],
-        precision: str = "float64",
     ) -> np.ndarray:
         """Digitized records via the compiled whole-lot program.
 
@@ -840,9 +797,7 @@ class SignatureTestBoard:
         wall times land in :attr:`last_stage_seconds`.
         """
         gens = self._resolve_rngs(rng, rngs, len(devices))
-        filtered, program = self._compiled_front_matrix(
-            devices, stimulus, gens, precision
-        )
+        filtered, program = self._compiled_front_matrix(devices, stimulus, gens)
         with program.stage("digitize"):
             mat = self.digitize_matrix(filtered, gens)
         with self._state_lock:
@@ -948,7 +903,7 @@ class SignatureTestBoard:
         devices = list(devices)
         if not devices:
             return []
-        mat = self._capture_batch_matrix(devices, stimulus, rng, rngs)
+        mat = self._capture_compiled_matrix(devices, stimulus, rng, rngs)
         return [
             Waveform(row, self._digitizer.sample_rate, 0.0) for row in mat
         ]
@@ -979,7 +934,6 @@ class SignatureTestBoard:
         log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
         """FFT-magnitude signatures for a device batch, shape ``(batch, m)``.
 
@@ -989,33 +943,9 @@ class SignatureTestBoard:
         :meth:`capture_batch`).  An empty lot yields shape ``(0, m)``
         with the same bin count ``m`` as any non-empty batch, so
         downstream matrix code never sees a degenerate ``(0, 0)``.
-
-        ``engine`` picks the capture implementation (default
-        :attr:`default_engine`): ``"compiled"`` runs the preplanned
-        whole-lot program (bit-identical to ``"reference"``),
-        ``"reference"`` the uncompiled envelope algebra, and ``"fast"``
-        the opt-in float32/reduced-harmonic path, which raises
-        :class:`FastPathError` rather than silently degrade when the
-        stimulus populates harmonics above :attr:`fast_harmonic_cutoff`.
         """
-        engine = engine or self.default_engine
         devices = list(devices)
-        if engine == "reference":
-            mat = self._capture_batch_matrix(devices, stimulus, rng, rngs)
-            return fft_magnitude_signature_matrix(
-                mat, n_bins=n_bins, log_scale=log_scale
-            )
-        if engine == "compiled":
-            mat = self._capture_compiled_matrix(devices, stimulus, rng, rngs)
-        elif engine == "fast":
-            mat = self._capture_compiled_matrix(
-                devices, stimulus, rng, rngs, precision="float32"
-            )
-        else:
-            raise ValueError(
-                f"unknown capture engine {engine!r}; "
-                "expected 'compiled', 'reference', or 'fast'"
-            )
+        mat = self._capture_compiled_matrix(devices, stimulus, rng, rngs)
         t_start = time.perf_counter()
         sig = fft_magnitude_signature_matrix(
             mat, n_bins=n_bins, log_scale=log_scale

@@ -45,7 +45,7 @@ bit-identical to the whole-lot capture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,9 +76,6 @@ class MultiSiteConfig:
     the shared-instrument arbitration: every occupied site pays one
     serialized digitizer readout, and each additional occupied site one
     LO retune.
-
-    lint-ranges: crosstalk_coupling=[-1, 1] lo_retune_seconds=[0, 1]
-    lint-ranges: digitizer_readout_seconds=[0, 1]
     """
 
     n_sites: int = 4
@@ -87,10 +84,6 @@ class MultiSiteConfig:
     site_loss_skew_db: Optional[Sequence[float]] = None
     lo_retune_seconds: float = 0.0
     digitizer_readout_seconds: float = 0.0
-    #: per-site capture-engine overrides (None entries use the call's
-    #: engine); lets one site fall back to the reference engine while
-    #: the rest run compiled -- bit-identical either way
-    site_engines: Optional[Sequence[Optional[str]]] = field(default=None)
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -113,11 +106,6 @@ class MultiSiteConfig:
             if any(s < 0.0 for s in skew):
                 raise ValueError("site loss skew must be non-negative dB")
             self.site_loss_skew_db = skew
-        if self.site_engines is not None:
-            engines = list(self.site_engines)
-            if len(engines) != self.n_sites:
-                raise ValueError("need one engine entry (or None) per site")
-            self.site_engines = engines
 
     @property
     def has_crosstalk(self) -> bool:
@@ -227,13 +215,6 @@ class MultiSiteBoard:
     # ------------------------------------------------------------------
     # the coupled capture
     # ------------------------------------------------------------------
-    def _site_engine(self, site: int, engine: Optional[str]) -> Optional[str]:
-        if self.sites.site_engines is not None:
-            override = self.sites.site_engines[site]
-            if override is not None:
-                return override
-        return engine
-
     def _couple_filtered(
         self, filtered_site: List[np.ndarray]
     ) -> List[np.ndarray]:
@@ -274,7 +255,6 @@ class MultiSiteBoard:
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         rng: Optional[np.random.Generator],
         rngs: Optional[RngList],
-        engine: Optional[str],
     ) -> np.ndarray:
         """Digitized records for a lot, in lot order, crosstalk applied."""
         devices = list(devices)
@@ -289,7 +269,6 @@ class MultiSiteBoard:
                 [devices[i] for i in idx],
                 stimulus,
                 rngs=[gens[i] for i in idx],
-                engine=self._site_engine(j, engine),
             )
             filtered_site.append(f)
             site_gens.append(g)
@@ -313,7 +292,6 @@ class MultiSiteBoard:
         rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> List[Waveform]:
         """One digitized record per device, in lot order.
 
@@ -321,7 +299,7 @@ class MultiSiteBoard:
         device ``i`` alone on ``site_boards[site_of(i)]`` with the same
         per-device generator.
         """
-        mat = self._capture_matrix(devices, stimulus, rng, rngs, engine)
+        mat = self._capture_matrix(devices, stimulus, rng, rngs)
         return [
             Waveform(row, self.config.digitizer_rate, 0.0) for row in mat
         ]
@@ -335,7 +313,6 @@ class MultiSiteBoard:
         log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
         """FFT-magnitude signatures for a lot, shape ``(batch, m)``.
 
@@ -343,7 +320,7 @@ class MultiSiteBoard:
         flow / the streaming service dispatch on.  Empty lots yield
         ``(0, m)`` with the same bin count as any non-empty batch.
         """
-        mat = self._capture_matrix(devices, stimulus, rng, rngs, engine)
+        mat = self._capture_matrix(devices, stimulus, rng, rngs)
         return fft_magnitude_signature_matrix(
             mat, n_bins=n_bins, log_scale=log_scale
         )

@@ -25,8 +25,6 @@ class RidgeRegression:
     data, so the intercept is never penalized.  With fewer samples than
     features the equivalent dual form ``w = X^T (X X^T + alpha I)^-1 y``
     is solved instead.
-
-    lint-ranges: alpha=[0, 1e6]
     """
 
     def __init__(self, alpha: float = 1.0):

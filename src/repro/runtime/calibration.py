@@ -45,13 +45,11 @@ __all__ = [
 ]
 
 
-def _capture_batch_task(board, stimulus, n_bins, engine, task) -> np.ndarray:
+def _capture_batch_task(board, stimulus, n_bins, task) -> np.ndarray:
     """One pickled batched capture over a device chunk."""
     devices, seeds = task
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    return board.signature_batch(
-        devices, stimulus, rngs=rngs, n_bins=n_bins, engine=engine
-    )
+    return board.signature_batch(devices, stimulus, rngs=rngs, n_bins=n_bins)
 
 
 def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
@@ -85,7 +83,6 @@ def measure_signatures(
     n_bins: Optional[int] = None,
     executor: Optional[Union[Executor, str]] = None,
     chunksize: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> np.ndarray:
     """Capture one signature per device as an (N, m) matrix.
 
@@ -116,18 +113,12 @@ def measure_signatures(
         backend name like ``"process"``, or ``None`` for serial.
     chunksize:
         Devices shipped per worker task (pooled backends only).
-    engine:
-        Capture engine forwarded to ``signature_batch`` (``"compiled"``,
-        ``"reference"``, or ``"fast"``); ``None`` uses the board default
-        (the compiled whole-lot program).
     """
     devices = list(devices)
     seeds = spawn_seeds(rng, len(devices))
     if not devices:
         # an empty capture still knows its bin count: (0, m), not (0, 0)
-        return board.signature_batch(
-            [], stimulus, rngs=[], n_bins=n_bins, engine=engine
-        )
+        return board.signature_batch([], stimulus, rngs=[], n_bins=n_bins)
     ex = get_executor(executor)
     # ship device *chunks*, one batched capture per task; per-device
     # seeds keep the result independent of chunking
@@ -138,7 +129,7 @@ def measure_signatures(
         )
     ]
     blocks = ex.map_tasks(
-        partial(_capture_batch_task, board, stimulus, n_bins, engine),
+        partial(_capture_batch_task, board, stimulus, n_bins),
         tasks,
         chunksize=1,
     )

@@ -38,19 +38,21 @@ def _insertion_batch_task(
     record then reads its row.  The regression kernels are row-invariant
     (:mod:`repro.regression.rowwise`), so a row's prediction does not
     depend on the chunk it was predicted in.
+
+    With limits set, a row whose signature has a NaN or inf entry fails:
+    a model that ignores the signature (a hinge-free MARS fit is a
+    constant) would otherwise predict passing specs from it.
     """
     ids, devices, seeds = task
     rngs = [np.random.default_rng(seed) for seed in seeds]
     signatures = flow.board.signature_batch(
-        devices,
-        flow.stimulus,
-        rngs=rngs,
-        n_bins=flow.signature_bins,
-        engine=flow.capture_engine,
+        devices, flow.stimulus, rngs=rngs, n_bins=flow.signature_bins
     )
     predicted = flow.calibration.predict_matrix(signatures)
     if flow.limits is not None:
-        passed = [bool(p) for p in flow.limits.check_matrix(predicted)]
+        verdicts = flow.limits.check_matrix(predicted)
+        verdicts &= np.isfinite(signatures).all(axis=1)
+        passed = [bool(p) for p in verdicts]
     else:
         passed = [None] * len(ids)
     # multi-site boards amortize the (contention-inflated) insertion
@@ -140,16 +142,12 @@ class ProductionTestFlow:
         calibration: CalibrationModel,
         limits: Optional[SpecificationLimits] = None,
         signature_bins: Optional[int] = None,
-        capture_engine: Optional[str] = None,
     ):
         self.board = board
         self.stimulus = stimulus
         self.calibration = calibration
         self.limits = limits
         self.signature_bins = signature_bins
-        #: capture engine for batched insertions (None = board default,
-        #: i.e. the compiled whole-lot program); streamed lots inherit it
-        self.capture_engine = capture_engine
 
     def test_device(
         self,

@@ -27,11 +27,6 @@ import numpy as np
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import SpecSet
 from repro.dsp.waveform import PiecewiseLinearStimulus
-from repro.loadboard.capture_compiler import (
-    FastPathError,
-    fast_path_error_bound,
-    fast_path_quantization_bound,
-)
 from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
@@ -39,14 +34,12 @@ from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import CalibrationSession, measure_signatures
-from repro.runtime.executor import spawn_seeds
 
 __all__ = [
     "GoldenUpdateRefused",
     "build_corpus",
     "check_all_corpora",
     "check_corpus",
-    "check_fast_path",
     "corpus_names",
     "golden_dir",
     "update_golden",
@@ -81,21 +74,12 @@ class _CorpusSpec:
     capture front end -- the plain single-site
     :class:`SignatureTestBoard` by default, or a scenario board like
     :class:`MultiSiteBoard` / :class:`BistSignaturePath`.
-
-    ``fast_path`` declares the expected float32/reduced-harmonic
-    behavior on this configuration: ``"bounded"`` (fast signatures stay
-    inside the certified error bound against the stored exact ones),
-    ``"refused"`` (the reduced harmonic ceiling would drop populated
-    content, so the engine must raise :class:`FastPathError`), or
-    ``None`` (the board has no compiled fast engine to validate --
-    scenario paths with a single implementation).
     """
 
     seed: int
     description: str
     config: Callable[[], Any]
     board: Callable[[Any], Any] = SignatureTestBoard
-    fast_path: Optional[str] = "bounded"
 
 
 def _sim_config() -> SignaturePathConfig:
@@ -156,7 +140,6 @@ _CORPORA: Dict[str, _CorpusSpec] = {
         seed=20020103,
         description="wideband coupling with 1 dB output fixture loss",
         config=_wideband_config,
-        fast_path="refused",
     ),
     "multisite-small": _CorpusSpec(
         seed=20020104,
@@ -166,7 +149,6 @@ _CORPORA: Dict[str, _CorpusSpec] = {
         ),
         config=_sim_config,
         board=_multisite_board,
-        fast_path=None,
     ),
     "bist-small": _CorpusSpec(
         seed=20020105,
@@ -175,7 +157,6 @@ _CORPORA: Dict[str, _CorpusSpec] = {
         ),
         config=BistPathConfig,
         board=BistSignaturePath,
-        fast_path=None,
     ),
 }
 
@@ -333,81 +314,6 @@ def check_corpus(name: str, directory: Optional[str] = None) -> List[str]:
         rtol=float(spec_tol.get("rtol", SPEC_RTOL)),
         atol=float(spec_tol.get("atol", SPEC_ATOL)),
     )
-    messages += check_fast_path(name, directory)
-    return messages
-
-
-def check_fast_path(name: str, directory: Optional[str] = None) -> List[str]:
-    """Validate the float32/reduced-harmonic engine against a corpus.
-
-    For a ``"bounded"`` corpus the fast validation signatures must stay
-    within the compiled program's certified relative-L2 budget
-    (:func:`fast_path_error_bound` on the executed op count, plus the
-    ADC requantization slack of :func:`fast_path_quantization_bound`)
-    of the rebuilt exact signatures -- engine vs engine, so a tampered
-    golden file surfaces as *drift* (see :func:`check_corpus`), not as
-    a fast-path violation.  For a ``"refused"`` corpus the engine must
-    raise :class:`FastPathError` -- silently degrading on a stimulus
-    that populates harmonics above the reduction ceiling is itself a
-    failure.
-    """
-    spec = _CORPORA.get(name)
-    if spec is None:
-        raise KeyError(f"unknown corpus {name!r}; defined: {corpus_names()}")
-    if spec.fast_path is None:  # scenario boards have no fast engine
-        return []
-
-    _, val, stimulus, board, (_, val_seq, _) = _corpus_setup(spec)
-    seeds = spawn_seeds(np.random.default_rng(val_seq), len(val))
-    exact = board.signature_batch(
-        val,
-        stimulus,
-        rngs=[np.random.default_rng(s) for s in seeds],
-        n_bins=N_BINS,
-        engine="compiled",
-    )
-    try:
-        fast = board.signature_batch(
-            val,
-            stimulus,
-            rngs=[np.random.default_rng(s) for s in seeds],
-            n_bins=N_BINS,
-            engine="fast",
-        )
-    except FastPathError:
-        if spec.fast_path == "refused":
-            return []
-        return [f"{name}: fast path unexpectedly refused a bounded corpus"]
-    if spec.fast_path == "refused":
-        return [
-            f"{name}: fast path must refuse this configuration (its "
-            f"stimulus populates harmonics above the reduction ceiling) "
-            f"but it returned signatures"
-        ]
-
-    program = next(
-        p for key, p in board._programs.items() if key[0] == "float32"
-    )
-    cfg = board.config
-    lsb = (
-        2.0 * board._digitizer.full_scale / 2.0**cfg.digitizer_bits
-        if cfg.digitizer_bits is not None
-        else 0.0
-    )
-    rel_budget = fast_path_error_bound(program.op_count)
-    abs_slack = fast_path_quantization_bound(lsb, N_BINS)
-    messages: List[str] = []
-    for i in range(exact.shape[0]):
-        scale = float(np.linalg.norm(exact[i]))
-        err = float(np.linalg.norm(fast[i] - exact[i]))
-        limit = rel_budget * scale + abs_slack
-        if err > limit:
-            messages.append(
-                f"{name}: fast-path signature row {i} error {err:.3e} "
-                f"exceeds certified budget {limit:.3e} "
-                f"(rel {rel_budget:.3e} x ||exact|| {scale:.3e} + "
-                f"quantization slack {abs_slack:.3e})"
-            )
     return messages
 
 

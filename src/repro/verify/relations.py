@@ -12,8 +12,7 @@ signature-lo2-phase-invariance  Eq. 5: offset-LO FFT-magnitude
 capture-batch-equivalence       batched capture == per-device capture,
                                 bit for bit
 compiled-capture-equivalence    compiled whole-lot program == reference
-                                engine bit for bit; fast path bounded
-                                or refused, never silently degraded
+                                envelope algebra bit for bit
 executor-equivalence            ``measure_signatures`` is bit-identical
                                 across executor backends and chunkings
 envelope-gain-linearity         a linear DUT's signature scales with its
@@ -28,7 +27,7 @@ streaming-offline-equivalence   streamed service records ==
                                 ``ProductionTestFlow.run``, bit for bit
 multisite-serial-equivalence    a zero-crosstalk N-site capture ==
                                 N independent single-site captures, bit
-                                for bit, on every executor and engine
+                                for bit, on every executor
 bist-calibration-predicts       ridge calibration predicts gain through
                                 the coarse on-die BIST path to the
                                 declared tolerance
@@ -59,11 +58,6 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
 from repro.dsp.units import db, db20, dbm_to_watts, undb, undb20, watts_to_dbm
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
-from repro.loadboard.capture_compiler import (
-    FastPathError,
-    fast_path_error_bound,
-    fast_path_quantization_bound,
-)
 from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
@@ -348,15 +342,12 @@ def _rel_capture_batch_equivalence(case, rng):
     equation="reproduction contract (compiled capture program)",
 )
 def _rel_compiled_capture_equivalence(case, rng):
-    """The compiled engine equals the reference algebra bit for bit.
+    """The compiled program equals the reference algebra bit for bit.
 
-    Exact mode must be ``np.array_equal`` to the uncompiled reference --
-    directly, through ``measure_signatures`` on every backend/chunking,
-    and on the empty lot.  The float32/reduced-harmonic fast path must
-    either stay inside its certified error budget (tuned coupling, where
-    the reduction ceiling drops nothing) or refuse with
-    :class:`FastPathError` (wideband coupling, whose cubic products
-    populate harmonics above the ceiling) -- never silently degrade.
+    ``signature_batch`` must be ``np.array_equal`` to the uncompiled
+    oracle (``_reference_signature_batch``) -- directly, through
+    ``measure_signatures`` on every backend/chunking, and on the empty
+    lot.
     """
     board = SignatureTestBoard(
         _fast_config(
@@ -370,29 +361,25 @@ def _rel_compiled_capture_equivalence(case, rng):
     stimulus = _stimulus(rng, case["n_breakpoints"])
     seeds = spawn_seeds(rng, len(devices))
 
-    reference = board.signature_batch(
-        devices,
-        stimulus,
-        rngs=[np.random.default_rng(s) for s in seeds],
-        engine="reference",
+    reference = board._reference_signature_batch(
+        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
     )
     compiled = board.signature_batch(
-        devices,
-        stimulus,
-        rngs=[np.random.default_rng(s) for s in seeds],
-        engine="compiled",
+        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
     )
-    check_array_equal(compiled, reference, label="compiled exact mode")
+    check_array_equal(compiled, reference, label="compiled program")
 
-    empty = board.signature_batch([], stimulus, rngs=[], engine="compiled")
+    empty = board.signature_batch([], stimulus, rngs=[])
     check(
         empty.shape == (0, reference.shape[1]),
         f"compiled empty lot shape {empty.shape} != (0, {reference.shape[1]})",
     )
 
     master = int(rng.integers(0, 2**63))
-    measured_ref = measure_signatures(
-        board, stimulus, devices, np.random.default_rng(master), engine="reference"
+    # measure_signatures spawns per-device streams from the master
+    # exactly like the oracle's ``rng`` argument
+    measured_ref = board._reference_signature_batch(
+        devices, stimulus, np.random.default_rng(master)
     )
     measured_compiled = measure_signatures(
         board,
@@ -401,45 +388,12 @@ def _rel_compiled_capture_equivalence(case, rng):
         np.random.default_rng(master),
         executor=case["backend"],
         chunksize=case["chunksize"],
-        engine="compiled",
     )
     check_array_equal(
         measured_compiled,
         measured_ref,
         label=f"compiled via {case['backend']} chunksize={case['chunksize']}",
     )
-
-    try:
-        fast = board.signature_batch(
-            devices,
-            stimulus,
-            rngs=[np.random.default_rng(s) for s in seeds],
-            engine="fast",
-        )
-    except FastPathError:
-        check(
-            case["dut_coupling"] == "wideband",
-            "fast path refused a tuned capture whose reduction drops nothing",
-        )
-        return
-    check(
-        case["dut_coupling"] == "tuned",
-        "fast path silently accepted a wideband capture that populates "
-        "harmonics above the reduction ceiling",
-    )
-    program = next(p for key, p in board._programs.items() if key[0] == "float32")
-    bits = case["digitizer_bits"]
-    lsb = 2.0 * board._digitizer.full_scale / 2.0**bits if bits else 0.0
-    rel_budget = fast_path_error_bound(program.op_count)
-    abs_slack = fast_path_quantization_bound(lsb, fast.shape[1])
-    for i in range(fast.shape[0]):
-        scale = float(np.linalg.norm(reference[i]))
-        err = float(np.linalg.norm(fast[i] - reference[i]))
-        check(
-            err <= rel_budget * scale + abs_slack,
-            f"fast-path row {i} error {err:.3e} exceeds certified budget "
-            f"{rel_budget * scale + abs_slack:.3e}",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -832,8 +786,7 @@ def _rel_multisite_serial_equivalence(case, rng):
     must be ``np.array_equal`` to capturing that device alone on its
     site's standalone board with the same RNG stream -- including
     partially-occupied final insertions and per-site fixture-loss skew.
-    The compiled engine must match the reference algebra through the
-    multi-site path, and ``measure_signatures`` must be bit-identical
+    ``measure_signatures`` must be bit-identical
     across backends and chunk sizes (the site-aligned chunking
     contract).  Finally, turning crosstalk *on* must actually change the
     signatures -- coupling silently dropped is itself a failure.
@@ -865,14 +818,6 @@ def _rel_multisite_serial_equivalence(case, rng):
         check_array_equal(
             multi[idx], serial, label=f"site {j} rows vs serial single-site"
         )
-
-    reference = board.signature_batch(
-        devices,
-        stimulus,
-        rngs=[np.random.default_rng(s) for s in seeds],
-        engine="reference",
-    )
-    check_array_equal(multi, reference, label="multi-site compiled vs reference")
 
     master = int(rng.integers(0, 2**63))
     measured_ref = measure_signatures(

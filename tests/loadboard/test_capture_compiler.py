@@ -1,37 +1,26 @@
-"""The capture-chain compiler: lowering identities, bit-identity, fast path.
+"""The capture-chain compiler: lowering identities and bit-identity.
 
-Three contracts pin the compiled whole-lot engine:
+Two contracts pin the compiled whole-lot program:
 
 * every smart-constructor rewrite in :class:`CaptureTape` rests on a
   *bitwise* NumPy identity -- ``TestLoweringIdentities`` asserts each
   one on random data, and ``TestTapeConstruction`` checks the tape only
   reorders operands where the identity licenses it;
-* exact mode (``engine="compiled"``) is ``np.array_equal`` to the
-  reference envelope algebra for every configuration regime, lot size
-  (including empty), executor backend and chunking;
-* the float32 fast path stays inside its machine-certified error
-  budget and *refuses* -- raises :class:`FastPathError` -- rather than
-  silently degrade when the stimulus populates harmonics above the
-  reduction ceiling.
+* every board entry point (``signature_batch``, ``capture_batch``,
+  ``signature``, ``time_signature``) is ``np.array_equal`` to the
+  uncompiled reference oracle for every configuration regime, lot size
+  (including empty), executor backend and chunking.
 """
 
 import dataclasses
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
-from repro.loadboard.capture_compiler import (
-    CaptureTape,
-    FastPathError,
-    fast_path_error_bound,
-    fast_path_quantization_bound,
-    reduction_drops_content,
-    trace_mixer_baseband,
-)
+from repro.loadboard.capture_compiler import CaptureTape, trace_mixer_baseband
 from repro.loadboard.signature_path import (
     SignatureTestBoard,
     hardware_config,
@@ -39,8 +28,6 @@ from repro.loadboard.signature_path import (
 )
 from repro.parallel import ThreadExecutor, spawn_generators
 from repro.runtime.calibration import measure_signatures
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -62,14 +49,34 @@ def make_lot(n=5):
     ]
 
 
-def engines_agree(cfg, devices, stim, seed=42, engine="compiled"):
-    """(reference, other-engine) signature matrices on fresh boards."""
-    ref = SignatureTestBoard(cfg).signature_batch(
-        devices, stim, rng=np.random.default_rng(seed), engine="reference"
-    )
-    other = SignatureTestBoard(cfg).signature_batch(
-        devices, stim, rng=np.random.default_rng(seed), engine=engine
-    )
+def engines_agree(cfg, devices, stim, seed=42, entry="signature_batch"):
+    """(oracle, entry-point) result matrices on fresh boards.
+
+    ``entry`` names the board method under test, fed the per-device
+    streams spawned from ``seed``.  Signature entry points
+    (``signature_batch``, ``signature``) are compared with
+    ``_reference_signature_batch``; record entry points
+    (``capture_batch``, ``time_signature``) with the oracle's digitized
+    records (uncompiled front half plus the shared digitizer).
+    """
+    oracle = SignatureTestBoard(cfg)
+    gens = spawn_generators(np.random.default_rng(seed), len(devices))
+    if entry in ("signature_batch", "signature"):
+        ref = oracle._reference_signature_batch(devices, stim, rngs=gens)
+    else:
+        filtered = oracle._reference_front_matrix(devices, stim, gens)
+        ref = oracle.digitize_matrix(filtered, gens)
+
+    board = SignatureTestBoard(cfg)
+    gens = spawn_generators(np.random.default_rng(seed), len(devices))
+    if entry == "signature_batch":
+        other = board.signature_batch(devices, stim, rngs=gens)
+    elif entry == "capture_batch":
+        records = board.capture_batch(devices, stim, rngs=gens)
+        other = np.array([w.samples for w in records])
+    else:
+        method = getattr(board, entry)
+        other = np.array([method(d, stim, rng=g) for d, g in zip(devices, gens)])
     return ref, other
 
 
@@ -189,7 +196,7 @@ class TestTapeConstruction:
 
 
 # ----------------------------------------------------------------------
-# exact-mode bit identity
+# compiled == oracle, bit for bit
 # ----------------------------------------------------------------------
 class TestCompiledBitIdentity:
     @pytest.mark.parametrize("coupling", ["tuned", "wideband"])
@@ -223,34 +230,15 @@ class TestCompiledBitIdentity:
         assert comp0.shape == (0, ref1.shape[1])
         assert np.array_equal(ref0, comp0)
 
-    def test_compiled_is_the_default_engine(self, stim):
-        cfg = simulation_config()
-        assert SignatureTestBoard(cfg).default_engine == "compiled"
-        default = SignatureTestBoard(cfg).signature_batch(
-            make_lot(), stim, rng=np.random.default_rng(5)
-        )
-        explicit = SignatureTestBoard(cfg).signature_batch(
-            make_lot(), stim, rng=np.random.default_rng(5), engine="compiled"
-        )
-        assert np.array_equal(default, explicit)
-
     def test_matches_per_device_signature(self, stim):
         cfg = simulation_config()
         devices = make_lot()
         board = SignatureTestBoard(cfg)
-        batch = board.signature_batch(
-            devices, stim, rng=np.random.default_rng(3), engine="compiled"
-        )
+        batch = board.signature_batch(devices, stim, rng=np.random.default_rng(3))
         board2 = SignatureTestBoard(cfg)
         gens = spawn_generators(np.random.default_rng(3), len(devices))
         for i, (dev, g) in enumerate(zip(devices, gens)):
             assert np.array_equal(batch[i], board2.signature(dev, stim, rng=g))
-
-    def test_unknown_engine_rejected(self, stim):
-        with pytest.raises(ValueError, match="unknown capture engine"):
-            SignatureTestBoard(simulation_config()).signature_batch(
-                make_lot(1), stim, rng=np.random.default_rng(0), engine="vector"
-            )
 
     def test_stage_breakdown_recorded(self, stim):
         board = SignatureTestBoard(simulation_config())
@@ -259,6 +247,34 @@ class TestCompiledBitIdentity:
         for name in ("plan", "nonlinearity", "noise", "mix", "filter",
                      "digitize", "fft"):
             assert stages[name] >= 0.0
+
+
+_ENTRY_CONFIGS = {
+    "tuned": simulation_config,
+    "wideband": lambda: dataclasses.replace(
+        simulation_config(), dut_coupling="wideband"
+    ),
+    # random path phase, offset LO, 12-bit quantizer
+    "hardware": hardware_config,
+}
+
+
+class TestEntryPoints:
+    """The per-device and record entry points run the compiled program too."""
+
+    @pytest.mark.parametrize("entry", ["capture_batch", "signature", "time_signature"])
+    @pytest.mark.parametrize("config", sorted(_ENTRY_CONFIGS))
+    def test_entry_point_equals_oracle(self, stim, entry, config):
+        cfg = _ENTRY_CONFIGS[config]()
+        ref, comp = engines_agree(cfg, make_lot(3), stim, entry=entry)
+        assert ref.shape == comp.shape
+        assert np.array_equal(ref, comp)
+
+    def test_capture_leaves_a_compiled_program(self, stim):
+        board = SignatureTestBoard(simulation_config())
+        board.capture(make_lot(1)[0], stim, np.random.default_rng(2))
+        assert len(board._programs) == 1
+        assert "mix" in board.last_stage_seconds
 
 
 class TestExecutorBackends:
@@ -301,66 +317,6 @@ class TestExecutorBackends:
 
 
 # ----------------------------------------------------------------------
-# the float32 fast path
-# ----------------------------------------------------------------------
-class TestFastPath:
-    def test_within_certified_budget(self, stim):
-        cfg = simulation_config()
-        devices = make_lot()
-        exact = SignatureTestBoard(cfg).signature_batch(
-            devices, stim, rng=np.random.default_rng(2), engine="compiled"
-        )
-        board = SignatureTestBoard(cfg)
-        fast = board.signature_batch(
-            devices, stim, rng=np.random.default_rng(2), engine="fast"
-        )
-        program = next(
-            p for key, p in board._programs.items() if key[0] == "float32"
-        )
-        lsb = 0.0
-        if cfg.digitizer_bits is not None:
-            lsb = 2.0 * board._digitizer.full_scale / 2.0 ** cfg.digitizer_bits
-        budget = fast_path_error_bound(program.op_count)
-        slack = fast_path_quantization_bound(lsb, exact.shape[1])
-        for row_exact, row_fast in zip(exact, fast):
-            err = np.linalg.norm(row_fast - row_exact)
-            assert err <= budget * np.linalg.norm(row_exact) + slack
-
-    def test_refuses_wideband_rather_than_degrade(self, stim):
-        cfg = dataclasses.replace(simulation_config(), dut_coupling="wideband")
-        board = SignatureTestBoard(cfg)
-        with pytest.raises(FastPathError, match="fast path refused"):
-            board.signature_batch(
-                make_lot(2), stim, rng=np.random.default_rng(2), engine="fast"
-            )
-        # the refusal decision is memoized on the board
-        assert any(board._fast_refusals.values())
-
-    def test_refusal_is_structural(self):
-        # the cubic DUT populates rf harmonics up to 3; mixer products
-        # reach past ceiling 6 only when those harmonics exist
-        cfg = simulation_config()
-        assert reduction_drops_content(cfg.mixer2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
-                                       (1,), cfg.max_harmonic, 6)
-        assert not reduction_drops_content(cfg.mixer2, (0, 1, 2, 3),
-                                           (1,), cfg.max_harmonic,
-                                           cfg.max_harmonic)
-
-    def test_certified_budgets_are_machine_checked(self):
-        from repro.analysis.absint.interp import certification_report
-        from repro.analysis.driver import analyze_project
-        from repro.analysis.project import ProjectIndex
-
-        src = REPO_ROOT / "src" / "repro" / "loadboard" / "capture_compiler.py"
-        report = analyze_project([str(src)])
-        cert = certification_report(ProjectIndex(report.summaries))
-        rows = {r["function"].rsplit(".", 1)[-1]: r for r in cert["functions"]}
-        for name in ("fast_path_error_bound", "fast_path_quantization_bound"):
-            assert rows[name]["budget_ok"] is True
-            assert rows[name]["return_interval"]["may_nan"] is False
-
-
-# ----------------------------------------------------------------------
 # plan-cache hygiene
 # ----------------------------------------------------------------------
 def _stimuli(k):
@@ -382,7 +338,7 @@ class TestProgramCache:
             for s in stimuli
         ]
         assert len(board._plan_cache) == len(stimuli)
-        assert [key[0] for key in board._programs] == ["float64"]
+        assert len(board._programs) == 1
         for s, sig in zip(stimuli, shared):
             fresh = SignatureTestBoard(cfg).signature_batch(
                 devices, s, rng=np.random.default_rng(8)

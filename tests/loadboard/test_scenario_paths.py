@@ -153,13 +153,6 @@ class TestBistPath:
         ).signature(device, stim)
         assert not np.array_equal(coarse, analog)
 
-    def test_engine_kwarg_accepted_for_interface_compat(self, stim):
-        path = BistSignaturePath(BistPathConfig())
-        devices = _lot(2)
-        a = path.signature_batch(devices, stim, rngs=_gens(2), engine="compiled")
-        b = path.signature_batch(devices, stim, rngs=_gens(2), engine=None)
-        assert np.array_equal(a, b)
-
     def test_overdrive_snapshot_tracks_last_capture(self, stim):
         path = BistSignaturePath(BistPathConfig())
         path.signature_batch(_lot(3), stim, rngs=_gens(3))

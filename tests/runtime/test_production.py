@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.circuits.behavioral import BehavioralAmplifier
+from repro.circuits.device import SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
-from repro.runtime.calibration import CalibrationSession
+from repro.regression.mars import MARSRegressor
+from repro.regression.pipeline import Pipeline
+from repro.runtime.calibration import CalibrationModel, CalibrationSession
 from repro.runtime.production import ProductionRunResult, ProductionTestFlow
+from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
 from repro.testgen.pwl import StimulusEncoding
 
@@ -125,6 +129,52 @@ class TestFailClosed:
         assert [r.passed for r in result.records] == [True] * 3 + [False] + [True] * 2
         # the chunk's vectorized verdict equals the per-SpecSet check
         for record in result.records:
+            assert flow.limits.check(record.predicted) is record.passed
+
+    @pytest.mark.parametrize("runner", ["flow.run", "stream"])
+    @pytest.mark.parametrize("executor", [None, "thread:2"])
+    def test_nan_signature_fails_when_every_model_is_constant(
+        self, flow_setup, runner, executor
+    ):
+        space, factory, board, stim, _ = flow_setup
+        nominal = space.to_dict(space.nominal_vector())
+        good = factory(nominal)
+        # hinge-free MARS fits on a constant target: every limited spec
+        # predicts the (passing) nominal value whatever the signature
+        train = board.signature_batch([good] * 8, stim, rng=np.random.default_rng(1))
+        pipelines = {}
+        for name, value in zip(SpecSet.NAMES, good.specs().as_vector()):
+            pipelines[name] = Pipeline([MARSRegressor()]).fit(
+                train, np.full(len(train), value)
+            )
+            assert pipelines[name].steps[-1].n_terms == 0
+        calibration = CalibrationModel(
+            spec_names=list(SpecSet.NAMES),
+            pipelines=pipelines,
+            chosen={name: "mars" for name in SpecSet.NAMES},
+            cv_scores={name: {"mars": 0.0} for name in SpecSet.NAMES},
+        )
+        flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
+        devices = [factory(nominal) for _ in range(5)]
+        devices[1] = factory({**nominal, "gain_db": float("nan")})
+
+        if runner == "flow.run":
+            records = flow.run(
+                devices, np.random.default_rng(9), executor=executor
+            ).records
+        else:
+            with StreamingTestService(flow, executor=executor, chunksize=2) as svc:
+                svc.submit(devices, np.random.default_rng(9))
+                svc.close()
+                records = [stream_record.record for stream_record in svc.records()]
+        assert not np.isfinite(records[1].signature).all()
+        # the prediction itself looks healthy ...
+        assert np.isfinite(records[1].predicted.as_vector()).all()
+        assert flow.limits.check(records[1].predicted)
+        # ... but a non-finite signature never passes
+        assert [r.passed for r in records] == [True, False, True, True, True]
+        # finite rows bin exactly as the limits alone say
+        for record in records[:1] + records[2:]:
             assert flow.limits.check(record.predicted) is record.passed
 
 

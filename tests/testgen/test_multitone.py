@@ -45,6 +45,19 @@ class TestMultitoneStimulus:
         fs = 40e6
         assert newman.crest_factor(fs) < zero_phase.crest_factor(fs)
 
+    def test_all_zero_amplitudes_render_silence(self):
+        # the v_limit normalization divides by the amplitude sum; a silent
+        # stimulus must skip it rather than compute 0/0 (the autouse FP
+        # sanitizer turns any NaN/Inf creation into FloatingPointError)
+        stim = MultitoneStimulus(
+            np.zeros(3), np.zeros(3), np.array([1e6, 2e6, 3e6]), 10e-6, 0.4
+        )
+        assert np.array_equal(stim.amplitudes, np.zeros(3))
+        assert stim.peak_bound() == 0.0
+        wf = stim.to_waveform(40e6)
+        assert wf.peak() == 0.0
+        assert stim.crest_factor(40e6) == np.inf
+
     def test_nyquist_guard(self):
         stim = MultitoneStimulus(
             np.array([0.1]), np.zeros(1), np.array([10e6]), 1e-5, 1.0
