@@ -6,8 +6,6 @@ PYTHON ?= python
 LINT_PATHS ?= src/ tests/ benchmarks/
 # text for local runs; CI passes LINT_FORMAT=github for inline annotations
 LINT_FORMAT ?= text
-# incremental result cache; warm re-runs only re-analyze edited files
-LINT_CACHE ?= .lint-cache
 BENCH_JSON ?= bench.json
 # end-to-end benchmark: runs per workload and the results file
 E2E_REPEAT ?= 5
@@ -21,7 +19,7 @@ SOAK_EXECUTOR ?= thread:2
 SOAK_SITES ?= 1
 SOAK_REPORT ?= benchmarks/results/streaming_soak.json
 
-.PHONY: install test lint lint-stats lint-concurrency lint-sarif verify soak bench bench-json bench-check bench-profile bench-e2e bench-e2e-compare examples all clean
+.PHONY: install test lint verify soak bench bench-json bench-check bench-profile bench-e2e bench-e2e-compare examples all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -31,27 +29,7 @@ test:
 
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
-		--format $(LINT_FORMAT) --cache-dir $(LINT_CACHE)
-
-# findings-per-rule markdown table (CI appends it to the job summary);
-# reporting stats never fails the build -- `lint` is the gate
-lint-stats:
-	@PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
-		--cache-dir $(LINT_CACHE) --stats | sed -n '/^| rule/,$$p'
-
-# the four lockset/lock-order rules alone; own cache dir -- --select
-# changes the rule-set part of the cache key
-lint-concurrency:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
-		--select conc-unlocked-shared-write,conc-lock-escape,conc-lock-order-cycle,conc-blocking-under-lock \
-		--cache-dir $(LINT_CACHE)-concurrency
-
-# SARIF 2.1.0 log for GitHub's code-scanning tab (CI uploads it);
-# always exits 0 -- `lint` is the gate, this is the report artifact
-lint-sarif:
-	@PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS) \
-		--format sarif --cache-dir $(LINT_CACHE) > signature-lint.sarif || true
-	@echo "wrote signature-lint.sarif"
+		--format $(LINT_FORMAT)
 
 # metamorphic relation campaign (fixed master seed) + golden drift check;
 # exits non-zero on any violated relation or corpus drift
@@ -107,6 +85,5 @@ examples:
 all: lint test bench
 
 clean:
-	rm -rf .pytest_cache .hypothesis .lint-cache \
-		.lint-cache-concurrency build *.egg-info src/*.egg-info
+	rm -rf .pytest_cache .hypothesis build *.egg-info src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

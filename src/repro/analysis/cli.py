@@ -5,17 +5,12 @@ Usage::
     python -m repro.analysis [paths ...]
     python -m repro.analysis src --format json
     python -m repro.analysis src --format github   # CI annotations
-    python -m repro.analysis src --format sarif    # code-scanning upload
-    python -m repro.analysis src --cache-dir .lint-cache
-    python -m repro.analysis src --stats           # findings-per-rule table
     python -m repro.analysis src --select units-inline-db-conversion
-    python -m repro.analysis src --severity-threshold error
     python -m repro.analysis --list-rules
-    python -m repro lint src          # same engine via the main CLI
+    python -m repro lint src          # the same parser via the main CLI
 
-Exit codes: ``0`` clean (or no finding at/above the severity
-threshold), ``1`` findings reported, ``2`` usage or I/O error (unknown
-rule name, missing path).
+Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage or I/O
+error (unknown rule name, missing path).
 """
 
 from __future__ import annotations
@@ -25,13 +20,10 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.driver import ProjectReport, analyze_project
-from repro.analysis.engine import SEVERITY_LEVELS, Rule, severity_of
+from repro.analysis.engine import Rule, analyze_paths
 
 __all__ = [
     "build_parser",
-    "format_sarif",
-    "format_stats",
     "run_lint",
     "main",
 ]
@@ -52,9 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "signature-lint: domain-aware static analysis for the repro "
-            "library (unit-domain, determinism, API-surface, numerics, "
-            "cross-module dataflow, parallel-safety, and batch-contract "
-            "rules)"
+            "library (unit-domain, determinism, API-surface, numerics "
+            "and verify-relation rules, one file at a time)"
         ),
     )
     parser.add_argument(
@@ -65,12 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "json", "github"),
         default="text",
         help=(
             "output format (default: text; github emits workflow-command "
-            "annotations for CI, sarif emits a SARIF 2.1.0 log for the "
-            "code-scanning tab)"
+            "annotations for CI)"
         ),
     )
     parser.add_argument(
@@ -84,36 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule names to skip",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental-result cache directory; unchanged files are "
-            "served from it and only edited files re-analyzed"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir and re-analyze every file",
-    )
-    parser.add_argument(
-        "--severity-threshold",
-        choices=tuple(SEVERITY_LEVELS),
-        default="note",
-        metavar="LEVEL",
-        help=(
-            "lowest severity (note|warning|error) that fails the run "
-            "with exit code 1; lower-severity findings are still "
-            "printed (default: note, i.e. any finding fails)"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="append a findings-per-rule markdown table to the report",
     )
     parser.add_argument(
         "--list-rules",
@@ -152,117 +112,27 @@ def _github_escape(text: str) -> str:
     )
 
 
-def format_sarif(report: ProjectReport, rules: Sequence[Rule]) -> dict:
-    """SARIF 2.1.0 log for GitHub's Security / Code-scanning tab."""
-    by_name = {rule.name: rule for rule in rules}
-    rule_ids = sorted({f.rule for f in report.findings} | set(by_name))
-    return {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "signature-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/static_analysis"
-                        ),
-                        "rules": [
-                            {
-                                "id": rule_id,
-                                "shortDescription": {
-                                    "text": getattr(
-                                        by_name.get(rule_id),
-                                        "description",
-                                        rule_id,
-                                    )
-                                    or rule_id
-                                },
-                                "defaultConfiguration": {
-                                    "level": severity_of(rule_id, rules)
-                                },
-                            }
-                            for rule_id in rule_ids
-                        ],
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": finding.rule,
-                        "level": severity_of(finding.rule, rules),
-                        "message": {"text": finding.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {
-                                        "uri": finding.path.replace("\\", "/")
-                                    },
-                                    "region": {
-                                        "startLine": max(finding.line, 1),
-                                        "startColumn": max(finding.col, 1),
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for finding in report.findings
-                ],
-            }
-        ],
-    }
-
-
-def format_stats(report: ProjectReport) -> str:
-    """Findings-per-rule markdown table (``make lint-stats`` / job summary)."""
-    lines = ["| rule | findings |", "| --- | ---: |"]
-    counts = report.rule_counts()
-    for rule_name, count in counts.items():
-        lines.append(f"| `{rule_name}` | {count} |")
-    lines.append(f"| **total** | **{len(report.findings)}** |")
-    lines.append("")
-    lines.append(
-        f"{report.files} files ({report.analyzed} analyzed, "
-        f"{report.cached} from cache)"
-    )
-    return "\n".join(lines)
-
-
 def run_lint(
     paths: Sequence[str],
     fmt: str = "text",
     select: Optional[str] = None,
     ignore: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache_dir: Optional[str] = None,
-    stats: bool = False,
-    severity_threshold: str = "note",
 ) -> int:
     """Analyze ``paths`` and print a report; returns the exit code."""
     all_rules = list(rules) if rules is not None else _default_rules()
     try:
         chosen = _filter_rules(all_rules, select, ignore)
-        if severity_threshold not in SEVERITY_LEVELS:
-            raise ValueError(
-                f"--severity-threshold: unknown level "
-                f"`{severity_threshold}`; expected one of "
-                f"{', '.join(SEVERITY_LEVELS)}"
-            )
-        report = analyze_project(paths, rules=chosen, cache_dir=cache_dir)
+        findings = analyze_paths(paths, chosen)
     except (ValueError, FileNotFoundError) as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    findings = report.findings
-    if fmt == "sarif":
-        print(json.dumps(format_sarif(report, chosen), indent=2))
-    elif fmt == "json":
+    if fmt == "json":
         print(
             json.dumps(
                 {
                     "version": 1,
                     "count": len(findings),
-                    "files": report.files,
-                    "analyzed": report.analyzed,
-                    "cached": report.cached,
                     "findings": [f.to_dict() for f in findings],
                 },
                 indent=2,
@@ -282,16 +152,7 @@ def run_lint(
             print(finding.format())
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"signature-lint: {len(findings)} {noun}")
-    if stats:
-        print()
-        print(format_stats(report))
-    threshold = SEVERITY_LEVELS[severity_threshold]
-    failing = [
-        f
-        for f in findings
-        if SEVERITY_LEVELS.get(severity_of(f.rule, chosen), 1) >= threshold
-    ]
-    return EXIT_FINDINGS if failing else EXIT_CLEAN
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -299,14 +160,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
         for rule in _default_rules():
-            print(f"{rule.name} [{rule.severity}]: {rule.description}")
+            print(f"{rule.name}: {rule.description}")
         return EXIT_CLEAN
     return run_lint(
         args.paths,
         fmt=args.format,
         select=args.select,
         ignore=args.ignore,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        stats=args.stats,
-        severity_threshold=args.severity_threshold,
     )

@@ -34,12 +34,10 @@ __all__ = [
     "Finding",
     "Rule",
     "ModuleSource",
-    "SEVERITY_LEVELS",
     "UnknownSuppressionRule",
     "UnjustifiedSuppressionRule",
     "iter_suppression_comments",
     "parse_suppressions",
-    "severity_of",
     "analyze_source",
     "analyze_file",
     "analyze_paths",
@@ -62,20 +60,6 @@ UNKNOWN_SUPPRESSION_RULE = "lint-unknown-suppression"
 
 #: Rule name used for disable comments lacking a `` -- why`` justification.
 UNJUSTIFIED_SUPPRESSION_RULE = "lint-unjustified-suppression"
-
-#: Severity ordering used by ``--severity-threshold`` exit-code control.
-SEVERITY_LEVELS = {"note": 0, "warning": 1, "error": 2}
-
-
-def severity_of(rule_name: str, rules: Iterable["Rule"]) -> str:
-    """Severity of a finding's rule; engine pseudo-rules are errors."""
-    if rule_name == PARSE_ERROR_RULE:
-        return "error"
-    for rule in rules:
-        if rule.name == rule_name:
-            return rule.severity
-    return "warning"
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
@@ -117,9 +101,6 @@ class Rule:
     #: (``tests/`` trees, ``test_*.py``, ``conftest.py``): tests may use
     #: bare asserts, inline conversions to cross-check the library, etc.
     library_only: bool = False
-    #: ``note`` < ``warning`` < ``error``; findings below the CLI's
-    #: ``--severity-threshold`` are still printed but don't fail the run.
-    severity: str = "warning"
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         raise NotImplementedError

@@ -10,6 +10,7 @@ Usage::
     python -m repro verify              # relation campaign + golden drift
     python -m repro serve               # streaming service on live traffic
     python -m repro soak                # sustained-load soak + metrics JSON
+    python -m repro lint src            # signature-lint (repro.analysis)
 
 Every subcommand accepts ``--seed`` for reproducibility; see
 ``python -m repro <command> --help`` for per-command options.
@@ -222,54 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
         "acquisition-order cycles and report per-lock worst hold times",
     )
 
-    p_lint = sub.add_parser(
+    # `repro lint` hands the rest of its argv to repro.analysis.cli.main
+    # (see main); this entry only lists it in `repro --help`
+    sub.add_parser(
         "lint",
         help="run signature-lint (domain-aware static analysis) over the tree",
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files or directories (default: src)"
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "github", "sarif"),
-        default="text",
-        help=(
-            "output format (sarif emits a SARIF 2.1.0 log for "
-            "code-scanning upload)"
-        ),
-    )
-    p_lint.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule names to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--ignore",
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule names to skip",
-    )
-    p_lint.add_argument(
-        "--severity-threshold",
-        choices=("note", "warning", "error"),
-        default="note",
-        metavar="LEVEL",
-        help=(
-            "lowest severity (note|warning|error) that fails the run "
-            "with exit code 1 (default: note, i.e. any finding fails)"
-        ),
-    )
-    p_lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="incremental lint-result cache directory",
-    )
-    p_lint.add_argument(
-        "--stats",
-        action="store_true",
-        help="append a findings-per-rule table to the report",
+        add_help=False,
     )
 
     return parser
@@ -583,20 +542,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     ] else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run_lint
-
-    return run_lint(
-        args.paths,
-        fmt=args.format,
-        select=args.select,
-        ignore=args.ignore,
-        cache_dir=args.cache_dir,
-        stats=args.stats,
-        severity_threshold=args.severity_threshold,
-    )
-
-
 _COMMANDS = {
     "sim": _cmd_sim,
     "hardware": _cmd_hardware,
@@ -607,12 +552,16 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "serve": _cmd_serve,
     "soak": _cmd_soak,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

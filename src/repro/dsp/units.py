@@ -76,8 +76,8 @@ def watts_to_dbm(watts: FloatOrArray) -> FloatOrArray:
     A zero-power bin has no power, not an error, so the array path maps
     zeros to ``-inf`` inside a local ``errstate`` -- the documented
     sentinel survives the test suite's FP sanitizer
-    (:mod:`repro.analysis.sanitizer`), which otherwise raises on any
-    ``log10(0)``.
+    (:func:`repro.verify.guards.fp_sanitizer`), which otherwise raises
+    on any ``log10(0)``.
     """
     if isinstance(watts, np.ndarray):
         with np.errstate(divide="ignore"):

@@ -84,8 +84,6 @@ class CaptureTape:
     node under NumPy's elementwise kernels; the identities are asserted
     on random data by ``TestLoweringIdentities``.
 
-    lint-concurrency: single-writer
-
     A tape is mutated only while the compiling thread traces the mixer
     chain; once ``CompiledCaptureProgram`` is built the tape is frozen,
     and the program's publication into the board's program cache (under
@@ -410,9 +408,9 @@ class CompiledCaptureProgram:
     (guarded by the workspace lock) with the calling thread's most
     recent capture in :attr:`last_stage_seconds`.
 
-    lint-concurrency: single-writer consts input_keys _input_dtype steps _slot_dtype _out_slot _out_const out_node fingerprint op_count
-
-    The tagged attributes are written once by ``_schedule`` while the
+    The schedule attributes (``consts``, ``input_keys``, ``steps``,
+    ``out_node``, ``fingerprint``, ``op_count`` and the private slot
+    and dtype fields) are written once by ``_schedule`` while the
     program is still private to the compiling thread; sharing starts
     only when the board publishes the finished program into its program
     cache under ``SignatureTestBoard._state_lock``.

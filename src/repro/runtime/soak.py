@@ -121,8 +121,6 @@ def build_soak_flow(
 class _Drain(threading.Thread):
     """Concurrent record consumer: counts outcomes, keeps the first lot.
 
-    lint-concurrency: single-writer
-
     Only ``run`` (the drain thread) writes the counters; the main
     thread reads them strictly after ``join()`` returns, so the join's
     happens-before edge replaces a lock.
@@ -203,13 +201,13 @@ def run_soak(
     With ``sanitize_locks`` the whole campaign (flow construction,
     service, drain) runs under the runtime lock-order sanitizer: an
     inverted acquisition order raises
-    :class:`~repro.analysis.concurrency.runtime_sanitizer.LockOrderViolation`
+    :class:`~repro.verify.guards.LockOrderViolation`
     instead of deadlocking, and the payload gains a ``lock_sanitizer``
     entry with the observed order edges and worst hold times.  Pass
     ``flow=None`` in that mode so the flow's locks are instrumented too.
     """
     if sanitize_locks:
-        from repro.analysis.concurrency.runtime_sanitizer import lock_sanitizer
+        from repro.verify.guards import lock_sanitizer
 
         with lock_sanitizer(fail_fast=True) as report:
             payload = _run_soak(

@@ -18,6 +18,8 @@ any failure to a minimal counterexample:
 * :mod:`repro.verify.golden` -- a committed golden-signature corpus
   (``tests/golden/*.json``) with drift detection and a guarded
   ``--update-golden`` flow.
+* :mod:`repro.verify.guards` -- the runtime FP sanitizer and lock-order
+  sanitizer used by the test suite and ``repro soak --sanitize-locks``.
 
 Run it with ``python -m repro verify`` (or ``make verify``); the exit
 code is non-zero on any violated relation or golden drift.

@@ -1,17 +1,17 @@
 """Tier-1 gate: the repository's own library code must lint clean.
 
-Any future PR that reintroduces an inline dB conversion, an unseeded
-RNG, an undeclared public name, a cross-module domain mix, an unsafe
-executor task, or a batch-contract violation fails here with the exact
-file:line:rule it violated.  The gate runs through
-:func:`repro.analysis.analyze_project`, i.e. the same project-level
-pipeline (including the interprocedural rules) that ``make lint`` runs.
+Any future change that reintroduces an inline dB conversion, an
+unseeded RNG, an undeclared public name, a bare library assert or an
+unseeded verify relation fails here with the exact file:line:rule it
+violated.  The gate runs :func:`repro.analysis.analyze_paths` with
+:func:`repro.analysis.default_rules`, i.e. exactly what ``make lint``
+runs.
 """
 
 import os
 
 import repro
-from repro.analysis import analyze_project, default_rules
+from repro.analysis import analyze_paths, default_rules
 
 
 def _src_root() -> str:
@@ -32,98 +32,17 @@ def _repo_dirs():
 
 class TestRepositoryIsLintClean:
     def test_library_tree_has_no_findings(self):
-        report = analyze_project([_src_root()])
-        text = "\n".join(f.format() for f in report.findings)
-        assert report.findings == [], f"signature-lint findings:\n{text}"
+        findings = analyze_paths([_src_root()], default_rules())
+        text = "\n".join(f.format() for f in findings)
+        assert findings == [], f"signature-lint findings:\n{text}"
 
     def test_tests_and_benchmarks_have_no_findings(self):
         # same sweep CI's `make lint` runs over the non-library trees
-        report = analyze_project(_repo_dirs())
-        text = "\n".join(f.format() for f in report.findings)
-        assert report.findings == [], f"signature-lint findings:\n{text}"
+        findings = analyze_paths(_repo_dirs(), default_rules())
+        text = "\n".join(f.format() for f in findings)
+        assert findings == [], f"signature-lint findings:\n{text}"
 
     def test_default_rule_names_are_unique(self):
         names = [rule.name for rule in default_rules()]
         assert len(names) == len(set(names))
         assert all(names), "every rule must have a name"
-
-
-class TestIncrementalCache:
-    """The cache must change *when* files are analyzed, never *what* is found."""
-
-    def _tree(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "good.py").write_text(
-            '"""Clean module."""\n\n__all__ = ["triple"]\n\n\n'
-            "def triple(x):\n    return 3 * x\n"
-        )
-        (pkg / "bad.py").write_text(
-            '"""Module with a finding."""\n\n__all__ = ["f"]\n\n\n'
-            "def f():\n    assert True\n"
-        )
-        return tmp_path / "src", tmp_path / "cache"
-
-    def test_warm_run_returns_identical_findings(self, tmp_path):
-        src, cache = self._tree(tmp_path)
-        cold = analyze_project([str(src)], cache_dir=str(cache))
-        warm = analyze_project([str(src)], cache_dir=str(cache))
-        assert cold.findings != []
-        assert warm.findings == cold.findings
-        assert cold.analyzed == 2 and cold.cached == 0
-        assert warm.analyzed == 0 and warm.cached == 2
-
-    def test_single_edit_reanalyzes_at_most_one_file(self, tmp_path):
-        src, cache = self._tree(tmp_path)
-        analyze_project([str(src)], cache_dir=str(cache))
-        edited = src / "repro" / "good.py"
-        edited.write_text(edited.read_text() + "\n# trailing comment\n")
-        warm = analyze_project([str(src)], cache_dir=str(cache))
-        assert warm.analyzed <= 1
-        assert warm.cached >= 1
-
-    def test_fixing_a_finding_clears_it_on_warm_run(self, tmp_path):
-        src, cache = self._tree(tmp_path)
-        cold = analyze_project([str(src)], cache_dir=str(cache))
-        assert any(f.rule == "numerics-bare-assert" for f in cold.findings)
-        (src / "repro" / "bad.py").write_text(
-            '"""Module, fixed."""\n\n__all__ = ["f"]\n\n\n'
-            "def f():\n    return True\n"
-        )
-        warm = analyze_project([str(src)], cache_dir=str(cache))
-        assert warm.findings == []
-
-    def test_cache_differs_per_rule_set(self, tmp_path):
-        from repro.analysis.numerics import BareAssertRule
-
-        src, cache = self._tree(tmp_path)
-        analyze_project([str(src)], cache_dir=str(cache))
-        # a different rule set must not be served the old results
-        narrowed = analyze_project(
-            [str(src)], rules=[BareAssertRule()], cache_dir=str(cache)
-        )
-        assert narrowed.analyzed == 2
-        assert [f.rule for f in narrowed.findings] == ["numerics-bare-assert"]
-
-    def test_project_findings_survive_warm_runs(self, tmp_path):
-        pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
-        (pkg / "calib.py").write_text(
-            '"""Callee."""\n\n__all__ = ["predict"]\n\n\n'
-            "def predict(gain_db):\n    return gain_db * 2.0\n"
-        )
-        (pkg / "caller.py").write_text(
-            '"""Caller with a cross-module domain mix."""\n\n'
-            '__all__ = ["run"]\n\n'
-            "from repro.calib import predict\n"
-            "from repro.dsp.units import undb\n\n\n"
-            "def run(g_db):\n"
-            "    lin = undb(g_db)\n"
-            "    return predict(lin)\n"
-        )
-        cache = tmp_path / "cache"
-        cold = analyze_project([str(tmp_path / "src")], cache_dir=str(cache))
-        warm = analyze_project([str(tmp_path / "src")], cache_dir=str(cache))
-        assert [f.rule for f in cold.findings] == ["units-domain-flow"]
-        assert warm.findings == cold.findings
-        assert warm.analyzed == 0

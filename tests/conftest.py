@@ -5,13 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.concurrency.runtime_sanitizer import lock_sanitizer
-from repro.analysis.sanitizer import SANITIZER_MARKER, fp_sanitizer
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.lna import LNA900
 from repro.dsp.mixer import Mixer, MixerHarmonics
 from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
+from repro.verify.guards import SANITIZER_MARKER, fp_sanitizer, lock_sanitizer
 
 
 def pytest_configure(config):
@@ -46,7 +45,7 @@ def _lock_sanitizer(request):
     """Opt-in lock-order sanitizing for the whole suite.
 
     With ``REPRO_SANITIZE_LOCKS=1`` every test runs inside
-    :func:`~repro.analysis.concurrency.runtime_sanitizer.lock_sanitizer`:
+    :func:`~repro.verify.guards.lock_sanitizer`:
     locks constructed during the test are instrumented and an inverted
     acquisition order fails the test immediately instead of deadlocking.
     Tests that exercise the sanitizer itself opt out via the

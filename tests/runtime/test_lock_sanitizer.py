@@ -1,11 +1,9 @@
 """Tests for the runtime lock-order sanitizer.
 
-The static lock-order rule proves discipline over resolvable call
-edges; these tests prove the runtime half: an inverted acquisition
-order raises with the cycle named *before* the program can deadlock, a
-clean workload stays clean (including ``Condition`` waits and reentrant
-``RLock`` use on real threads), and hold-time budgets turn convoy locks
-into reported violations.
+An inverted acquisition order raises with the cycle named *before* the
+program can deadlock, a clean workload stays clean (including
+``Condition`` waits and reentrant ``RLock`` use on real threads), and
+hold-time budgets turn convoy locks into reported violations.
 """
 
 import threading
@@ -14,12 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.concurrency.runtime_sanitizer import (
-    LockOrderViolation,
-    SanitizedLock,
-    SanitizedRLock,
-    lock_sanitizer,
-)
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
@@ -28,6 +20,12 @@ from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
 from repro.testgen.pwl import StimulusEncoding
+from repro.verify.guards import (
+    LockOrderViolation,
+    SanitizedLock,
+    SanitizedRLock,
+    lock_sanitizer,
+)
 
 # this module opens its own sanitizer windows; keep the suite-level
 # REPRO_SANITIZE_LOCKS window from double-patching threading.Lock
@@ -35,11 +33,10 @@ pytestmark = pytest.mark.no_lock_sanitizer
 
 
 class MiniService:
-    """The inverted two-lock service shape from the static fixture.
+    """An inverted two-lock service shape.
 
     ``submit`` orders jobs -> metrics; ``metrics`` orders metrics ->
-    jobs.  The static rule reports this as ``conc-lock-order-cycle``;
-    the sanitizer must catch the same inversion live.
+    jobs.  The sanitizer must catch the inversion live.
     """
 
     def __init__(self):

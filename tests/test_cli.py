@@ -202,3 +202,11 @@ class TestLintCLI:
         capsys.readouterr()
         (tmp_path / "ok.py").write_text(CLEAN_MODULE)
         assert main(["lint", str(tmp_path / "ok.py"), "--format", "json"]) == 0
+
+    def test_repro_lint_lists_the_same_rules(self, capsys):
+        # `repro lint` parses its options with repro.analysis's own parser
+        assert lint_main(["--list-rules"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["lint", "--list-rules"]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(expected.splitlines()) == 14
