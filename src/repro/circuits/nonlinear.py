@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +35,10 @@ __all__ = [
     "iip2_dbm_from_poly",
     "p1db_dbm_from_iip3",
     "gain_compression_db",
+    "saturation_amplitudes",
+    "describing_gain_tables",
+    "interp_rows",
+    "describing_gain_batch",
 ]
 
 #: Gap between IIP3 and the input 1 dB compression point for a pure
@@ -199,34 +202,132 @@ class PolynomialNonlinearity:
                 out[over] = first / a_over
         return out[0] if scalar else out
 
-    def describing_gain_table(
-        self, max_amplitude: float, n_points: int = 256
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sampled ``(A, G(A))`` table for fast interpolation.
 
-        The signature-path engine evaluates the describing function on
-        long envelope records; interpolating a precomputed table is much
-        cheaper than per-sample quadrature.  Tables are memoized on the
-        coefficient triple, so repeated captures of the same device (the
-        optimizer's finite-difference loop, Monte-Carlo lots) skip the
-        quadrature entirely.  The returned arrays are shared and marked
-        read-only; copy before mutating.
-        """
-        if max_amplitude <= 0:
-            raise ValueError("max_amplitude must be positive")
-        return _describing_gain_table(
-            self.a1, self.a2, self.a3, float(max_amplitude), int(n_points)
-        )
+# ----------------------------------------------------------------------
+# batched kernels: one row per device, bit-identical to the scalar class
+# ----------------------------------------------------------------------
+#: quadrature nodes of the saturating describing function
+_THETA = np.linspace(0.0, 2.0 * np.pi, 129)[:-1]
+#: describing-gain table points per device
+DESCRIBING_TABLE_POINTS = 256
+#: over-saturated (device, amplitude) cells integrated per block: one
+#: device table's worth, so each ``(cells, 128)`` quadrature temporary
+#: stays at 256 KiB however many devices saturate
+_QUADRATURE_BLOCK = DESCRIBING_TABLE_POINTS
 
 
-@lru_cache(maxsize=1024)
-def _describing_gain_table(
-    a1: float, a2: float, a3: float, max_amplitude: float, n_points: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Memoized describing-gain table (see ``describing_gain_table``)."""
-    poly = PolynomialNonlinearity(a1, a2, a3)
-    grid = np.linspace(0.0, max_amplitude, n_points)
-    table = poly.describing_function(grid)
-    grid.setflags(write=False)
-    table.setflags(write=False)
-    return grid, table
+def saturation_amplitudes(coeffs: np.ndarray) -> np.ndarray:
+    """:attr:`PolynomialNonlinearity.saturation_amplitude` per row.
+
+    ``coeffs`` is an ``(N, 3)`` matrix of ``(a1, a2, a3)`` rows; entry
+    ``i`` of the result equals the scalar property of row ``i`` bit for
+    bit (``inf`` when non-compressive, NaN for NaN coefficients).
+    """
+    a1, a2, a3 = np.asarray(coeffs, dtype=float).reshape(-1, 3).T
+    disc = a2**2 - 3.0 * a1 * a3
+    # the rows this masks to inf may take sqrt(<0) or divide by zero
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sat = (a2 + np.sqrt(disc)) / (-3.0 * a3)
+    return np.where((a3 >= 0.0) | (disc < 0.0), np.inf, sat)
+
+
+def describing_gain_tables(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``(N, len(grid))`` describing gains ``G(A)`` on one shared grid.
+
+    Row ``i`` equals
+    ``PolynomialNonlinearity(*coeffs[i]).describing_function(grid)``
+    bit for bit.  The closed form ``a1 + (3/4) a3 A^2`` fills the whole
+    table at once; the saturating quadrature runs only on the
+    (device, amplitude) cells beyond a device's fold-back point, in
+    blocks of at most ``_QUADRATURE_BLOCK`` cells.
+    """
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid < 0):
+        raise ValueError("amplitudes must be non-negative")
+    a1, a2, a3 = (coeffs[:, k : k + 1] for k in range(3))
+    table = 0.75 * a3 * grid**2
+    table += a1
+    sat = saturation_amplitudes(coeffs)
+    # grid ascends, so only rows saturating below its top have cells
+    sat_rows = np.flatnonzero(sat < grid[-1])
+    sub, cols = np.nonzero(grid[None, :] > sat[sat_rows, None])
+    rows = sat_rows[sub]
+    cos_t = np.cos(_THETA)
+    for start in range(0, len(rows), _QUADRATURE_BLOCK):
+        r = rows[start : start + _QUADRATURE_BLOCK]
+        c = cols[start : start + _QUADRATURE_BLOCK]
+        a_over = grid[c]
+        s = sat[r][:, None]
+        # f(A cos t) of the clipped (saturating) polynomial, per cell
+        x = np.clip(a_over[:, None] * cos_t[None, :], -s, s)
+        y = a1[r] * x + a2[r] * x**2 + a3[r] * x**3
+        first = np.mean(y * cos_t[None, :], axis=1) * 2.0
+        table[r, c] = first / a_over
+    return table
+
+
+def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp``, bit for bit.
+
+    Uses ``np.interp``'s own formula -- precomputed slopes
+    ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, the exact-knot and
+    end-point cases, and its NaN fallback -- with the knot index and
+    offset computed once and shared by every row.  ``xp`` must be
+    increasing with at least two points.
+    """
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(xp, dtype=float)
+    fp = np.asarray(fp, dtype=float)
+    n_xp = len(xp)
+    if n_xp < 2 or fp.ndim != 2 or fp.shape[1] != n_xp:
+        raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
+    # j with xp[j] <= x < xp[j + 1]; -1 left of the grid
+    j = np.searchsorted(xp, x, side="right") - 1
+    jc = np.clip(j, 0, n_xp - 2)
+    f_lo = np.take(fp, jc, axis=1)
+    # np.interp never warns: an infinite or NaN table just propagates
+    with np.errstate(all="ignore"):
+        slopes = fp[:, 1:] - fp[:, :-1]
+        slopes /= xp[1:] - xp[:-1]
+        out = np.take(slopes, jc, axis=1)
+        out *= x - xp[jc]
+        out += f_lo
+        # its fallback when an infinite table makes the slope NaN
+        nan = np.isnan(out)
+        if nan.any():
+            f_hi = np.take(fp, jc + 1, axis=1)
+            retry = np.take(slopes, jc, axis=1) * (x - xp[jc + 1]) + f_hi
+            out[nan] = retry[nan]
+            flat = np.isnan(out) & (f_lo == f_hi)
+            out[flat] = f_lo[flat]
+    # knots, the right end and beyond take the table value itself; left
+    # of the grid takes fp[0]; NaN abscissae stay NaN
+    exact = (j < 0) | (j >= n_xp - 1) | (xp[jc] == x)
+    if exact.any():
+        out[:, exact] = fp[:, np.clip(j[exact], 0, n_xp - 1)]
+    x_nan = np.isnan(x)
+    if x_nan.any():
+        out[:, x_nan] = x[x_nan]
+    return out
+
+
+def describing_gain_batch(
+    coeffs: np.ndarray, amps: np.ndarray, peak: float
+) -> np.ndarray:
+    """Tuned-coupling DUT gains: ``(N, len(amps))``, one row per device.
+
+    A narrowband DUT sees only the carrier band, so its complex gain at
+    each envelope sample is the saturating describing function at that
+    sample's magnitude ``amps``.  Each device's gain is tabulated on the
+    shared grid ``linspace(0, 1.01 * peak, 256)`` and interpolated; row
+    ``i`` equals ``np.interp(amps, grid, describing_function(grid))``
+    for device ``i`` bit for bit.  A zero peak drive means the device
+    only ever sees its small-signal gain ``a1``.
+    """
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+    amps = np.asarray(amps, dtype=float)
+    if not peak > 0.0:
+        return np.repeat(coeffs[:, :1], len(amps), axis=1)
+    grid = np.linspace(0.0, 1.01 * peak, DESCRIBING_TABLE_POINTS)
+    return interp_rows(amps, grid, describing_gain_tables(coeffs, grid))

@@ -346,7 +346,7 @@ def trace_mixer_baseband(
         tape,
         {h: tape.input_("lo", h, dtype="r" if h == 0 else "c") for h in lo_harmonics},
     )
-    out = mix_envelope(mixer, rf, lo, max_harmonic, lo_powers={1: lo})
+    out = mix_envelope(mixer, rf, lo, max_harmonic)
     return tape, out.keep_harmonics([0]).baseband()
 
 

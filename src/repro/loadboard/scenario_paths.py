@@ -35,8 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits.device import RFDevice
-from repro.circuits.noisefig import added_output_noise_vrms
-from repro.circuits.nonlinear import PolynomialNonlinearity
+from repro.circuits.nonlinear import describing_gain_batch
 from repro.circuits.parasitics import SwitchParasitics
 from repro.dsp.spectral import (
     fft_magnitude_signature,
@@ -49,6 +48,9 @@ from repro.loadboard.signature_path import (
     RngList,
     SignaturePathConfig,
     SignatureTestBoard,
+    add_device_noise,
+    envelope_coefficients,
+    overdrive_ratios,
     resolve_rng_streams,
 )
 
@@ -186,47 +188,20 @@ class BistSignaturePath:
         amps = np.abs(u)
         peak = _peak(amps)
 
-        polys = [PolynomialNonlinearity(*d.envelope_poly()) for d in devices]
-        ratios = [
-            peak / p.saturation_amplitude
-            if np.isfinite(p.saturation_amplitude)
-            else 0.0
-            for p in polys
-        ]
+        coeffs = envelope_coefficients(devices)
+        ratios = overdrive_ratios(coeffs, peak)
         with self._state_lock:
-            self.last_overdrive_ratios = np.asarray(ratios)
-            self.last_overdrive_ratio = float(max(ratios)) if ratios else 0.0
+            self.last_overdrive_ratios = ratios
+            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
 
         # tuned coupling, exactly like the load board: the DUT's matched
         # port passes only the carrier band, so the saturating describing
         # function applies at any drive
-        gain = np.empty((len(polys), len(u)))
-        if peak > 0.0:
-            for i, poly in enumerate(polys):
-                grid, table = poly.describing_gain_table(1.01 * peak)
-                gain[i] = np.interp(amps, grid, table)
-        else:
-            for i, poly in enumerate(polys):
-                gain[i] = np.full_like(amps, poly.a1, dtype=float)
-        out_env = gain * u[None, :]
+        out_env = describing_gain_batch(coeffs, amps, peak) * u[None, :]
 
         if cfg.include_device_noise and any(g is not None for g in gens):
-            detected_in = out_env.astype(complex)
-            for i, (device, g) in enumerate(zip(devices, gens)):
-                if g is None:
-                    continue
-                specs = device.specs()
-                sigma = added_output_noise_vrms(
-                    specs.gain_db, specs.nf_db, cfg.engine_rate
-                )
-                if sigma > 0.0:
-                    n = len(u)
-                    detected_in[i] = detected_in[i] + sigma * (
-                        g.normal(size=n) + 1j * g.normal(size=n)
-                    )
-            detected = np.abs(detected_in)
-        else:
-            detected = np.abs(out_env)
+            out_env = add_device_noise(out_env, devices, gens, cfg.engine_rate)
+        detected = np.abs(out_env)
         return one_pole_lowpass(
             detected, cfg.engine_rate, cfg.detector_bandwidth_hz
         )

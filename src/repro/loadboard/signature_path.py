@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.circuits.device import RFDevice
 from repro.circuits.noisefig import added_output_noise_vrms
-from repro.circuits.nonlinear import PolynomialNonlinearity
+from repro.circuits.nonlinear import describing_gain_batch, saturation_amplitudes
 from repro.dsp.filters import ButterworthLowpass
 from repro.dsp.mixer import Mixer
 from repro.dsp.sources import dbm_to_vpeak
@@ -68,7 +68,10 @@ __all__ = [
     "CapturePlan",
     "SignaturePathConfig",
     "SignatureTestBoard",
+    "add_device_noise",
+    "envelope_coefficients",
     "mix_envelope",
+    "overdrive_ratios",
     "resolve_rng_streams",
     "simulation_config",
     "hardware_config",
@@ -106,31 +109,83 @@ def resolve_rng_streams(
     return spawn_generators(rng, n_devices)
 
 
+def envelope_coefficients(devices: Sequence[RFDevice]) -> np.ndarray:
+    """The lot's envelope polynomials as one ``(N, 3)`` ``(a1, a2, a3)`` matrix."""
+    return np.array(
+        [d.envelope_poly() for d in devices], dtype=float
+    ).reshape(len(devices), 3)
+
+
+def overdrive_ratios(coeffs: np.ndarray, peak: float) -> np.ndarray:
+    """Peak drive over each device's saturation amplitude (0 if none)."""
+    sat = saturation_amplitudes(coeffs)
+    finite = np.isfinite(sat)
+    ratios = np.zeros(len(sat))
+    ratios[finite] = peak / sat[finite]
+    return ratios
+
+
+def add_device_noise(
+    env: np.ndarray,
+    devices: Sequence[RFDevice],
+    gens: RngList,
+    engine_rate: float,
+) -> np.ndarray:
+    """Each DUT's added thermal noise on its complex carrier envelope row.
+
+    The complex envelope of bandpass noise occupying ``engine_rate``
+    hertz around the carrier has independent gaussian quadratures of
+    standard deviation equal to the real noise RMS in that band.  Row
+    ``i`` of ``env`` (shape ``(N, n)``) gains ``sigma_i * (re + 1j im)``
+    with ``re`` then ``im`` drawn from ``gens[i]`` -- the draw order of
+    a one-device capture -- and rows without a generator or without
+    added noise pass through untouched.  All draws land in one
+    ``(M, 2, n)`` buffer, scaled and added once per quadrature.  With
+    no noisy row, ``env`` itself comes back.
+    """
+    sigmas = np.zeros(len(devices))
+    for i, (device, g) in enumerate(zip(devices, gens)):
+        if g is not None:
+            specs = device.specs()
+            sigmas[i] = added_output_noise_vrms(
+                specs.gain_db, specs.nf_db, engine_rate
+            )
+    rows = np.flatnonzero(sigmas > 0.0)
+    if not len(rows):
+        return env
+    noisy = np.array(env, dtype=complex)
+    n = noisy.shape[1]
+    draws = np.empty((len(rows), 2, n))
+    for k, i in enumerate(rows):
+        draws[k] = gens[i].normal(size=(2, n))
+    draws *= sigmas[rows, None, None]
+    # the usual lot is noisy in every row: add through views instead of
+    # a gather and scatter of every row
+    target = slice(None) if len(rows) == len(noisy) else rows
+    noisy.real[target] += draws[:, 0]
+    noisy.imag[target] += draws[:, 1]
+    return noisy
+
+
 def mix_envelope(
     mixer: Mixer,
     rf: EnvelopeSignal,
     lo: EnvelopeSignal,
     max_harmonic: int = 12,
-    lo_powers: Optional[Dict[int, EnvelopeSignal]] = None,
 ) -> EnvelopeSignal:
     """Apply a behavioral mixer's cross-product table in the envelope domain.
 
     Same model as :meth:`repro.dsp.mixer.Mixer.mix`, but operating on
     :class:`EnvelopeSignal` operands:  ``out = g * sum c_mn rf^m lo^n``.
-
-    ``lo_powers`` memoizes the LO power chain ``{1: lo, 2: lo^2, ...}``
-    across calls that reuse the same LO (the cached capture plan passes
-    its own dict); missing powers are computed and stored into it.
     """
     max_m = max(m for m, _ in mixer.harmonics.coeffs)
     max_n = max(n for _, n in mixer.harmonics.coeffs)
     rf_pows = {1: rf}
-    lo_pows = lo_powers if lo_powers is not None else {1: lo}
+    lo_pows = {1: lo}
     for p in range(2, max_m + 1):
         rf_pows[p] = rf_pows[p - 1].multiply(rf, max_harmonic)
     for p in range(2, max_n + 1):
-        if p not in lo_pows:
-            lo_pows[p] = lo_pows[p - 1].multiply(lo, max_harmonic)
+        lo_pows[p] = lo_pows[p - 1].multiply(lo, max_harmonic)
     out: Optional[EnvelopeSignal] = None
     for (m, n), c in mixer.harmonics.coeffs.items():
         term = rf_pows[m].multiply(lo_pows[n], max_harmonic).scale(c)
@@ -204,7 +259,7 @@ class SignaturePathConfig:
         return self.setup_time + self.capture_seconds
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapturePlan:
     """The device-independent front half of a signature capture.
 
@@ -232,20 +287,10 @@ class CapturePlan:
     dut_in_cube: Optional[EnvelopeSignal] = None
     #: second LO at the fixed path phase (None when the phase is random)
     lo2: Optional[EnvelopeSignal] = None
-    #: memoized LO2 power chain for mixer 2 (mutated by ``mix_envelope``)
-    lo2_pows: Optional[Dict[int, EnvelopeSignal]] = None
 
-    @property
-    def n(self) -> int:
-        """Engine-rate record length."""
-        return len(self.record)
-
-    def nbytes(self) -> int:
-        """Approximate retained bytes: envelopes and arrays.
-
-        Counts toward the board's plan-and-program memory bound
-        (:meth:`SignatureTestBoard._enforce_plan_cache_bytes`).
-        """
+    def __post_init__(self):
+        # the plan is frozen, so the byte count the cache budget reads
+        # on every publish is counted once, here
         def env_bytes(env: Optional[EnvelopeSignal]) -> int:
             if env is None:
                 return 0
@@ -260,12 +305,23 @@ class CapturePlan:
             self.lo2,
         ):
             total += env_bytes(env)
-        for env in (self.lo2_pows or {}).values():
-            total += env_bytes(env)
         for arr in (self.u1, self.amps):
             if arr is not None:
                 total += np.asarray(arr).nbytes
-        return total
+        object.__setattr__(self, "_nbytes", total)
+
+    @property
+    def n(self) -> int:
+        """Engine-rate record length."""
+        return len(self.record)
+
+    def nbytes(self) -> int:
+        """Approximate retained bytes: envelopes and arrays.
+
+        Counts toward the board's plan-and-program memory bound
+        (:meth:`SignatureTestBoard._enforce_plan_cache_bytes`).
+        """
+        return self._nbytes
 
 
 class SignatureTestBoard:
@@ -477,7 +533,6 @@ class SignatureTestBoard:
             dut_in_sq=dut_in_sq,
             dut_in_cube=dut_in_cube,
             lo2=lo2,
-            lo2_pows={1: lo2} if lo2 is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -492,35 +547,22 @@ class SignatureTestBoard:
         device ``i`` alone; also updates the overdrive bookkeeping.
         """
         cfg = self.config
-        polys = [PolynomialNonlinearity(*d.envelope_poly()) for d in devices]
-        peak = plan.peak
-        ratios = [
-            peak / p.saturation_amplitude
-            if np.isfinite(p.saturation_amplitude)
-            else 0.0
-            for p in polys
-        ]
+        coeffs = envelope_coefficients(devices)
+        ratios = overdrive_ratios(coeffs, plan.peak)
         with self._state_lock:
             # one atomic pair: a reader never sees ratios from one
             # capture next to the scalar peak of another
-            self.last_overdrive_ratios = np.asarray(ratios)
-            self.last_overdrive_ratio = float(max(ratios)) if ratios else 0.0
+            self.last_overdrive_ratios = ratios
+            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
 
         if cfg.dut_coupling == "tuned":
             # Narrowband DUT: only the carrier band reaches the
             # nonlinearity, so the describing function of the *saturating*
             # transfer is exact -- physical gain compression at any drive,
-            # without the raw cubic's fold-back.  The per-device gain
-            # tables interpolate the shared |u1| record; the whole batch
-            # then multiplies u1 in one operation.
-            gain = np.empty((len(polys), plan.amps.shape[-1]))
-            if peak > 0.0:
-                for i, poly in enumerate(polys):
-                    grid, table = poly.describing_gain_table(1.01 * peak)
-                    gain[i] = np.interp(plan.amps, grid, table)
-            else:
-                for i, poly in enumerate(polys):
-                    gain[i] = np.full_like(plan.amps, poly.a1, dtype=float)
+            # without the raw cubic's fold-back.  One (batch, 256) gain
+            # table on the plan's shared grid interpolates the shared
+            # |u1| record; the whole batch then multiplies u1 at once.
+            gain = describing_gain_batch(coeffs, plan.amps, plan.peak)
             return EnvelopeSignal(
                 {1: gain * plan.u1},
                 plan.dut_in.sample_rate,
@@ -532,9 +574,9 @@ class SignatureTestBoard:
         # penalty keeps stimuli inside that range.  The drive powers
         # come precomputed from the plan; per-device coefficients enter
         # as (batch, 1) columns.
-        a1_col = np.array([p.a1 for p in polys])[:, None]
-        a2s = np.array([p.a2 for p in polys])
-        a3s = np.array([p.a3 for p in polys])
+        a1_col = coeffs[:, 0:1]
+        a2s = coeffs[:, 1]
+        a3s = coeffs[:, 2]
         out = plan.dut_in.scale(a1_col)
         if np.any(a2s != 0.0):
             out = out + plan.dut_in_sq.scale(a2s[:, None])
@@ -589,13 +631,9 @@ class SignatureTestBoard:
                 phase=phases[:, None],
                 offset_hz=cfg.lo_offset_hz,
             )
-            lo2_pows = None
         else:
             lo2 = plan.lo2
-            lo2_pows = plan.lo2_pows
-        downconverted = mix_envelope(
-            cfg.mixer2, dut_out, lo2, cfg.max_harmonic, lo_powers=lo2_pows
-        )
+        downconverted = mix_envelope(cfg.mixer2, dut_out, lo2, cfg.max_harmonic)
 
         baseband = downconverted.keep_harmonics([0]).baseband()
         return self._lpf.apply_fft_matrix(baseband)
@@ -821,37 +859,13 @@ class SignatureTestBoard:
     ) -> EnvelopeSignal:
         """Inject each DUT's added thermal noise on the carrier band.
 
-        The complex envelope of bandpass noise occupying ``engine_rate``
-        hertz around the carrier has independent gaussian quadratures of
-        standard deviation equal to the real noise RMS in that band.
-        Each row draws from its own generator, in the same (re, im) order
-        as a one-device capture.
+        :func:`add_device_noise` on harmonic 1; the other harmonics
+        carry through untouched.
         """
-        sigmas = []
-        for device, g in zip(devices, gens):
-            if g is None:
-                sigmas.append(0.0)
-                continue
-            specs = device.specs()
-            sigmas.append(
-                added_output_noise_vrms(
-                    specs.gain_db, specs.nf_db, self.config.engine_rate
-                )
-            )
-        if not any(s > 0.0 for s in sigmas):
-            return dut_out
-        n = dut_out.n
-        h1 = dut_out.harmonic(1)
-        noisy = np.array(h1, copy=True)
-        for i, (sigma, g) in enumerate(zip(sigmas, gens)):
-            if sigma > 0.0 and g is not None:
-                noise_env = sigma * (g.normal(size=n) + 1j * g.normal(size=n))
-                noisy[i] = h1[i] + noise_env
-        envs: Dict[int, np.ndarray] = {1: noisy}
-        # carry the other harmonics through untouched
-        for h in dut_out.harmonics():
-            if h != 1:
-                envs[h] = dut_out.envelopes[h]
+        envs = dict(dut_out.envelopes)
+        envs[1] = add_device_noise(
+            dut_out.harmonic(1), devices, gens, self.config.engine_rate
+        )
         return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
 
     # ------------------------------------------------------------------

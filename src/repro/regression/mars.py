@@ -81,8 +81,14 @@ class MARSRegressor:
         return np.column_stack(cols)
 
     def _solve(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
-        gram = design.T @ design + self.ridge * np.eye(design.shape[1])
-        return np.linalg.solve(gram, design.T @ y)
+        """Ridge least squares; a ``(K, n, p)`` stack solves K designs.
+
+        Each stacked slice gets bit-for-bit the coefficients of its own
+        2-D solve, and a singular Gram anywhere raises ``LinAlgError``.
+        """
+        design_t = np.swapaxes(design, -1, -2)
+        gram = design_t @ design + self.ridge * np.eye(design.shape[-1])
+        return np.linalg.solve(gram, (design_t @ y)[..., None])[..., 0]
 
     def _gcv(self, rss: float, n: int, n_params: int) -> float:
         """Friedman's GCV criterion with the usual complexity penalty."""
@@ -99,9 +105,14 @@ class MARSRegressor:
         if n < 4:
             raise ValueError("need at least four training samples")
 
-        # candidate knots at interior quantiles of each feature
+        # candidate knots at interior quantiles of each feature; every
+        # candidate's hinge pair is evaluated once, as rows of (C, n)
         qs = np.linspace(0.0, 1.0, self.n_knots + 2)[1:-1]
         knots = [np.quantile(x[:, j], qs) for j in range(d)]
+        cands = [(j, float(t)) for j in range(d) for t in knots[j]]
+        diff = x[:, [j for j, _ in cands]] - np.array([t for _, t in cands])
+        hinge_pos = np.maximum(diff, 0.0).T.copy()
+        hinge_neg = np.maximum(-diff, 0.0).T.copy()
 
         bases: List[HingeBasis] = []
         design = self._design(x, bases)
@@ -110,31 +121,36 @@ class MARSRegressor:
         best_gcv = self._gcv(float(resid @ resid), n, design.shape[1])
 
         while len(bases) + 2 <= self.max_terms:
-            best: Optional[tuple] = None
-            for j in range(d):
-                for t in knots[j]:
-                    pair = [
-                        HingeBasis(j, float(t), +1),
-                        HingeBasis(j, float(t), -1),
-                    ]
-                    if any(b in bases for b in pair):
-                        continue
-                    trial = np.column_stack(
-                        [design] + [b.evaluate(x) for b in pair]
-                    )
-                    c = self._solve(trial, y)
-                    r = y - trial @ c
-                    gcv = self._gcv(float(r @ r), n, trial.shape[1])
-                    if best is None or gcv < best[0]:
-                        best = (gcv, pair, trial, c)
-            if best is None:
+            # a pair already in the model is not a candidate (float ==,
+            # like HingeBasis equality)
+            active = [
+                c
+                for c, (j, t) in enumerate(cands)
+                if not any(b.feature == j and b.knot == t for b in bases)
+            ]
+            if not active:
                 break
-            gcv, pair, trial, c = best
+            # every candidate's trial design, Gram, solve and residual
+            # as one stacked (K, n, p + 2) operation each
+            p = design.shape[1]
+            trials = np.empty((len(active), n, p + 2))
+            trials[:, :, :p] = design
+            trials[:, :, p] = hinge_pos[active]
+            trials[:, :, p + 1] = hinge_neg[active]
+            coefs = self._solve(trials, y)
+            resid = y - (trials @ coefs[:, :, None])[:, :, 0]
+            rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+            gcvs = [self._gcv(float(v), n, p + 2) for v in rss]
+            # min() keeps the first strict minimum, like the
+            # one-candidate-at-a-time scan (a NaN never displaces it)
+            k_best = min(range(len(gcvs)), key=gcvs.__getitem__)
+            gcv = gcvs[k_best]
             if best_gcv - gcv < self.min_improvement * max(best_gcv, 1e-300):
                 break
-            bases.extend(pair)
-            design = trial
-            coef = c
+            j, t = cands[active[k_best]]
+            bases.extend([HingeBasis(j, t, +1), HingeBasis(j, t, -1)])
+            design = trials[k_best]
+            coef = coefs[k_best]
             best_gcv = gcv
 
         self.bases_ = bases

@@ -34,6 +34,9 @@ bist-calibration-predicts       ridge calibration predicts gain through
 predict-batch-invariance        every model family predicts each row
                                 bit-identically whatever batch it is
                                 predicted in
+describing-gain-batch-          the batched tuned-DUT gain equals one
+equivalence                     describing function + ``np.interp`` per
+                                device, bit for bit
 ==============================  ========================================
 
 Tolerances are calibrated, not guessed: each non-exact bound sits an
@@ -56,10 +59,20 @@ import numpy as np
 
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
+from repro.circuits.nonlinear import (
+    PolynomialNonlinearity,
+    describing_gain_batch,
+    poly_from_specs,
+    saturation_amplitudes,
+)
 from repro.dsp.units import db, db20, dbm_to_watts, undb, undb20, watts_to_dbm
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
-from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
+from repro.loadboard.signature_path import (
+    SignaturePathConfig,
+    SignatureTestBoard,
+    overdrive_ratios,
+)
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
@@ -982,3 +995,76 @@ def _rel_predict_batch_invariance(case, rng):
                 whole[i],
                 label=f"{family}: predict(row {i}) vs whole-lot row",
             )
+
+
+# ----------------------------------------------------------------------
+# the batched describing-gain kernel against the per-device loop
+# ----------------------------------------------------------------------
+@relation(
+    "describing-gain-batch-equivalence",
+    params={
+        "n_devices": integers(0, 48, origin=1),
+        "n_samples": integers(1, 600, origin=1),
+        "overdrive": log_floats(0.05, 20.0, origin=0.05),
+        "expansive_frac": floats(0.0, 0.5, origin=0.0),
+        "silent_frac": floats(0.0, 0.5, origin=0.0),
+        "zero_peak": booleans(),
+    },
+    equation="reproduction contract (batched describing function)",
+)
+def _rel_describing_gain_batch_equivalence(case, rng):
+    """The batched tuned-DUT gain equals the per-device loop bit for bit.
+
+    Random device polynomials (some expansive, some with even-order
+    terms) driven from far below to far past their fold-back point:
+    :func:`describing_gain_batch` must be ``np.array_equal`` to one
+    :class:`PolynomialNonlinearity` per device, its describing function
+    tabulated on ``linspace(0, 1.01 * peak, 256)`` and ``np.interp`` of
+    the drive magnitudes -- and :func:`overdrive_ratios` to the scalar
+    saturation bookkeeping.
+    """
+    n = case["n_devices"]
+    rows = []
+    for _ in range(n):
+        iip2 = float(rng.uniform(5.0, 35.0)) if rng.random() < 0.5 else None
+        rows.append(
+            poly_from_specs(
+                float(rng.uniform(5.0, 25.0)), float(rng.uniform(-15.0, 10.0)), iip2
+            )
+        )
+    coeffs = np.array(rows, dtype=float).reshape(n, 3)
+    expansive = rng.random(n) < case["expansive_frac"]
+    coeffs[expansive, 2] = np.abs(coeffs[expansive, 2])
+
+    sat = saturation_amplitudes(coeffs)
+    finite = sat[np.isfinite(sat)]
+    scale = float(np.median(finite)) if finite.size else 1.0
+    amps = np.abs(rng.normal(size=case["n_samples"]))
+    amps[rng.random(case["n_samples"]) < case["silent_frac"]] = 0.0
+    if case["zero_peak"] or not amps.max() > 0.0:
+        amps[:] = 0.0
+    else:
+        amps *= case["overdrive"] * scale / amps.max()
+    peak = float(amps.max())
+
+    want = np.empty((n, len(amps)))
+    want_ratios = []
+    for i, c in enumerate(coeffs):
+        poly = PolynomialNonlinearity(*c)
+        if peak > 0.0:
+            grid = np.linspace(0.0, 1.01 * peak, 256)
+            want[i] = np.interp(amps, grid, poly.describing_function(grid))
+        else:
+            want[i] = np.full_like(amps, poly.a1, dtype=float)
+        s = poly.saturation_amplitude
+        want_ratios.append(peak / s if np.isfinite(s) else 0.0)
+    check_array_equal(
+        describing_gain_batch(coeffs, amps, peak),
+        want,
+        label=f"{n} devices at {case['overdrive']:.3g}x median saturation",
+    )
+    check_array_equal(
+        overdrive_ratios(coeffs, peak),
+        np.array(want_ratios).reshape(n),
+        label="overdrive ratios",
+    )

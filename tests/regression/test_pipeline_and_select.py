@@ -145,3 +145,86 @@ class TestSelectBestModel:
                 {"a": Broken}, np.zeros((10, 1)), np.zeros(10), k=2,
                 rng=np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize("order", [("nan", "mean"), ("mean", "nan")])
+    def test_nan_score_ranks_last_in_any_order(self, order):
+        # a candidate whose CV score is NaN must neither win nor hide the
+        # finite candidates, whichever comes first
+        class Mean:
+            def fit(self, x, y):
+                self.mu = float(np.mean(y))
+                return self
+
+            def predict(self, x):
+                return np.full(len(x), self.mu)
+
+        class NaNPredictor(Mean):
+            def predict(self, x):
+                return np.full(len(x), np.nan)
+
+        factories = {"nan": NaNPredictor, "mean": Mean}
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(20, 2))
+        y = rng.normal(size=20)
+        name, model, scores = select_best_model(
+            {key: factories[key] for key in order}, x, y, k=4,
+            rng=np.random.default_rng(0),
+        )
+        assert name == "mean"
+        assert isinstance(model, Mean)
+        assert np.isnan(scores["nan"])
+        assert np.isfinite(scores["mean"])
+
+
+class TestSharedFoldSVD:
+    """Cross-validation shares one SVD per fold across PCA candidates."""
+
+    def test_pca_fits_share_one_svd_per_fold(self, monkeypatch):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(40, 6))
+        y = x[:, 0] + 0.1 * rng.normal(size=40)
+        candidates = {
+            f"pca{k}": (lambda k=k: Pipeline([PCA(k), RidgeRegression(1e-3)]))
+            for k in (1, 2, 3, 4)
+        }
+        select_best_model(candidates, x, y, k=5, rng=np.random.default_rng(1))
+        # one SVD per fold, then one for the winner's refit on all data
+        assert len(calls) == 5 + 1
+
+    def test_shared_and_fresh_svds_agree_bit_for_bit(self):
+        from repro.regression.pca import _shared_svd
+
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(30, 8))
+        x.setflags(write=False)
+        with _shared_svd():
+            shared = [PCA(k).fit(x) for k in (2, 5, None)]
+        fresh = [PCA(k).fit(np.array(x)) for k in (2, 5, None)]
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.mean_, b.mean_)
+            assert np.array_equal(a.components_, b.components_)
+            assert np.array_equal(a.explained_variance_, b.explained_variance_)
+            assert a.total_variance_ == b.total_variance_
+
+    def test_writable_arrays_are_never_shared(self, monkeypatch):
+        from repro.regression.pca import _shared_svd
+
+        calls = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *k, **kw: calls.append(1) or real_svd(a, *k, **kw)
+        )
+        x = np.random.default_rng(11).normal(size=(12, 4))
+        with _shared_svd():
+            PCA(2).fit(x)
+            x[0, 0] += 1.0  # a writable array may change between fits
+            PCA(2).fit(x)
+        assert len(calls) == 2

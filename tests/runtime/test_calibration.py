@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.circuits.device import SpecSet
+from repro.regression.metrics import rmse
+from repro.regression.model_select import kfold_indices
+from repro.regression.pca import PCA
+from repro.runtime import calibration
 from repro.runtime.calibration import (
     CalibrationSession,
     default_candidates,
@@ -94,3 +98,64 @@ class TestCalibrationSession:
             session.fit(np.zeros((10, 4)), np.zeros((10, 2)), rng=rng)
         with pytest.raises(ValueError, match="at least 8"):
             session.fit(np.zeros((5, 4)), np.zeros((5, 3)), rng=rng)
+
+
+def _per_candidate_select(candidates, x, y, k=5, rng=None):
+    """The model selection the shared-fold loop replaced: candidates in
+    the outer loop, fresh fold arrays and a fresh PCA SVD per fit."""
+    split_seed = int(rng.integers(0, 2**31 - 1))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    scores = {}
+    for name, factory in candidates.items():
+        per_fold = []
+        for train, test in kfold_indices(len(x), k, np.random.default_rng(split_seed)):
+            model = factory()
+            try:
+                model.fit(x[train], y[train])
+                per_fold.append(rmse(y[test], model.predict(x[test])))
+            except (np.linalg.LinAlgError, ValueError):
+                per_fold = None
+                break
+        scores[name] = float("inf") if per_fold is None else float(np.mean(per_fold))
+    best_name = min(scores, key=scores.get)
+    best = candidates[best_name]()
+    best.fit(x, y)
+    return best_name, best, scores
+
+
+class TestSharedFoldFitEquivalence:
+    """The full zoo fits to the same bits as a per-candidate-SVD oracle."""
+
+    @pytest.mark.parametrize("n_train, seed", [(100, 11), (60, 12), (28, 13)])
+    def test_full_zoo_matches_per_candidate_oracle(self, monkeypatch, n_train, seed):
+        sigs, specs = synthetic_dataset(np.random.default_rng(seed), n=n_train)
+        val, _ = synthetic_dataset(np.random.default_rng(seed + 100), n=40)
+
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svd_calls.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        shared = CalibrationSession().fit(sigs, specs, rng=np.random.default_rng(seed))
+        n_shared = len(svd_calls)
+        monkeypatch.setattr(calibration, "select_best_model", _per_candidate_select)
+        oracle = CalibrationSession().fit(sigs, specs, rng=np.random.default_rng(seed))
+        n_oracle = len(svd_calls) - n_shared
+
+        assert shared.chosen == oracle.chosen
+        assert shared.cv_scores == oracle.cv_scores
+        assert np.array_equal(shared.predict_matrix(val), oracle.predict_matrix(val))
+        # the PCA families share one SVD per fold: per spec, one SVD per
+        # fold plus the winner's refit (when it uses PCA)
+        n_specs = len(SpecSet.NAMES)
+        n_pca = sum(
+            isinstance(make().steps[0], PCA)
+            for make in default_candidates(n_train).values()
+        )
+        assert n_pca >= 3
+        assert n_shared <= n_specs * (5 + 1)
+        assert n_oracle >= n_specs * n_pca * 5
