@@ -37,7 +37,9 @@ __all__ = [
     "gain_compression_db",
     "saturation_amplitudes",
     "describing_gain_tables",
+    "RowInterpolator",
     "interp_rows",
+    "DescribingGains",
     "describing_gain_batch",
 ]
 
@@ -267,49 +269,115 @@ def describing_gain_tables(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return table
 
 
-def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp``, bit for bit.
+class RowInterpolator:
+    """``np.interp(x, xp, fp[i])`` for every row ``i`` of a table, bit for bit.
 
     Uses ``np.interp``'s own formula -- precomputed slopes
     ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, the exact-knot and
-    end-point cases, and its NaN fallback -- with the knot index and
-    offset computed once and shared by every row.  ``xp`` must be
-    increasing with at least two points.
+    end-point cases, and its NaN fallback.  The knot search over ``x``
+    (index, offset, exact-knot and NaN positions) depends only on
+    ``(x, xp)`` and runs once, here; every table interpolated on the
+    same abscissae reuses it.  ``xp`` must be increasing with at least
+    two points.
     """
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    fp = np.asarray(fp, dtype=float)
-    n_xp = len(xp)
-    if n_xp < 2 or fp.ndim != 2 or fp.shape[1] != n_xp:
-        raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
-    # j with xp[j] <= x < xp[j + 1]; -1 left of the grid
-    j = np.searchsorted(xp, x, side="right") - 1
-    jc = np.clip(j, 0, n_xp - 2)
-    f_lo = np.take(fp, jc, axis=1)
-    # np.interp never warns: an infinite or NaN table just propagates
-    with np.errstate(all="ignore"):
-        slopes = fp[:, 1:] - fp[:, :-1]
-        slopes /= xp[1:] - xp[:-1]
-        out = np.take(slopes, jc, axis=1)
-        out *= x - xp[jc]
-        out += f_lo
-        # its fallback when an infinite table makes the slope NaN
-        nan = np.isnan(out)
-        if nan.any():
-            f_hi = np.take(fp, jc + 1, axis=1)
-            retry = np.take(slopes, jc, axis=1) * (x - xp[jc + 1]) + f_hi
-            out[nan] = retry[nan]
-            flat = np.isnan(out) & (f_lo == f_hi)
-            out[flat] = f_lo[flat]
-    # knots, the right end and beyond take the table value itself; left
-    # of the grid takes fp[0]; NaN abscissae stay NaN
-    exact = (j < 0) | (j >= n_xp - 1) | (xp[jc] == x)
-    if exact.any():
-        out[:, exact] = fp[:, np.clip(j[exact], 0, n_xp - 1)]
-    x_nan = np.isnan(x)
-    if x_nan.any():
-        out[:, x_nan] = x[x_nan]
-    return out
+
+    def __init__(self, x: np.ndarray, xp: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        xp = np.asarray(xp, dtype=float)
+        n_xp = len(xp)
+        if n_xp < 2:
+            raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
+        self.x = x
+        self.xp = xp
+        # j with xp[j] <= x < xp[j + 1]; -1 left of the grid
+        j = np.searchsorted(xp, x, side="right") - 1
+        self._jc = np.clip(j, 0, n_xp - 2)
+        self._dx = x - xp[self._jc]
+        # knots, the right end and beyond take the table value itself;
+        # left of the grid takes fp[0]; NaN abscissae stay NaN
+        exact = (j < 0) | (j >= n_xp - 1) | (xp[self._jc] == x)
+        self._exact = np.flatnonzero(exact)
+        self._exact_knot = np.clip(j[exact], 0, n_xp - 1)
+        self._x_nan = np.flatnonzero(np.isnan(x))
+
+    def nbytes(self) -> int:
+        """Bytes of the precomputed knot search (``x`` and ``xp`` excluded)."""
+        return sum(
+            a.nbytes
+            for a in (self._jc, self._dx, self._exact, self._exact_knot, self._x_nan)
+        )
+
+    def __call__(self, fp: np.ndarray) -> np.ndarray:
+        """``(N, len(x))``: row ``i`` interpolates table row ``fp[i]``."""
+        fp = np.asarray(fp, dtype=float)
+        xp = self.xp
+        if fp.ndim != 2 or fp.shape[1] != len(xp):
+            raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
+        jc = self._jc
+        f_lo = np.take(fp, jc, axis=1)
+        # np.interp never warns: an infinite or NaN table just propagates
+        with np.errstate(all="ignore"):
+            slopes = fp[:, 1:] - fp[:, :-1]
+            slopes /= xp[1:] - xp[:-1]
+            out = np.take(slopes, jc, axis=1)
+            out *= self._dx
+            out += f_lo
+            # its fallback when an infinite table makes the slope NaN
+            nan = np.isnan(out)
+            if nan.any():
+                f_hi = np.take(fp, jc + 1, axis=1)
+                retry = np.take(slopes, jc, axis=1) * (self.x - xp[jc + 1]) + f_hi
+                out[nan] = retry[nan]
+                flat = np.isnan(out) & (f_lo == f_hi)
+                out[flat] = f_lo[flat]
+        if len(self._exact):
+            out[:, self._exact] = fp[:, self._exact_knot]
+        if len(self._x_nan):
+            out[:, self._x_nan] = self.x[self._x_nan]
+        return out
+
+
+def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp``, bit for bit.
+
+    A one-off :class:`RowInterpolator`.
+    """
+    return RowInterpolator(x, xp)(fp)
+
+
+class DescribingGains:
+    """Tuned-coupling DUT gains over one envelope magnitude record.
+
+    A narrowband DUT sees only the carrier band, so its complex gain at
+    each envelope sample is the saturating describing function at that
+    sample's magnitude ``amps``.  Each device's gain is tabulated on the
+    shared grid ``linspace(0, 1.01 * peak, 256)`` and interpolated.  The
+    grid and the knot search over ``amps`` depend only on the record, so
+    they are built once and shared by every device batch that sees it.
+    A zero peak drive means the device only ever sees its small-signal
+    gain ``a1``.
+    """
+
+    def __init__(self, amps: np.ndarray, peak: float):
+        self.n = len(amps)
+        self._grid: Optional[np.ndarray] = None
+        self._interp: Optional[RowInterpolator] = None
+        if peak > 0.0:
+            self._grid = np.linspace(0.0, 1.01 * peak, DESCRIBING_TABLE_POINTS)
+            self._interp = RowInterpolator(amps, self._grid)
+
+    def nbytes(self) -> int:
+        """Bytes of the shared grid and knot search."""
+        if self._interp is None:
+            return 0
+        return self._grid.nbytes + self._interp.nbytes()
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        """``(N, len(amps))`` gains, one row per ``(a1, a2, a3)`` row."""
+        coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+        if self._interp is None:
+            return np.repeat(coeffs[:, :1], self.n, axis=1)
+        return self._interp(describing_gain_tables(coeffs, self._grid))
 
 
 def describing_gain_batch(
@@ -317,17 +385,7 @@ def describing_gain_batch(
 ) -> np.ndarray:
     """Tuned-coupling DUT gains: ``(N, len(amps))``, one row per device.
 
-    A narrowband DUT sees only the carrier band, so its complex gain at
-    each envelope sample is the saturating describing function at that
-    sample's magnitude ``amps``.  Each device's gain is tabulated on the
-    shared grid ``linspace(0, 1.01 * peak, 256)`` and interpolated; row
-    ``i`` equals ``np.interp(amps, grid, describing_function(grid))``
-    for device ``i`` bit for bit.  A zero peak drive means the device
-    only ever sees its small-signal gain ``a1``.
+    Row ``i`` equals ``np.interp(amps, grid, describing_function(grid))``
+    for device ``i`` bit for bit (:class:`DescribingGains`).
     """
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
-    amps = np.asarray(amps, dtype=float)
-    if not peak > 0.0:
-        return np.repeat(coeffs[:, :1], len(amps), axis=1)
-    grid = np.linspace(0.0, 1.01 * peak, DESCRIBING_TABLE_POINTS)
-    return interp_rows(amps, grid, describing_gain_tables(coeffs, grid))
+    return DescribingGains(np.asarray(amps, dtype=float), peak)(coeffs)

@@ -20,7 +20,7 @@ record lengths in this framework.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -170,6 +170,9 @@ class ButterworthLowpass:
         self.cutoff_hz = float(cutoff_hz)
         self.sample_rate = float(sample_rate)
         self.sos = butterworth_sos(order, cutoff_hz, sample_rate)
+        #: (record length, read-only rfft-bin magnitude response) of the
+        #: last length filtered
+        self._magnitude: Optional[Tuple[int, np.ndarray]] = None
 
     def frequency_response(self, freqs: np.ndarray) -> np.ndarray:
         """Complex response at the given frequencies (Hz)."""
@@ -201,9 +204,22 @@ class ButterworthLowpass:
         samples = np.asarray(samples, dtype=float)
         n = samples.shape[-1]
         spec = np.fft.rfft(samples, axis=-1)
+        return np.fft.irfft(spec * self.magnitude_response(n), n=n, axis=-1)
+
+    def magnitude_response(self, n: int) -> np.ndarray:
+        """``|H|`` at the ``rfft`` bins of an ``n``-sample record (read-only).
+
+        Computed once per record length and kept: every capture of one
+        board filters records of one length.
+        """
+        memo = self._magnitude
+        if memo is not None and memo[0] == n:
+            return memo[1]
         freqs = np.fft.rfftfreq(n, d=1.0 / self.sample_rate)
         mag = np.abs(self.frequency_response(freqs))
-        return np.fft.irfft(spec * mag, n=n, axis=-1)
+        mag.flags.writeable = False
+        self._magnitude = (n, mag)
+        return mag
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -37,9 +37,11 @@ This module compiles that stage once per board and capture shape
    is one nonzero of the harmonic-product matrix); subgraphs fed only
    by plan-bound inputs (the cached LO and its powers) fold into
    precomputed constants at compile time using the same kernels.
-4. **Execute.**  The surviving ops run over preallocated per-program
+4. **Execute.**  The surviving ops run over preallocated block-sized
    workspaces with ``out=`` kernels -- the steady-state inner loop
    performs no Python-level envelope bookkeeping and no allocations.
+   One call runs one cache-resident block of rows (:data:`BLOCK_BYTES`);
+   the board streams a whole lot through it block by block.
 
 The compiled program is bit-identical (``np.array_equal``) to the
 traced reference chain.
@@ -48,19 +50,29 @@ traced reference chain.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "BLOCK_BYTES",
     "CaptureTape",
     "CompiledCaptureProgram",
     "TapeNode",
+    "block_rows",
     "trace_mixer_baseband",
 ]
+
+#: bytes of one complex row block: a whole-lot capture runs its
+#: device-dependent half in blocks of rows whose complex operands stay
+#: cache resident (a 1,000-row ``(N, 400)`` operand spills L2)
+BLOCK_BYTES = 256 * 1024
+
+
+def block_rows(n: int) -> int:
+    """Rows per block for engine-rate records of ``n`` samples (at least 1)."""
+    return max(1, BLOCK_BYTES // (np.dtype(np.complex128).itemsize * max(1, n)))
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +413,11 @@ class CompiledCaptureProgram:
         Concrete arrays for plan-bound input slots (the cached LO
         envelopes); every subgraph they feed folds at compile time.
 
-    The per-batch-size workspaces are produced lazily and kept in a
-    small LRU pool (:attr:`workspace_pool_size`); :meth:`nbytes` and
-    :meth:`release_workspaces` support the board's cache memory
-    accounting.  Stage wall times accumulate in :attr:`stage_seconds`
-    (guarded by the workspace lock) with the calling thread's most
-    recent capture in :attr:`last_stage_seconds`.
+    Each thread gets one workspace set per record length ``n``, sized
+    to one block of :func:`block_rows` rows.  :meth:`execute` runs one
+    block at a time (the board streams a lot through it block by
+    block), so the retained bytes (:meth:`nbytes`) never grow with the
+    lot.
 
     The schedule attributes (``consts``, ``input_keys``, ``steps``,
     ``out_node``, ``fingerprint``, ``op_count`` and the private slot
@@ -415,9 +426,6 @@ class CompiledCaptureProgram:
     only when the board publishes the finished program into its program
     cache under ``SignatureTestBoard._state_lock``.
     """
-
-    #: distinct batch sizes whose workspaces are kept alive
-    workspace_pool_size = 4
 
     def __init__(
         self,
@@ -435,8 +443,6 @@ class CompiledCaptureProgram:
         self.op_count = len(self.steps)
         self._workspaces: "Dict[tuple, List[np.ndarray]]" = {}
         self._workspace_lock = threading.Lock()
-        self.stage_seconds: Dict[str, float] = {}
-        self._capture_tls = threading.local()
 
     # -- compile passes ------------------------------------------------
     @staticmethod
@@ -540,33 +546,24 @@ class CompiledCaptureProgram:
         self._out_const = consts.get(out)
 
     # -- workspaces ----------------------------------------------------
-    def _buffers(self, batch: int, n: int) -> List[np.ndarray]:
-        # keyed by thread ident: concurrent captures on a shared program
-        # (thread executors) must not scribble over each other's buffers
-        key = (threading.get_ident(), batch, n)
+    def _buffers(self, n: int) -> List[np.ndarray]:
+        # one block-sized set per (thread, n): concurrent captures on a
+        # shared program (thread executors) must not scribble over each
+        # other's buffers, and every block of a lot reuses the set
+        key = (threading.get_ident(), n)
         with self._workspace_lock:
             bufs = self._workspaces.get(key)
             if bufs is None:
+                rows = block_rows(n)
                 bufs = [
                     np.empty(
-                        (batch, n),
+                        (rows, n),
                         dtype=np.complex128 if dt == "c" else np.float64,
                     )
                     for dt in self._slot_dtype
                 ]
                 self._workspaces[key] = bufs
-                while len(self._workspaces) > self.workspace_pool_size:
-                    self._workspaces.pop(next(iter(self._workspaces)))
-            else:
-                # LRU: re-inserting keeps hot batch sizes alive
-                self._workspaces.pop(key)
-                self._workspaces[key] = bufs
         return bufs
-
-    def release_workspaces(self) -> None:
-        """Drop every cached workspace (reallocated on next execute)."""
-        with self._workspace_lock:
-            self._workspaces = {}
 
     def nbytes(self) -> int:
         """Constant + workspace bytes retained by this program."""
@@ -577,51 +574,15 @@ class CompiledCaptureProgram:
         return total
 
     def __getstate__(self):
-        # workspaces are cheap to rebuild and may hold megabytes; the
-        # lock and thread-local timing are recreated on unpickle
+        # workspaces are cheap to rebuild; the lock is recreated on unpickle
         state = self.__dict__.copy()
         state["_workspaces"] = {}
         del state["_workspace_lock"]
-        del state["_capture_tls"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._workspace_lock = threading.Lock()
-        self._capture_tls = threading.local()
-
-    # -- profiling -----------------------------------------------------
-    @property
-    def last_stage_seconds(self) -> Dict[str, float]:
-        """The calling thread's stage breakdown for its current capture.
-
-        Thread-local: concurrent captures on a shared program (thread
-        executors) each see only their own timings.
-        """
-        breakdown = getattr(self._capture_tls, "stage_seconds", None)
-        if breakdown is None:
-            breakdown = {}
-            self._capture_tls.stage_seconds = breakdown
-        return breakdown
-
-    def begin_capture(self) -> None:
-        """Reset the per-capture stage breakdown."""
-        self._capture_tls.stage_seconds = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        """Record wall time of one pipeline stage under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            breakdown = self.last_stage_seconds
-            breakdown[name] = breakdown.get(name, 0.0) + elapsed
-            with self._workspace_lock:
-                self.stage_seconds[name] = (
-                    self.stage_seconds.get(name, 0.0) + elapsed
-                )
 
     # -- execution -----------------------------------------------------
     def execute(
@@ -633,9 +594,11 @@ class CompiledCaptureProgram:
 
         ``rf_envelopes`` holds the DUT-output envelope arrays keyed by
         harmonic; ``lo_envelopes`` supplies the LO slots when they were
-        not plan-bound (the random-path-phase regime).  The returned
-        array is owned by the program's workspace and must be consumed
-        before the next ``execute`` call on the same batch size.
+        not plan-bound (the random-path-phase regime).  The batch is one
+        row block: at most :func:`block_rows` rows, run in one pass over
+        the calling thread's block workspace.  The returned array is a
+        view of that workspace: consume it before this thread's next
+        ``execute`` at the same record length.
         """
         sources = {"rf": rf_envelopes, "lo": lo_envelopes or {}}
         inputs: Dict[Tuple[str, int], np.ndarray] = {}
@@ -661,7 +624,12 @@ class CompiledCaptureProgram:
                 raise ValueError("program has neither runtime output nor constant")
             return np.broadcast_to(out.real, (batch, out.shape[-1]))
 
-        bufs = self._buffers(batch, n)
+        if batch > block_rows(n):
+            raise ValueError(
+                f"batch of {batch} rows exceeds one block of {block_rows(n)}"
+            )
+        # tail blocks run over views of the block-sized workspace
+        bufs = [buf[:batch] for buf in self._buffers(n)]
 
         def fetch(src):
             kind, ref = src

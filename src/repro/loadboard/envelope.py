@@ -242,10 +242,21 @@ class EnvelopeSignal:
         not driven beyond its physical validity range.  For batched
         signals the maximum runs over every row.
         """
+        rows = self.peak_passband_rows()
+        return float(np.max(rows)) if rows.size else 0.0
+
+    def peak_passband_rows(self) -> np.ndarray:
+        """:meth:`peak_passband_estimate` of each batch row on its own.
+
+        Shape ``(batch,)`` for a batched signal, a 0-d array for a 1-D
+        one; records of length zero peak at 0.
+        """
         total = np.zeros(self.shape)
         for h, env in self.envelopes.items():
             total += np.abs(env) if h > 0 else np.abs(env.real)
-        return float(np.max(total)) if total.size else 0.0
+        if not total.shape[-1]:
+            return np.zeros(total.shape[:-1])
+        return total.max(axis=-1)
 
     # ------------------------------------------------------------------
     # linear operations

@@ -18,12 +18,12 @@ signature-to-specification calibration machinery:
   baseband record.
 
 Both expose the duck-typed board surface the runtime layer dispatches
-on (``signature`` / ``signature_batch`` / ``config`` /
-``overdrive_snapshot`` / ``peak_drive``), so calibration, the
-production flow, the streaming service and the stimulus optimizer work
-unchanged.  The ``bist-calibration-predicts`` relation in
-:mod:`repro.verify` checks that ridge calibration still predicts specs
-through the coarse BIST path to a declared tolerance.
+on (``signature`` / ``signature_batch`` / ``signature_grid`` /
+``config`` / ``overdrive_snapshot`` / ``peak_drive``),
+so calibration, the production flow, the streaming service and the
+stimulus optimizer work unchanged.  The ``bist-calibration-predicts``
+relation in :mod:`repro.verify` checks that ridge calibration still
+predicts specs through the coarse BIST path to a declared tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.instruments.digitizer import BasebandDigitizer
 from repro.loadboard.envelope import one_pole_lowpass
 from repro.loadboard.signature_path import (
+    PerStimulusGrid,
     RngList,
     SignaturePathConfig,
     SignatureTestBoard,
@@ -127,7 +128,7 @@ class BistPathConfig:
         return self.setup_time + self.capture_seconds
 
 
-class BistSignaturePath:
+class BistSignaturePath(PerStimulusGrid):
     """On-die signature capture: drive -> DUT -> detector -> coarse ADC.
 
     The describing-function DUT model and the per-device RNG contract
@@ -321,7 +322,7 @@ class AbmPathConfig:
         )
 
 
-class AbmAccessPath:
+class AbmAccessPath(PerStimulusGrid):
     """The load board reached through an ABM switch network.
 
     Runs the unchanged :class:`~repro.loadboard.signature_path.SignatureTestBoard`

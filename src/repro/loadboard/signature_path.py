@@ -18,15 +18,21 @@ Batched capture
 Everything upstream of the DUT -- the rendered stimulus, the first LO,
 the mixer-1 upconversion and its harmonic powers, and (for a fixed path
 phase) the second LO -- depends only on ``(stimulus, config)``, never on
-the device.  :class:`CapturePlan` precomputes that front half once and
-:meth:`SignatureTestBoard.capture_batch` /
+the device.  :class:`CapturePlan` precomputes that front half once
+(:meth:`SignatureTestBoard.capture_plans` builds several stimuli's plans
+as one ``(S, n)`` batch) and :meth:`SignatureTestBoard.capture_batch` /
 :meth:`SignatureTestBoard.signature_batch` run the device-dependent back
-half as single ``(batch, n)`` NumPy operations over a whole device lot.
-Per-device RNG streams are spawned exactly like the executor layer's
-(:func:`repro.runtime.executor.spawn_generators`), and every vectorized
-step is elementwise along the record axis, so batched results are
-bit-identical to the one-device-at-a-time path -- :meth:`capture` itself
-is a batch of one.
+half as ``(rows, n)`` NumPy operations over blocks of a device lot whose
+complex operands stay cache resident
+(:data:`repro.loadboard.capture_compiler.BLOCK_BYTES`), each block
+written into one preallocated result.
+:meth:`SignatureTestBoard.signature_grid` runs every (stimulus, device)
+pair of several stimuli through the same blocks -- one capture per GA
+generation.  Per-device RNG streams are spawned exactly like the
+executor layer's (:func:`repro.runtime.executor.spawn_generators`), and
+every vectorized step is elementwise along the record axis, so batched
+and blocked results are bit-identical to the one-device-at-a-time path
+-- :meth:`capture` itself is a batch of one.
 
 Every capture runs the mixer-2 downconversion as a compiled op tape
 (:mod:`repro.loadboard.capture_compiler`).  The uncompiled envelope
@@ -47,7 +53,7 @@ import numpy as np
 
 from repro.circuits.device import RFDevice
 from repro.circuits.noisefig import added_output_noise_vrms
-from repro.circuits.nonlinear import describing_gain_batch, saturation_amplitudes
+from repro.circuits.nonlinear import DescribingGains, saturation_amplitudes
 from repro.dsp.filters import ButterworthLowpass
 from repro.dsp.mixer import Mixer
 from repro.dsp.sources import dbm_to_vpeak
@@ -60,12 +66,14 @@ from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.instruments.digitizer import BasebandDigitizer
 from repro.loadboard.capture_compiler import (
     CompiledCaptureProgram,
+    block_rows,
     trace_mixer_baseband,
 )
 from repro.loadboard.envelope import EnvelopeSignal, one_pole_lowpass
 
 __all__ = [
     "CapturePlan",
+    "PerStimulusGrid",
     "SignaturePathConfig",
     "SignatureTestBoard",
     "add_device_noise",
@@ -78,6 +86,7 @@ __all__ = [
 ]
 
 RngList = Sequence[Optional[np.random.Generator]]
+Stimulus = Union[Waveform, PiecewiseLinearStimulus]
 
 
 def resolve_rng_streams(
@@ -114,6 +123,23 @@ def envelope_coefficients(devices: Sequence[RFDevice]) -> np.ndarray:
     return np.array(
         [d.envelope_poly() for d in devices], dtype=float
     ).reshape(len(devices), 3)
+
+
+def _wideband_terms(coeffs: np.ndarray) -> Tuple[bool, bool]:
+    """Whether any device of the lot has a nonzero ``a2`` / ``a3``."""
+    return bool(np.any(coeffs[:, 1] != 0.0)), bool(np.any(coeffs[:, 2] != 0.0))
+
+
+def _row_blocks(n_plans: int, n_dev: int, rows: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` row blocks over an ``(n_plans, n_dev)`` grid.
+
+    Blocks of ``rows`` rows, straddling plan boundaries; an empty grid
+    still runs one empty block, which fixes the result's width.
+    """
+    total = n_plans * n_dev
+    if not total:
+        return [(0, 0)]
+    return [(a, min(a + rows, total)) for a in range(0, total, rows)]
 
 
 def overdrive_ratios(coeffs: np.ndarray, peak: float) -> np.ndarray:
@@ -193,6 +219,28 @@ def mix_envelope(
     if out is None:
         raise ValueError("mixer harmonics table is empty; nothing to mix")
     return out.scale(mixer.conversion_gain)
+
+
+class PerStimulusGrid:
+    """``signature_grid`` as a loop over the single-stimulus board forms.
+
+    For boards whose capture has no cheaper many-stimulus form (the
+    BIST, ABM and multi-site paths): one noise-free ``signature_batch``
+    and one ``peak_drive`` per stimulus.
+    """
+
+    def signature_grid(
+        self,
+        devices: Sequence[RFDevice],
+        stimuli: Sequence[Stimulus],
+        n_bins: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(grid, peaks)``: noise-free ``signature_batch`` per stimulus,
+        stacked ``(S, N, m)``, and ``peak_drive`` per stimulus."""
+        grid = np.stack(
+            [self.signature_batch(devices, s, n_bins=n_bins) for s in stimuli]
+        )
+        return grid, np.array([self.peak_drive(s) for s in stimuli])
 
 
 @dataclass
@@ -282,6 +330,9 @@ class CapturePlan:
     #: tuned coupling: carrier-band drive envelope and its magnitude
     u1: Optional[np.ndarray] = None
     amps: Optional[np.ndarray] = None
+    #: tuned coupling: the describing-gain grid and knot search over
+    #: ``amps``, shared by every row block and device of the plan
+    gains: Optional[DescribingGains] = None
     #: wideband coupling: cached powers of the drive for the cubic DUT
     dut_in_sq: Optional[EnvelopeSignal] = None
     dut_in_cube: Optional[EnvelopeSignal] = None
@@ -308,6 +359,8 @@ class CapturePlan:
         for arr in (self.u1, self.amps):
             if arr is not None:
                 total += np.asarray(arr).nbytes
+        if self.gains is not None:
+            total += self.gains.nbytes()
         object.__setattr__(self, "_nbytes", total)
 
     @property
@@ -335,8 +388,8 @@ class SignatureTestBoard:
 
     #: distinct (stimulus, config) plans kept per board (LRU)
     _plan_cache_size = 8
-    #: byte budget for cached plans + compiled programs + workspaces;
-    #: over-budget caches first shed workspaces, then whole LRU plans
+    #: byte budget for cached plans + compiled programs (with their
+    #: block workspaces); over-budget caches shed whole LRU plans first
     _plan_cache_max_bytes = 64 * 1024 * 1024
 
     def __init__(self, config: SignaturePathConfig):
@@ -354,7 +407,8 @@ class SignatureTestBoard:
         self.last_overdrive_ratio: float = 0.0
         #: per-device overdrive ratios of the last (batched) capture
         self.last_overdrive_ratios: np.ndarray = np.zeros(0)
-        #: per-stage wall-clock breakdown of the last compiled capture
+        #: per-stage wall-clock breakdown of the last capture, summed
+        #: over its row blocks
         self.last_stage_seconds: Dict[str, float] = {}
         self._plan_cache: "OrderedDict[tuple, CapturePlan]" = OrderedDict()
         #: compiled mixer-2 programs keyed (rf keys, n) (LRU): the tape
@@ -384,9 +438,7 @@ class SignatureTestBoard:
     # ------------------------------------------------------------------
     # stimulus handling
     # ------------------------------------------------------------------
-    def _stimulus_record(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> Waveform:
+    def _stimulus_record(self, stimulus: Stimulus) -> Waveform:
         """Render the stimulus at the engine rate, padded to the capture.
 
         Accepts a raw :class:`Waveform` or any stimulus object exposing
@@ -406,22 +458,25 @@ class SignatureTestBoard:
             wf = Waveform(wf.samples[:n_needed], cfg.engine_rate, wf.t0)
         return wf
 
+    @staticmethod
+    def _record_key(record: Waveform) -> tuple:
+        return (record.sample_rate, record.t0, record.samples.tobytes())
+
     # ------------------------------------------------------------------
-    # the cached device-independent front half
+    # the device-independent front half
     # ------------------------------------------------------------------
-    def capture_plan(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> CapturePlan:
+    def capture_plan(self, stimulus: Stimulus) -> CapturePlan:
         """The (cached) device-independent front half for this stimulus.
 
         Keyed on the rendered record's bytes, so value-equal stimuli of
         any type (PWL, multitone, raw waveform) share one plan.  An LRU
         of :attr:`_plan_cache_size` plans is kept per board -- enough for
         a finite-difference star (nominal plus per-parameter steps uses
-        one plan each) while bounding memory.
+        one plan each) while bounding memory.  A miss builds the plan as
+        a batch of one (:meth:`capture_plans`).
         """
         record = self._stimulus_record(stimulus)
-        key = (record.sample_rate, record.t0, record.samples.tobytes())
+        key = self._record_key(record)
         with self._state_lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
@@ -429,7 +484,7 @@ class SignatureTestBoard:
                 return plan
         # build outside the lock: concurrent first captures may build
         # the same plan twice, but neither stalls behind the other
-        plan = self._build_plan(record)
+        plan = self._build_plans([record])[0]
         with self._state_lock:
             winner = self._plan_cache.get(key)
             if winner is not None:
@@ -441,6 +496,18 @@ class SignatureTestBoard:
             self._enforce_plan_cache_bytes()
         return plan
 
+    def capture_plans(self, stimuli: Sequence[Stimulus]) -> List[CapturePlan]:
+        """Front halves for several stimuli, built as one batch.
+
+        Renders every record, runs mixer-1 once over the ``(S, n)``
+        baseband and returns one plan per stimulus whose arrays are row
+        views of that batch.  Plan ``s`` equals :meth:`capture_plan` of
+        ``stimuli[s]`` bit for bit, its per-row ``peak`` included.  The
+        plans bypass the LRU: a GA generation's stimuli are seldom seen
+        again.
+        """
+        return self._build_plans([self._stimulus_record(s) for s in stimuli])
+
     def _cache_nbytes(self) -> int:
         """Bytes retained by cached plans and compiled programs."""
         return sum(p.nbytes() for p in self._plan_cache.values()) + sum(
@@ -450,20 +517,13 @@ class SignatureTestBoard:
     def _enforce_plan_cache_bytes(self) -> None:
         """Shrink the plan and program caches under :attr:`_plan_cache_max_bytes`.
 
-        Cheapest reclaim first: compiled-program workspaces (they
-        rebuild lazily), least recently used program first, then whole
-        LRU plans, then LRU programs.  The most recent plan and program
-        always survive.  Enforcement runs only when a plan or program is
-        published, so a lot that keeps reusing its plan keeps its
-        steady-state buffers.  The caller must hold :attr:`_state_lock`.
+        Whole LRU plans go first, then LRU programs; the most recent
+        plan and program always survive (a program's workspaces are one
+        block per thread, so they never outgrow a lot).  Enforcement
+        runs only when a plan or program is published.  The caller must
+        hold :attr:`_state_lock`.
         """
         budget = self._plan_cache_max_bytes
-        if self._cache_nbytes() <= budget:
-            return
-        for program in list(self._programs.values()):
-            program.release_workspaces()
-            if self._cache_nbytes() <= budget:
-                return
         for cache in (self._plan_cache, self._programs):
             while len(cache) > 1 and self._cache_nbytes() > budget:
                 cache.popitem(last=False)
@@ -474,9 +534,7 @@ class SignatureTestBoard:
             self._plan_cache.clear()
             self._programs.clear()
 
-    def peak_drive(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> float:
+    def peak_drive(self, stimulus: Stimulus) -> float:
         """Peak DUT drive for this stimulus, without capturing.
 
         The numerator of every overdrive ratio a capture records
@@ -485,10 +543,16 @@ class SignatureTestBoard:
         """
         return self.capture_plan(stimulus).peak
 
-    def _build_plan(self, record: Waveform) -> CapturePlan:
+    def _build_plans(self, records: Sequence[Waveform]) -> List[CapturePlan]:
+        if not records:
+            return []
         cfg = self.config
-        n = len(record)
-        rf_in = EnvelopeSignal.from_baseband(record, cfg.carrier_freq)
+        n = len(records[0])
+        rf_in = EnvelopeSignal(
+            {0: np.array([r.samples for r in records], dtype=complex)},
+            cfg.engine_rate,
+            cfg.carrier_freq,
+        )
         lo1 = EnvelopeSignal.sine_carrier(
             n,
             cfg.engine_rate,
@@ -506,10 +570,10 @@ class SignatureTestBoard:
             dut_in = upconverted.keep_harmonics([1])
             u1 = dut_in.harmonic(1)
             amps = np.abs(u1)
-            peak = float(amps.max()) if len(amps) else 0.0
+            peaks = amps.max(axis=-1) if n else np.zeros(len(records))
         else:
             dut_in = upconverted
-            peak = dut_in.peak_passband_estimate()
+            peaks = dut_in.peak_passband_rows()
             dut_in_sq = dut_in.power(2, cfg.max_harmonic)
             dut_in_cube = dut_in_sq.multiply(dut_in, cfg.max_harmonic)
 
@@ -523,21 +587,42 @@ class SignatureTestBoard:
                 phase=cfg.path_phase_rad,
                 offset_hz=cfg.lo_offset_hz,
             )
-        return CapturePlan(
-            record=record,
-            upconverted=upconverted,
-            dut_in=dut_in,
-            peak=peak,
-            u1=u1,
-            amps=amps,
-            dut_in_sq=dut_in_sq,
-            dut_in_cube=dut_in_cube,
-            lo2=lo2,
-        )
+
+        def row(env: Optional[EnvelopeSignal], s: int) -> Optional[EnvelopeSignal]:
+            if env is None:
+                return None
+            return EnvelopeSignal(
+                {h: e[s] for h, e in env.envelopes.items()},
+                env.sample_rate,
+                env.carrier_freq,
+            )
+
+        return [
+            CapturePlan(
+                record=record,
+                upconverted=row(upconverted, s),
+                dut_in=row(dut_in, s),
+                peak=float(peaks[s]),
+                u1=None if u1 is None else u1[s],
+                amps=None if amps is None else amps[s],
+                gains=None if amps is None else DescribingGains(amps[s], peaks[s]),
+                dut_in_sq=row(dut_in_sq, s),
+                dut_in_cube=row(dut_in_cube, s),
+                lo2=lo2,
+            )
+            for s, record in enumerate(records)
+        ]
 
     # ------------------------------------------------------------------
     # the device-dependent back half (vectorized over the batch)
     # ------------------------------------------------------------------
+    def _record_overdrive(self, ratios: np.ndarray) -> None:
+        with self._state_lock:
+            # one atomic pair: a reader never sees ratios from one
+            # capture next to the scalar peak of another
+            self.last_overdrive_ratios = ratios
+            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
+
     def _dut_response_batch(
         self, plan: CapturePlan, devices: Sequence[RFDevice]
     ) -> EnvelopeSignal:
@@ -546,23 +631,27 @@ class SignatureTestBoard:
         Row ``i`` is bit-identical to pushing ``plan.dut_in`` through
         device ``i`` alone; also updates the overdrive bookkeeping.
         """
-        cfg = self.config
         coeffs = envelope_coefficients(devices)
-        ratios = overdrive_ratios(coeffs, plan.peak)
-        with self._state_lock:
-            # one atomic pair: a reader never sees ratios from one
-            # capture next to the scalar peak of another
-            self.last_overdrive_ratios = ratios
-            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
+        self._record_overdrive(overdrive_ratios(coeffs, plan.peak))
+        return self._dut_rows(plan, coeffs, _wideband_terms(coeffs))
 
-        if cfg.dut_coupling == "tuned":
+    def _dut_rows(
+        self, plan: CapturePlan, coeffs: np.ndarray, terms: Tuple[bool, bool]
+    ) -> EnvelopeSignal:
+        """DUT outputs of the devices whose envelope polynomials are ``coeffs``.
+
+        ``terms`` says whether the lot has any nonzero ``a2`` / ``a3``
+        (wideband coupling only): decided once per lot, so every row
+        block carries the same harmonics.
+        """
+        if self.config.dut_coupling == "tuned":
             # Narrowband DUT: only the carrier band reaches the
             # nonlinearity, so the describing function of the *saturating*
             # transfer is exact -- physical gain compression at any drive,
             # without the raw cubic's fold-back.  One (batch, 256) gain
             # table on the plan's shared grid interpolates the shared
             # |u1| record; the whole batch then multiplies u1 at once.
-            gain = describing_gain_batch(coeffs, plan.amps, plan.peak)
+            gain = plan.gains(coeffs)
             return EnvelopeSignal(
                 {1: gain * plan.u1},
                 plan.dut_in.sample_rate,
@@ -574,40 +663,45 @@ class SignatureTestBoard:
         # penalty keeps stimuli inside that range.  The drive powers
         # come precomputed from the plan; per-device coefficients enter
         # as (batch, 1) columns.
-        a1_col = coeffs[:, 0:1]
-        a2s = coeffs[:, 1]
-        a3s = coeffs[:, 2]
-        out = plan.dut_in.scale(a1_col)
-        if np.any(a2s != 0.0):
-            out = out + plan.dut_in_sq.scale(a2s[:, None])
-        if np.any(a3s != 0.0):
-            out = out + plan.dut_in_cube.scale(a3s[:, None])
+        out = plan.dut_in.scale(coeffs[:, 0:1])
+        if terms[0]:
+            out = out + plan.dut_in_sq.scale(coeffs[:, 1][:, None])
+        if terms[1]:
+            out = out + plan.dut_in_cube.scale(coeffs[:, 2][:, None])
         return out
 
-    def _resolve_rngs(
-        self,
-        rng: Optional[np.random.Generator],
-        rngs: Optional[RngList],
-        n_devices: int,
-    ) -> List[Optional[np.random.Generator]]:
-        """Per-device generators: explicit list, spawned from ``rng``, or None."""
-        return resolve_rng_streams(rng, rngs, n_devices)
+    def _random_lo2(self, gens: RngList, n: int) -> EnvelopeSignal:
+        """Second LO at one random path phase per row, drawn from ``gens``."""
+        cfg = self.config
+        if any(g is None for g in gens):
+            raise ValueError("random_path_phase requires an rng")
+        phases = np.array(
+            [cfg.path_phase_rad + g.uniform(0.0, 2.0 * np.pi) for g in gens]
+        )
+        return EnvelopeSignal.sine_carrier(
+            n,
+            cfg.engine_rate,
+            cfg.carrier_freq,
+            amplitude=cfg.carrier_amplitude,
+            phase=phases[:, None],
+            offset_hz=cfg.lo_offset_hz,
+        )
 
     def _reference_front_matrix(
         self,
         devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         gens: RngList,
     ) -> np.ndarray:
         """Filtered baseband for a batch, stopping short of the digitizer.
 
         The uncompiled analog front half of :meth:`_reference_signature_batch`:
         plan, DUT response, fixture output loss, device noise, mixer-2
-        downconversion through :func:`mix_envelope` and the anti-alias LPF.
+        downconversion through :func:`mix_envelope` and the anti-alias
+        LPF, each over the whole batch at once.
         """
         cfg = self.config
         plan = self.capture_plan(stimulus)
-        n = plan.n
         dut_out = self._dut_response_batch(plan, devices)
         dut_out = self._envelope_bandwidth_batch(dut_out, devices)
 
@@ -618,19 +712,7 @@ class SignatureTestBoard:
             dut_out = self._add_device_noise_batch(dut_out, devices, gens)
 
         if cfg.random_path_phase:
-            if any(g is None for g in gens):
-                raise ValueError("random_path_phase requires an rng")
-            phases = np.array(
-                [cfg.path_phase_rad + g.uniform(0.0, 2.0 * np.pi) for g in gens]
-            )
-            lo2 = EnvelopeSignal.sine_carrier(
-                n,
-                cfg.engine_rate,
-                cfg.carrier_freq,
-                amplitude=cfg.carrier_amplitude,
-                phase=phases[:, None],
-                offset_hz=cfg.lo_offset_hz,
-            )
+            lo2 = self._random_lo2(gens, plan.n)
         else:
             lo2 = plan.lo2
         downconverted = mix_envelope(cfg.mixer2, dut_out, lo2, cfg.max_harmonic)
@@ -652,7 +734,7 @@ class SignatureTestBoard:
     def filtered_baseband_matrix(
         self,
         devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
@@ -666,19 +748,18 @@ class SignatureTestBoard:
         :class:`~repro.loadboard.sites.MultiSiteBoard` inject site-to-site
         crosstalk between the per-site front ends and the shared
         digitizer while every stage stays bit-identical to this board's
-        own :meth:`signature_batch`.
+        own :meth:`signature_batch`.  The rows run in blocks up to the
+        LPF and come back as one matrix, so crosstalk sees whole
+        insertions.
         """
         devices = list(devices)
-        gens = self._resolve_rngs(rng, rngs, len(devices))
-        filtered, program = self._compiled_front_matrix(devices, stimulus, gens)
-        with self._state_lock:
-            self.last_stage_seconds = dict(program.last_stage_seconds)
-        return filtered, gens
+        gens = resolve_rng_streams(rng, rngs, len(devices))
+        return self._capture(devices, stimulus, gens, "filter"), gens
 
     def _reference_signature_batch(
         self,
         devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
         log_scale: bool = False,
@@ -688,13 +769,13 @@ class SignatureTestBoard:
         """The test oracle for :meth:`signature_batch`: uncompiled algebra.
 
         Same arguments and, bit for bit, the same result as
-        :meth:`signature_batch`, with the mixer-2 downconversion run
-        through the generic envelope algebra instead of the compiled
-        program.  Only tests, :mod:`repro.verify` and the capture
-        benchmarks call it.
+        :meth:`signature_batch`, with the whole batch run through every
+        stage at once and the mixer-2 downconversion run through the
+        generic envelope algebra instead of the compiled program.  Only
+        tests, :mod:`repro.verify` and the capture benchmarks call it.
         """
         devices = list(devices)
-        gens = self._resolve_rngs(rng, rngs, len(devices))
+        gens = resolve_rng_streams(rng, rngs, len(devices))
         filtered = self._reference_front_matrix(devices, stimulus, gens)
         return fft_magnitude_signature_matrix(
             self.digitize_matrix(filtered, gens),
@@ -724,8 +805,25 @@ class SignatureTestBoard:
         envs[1] = filtered_env
         return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
 
+    def _add_device_noise_batch(
+        self,
+        dut_out: EnvelopeSignal,
+        devices: Sequence[RFDevice],
+        gens: RngList,
+    ) -> EnvelopeSignal:
+        """Inject each DUT's added thermal noise on the carrier band.
+
+        :func:`add_device_noise` on harmonic 1; the other harmonics
+        carry through untouched.
+        """
+        envs = dict(dut_out.envelopes)
+        envs[1] = add_device_noise(
+            dut_out.harmonic(1), devices, gens, self.config.engine_rate
+        )
+        return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
+
     # ------------------------------------------------------------------
-    # the compiled whole-lot program
+    # the compiled, row-blocked back half
     # ------------------------------------------------------------------
     def _compiled_program(
         self, plan: CapturePlan, rf_keys: tuple
@@ -756,91 +854,134 @@ class SignatureTestBoard:
                 self._enforce_plan_cache_bytes()
         return program
 
-    def _compiled_front_matrix(
+    def _dut_block(
         self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        gens: RngList,
-    ) -> Tuple[np.ndarray, CompiledCaptureProgram]:
-        """Compiled analog front half: ``(filtered, program)``.
+        plans: Sequence[CapturePlan],
+        coeffs: np.ndarray,
+        terms: Tuple[bool, bool],
+        start: int,
+        stop: int,
+    ) -> EnvelopeSignal:
+        """DUT outputs of rows ``start:stop`` of the ``(plan, device)`` grid."""
+        n_dev = len(coeffs)
+        if stop == start:
+            return self._dut_rows(plans[0], coeffs[:0], terms)
+        pieces = []
+        for s in range(start // n_dev, (stop - 1) // n_dev + 1):
+            lo = max(start, s * n_dev) - s * n_dev
+            hi = min(stop, (s + 1) * n_dev) - s * n_dev
+            pieces.append(self._dut_rows(plans[s], coeffs[lo:hi], terms))
+        if len(pieces) == 1:
+            return pieces[0]
+        first = pieces[0]
+        return EnvelopeSignal(
+            {
+                h: np.concatenate([p.envelopes[h] for p in pieces])
+                for h in first.envelopes
+            },
+            first.sample_rate,
+            first.carrier_freq,
+        )
 
-        Identical pipeline to :meth:`_reference_front_matrix` except the
-        mixer-2 downconversion runs as the compiled op tape, bit-identical
-        to the envelope algebra.  Per-stage wall times accumulate on the
-        returned program; the caller publishes them to
-        :attr:`last_stage_seconds`.
+    def _capture_rows(
+        self,
+        plans: Sequence[CapturePlan],
+        devices: Sequence[RFDevice],
+        gens: RngList,
+        stop: str,
+        stages: Dict[str, float],
+        n_bins: Optional[int] = None,
+        log_scale: bool = False,
+    ) -> np.ndarray:
+        """The device-dependent back half over every ``(plan, device)`` row.
+
+        Row ``s * N + i`` pairs ``plans[s]`` with ``devices[i]`` (and its
+        generator ``gens[i]``).  Rows run in blocks of :func:`block_rows`
+        through the DUT response, envelope bandwidth, output loss,
+        device noise, path phase, compiled mixer-2 tape, LPF and -- up
+        to ``stop`` (``"filter"``, ``"digitize"`` or ``"fft"``) -- the
+        digitizer and FFT magnitude, each block written into one
+        preallocated result.  Every stage is elementwise along rows and
+        each row draws from its own generator in the one-device order
+        (device noise, path phase, digitizer noise), so the result
+        equals the whole-batch reference bit for bit.  Per-stage wall
+        times accumulate into ``stages`` and are published as
+        :attr:`last_stage_seconds`; the overdrive bookkeeping records
+        the last plan's ratios, as a loop over the plans would.
         """
         cfg = self.config
-        t_start = time.perf_counter()
-        plan = self.capture_plan(stimulus)
-        t_plan = time.perf_counter() - t_start
-        n = plan.n
+        n_dev = len(devices)
+        n_rows = len(plans) * n_dev
+        coeffs = envelope_coefficients(devices)
+        self._record_overdrive(overdrive_ratios(coeffs, plans[-1].peak))
+        terms = _wideband_terms(coeffs)
+        noisy = cfg.include_device_noise and any(g is not None for g in gens)
+        if cfg.random_path_phase and any(g is None for g in gens):
+            raise ValueError("random_path_phase requires an rng")
+        n = plans[0].n
+        program: Optional[CompiledCaptureProgram] = None
+        out: Optional[np.ndarray] = None
+        clock = time.perf_counter
 
-        t_start = time.perf_counter()
-        dut_out = self._dut_response_batch(plan, devices)
-        dut_out = self._envelope_bandwidth_batch(dut_out, devices)
-        if cfg.output_loss_db > 0.0:
-            dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
-        t_nonlin = time.perf_counter() - t_start
+        def lap(name: str, since: float) -> float:
+            now = clock()
+            stages[name] = stages.get(name, 0.0) + (now - since)
+            return now
 
-        t_start = time.perf_counter()
-        if cfg.include_device_noise and any(g is not None for g in gens):
-            dut_out = self._add_device_noise_batch(dut_out, devices, gens)
-        t_noise = time.perf_counter() - t_start
-
-        rf_keys = tuple(dut_out.envelopes.keys())
-        program = self._compiled_program(plan, rf_keys)
-        program.begin_capture()
-        program.last_stage_seconds["plan"] = t_plan
-        program.last_stage_seconds["nonlinearity"] = t_nonlin
-        program.last_stage_seconds["noise"] = t_noise
-
-        with program.stage("mix"):
-            rf_arrays = {
-                h: np.asarray(env) for h, env in dut_out.envelopes.items()
-            }
+        for start, end in _row_blocks(len(plans), n_dev, block_rows(n)):
+            t = clock()
+            row_devices = [devices[r % n_dev] for r in range(start, end)]
+            row_gens = [gens[r % n_dev] for r in range(start, end)]
+            dut_out = self._dut_block(plans, coeffs, terms, start, end)
+            dut_out = self._envelope_bandwidth_batch(dut_out, row_devices)
+            if cfg.output_loss_db > 0.0:
+                dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
+            t = lap("nonlinearity", t)
+            if noisy:
+                dut_out = self._add_device_noise_batch(dut_out, row_devices, row_gens)
+            t = lap("noise", t)
+            rf_arrays = {h: np.asarray(env) for h, env in dut_out.envelopes.items()}
+            if program is None:
+                program = self._compiled_program(plans[0], tuple(rf_arrays))
+                t = clock()  # compiling is not a capture stage
+            lo = None
             if cfg.random_path_phase:
-                if any(g is None for g in gens):
-                    raise ValueError("random_path_phase requires an rng")
-                phases = np.array(
-                    [cfg.path_phase_rad + g.uniform(0.0, 2.0 * np.pi) for g in gens]
-                )
-                lo2 = EnvelopeSignal.sine_carrier(
-                    n,
-                    cfg.engine_rate,
-                    cfg.carrier_freq,
-                    amplitude=cfg.carrier_amplitude,
-                    phase=phases[:, None],
-                    offset_hz=cfg.lo_offset_hz,
-                )
-                baseband = program.execute(
-                    rf_arrays, {1: np.asarray(lo2.envelopes[1])}
-                )
-            else:
-                baseband = program.execute(rf_arrays)
-        with program.stage("filter"):
-            filtered = self._lpf.apply_fft_matrix(baseband)
-        return filtered, program
-
-    def _capture_compiled_matrix(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator],
-        rngs: Optional[RngList],
-    ) -> np.ndarray:
-        """Digitized records via the compiled whole-lot program.
-
-        The compiled front half plus the shared digitize stage; per-stage
-        wall times land in :attr:`last_stage_seconds`.
-        """
-        gens = self._resolve_rngs(rng, rngs, len(devices))
-        filtered, program = self._compiled_front_matrix(devices, stimulus, gens)
-        with program.stage("digitize"):
-            mat = self.digitize_matrix(filtered, gens)
+                lo = {1: np.asarray(self._random_lo2(row_gens, n).envelopes[1])}
+            block = program.execute(rf_arrays, lo)
+            t = lap("mix", t)
+            block = self._lpf.apply_fft_matrix(block)
+            t = lap("filter", t)
+            if stop != "filter":
+                block = self.digitize_matrix(block, row_gens)
+                t = lap("digitize", t)
+                if stop == "fft":
+                    block = fft_magnitude_signature_matrix(
+                        block, n_bins=n_bins, log_scale=log_scale
+                    )
+                    lap("fft", t)
+            if out is None:
+                out = np.empty((n_rows,) + block.shape[1:])
+            out[start:end] = block
         with self._state_lock:
-            self.last_stage_seconds = dict(program.last_stage_seconds)
-        return mat
+            self.last_stage_seconds = stages
+        return out
+
+    def _capture(
+        self,
+        devices: List[RFDevice],
+        stimulus: Stimulus,
+        gens: RngList,
+        stop: str,
+        n_bins: Optional[int] = None,
+        log_scale: bool = False,
+    ) -> np.ndarray:
+        """One stimulus through the cached plan and the row-blocked back half."""
+        start = time.perf_counter()
+        plan = self.capture_plan(stimulus)
+        stages = {"plan": time.perf_counter() - start}
+        return self._capture_rows(
+            [plan], devices, gens, stop, stages, n_bins, log_scale
+        )
 
     def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
         """The last capture's (peak ratio, per-device ratios), atomically.
@@ -851,30 +992,13 @@ class SignatureTestBoard:
         with self._state_lock:
             return self.last_overdrive_ratio, self.last_overdrive_ratios
 
-    def _add_device_noise_batch(
-        self,
-        dut_out: EnvelopeSignal,
-        devices: Sequence[RFDevice],
-        gens: RngList,
-    ) -> EnvelopeSignal:
-        """Inject each DUT's added thermal noise on the carrier band.
-
-        :func:`add_device_noise` on harmonic 1; the other harmonics
-        carry through untouched.
-        """
-        envs = dict(dut_out.envelopes)
-        envs[1] = add_device_noise(
-            dut_out.harmonic(1), devices, gens, self.config.engine_rate
-        )
-        return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
-
     # ------------------------------------------------------------------
     # the full path
     # ------------------------------------------------------------------
     def capture(
         self,
         device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
     ) -> Waveform:
         """One signature acquisition: the digitized baseband response.
@@ -887,7 +1011,7 @@ class SignatureTestBoard:
     def capture_batch(
         self,
         devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
@@ -917,7 +1041,8 @@ class SignatureTestBoard:
         devices = list(devices)
         if not devices:
             return []
-        mat = self._capture_compiled_matrix(devices, stimulus, rng, rngs)
+        gens = resolve_rng_streams(rng, rngs, len(devices))
+        mat = self._capture(devices, stimulus, gens, "digitize")
         return [
             Waveform(row, self._digitizer.sample_rate, 0.0) for row in mat
         ]
@@ -928,7 +1053,7 @@ class SignatureTestBoard:
     def signature(
         self,
         device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
         log_scale: bool = False,
@@ -942,7 +1067,7 @@ class SignatureTestBoard:
     def signature_batch(
         self,
         devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
         log_scale: bool = False,
@@ -959,19 +1084,42 @@ class SignatureTestBoard:
         downstream matrix code never sees a degenerate ``(0, 0)``.
         """
         devices = list(devices)
-        mat = self._capture_compiled_matrix(devices, stimulus, rng, rngs)
-        t_start = time.perf_counter()
-        sig = fft_magnitude_signature_matrix(
-            mat, n_bins=n_bins, log_scale=log_scale
+        gens = resolve_rng_streams(rng, rngs, len(devices))
+        return self._capture(devices, stimulus, gens, "fft", n_bins, log_scale)
+
+    def signature_grid(
+        self,
+        devices: Sequence[RFDevice],
+        stimuli: Sequence[Stimulus],
+        n_bins: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Noise-free signatures of every device under every stimulus.
+
+        Returns ``(grid, peaks)``.  ``grid`` has shape ``(S, N, m)``:
+        slice ``s`` equals ``signature_batch(devices, stimuli[s],
+        rng=None, n_bins=n_bins)`` bit for bit.  ``peaks[s]`` equals
+        ``peak_drive(stimuli[s])``, the numerator of every overdrive
+        ratio a capture under that stimulus records.  The plans come
+        from one :meth:`capture_plans` batch and all ``S * N`` rows share
+        one row-blocked back half -- one capture per GA generation
+        instead of one per gene.
+        """
+        devices = list(devices)
+        if not len(stimuli):
+            raise ValueError("signature_grid needs at least one stimulus")
+        start = time.perf_counter()
+        plans = self.capture_plans(stimuli)
+        stages = {"plan": time.perf_counter() - start}
+        sigs = self._capture_rows(
+            plans, devices, [None] * len(devices), "fft", stages, n_bins
         )
-        with self._state_lock:
-            self.last_stage_seconds["fft"] = time.perf_counter() - t_start
-        return sig
+        grid = sigs.reshape(len(plans), len(devices), sigs.shape[-1])
+        return grid, np.array([plan.peak for plan in plans])
 
     def time_signature(
         self,
         device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
+        stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Raw time-domain signature (phase-sensitive; Figure 2 style).

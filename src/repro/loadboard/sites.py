@@ -54,6 +54,7 @@ from repro.circuits.device import RFDevice
 from repro.dsp.spectral import fft_magnitude_signature_matrix
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import (
+    PerStimulusGrid,
     RngList,
     SignaturePathConfig,
     SignatureTestBoard,
@@ -115,7 +116,7 @@ class MultiSiteConfig:
         return self.crosstalk_coupling != 0.0
 
 
-class MultiSiteBoard:
+class MultiSiteBoard(PerStimulusGrid):
     """An ``n_sites``-up signature load board captured per insertion.
 
     One :class:`~repro.loadboard.signature_path.SignatureTestBoard` is

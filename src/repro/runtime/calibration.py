@@ -32,7 +32,7 @@ from repro.regression.polynomial import PolynomialRidge
 from repro.regression.scaling import StandardScaler
 from repro.runtime.executor import (
     Executor,
-    default_chunksize,
+    _chunk_bounds,
     get_executor,
     spawn_seeds,
 )
@@ -50,28 +50,6 @@ def _capture_batch_task(board, stimulus, n_bins, task) -> np.ndarray:
     devices, seeds = task
     rngs = [np.random.default_rng(seed) for seed in seeds]
     return board.signature_batch(devices, stimulus, rngs=rngs, n_bins=n_bins)
-
-
-def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
-    """``(start, stop)`` bounds for dispatching ``n`` devices in batches.
-
-    Serial backends get the whole lot as one batch (maximum
-    vectorization); pooled backends split it so every worker stays busy.
-    Per-device RNG seeding makes the results independent of the split.
-
-    ``align`` rounds the chunk size up to a multiple (multi-site boards
-    publish ``chunk_alignment = n_sites``): crosstalk couples positional
-    insertion groups, so a boundary mid-insertion would change which
-    devices share an insertion and break chunking-invariance.
-    """
-    workers = getattr(executor, "workers", 1)
-    if chunksize is None:
-        chunksize = n if workers <= 1 else default_chunksize(n, workers)
-    chunksize = max(1, chunksize)
-    align = max(1, int(align))
-    if align > 1:
-        chunksize = ((chunksize + align - 1) // align) * align
-    return [(i, min(i + chunksize, n)) for i in range(0, n, chunksize)]
 
 
 def measure_signatures(

@@ -74,6 +74,32 @@ def default_chunksize(n_items: int, n_workers: int) -> int:
     return max(1, n_items // (4 * n_workers) or 1)
 
 
+def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
+    """``(start, stop)`` bounds for dispatching ``n`` items in batches.
+
+    Serial backends get the whole lot as one batch (maximum
+    vectorization); pooled backends split it so every worker stays busy.
+    The rule behind every batched call site: device lots
+    (``measure_signatures``, the production flow, the streaming
+    service) and GA generations.  Per-device RNG seeding (and
+    row-independent fitnesses) make the results independent of the
+    split.
+
+    ``align`` rounds the chunk size up to a multiple (multi-site boards
+    publish ``chunk_alignment = n_sites``): crosstalk couples positional
+    insertion groups, so a boundary mid-insertion would change which
+    devices share an insertion and break chunking-invariance.
+    """
+    workers = getattr(executor, "workers", 1)
+    if chunksize is None:
+        chunksize = n if workers <= 1 else default_chunksize(n, workers)
+    chunksize = max(1, chunksize)
+    align = max(1, int(align))
+    if align > 1:
+        chunksize = ((chunksize + align - 1) // align) * align
+    return [(i, min(i + chunksize, n)) for i in range(0, n, chunksize)]
+
+
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
@@ -217,7 +243,12 @@ class _PoolExecutor(Executor):
         """Shut the worker pool down (idempotent); serial use still works."""
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # never cancel_futures: a cancelling process pool swaps its
+            # pending-work table, and a queued task that then fails to
+            # pickle is dropped from the old table only, so the pool's
+            # manager thread waits for it forever and hangs interpreter
+            # exit.  Queued tasks of a failed batch run out instead.
+            pool.shutdown(wait=False)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:

@@ -21,8 +21,13 @@ import numpy as np
 from repro.circuits.device import RFDevice, SpecSet
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import SignatureTestBoard
-from repro.runtime.calibration import CalibrationModel, _chunk_bounds
-from repro.runtime.executor import Executor, get_executor, spawn_seeds
+from repro.runtime.calibration import CalibrationModel
+from repro.runtime.executor import (
+    Executor,
+    _chunk_bounds,
+    get_executor,
+    spawn_seeds,
+)
 from repro.runtime.specs import SpecificationLimits
 
 __all__ = ["DeviceTestRecord", "ProductionRunResult", "ProductionTestFlow"]

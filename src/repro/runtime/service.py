@@ -39,10 +39,10 @@ import time
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence, Union
 
-from repro.runtime.calibration import _chunk_bounds
 from repro.runtime.executor import (
     Executor,
     SeedLike,
+    _chunk_bounds,
     get_executor,
 )
 from repro.runtime.metrics import LatencyTracker, MetricsSnapshot, ThroughputMeter

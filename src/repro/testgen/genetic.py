@@ -9,7 +9,8 @@ values of the objective function."
 Implemented from scratch (following Goldberg's classic scheme adapted to
 real-valued genes): tournament selection, BLX-alpha blend crossover,
 gaussian mutation scaled to the gene bounds, and elitism.  Minimizes the
-supplied fitness function.
+supplied batch fitness function, called once per generation (once per
+chunk on a pooled executor).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.executor import Executor, SerialExecutor
+from repro.runtime.executor import Executor, SerialExecutor, _chunk_bounds
 
 __all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
 
@@ -64,7 +65,8 @@ class GAResult:
 
     best_gene: np.ndarray
     best_fitness: float
-    #: per-generation (best, mean) fitness, generation 0 = initial pop
+    #: per-generation (best, mean) fitness, generation 0 = initial pop;
+    #: best ranks non-finite values as ``+inf``, mean skips them
     history: List[Tuple[float, float]] = field(default_factory=list)
     evaluations: int = 0
 
@@ -76,14 +78,29 @@ class GAResult:
         return self.history[0][0] - self.history[-1][0]
 
 
+def _ranked(fitnesses: np.ndarray) -> np.ndarray:
+    """Fitnesses as the GA ranks them: non-finite values count as ``+inf``.
+
+    A NaN would otherwise win every ``argmin``; a generation with no
+    finite fitness at all has nothing to rank and raises ``ValueError``.
+    """
+    finite = np.isfinite(fitnesses)
+    if not finite.any():
+        raise ValueError("every fitness of the generation is non-finite")
+    return np.where(finite, fitnesses, np.inf)
+
+
 class GeneticAlgorithm:
-    """Bounded real-parameter GA minimizing ``fitness(gene)``.
+    """Bounded real-parameter GA minimizing a batch fitness.
 
     Parameters
     ----------
     fitness:
-        Callable mapping a gene vector to a scalar to minimize.  Must be
-        deterministic for reproducible runs.
+        Batch fitness: maps a ``(k, n_genes)`` array of genes to ``k``
+        values to minimize, row for row.  Must be deterministic and
+        row-independent (a gene's value may not depend on the other
+        rows of its batch) for reproducible runs.  Non-finite values
+        rank last.
     lower, upper:
         Per-gene bounds.
     config:
@@ -92,15 +109,18 @@ class GeneticAlgorithm:
         Random generator controlling all stochastic choices.
     executor:
         Batch backend evaluating each generation's fitnesses
-        (:class:`repro.parallel.ProcessExecutor` et al.); ``None`` keeps
-        the classic serial loop.  Because ``fitness`` is required to be
-        deterministic and results are order-preserving, every backend
-        yields the same :class:`GAResult` bit for bit.
+        (:class:`repro.parallel.ProcessExecutor` et al.); ``None`` is
+        serial.  A serial backend gets the whole population as one
+        batch, a pooled one chunks of it (the lots' chunk rule,
+        :func:`repro.runtime.executor._chunk_bounds`).  Because
+        ``fitness`` is required to be deterministic and row-independent
+        and results are order-preserving, every backend yields the same
+        :class:`GAResult` bit for bit.
     """
 
     def __init__(
         self,
-        fitness: Callable[[np.ndarray], float],
+        fitness: Callable[[np.ndarray], np.ndarray],
         lower: Sequence[float],
         upper: Sequence[float],
         config: GAConfig = GAConfig(),
@@ -170,18 +190,29 @@ class GeneticAlgorithm:
             population[i] = self._random_gene()
 
         evaluations = 0
+        history: List[Tuple[float, float]] = []
 
         def evaluate(pop: np.ndarray) -> np.ndarray:
+            """Ranked fitnesses of ``pop``; appends the generation's history."""
             nonlocal evaluations
             evaluations += len(pop)
-            values = self.executor.map_tasks(self.fitness, list(pop))
-            return np.array([float(v) for v in values])
+            chunks = [
+                pop[a:b] for a, b in _chunk_bounds(len(pop), self.executor, None)
+            ]
+            values = self.executor.map_tasks(self.fitness, chunks, chunksize=1)
+            fitnesses = np.concatenate(
+                [np.asarray(v, dtype=float).reshape(-1) for v in values]
+            )
+            if fitnesses.shape != (len(pop),):
+                raise ValueError("fitness must return one value per gene")
+            ranked = _ranked(fitnesses)
+            # best ranked value and the mean over the finite fitnesses
+            history.append(
+                (float(ranked.min()), float(fitnesses[np.isfinite(fitnesses)].mean()))
+            )
+            return ranked
 
         fitnesses = evaluate(population)
-        history: List[Tuple[float, float]] = [
-            (float(fitnesses.min()), float(fitnesses.mean()))
-        ]
-
         for _ in range(cfg.generations):
             order = np.argsort(fitnesses)
             next_pop = [population[i].copy() for i in order[: cfg.elite_count]]
@@ -195,7 +226,6 @@ class GeneticAlgorithm:
                 next_pop.append(self._mutate(child))
             population = np.vstack(next_pop)
             fitnesses = evaluate(population)
-            history.append((float(fitnesses.min()), float(fitnesses.mean())))
 
         best = int(np.argmin(fitnesses))
         return GAResult(

@@ -7,7 +7,9 @@ together:
 2. For each candidate gene, the PWL stimulus is decoded, the signature
    sensitivity ``A_s`` is estimated by noise-free finite differences
    through the load-board simulation, and the objective
-   ``F = mean(sigma_p,i^2 + sigma_m^2 ||a_i||^2)`` is evaluated.
+   ``F = mean(sigma_p,i^2 + sigma_m^2 ||a_i||^2)`` is evaluated -- for
+   a whole GA generation at once, its finite-difference stars captured
+   together (:meth:`SignatureStimulusOptimizer.objective_batch`).
 3. A genetic algorithm evolves the breakpoints for a handful of
    generations (five in the paper).
 """
@@ -15,14 +17,19 @@ together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.device import RFDevice
+from repro.circuits.nonlinear import saturation_amplitudes
 from repro.circuits.parameters import ParameterSpace
 from repro.dsp.waveform import PiecewiseLinearStimulus
-from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
+from repro.loadboard.signature_path import (
+    SignaturePathConfig,
+    SignatureTestBoard,
+    envelope_coefficients,
+)
 from repro.runtime.executor import Executor
 from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
 from repro.testgen.mapping import LinearSignatureMap
@@ -37,6 +44,19 @@ from repro.testgen.sensitivity import (
 __all__ = ["OptimizationResult", "SignatureStimulusOptimizer"]
 
 DeviceFactory = Callable[[Dict[str, float]], RFDevice]
+
+
+def _first_minimum(values: np.ndarray) -> int:
+    """Index a running strict-minimum scan over ``values`` ends on.
+
+    The loop ``best = 0; if values[i] < values[best]: best = i``: the
+    first occurrence of the smallest non-NaN value, NaNs never picked
+    -- unless ``values[0]`` is NaN, which no comparison can displace.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(values), np.inf, values)))
 
 
 @dataclass
@@ -100,7 +120,7 @@ class SignatureStimulusOptimizer:
         Prebuilt capture front end to optimize against instead of a
         fresh ``SignatureTestBoard(board_config)`` -- any object with
         the board surface (``signature`` / ``signature_batch`` /
-        ``overdrive_snapshot`` / ``peak_drive``), e.g. a
+        ``signature_grid`` / ``overdrive_snapshot`` / ``peak_drive``), e.g. a
         :class:`~repro.loadboard.sites.MultiSiteBoard` or a
         :class:`~repro.loadboard.scenario_paths.BistSignaturePath`.
         ``board_config`` then only supplies the capture geometry for
@@ -153,6 +173,14 @@ class SignatureStimulusOptimizer:
         self._weakest_saturation = np.inf
         self._star_devices: Optional[List[RFDevice]] = None
 
+    def __getstate__(self):
+        # process workers receive the optimizer with every GA chunk; they
+        # never dispatch work themselves, and a live pool (its locks and
+        # processes) cannot be pickled
+        state = self.__dict__.copy()
+        state["executor"] = None
+        return state
+
     # ------------------------------------------------------------------
     # pieces
     # ------------------------------------------------------------------
@@ -185,21 +213,33 @@ class SignatureStimulusOptimizer:
             ]
         return self._star_devices
 
-    def signature_matrix(self, stimulus: PiecewiseLinearStimulus) -> np.ndarray:
-        """``A_s`` in process-sigma units for a candidate stimulus.
+    def _signature_matrices(
+        self, stimuli: Sequence[PiecewiseLinearStimulus]
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """``A_s`` in process-sigma units and the peak drive per stimulus.
 
         Central differences: the signature path is mildly nonlinear over
         the process range (compression, FFT magnitudes), and forward
         differences leak enough curvature into ``A_s`` to contaminate its
-        singular directions.  The whole difference star runs as one
-        noise-free batched capture -- this is the GA fitness loop's hot
-        path.
+        singular directions.  The difference stars of all the stimuli run
+        as one noise-free capture (``board.signature_grid``), which also
+        returns each stimulus's peak drive -- this is the GA fitness's
+        hot path.
         """
-        signatures = self.board.signature_batch(
-            self._fd_star(), stimulus, rng=None, n_bins=self.signature_bins
+        grid, peaks = self.board.signature_grid(
+            self._fd_star(), stimuli, n_bins=self.signature_bins
         )
-        a_s, _ = star_jacobian(signatures, self.space, self.rel_step, central=True)
-        return a_s * self.space.fractional_std_vector()[None, :]
+        scale = self.space.fractional_std_vector()[None, :]
+        matrices = [
+            star_jacobian(signatures, self.space, self.rel_step, central=True)[0]
+            * scale
+            for signatures in grid
+        ]
+        return matrices, np.asarray(peaks, dtype=float)
+
+    def signature_matrix(self, stimulus: PiecewiseLinearStimulus) -> np.ndarray:
+        """``A_s`` in process-sigma units for one candidate stimulus."""
+        return self._signature_matrices([stimulus])[0][0]
 
     def _find_weakest_device(self) -> RFDevice:
         """The corner device with the smallest saturation amplitude.
@@ -213,8 +253,6 @@ class SignatureStimulusOptimizer:
         saturates; the nominal device is returned then).
         """
         if self._weakest_device is None:
-            from repro.circuits.nonlinear import PolynomialNonlinearity
-
             candidates = [self.space.nominal_vector()]
             for name in self.space.names():
                 p = self.space[name]
@@ -224,49 +262,62 @@ class SignatureStimulusOptimizer:
                     candidates.append(vec)
             scan_rng = np.random.default_rng(987654321)
             candidates.extend(self.space.sample(scan_rng, 128))
-            best = None
-            best_sat = np.inf
-            for vec in candidates:
-                device = self.device_factory(self.space.to_dict(vec))
-                sat = PolynomialNonlinearity(
-                    *device.envelope_poly()
-                ).saturation_amplitude
-                if best is None or sat < best_sat:
-                    best_sat = sat
-                    best = device
-            self._weakest_saturation = best_sat
-            self._weakest_device = best
+            devices = [
+                self.device_factory(self.space.to_dict(vec)) for vec in candidates
+            ]
+            sat = saturation_amplitudes(envelope_coefficients(devices))
+            best = _first_minimum(sat)
+            self._weakest_saturation = sat[best]
+            self._weakest_device = devices[best]
         return self._weakest_device
+
+    def _overdrive_ratios(self, peaks: np.ndarray) -> np.ndarray:
+        """:meth:`overdrive_ratio` for each stimulus peak drive in ``peaks``."""
+        self._find_weakest_device()
+        if not np.isfinite(self._weakest_saturation):
+            return np.zeros(len(peaks))
+        return peaks / self._weakest_saturation
 
     def overdrive_ratio(self, stimulus: PiecewiseLinearStimulus) -> float:
         """Peak drive / saturation amplitude for the weakest corner device.
 
         The ratio a capture of that device would record
-        (``board.overdrive_snapshot()[0]``), from the board's
-        ``peak_drive`` without capturing; 0.0 when the saturation
-        amplitude is not finite, as in the capture's bookkeeping.
+        (``board.overdrive_snapshot()[0]``), from the board's peak drive
+        without capturing; 0.0 when the saturation amplitude is not
+        finite, as in the capture's bookkeeping.
         """
-        self._find_weakest_device()
-        if not np.isfinite(self._weakest_saturation):
-            return 0.0
-        return float(self.board.peak_drive(stimulus) / self._weakest_saturation)
+        peak = np.array([self.board.peak_drive(stimulus)], dtype=float)
+        return float(self._overdrive_ratios(peak)[0])
+
+    def objective_batch(self, genes: np.ndarray) -> np.ndarray:
+        """GA fitness of a ``(k, n_genes)`` batch: Equation 10 per gene.
+
+        Each value is the mean error variance of its gene's stimulus
+        plus a quadratic penalty that keeps the drive level below
+        ``overdrive_margin`` of the weakest device's saturation
+        amplitude, where the cubic DUT model stops being physical.  All
+        ``k`` stimuli share one ``board.signature_grid`` capture, which
+        also returns their peak drives; value ``j`` equals
+        :meth:`objective` of ``genes[j]`` bit for bit.
+        """
+        stimuli = [self.encoding.decode(gene) for gene in genes]
+        matrices, peaks = self._signature_matrices(stimuli)
+        ratios = self._overdrive_ratios(peaks)
+        a_p = self.performance_matrix()
+        values = np.empty(len(stimuli))
+        for j, a_s in enumerate(matrices):
+            penalty = 0.0
+            excess = float(ratios[j]) - self.overdrive_margin
+            if excess > 0.0:
+                penalty = self.overdrive_weight * excess**2
+            values[j] = penalty + signature_test_objective(
+                a_p, a_s, self.sigma_m, self.spec_scales
+            )
+        return values
 
     def objective(self, gene: np.ndarray) -> float:
-        """GA fitness: Equation 10's mean error variance for this gene.
-
-        A quadratic penalty keeps the drive level below
-        ``overdrive_margin`` of the weakest device's saturation
-        amplitude, where the cubic DUT model stops being physical.
-        """
-        stimulus = self.encoding.decode(gene)
-        penalty = 0.0
-        excess = self.overdrive_ratio(stimulus) - self.overdrive_margin
-        if excess > 0.0:
-            penalty = self.overdrive_weight * excess**2
-        a_s = self.signature_matrix(stimulus)
-        return penalty + signature_test_objective(
-            self.performance_matrix(), a_s, self.sigma_m, self.spec_scales
-        )
+        """GA fitness of one gene (:meth:`objective_batch` of one)."""
+        return float(self.objective_batch(np.asarray(gene, dtype=float)[None, :])[0])
 
     # ------------------------------------------------------------------
     # the run
@@ -280,7 +331,7 @@ class SignatureStimulusOptimizer:
         self._find_weakest_device()
         self._fd_star()
         ga = GeneticAlgorithm(
-            self.objective, lower, upper, config=self.ga_config, rng=rng,
+            self.objective_batch, lower, upper, config=self.ga_config, rng=rng,
             executor=self.executor,
         )
         seeds = self.encoding.seed_genes(rng)

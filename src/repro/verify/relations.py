@@ -37,6 +37,9 @@ predict-batch-invariance        every model family predicts each row
 describing-gain-batch-          the batched tuned-DUT gain equals one
 equivalence                     describing function + ``np.interp`` per
                                 device, bit for bit
+ga-generation-batch-            one GA generation's batched fitness
+equivalence                     (one capture for every gene) equals the
+                                per-gene capture loop, bit for bit
 ==============================  ========================================
 
 Tolerances are calibrated, not guessed: each non-exact bound sits an
@@ -59,6 +62,7 @@ import numpy as np
 
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
+from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.circuits.nonlinear import (
     PolynomialNonlinearity,
     describing_gain_batch,
@@ -86,6 +90,10 @@ from repro.runtime.executor import SerialExecutor, spawn_seeds
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
+from repro.testgen.objective import signature_test_objective
+from repro.testgen.optimizer import SignatureStimulusOptimizer
+from repro.testgen.pwl import StimulusEncoding
+from repro.testgen.sensitivity import star_jacobian
 from repro.verify.harness import (
     booleans,
     check,
@@ -1067,4 +1075,92 @@ def _rel_describing_gain_batch_equivalence(case, rng):
         overdrive_ratios(coeffs, peak),
         np.array(want_ratios).reshape(n),
         label="overdrive ratios",
+    )
+
+
+# ----------------------------------------------------------------------
+# one capture per GA generation against one capture per gene
+# ----------------------------------------------------------------------
+@relation(
+    "ga-generation-batch-equivalence",
+    params={
+        "n_genes": integers(1, 24, origin=1),
+        "dut_coupling": choice("tuned", "wideband"),
+        "output_loss_db": choice(0.0, 1.5),
+        "n_breakpoints": integers(3, 8, origin=3),
+        "drive": floats(0.05, 0.6, origin=0.05),
+    },
+    equation="Eqs. 6-10 (batched GA fitness)",
+)
+def _rel_ga_generation_batch_equivalence(case, rng):
+    """A generation's batch fitness equals the per-gene loop bit for bit.
+
+    ``objective_batch`` decodes every gene and reads all
+    finite-difference stars and peak drives from one row-blocked
+    ``board.signature_grid`` capture.  Each value must be
+    ``np.array_equal`` to the fitness of that gene alone computed the
+    long way -- ``peak_drive``, one ``signature_batch`` of the star,
+    the star Jacobian and Eq. 10 -- on a fresh board, each grid slice
+    to its stimulus's ``signature_batch`` and each peak to its
+    ``peak_drive``.
+    """
+    config = _fast_config(
+        dut_coupling=case["dut_coupling"],
+        output_loss_db=case["output_loss_db"],
+        include_device_noise=False,
+    )
+    space = ParameterSpace(
+        [
+            ProcessParameter("gain_db", 12.0, 0.08),
+            ProcessParameter("nf_db", 2.0, 0.10),
+            ProcessParameter("iip3_dbm", -2.0, 0.10),
+        ]
+    )
+
+    def optimizer() -> SignatureStimulusOptimizer:
+        return SignatureStimulusOptimizer(
+            board_config=config,
+            device_factory=lambda p: _amplifier(
+                p["gain_db"], p["nf_db"], p["iip3_dbm"]
+            ),
+            space=space,
+            encoding=StimulusEncoding(
+                case["n_breakpoints"], _CAPTURE_SECONDS, case["drive"]
+            ),
+            rel_step=0.03,
+        )
+
+    batched = optimizer()
+    lower, upper = batched.encoding.bounds()
+    genes = rng.uniform(lower, upper, size=(case["n_genes"], len(lower)))
+    values = batched.objective_batch(genes)
+    grid, peaks = batched.board.signature_grid(
+        batched._fd_star(), [batched.encoding.decode(gene) for gene in genes]
+    )
+
+    single = optimizer()
+    star = single._fd_star()
+    a_p = single.performance_matrix()
+    single._find_weakest_device()
+    want = np.empty(len(genes))
+    for j, gene in enumerate(genes):
+        stimulus = single.encoding.decode(gene)
+        peak = single.board.peak_drive(stimulus)
+        check_array_equal(
+            peaks[j], peak, label=f"gene {j}: grid peak vs peak_drive"
+        )
+        ratio = 0.0
+        if np.isfinite(single._weakest_saturation):
+            ratio = float(peak / single._weakest_saturation)
+        excess = ratio - single.overdrive_margin
+        penalty = single.overdrive_weight * excess**2 if excess > 0.0 else 0.0
+        signatures = single.board.signature_batch(star, stimulus, rng=None)
+        check_array_equal(
+            grid[j], signatures, label=f"gene {j}: grid slice vs signature_batch"
+        )
+        a_s, _ = star_jacobian(signatures, space, single.rel_step, central=True)
+        a_s = a_s * space.fractional_std_vector()[None, :]
+        want[j] = penalty + signature_test_objective(a_p, a_s, single.sigma_m)
+    check_array_equal(
+        values, want, label=f"{len(genes)} genes: batch vs per-gene fitness"
     )

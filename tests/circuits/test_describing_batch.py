@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.nonlinear import (
+    DescribingGains,
     PolynomialNonlinearity,
+    RowInterpolator,
     describing_gain_batch,
     describing_gain_tables,
     interp_rows,
@@ -166,6 +168,30 @@ class TestInterpRows:
             interp_rows(np.zeros(3), np.zeros(1), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             interp_rows(np.zeros(3), np.arange(4.0), np.zeros((2, 3)))
+
+    def test_one_knot_search_serves_many_tables(self):
+        rng = np.random.default_rng(8)
+        xp = np.sort(rng.uniform(0.0, 1.0, 30))
+        x = np.concatenate([rng.uniform(-0.2, 1.2, 100), xp[::4], [np.nan]])
+        interp = RowInterpolator(x, xp)
+        for k in (1, 3, 7):
+            fp = rng.normal(size=(k, 30))
+            want = np.array([np.interp(x, xp, row) for row in fp])
+            assert np.array_equal(interp(fp), want, equal_nan=True)
+
+
+class TestDescribingGains:
+    @pytest.mark.parametrize("peak", [0.0, 0.05, 2.0])
+    def test_shared_grid_equals_one_off_batches(self, peak):
+        # one plan's gains object serves every row block of a lot
+        rng = np.random.default_rng(12)
+        amps = _drive(rng, 300, peak) if peak else np.zeros(300)
+        gains = DescribingGains(amps, peak)
+        for n in (0, 1, 5):
+            coeffs = _lot_coeffs(rng, n)
+            got = gains(coeffs)
+            assert np.array_equal(got, describing_gain_batch(coeffs, amps, peak))
+            assert np.array_equal(got, _oracle_gain(coeffs, amps, peak))
 
 
 def test_saturating_cells_across_many_blocks():

@@ -118,6 +118,22 @@ class TestApplyFFT:
         mid = slice(300, 700)
         assert np.allclose(y.samples[mid], x.samples[mid], atol=0.01)
 
+    def test_magnitude_response_kept_per_length(self):
+        fs = 1e6
+        lpf = ButterworthLowpass(5, 100e3, fs)
+        first = lpf.magnitude_response(400)
+        assert lpf.magnitude_response(400) is first
+        assert not first.flags.writeable
+        freqs = np.fft.rfftfreq(400, d=1.0 / fs)
+        assert np.array_equal(first, np.abs(lpf.frequency_response(freqs)))
+        # another length recomputes, and filtering is unchanged by the memo
+        other = lpf.magnitude_response(402)
+        freqs = np.fft.rfftfreq(402, d=1.0 / fs)
+        assert np.array_equal(other, np.abs(lpf.frequency_response(freqs)))
+        x = np.random.default_rng(0).normal(size=(3, 400))
+        fresh = ButterworthLowpass(5, 100e3, fs)
+        assert np.array_equal(lpf.apply_fft_matrix(x), fresh.apply_fft_matrix(x))
+
 
 class TestFIRLowpass:
     def test_dc_gain_unity(self):

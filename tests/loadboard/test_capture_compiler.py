@@ -14,13 +14,18 @@ Two contracts pin the compiled whole-lot program:
 
 import dataclasses
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
-from repro.loadboard.capture_compiler import CaptureTape, trace_mixer_baseband
+from repro.loadboard.capture_compiler import (
+    CaptureTape,
+    block_rows,
+    trace_mixer_baseband,
+)
 from repro.loadboard.signature_path import (
     SignatureTestBoard,
     hardware_config,
@@ -354,19 +359,6 @@ class TestProgramCache:
 
 
 class TestPlanCacheBytes:
-    def test_workspaces_shed_before_plans(self):
-        board = SignatureTestBoard(simulation_config())
-        devices = make_lot(3)
-        for s in _stimuli(2):
-            board.signature_batch(devices, s, rng=np.random.default_rng(1))
-        total = board._cache_nbytes()
-        board._plan_cache_max_bytes = total - 1
-        board._enforce_plan_cache_bytes()
-        # both plans survive: dropping the program's workspaces was enough
-        assert len(board._plan_cache) == 2
-        assert len(board._programs) == 1
-        assert board._cache_nbytes() < total
-
     def test_hard_bound_evicts_lru_plans_keeps_newest(self):
         board = SignatureTestBoard(simulation_config())
         devices = make_lot(2)
@@ -387,14 +379,33 @@ class TestPlanCacheBytes:
             board.signature_batch(devices, s, rng=np.random.default_rng(1))
             assert len(board._plan_cache) == 1
 
-    def test_release_workspaces_preserves_results(self, stim):
+    def test_workspaces_bounded_by_one_block(self, stim):
+        cfg = simulation_config()
+        board = SignatureTestBoard(cfg)
+        board.signature_batch(make_lot(3), stim, rng=np.random.default_rng(4))
+        program = next(iter(board._programs.values()))
+        one_block = program.nbytes()
+        rows = block_rows(board.capture_plan(stim).n)
+        devices = make_lot(2 * rows + 3)
+        big = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
+        # a lot of three blocks streams through the same block-sized set
+        assert program.nbytes() == one_block
+        (bufs,) = program._workspaces.values()
+        assert {buf.shape[0] for buf in bufs} == {rows}
+        ref = SignatureTestBoard(cfg)._reference_signature_batch(
+            devices, stim, rng=np.random.default_rng(4)
+        )
+        assert np.array_equal(big, ref)
+
+    def test_execute_rejects_more_than_one_block(self, stim):
         board = SignatureTestBoard(simulation_config())
-        devices = make_lot(3)
-        first = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
-        for program in board._programs.values():
-            program.release_workspaces()
-        again = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
-        assert np.array_equal(first, again)
+        board.signature_batch(make_lot(1), stim)
+        program = next(iter(board._programs.values()))
+        n = board.capture_plan(stim).n
+        rf = {h: np.zeros((block_rows(n) + 1, n), dtype=complex)
+              for kind, h in program.input_keys if kind == "rf"}
+        with pytest.raises(ValueError, match="exceeds one block"):
+            program.execute(rf)
 
 
 class TestPickling:
@@ -416,6 +427,7 @@ class TestPickling:
         out = program.execute(inputs["rf"], inputs["lo"])
         out_clone = clone.execute(inputs["rf"], inputs["lo"])
         assert np.array_equal(out, out_clone)
+        assert list(clone._workspaces) == [(threading.get_ident(), plan.n)]
 
     def test_board_roundtrip_recompiles_same_fingerprint(self, stim):
         board = SignatureTestBoard(simulation_config())

@@ -43,9 +43,12 @@ def _square(x):
     return x * x
 
 
-def _rosenbrock(gene):
-    return float(
-        np.sum(100.0 * (gene[1:] - gene[:-1] ** 2) ** 2 + (1.0 - gene[:-1]) ** 2)
+def _rosenbrock(genes):
+    """Batch fitness: one Rosenbrock value per gene row."""
+    genes = np.asarray(genes)
+    return np.sum(
+        100.0 * (genes[:, 1:] - genes[:, :-1] ** 2) ** 2 + (1.0 - genes[:, :-1]) ** 2,
+        axis=1,
     )
 
 
@@ -82,6 +85,22 @@ class TestExecutorPrimitives:
             assert out == list(range(1, 9))
             # the executor stays serial (and usable) for its lifetime
             assert ex.map_tasks(_square, [3]) == [9]
+
+    def test_close_lets_queued_tasks_run_out(self):
+        # a pool shut down with cancel_futures swaps its pending-work
+        # table; a queued task that then fails to pickle is never
+        # retired, and the pool's manager thread hangs interpreter exit
+        calls = []
+
+        class Pool:
+            def shutdown(self, **kwargs):
+                calls.append(kwargs)
+
+        ex = ProcessExecutor(max_workers=2)
+        ex._pool = Pool()
+        ex.close()
+        ex.close()
+        assert calls == [{"wait": False}]
 
     def test_worker_exceptions_propagate(self):
         with pytest.raises(ZeroDivisionError):
@@ -161,6 +180,30 @@ class TestGACrossBackend:
         assert ref.best_fitness == out.best_fitness
         assert ref.history == out.history
         assert ref.evaluations == out.evaluations
+
+    def test_serial_gets_the_generation_pools_get_chunks(self):
+        sizes = {"serial": [], "thread": []}
+
+        def recording(name):
+            def fitness(genes):
+                sizes[name].append(len(genes))  # list.append is atomic
+                return _rosenbrock(genes)
+            return fitness
+
+        def run(name, executor):
+            return GeneticAlgorithm(
+                recording(name), [-2.0] * 4, [2.0] * 4,
+                GAConfig(population_size=12, generations=2),
+                np.random.default_rng(2002), executor,
+            ).run()
+
+        ref = run("serial", SerialExecutor())
+        with ThreadExecutor(2) as ex:
+            out = run("thread", ex)
+        assert sizes["serial"] == [12, 12, 12]
+        assert len(sizes["thread"]) > 3 and sum(sizes["thread"]) == 36
+        assert ref.history == out.history
+        assert np.array_equal(ref.best_gene, out.best_gene)
 
 
 @pytest.fixture(scope="module")

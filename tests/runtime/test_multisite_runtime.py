@@ -20,12 +20,8 @@ from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
-from repro.runtime.calibration import (
-    CalibrationModel,
-    _chunk_bounds,
-    measure_signatures,
-)
-from repro.runtime.executor import ThreadExecutor, get_executor
+from repro.runtime.calibration import CalibrationModel, measure_signatures
+from repro.runtime.executor import ThreadExecutor, _chunk_bounds, get_executor
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits

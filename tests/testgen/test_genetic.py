@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.testgen.genetic import GAConfig, GeneticAlgorithm
 
 
-def sphere(x):
-    return float(np.sum(x**2))
+def sphere(genes):
+    """Batch fitness: one sum of squares per gene row."""
+    return np.sum(np.asarray(genes) ** 2, axis=1)
 
 
 class TestGAConfig:
@@ -47,7 +48,7 @@ class TestConvergence:
         rng = np.random.default_rng(1)
         target = np.array([1.5, -2.0, 0.5])
         ga = GeneticAlgorithm(
-            lambda x: float(np.sum((x - target) ** 2)),
+            lambda genes: np.sum((genes - target) ** 2, axis=1),
             lower=[-5.0] * 3,
             upper=[5.0] * 3,
             config=GAConfig(population_size=40, generations=30),
@@ -85,7 +86,7 @@ class TestBounds:
         lower = np.array([-1.0, 0.0, 2.0])
         upper = np.array([1.0, 0.5, 3.0])
         ga = GeneticAlgorithm(
-            lambda x: -float(np.sum(x)),  # pushes genes to the upper bound
+            lambda genes: -np.sum(genes, axis=1),  # pushes genes to the upper bound
             lower,
             upper,
             GAConfig(population_size=12, generations=5),
@@ -147,3 +148,82 @@ class TestSeeding:
         a, b = run(42), run(42)
         assert np.array_equal(a.best_gene, b.best_gene)
         assert a.history == b.history
+
+
+class TestBatchEvaluation:
+    def test_one_fitness_call_per_generation_on_serial(self):
+        calls = []
+
+        def fitness(genes):
+            calls.append(len(genes))
+            return sphere(genes)
+
+        cfg = GAConfig(population_size=8, generations=3)
+        GeneticAlgorithm(fitness, [-1.0] * 2, [1.0] * 2, cfg, np.random.default_rng(6)).run()
+        assert calls == [8] * 4
+
+    def test_wrong_value_count_rejected(self):
+        ga = GeneticAlgorithm(
+            lambda genes: sphere(genes)[:-1], [-1.0] * 2, [1.0] * 2,
+            GAConfig(population_size=6, generations=1), np.random.default_rng(7),
+        )
+        with pytest.raises(ValueError, match="one value per gene"):
+            ga.run()
+
+
+def _nan_beyond_08(genes):
+    """Finite sphere values, NaN wherever the first gene exceeds 0.8."""
+    values = sphere(genes)
+    values[np.asarray(genes)[:, 0] > 0.8] = np.nan
+    return values
+
+
+class TestNonFiniteFitness:
+    def test_nan_never_wins(self):
+        # before non-finite ranking, argmin picked the NaN: best_fitness
+        # was nan and every history entry (nan, nan)
+        ga = GeneticAlgorithm(
+            _nan_beyond_08, [0.0, 0.0], [1.0, 1.0], GAConfig(generations=3),
+            np.random.default_rng(1),
+        )
+        result = ga.run(initial_population=np.array([[0.9, 0.0], [0.1, 0.1]]))
+        assert np.isfinite(result.best_fitness)
+        assert result.best_gene[0] <= 0.8
+        assert result.best_fitness == float(sphere(result.best_gene[None, :])[0])
+        assert all(np.isfinite(best) and np.isfinite(mean) for best, mean in result.history)
+
+    def test_history_mean_skips_non_finite(self):
+        seed = np.array([[0.9, 0.0], [0.1, 0.1], [0.95, 0.5], [0.2, 0.0]])
+        ga = GeneticAlgorithm(
+            _nan_beyond_08, [0.0, 0.0], [1.0, 1.0],
+            GAConfig(population_size=4, generations=1, tournament_size=2, elite_count=1),
+            np.random.default_rng(2),
+        )
+        best, mean = ga.run(initial_population=seed).history[0]
+        values = sphere(seed)
+        assert best == values[1]
+        assert mean == values[[1, 3]].mean()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_non_finite_generation_raises(self, bad):
+        ga = GeneticAlgorithm(
+            lambda genes: np.full(len(genes), bad), [0.0], [1.0],
+            GAConfig(population_size=4, generations=1, tournament_size=2),
+            np.random.default_rng(3),
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            ga.run()
+
+    def test_minus_inf_ranks_last(self):
+        def fitness(genes):
+            values = sphere(genes)
+            values[np.asarray(genes)[:, 0] > 0.8] = -np.inf
+            return values
+
+        ga = GeneticAlgorithm(
+            fitness, [0.0, 0.0], [1.0, 1.0], GAConfig(generations=2),
+            np.random.default_rng(4),
+        )
+        result = ga.run(initial_population=np.array([[0.9, 0.0]]))
+        assert np.isfinite(result.best_fitness)
+        assert result.best_gene[0] <= 0.8

@@ -4,6 +4,8 @@ Uses the cheap behavioral device family so the whole GA loop runs in
 seconds.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.lna import LNA900, lna_parameter_space
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig
+from repro.circuits.nonlinear import PolynomialNonlinearity
 from repro.testgen.genetic import GAConfig
-from repro.testgen.optimizer import SignatureStimulusOptimizer
+from repro.testgen.objective import signature_test_objective
+from repro.testgen.optimizer import SignatureStimulusOptimizer, _first_minimum
 from repro.testgen.pwl import StimulusEncoding
 from repro.testgen.sensitivity import difference_star, star_jacobian
 
@@ -230,6 +234,26 @@ class CaptureOracleOptimizer(SignatureStimulusOptimizer):
         ratio, _ = self.board.overdrive_snapshot()
         return ratio
 
+    def objective_batch(self, genes):
+        # one gene at a time through the overrides above
+        values = []
+        for gene in genes:
+            stimulus = self.encoding.decode(gene)
+            penalty = 0.0
+            excess = self.overdrive_ratio(stimulus) - self.overdrive_margin
+            if excess > 0.0:
+                penalty = self.overdrive_weight * excess**2
+            values.append(
+                penalty
+                + signature_test_objective(
+                    self.performance_matrix(),
+                    self.signature_matrix(stimulus),
+                    self.sigma_m,
+                    self.spec_scales,
+                )
+            )
+        return np.array(values)
+
 
 class TestCaptureFreeFitness:
     @pytest.mark.parametrize(
@@ -276,6 +300,23 @@ class TestCaptureFreeFitness:
         assert np.array_equal(fast.a_s, oracle.a_s)
 
 
+class TestPickling:
+    def test_workers_get_the_optimizer_without_its_pool(self):
+        # a used pool holds locks; before, pickling the fitness for a
+        # process pool failed and every GA chunk fell back to serial
+        import pickle
+
+        from repro.parallel import ThreadExecutor
+
+        with ThreadExecutor(2) as ex:
+            ex.map_tasks(abs, [-1, -2])
+            opt = make_optimizer(executor=ex)
+            clone = pickle.loads(pickle.dumps(opt.objective_batch)).__self__
+        assert opt.executor is ex and clone.executor is None
+        genes = _random_genes(opt, k=2)
+        assert np.array_equal(clone.objective_batch(genes), opt.objective_batch(genes))
+
+
 class LinearLNA(LNA900):
     """An LNA family with no compression: nothing ever saturates."""
 
@@ -293,3 +334,176 @@ class TestNonSaturatingFamily:
         assert opt.overdrive_ratio(stim) == 0.0
         # no penalty: the fitness is Equation 10 alone
         assert np.isfinite(opt.objective(np.full(8, 0.4)))
+
+
+# ----------------------------------------------------------------------
+# one capture per generation against one capture per gene
+# ----------------------------------------------------------------------
+def _loop_weakest_saturation(opt):
+    """The weakest-device scan before it ran on one matrix: one
+    polynomial per candidate device, first strict minimum kept."""
+    space = opt.space
+    candidates = [space.nominal_vector()]
+    for name in space.names():
+        p = space[name]
+        for edge in (p.lower, p.upper):
+            vec = space.nominal_vector()
+            vec[space.index_of(name)] = edge
+            candidates.append(vec)
+    candidates.extend(space.sample(np.random.default_rng(987654321), 128))
+    best = best_sat = None
+    for vec in candidates:
+        device = opt.device_factory(space.to_dict(vec))
+        sat = PolynomialNonlinearity(*device.envelope_poly()).saturation_amplitude
+        if best is None or sat < best_sat:
+            best, best_sat = device, sat
+    return best_sat
+
+
+def _per_gene_objective(opt, gene, sat, star):
+    """The GA fitness before batching: decode, ``peak_drive``, one
+    ``signature_batch`` of the finite-difference star, Eq. 10.
+
+    ``sat`` is the weakest saturation amplitude
+    (:func:`_loop_weakest_saturation`) and ``star`` the difference
+    star's devices, both stimulus-independent.
+    """
+    stimulus = opt.encoding.decode(gene)
+    ratio = float(opt.board.peak_drive(stimulus) / sat) if np.isfinite(sat) else 0.0
+    penalty = 0.0
+    excess = ratio - opt.overdrive_margin
+    if excess > 0.0:
+        penalty = opt.overdrive_weight * excess**2
+    signatures = opt.board.signature_batch(
+        star, stimulus, rng=None, n_bins=opt.signature_bins
+    )
+    a_s, _ = star_jacobian(signatures, opt.space, opt.rel_step, central=True)
+    a_s = a_s * opt.space.fractional_std_vector()[None, :]
+    return penalty + signature_test_objective(
+        opt.performance_matrix(), a_s, opt.sigma_m, opt.spec_scales
+    )
+
+
+def _random_genes(opt, k=24, seed=17):
+    lower, upper = opt.encoding.bounds()
+    return np.random.default_rng(seed).uniform(lower, upper, size=(k, len(lower)))
+
+
+def _assert_batch_equals_loop(make, k=24):
+    """``objective_batch`` of ``k`` random genes vs the per-gene loop,
+    each on its own optimizer (and board)."""
+    batched = make()
+    genes = _random_genes(batched, k)
+    values = batched.objective_batch(genes)
+    single = make()
+    sat = _loop_weakest_saturation(single)
+    star = [
+        single.device_factory(p)
+        for p in difference_star(single.space, single.rel_step, central=True)
+    ]
+    want = np.array([_per_gene_objective(single, g, sat, star) for g in genes])
+    assert values.shape == (len(genes),)
+    assert np.array_equal(values, want)
+
+
+class TestObjectiveBatch:
+    def test_lna(self):
+        from repro.loadboard.signature_path import simulation_config
+
+        config = simulation_config()
+        _assert_batch_equals_loop(
+            lambda: SignatureStimulusOptimizer(
+                board_config=config,
+                device_factory=LNA900,
+                space=lna_parameter_space(),
+                encoding=StimulusEncoding(16, config.capture_seconds, 0.4),
+                rel_step=0.03,
+            )
+        )
+
+    def test_rf2401_behavioral_factory(self):
+        from repro.experiments.hardware import (
+            _deterministic,
+            rf2401_device,
+            rf2401_family_space,
+        )
+        from repro.loadboard.signature_path import hardware_config
+
+        # the hardware path at a tenth of its capture (2,000-sample rows,
+        # eight to a block, so stars still straddle blocks) and drives
+        # that stay mostly below fold-back, where the quadrature is cheap
+        config = dataclasses.replace(
+            _deterministic(hardware_config()), capture_seconds=5e-4
+        )
+        _assert_batch_equals_loop(
+            lambda: SignatureStimulusOptimizer(
+                board_config=config,
+                device_factory=rf2401_device,
+                space=rf2401_family_space(),
+                encoding=StimulusEncoding(16, config.capture_seconds, 0.15),
+                rel_step=0.03,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "name, k", [("tuned", 24), ("wideband", 24), ("multisite", 8), ("bist", 8), ("abm", 8)]
+    )
+    def test_scenario_boards(self, name, k):
+        # the multi-site, BIST and ABM grids are comprehensions over the
+        # board's own signature_batch, so a shorter batch covers them
+        def make():
+            board_config, board = _scenario_boards()[name]
+            return make_optimizer(board_config=board_config, board=board)
+
+        _assert_batch_equals_loop(make, k)
+
+    def test_objective_is_a_batch_of_one(self):
+        opt = make_optimizer()
+        genes = _random_genes(opt, k=3)
+        values = opt.objective_batch(genes)
+        assert [opt.objective(g) for g in genes] == values.tolist()
+
+    def test_signature_matrix_is_a_batch_of_one(self):
+        opt = make_optimizer()
+        stims = [opt.encoding.decode(g) for g in _random_genes(opt, k=3)]
+        batch, peaks = opt._signature_matrices(stims)
+        for stim, a_s, peak in zip(stims, batch, peaks):
+            assert np.array_equal(opt.signature_matrix(stim), a_s)
+            assert peak == opt.board.peak_drive(stim)
+
+
+class TestWeakestDeviceScan:
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([3.0, 1.0, 2.0, 1.0], 1),
+            ([np.nan, 1.0, 0.5], 0),
+            ([2.0, np.nan, 1.0, np.nan], 2),
+            ([np.inf, np.inf], 0),
+            ([np.inf, np.nan, np.inf], 0),
+            ([np.inf, 5.0, np.nan, 5.0], 1),
+            ([np.nan, np.nan], 0),
+        ],
+    )
+    def test_first_minimum_matches_the_loop(self, values, want):
+        best = 0
+        for i, v in enumerate(values):
+            if v < values[best]:
+                best = i
+        assert best == want
+        assert _first_minimum(np.array(values)) == want
+
+    @pytest.mark.parametrize(
+        "factory_name", ["behavioral", "lna", "linear_lna"]
+    )
+    def test_scan_equals_polynomial_loop(self, factory_name):
+        kw = {
+            "behavioral": {},
+            "lna": dict(device_factory=LNA900, space=lna_parameter_space()),
+            "linear_lna": dict(device_factory=LinearLNA, space=lna_parameter_space()),
+        }[factory_name]
+        opt = make_optimizer(**kw)
+        opt._find_weakest_device()
+        want = _loop_weakest_saturation(opt)
+        got = opt._weakest_saturation
+        assert got == want or (np.isinf(got) and np.isinf(want))
