@@ -9,6 +9,7 @@ contract.
 from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
+    SeedBlock,
     SerialExecutor,
     ThreadExecutor,
     available_cpus,
@@ -23,6 +24,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "SeedBlock",
     "available_cpus",
     "default_chunksize",
     "get_executor",

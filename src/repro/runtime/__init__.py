@@ -28,6 +28,7 @@ from repro.runtime.calibration import (
 from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
+    SeedBlock,
     SerialExecutor,
     ThreadExecutor,
     get_executor,
@@ -80,6 +81,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "SeedBlock",
     "get_executor",
     "spawn_generators",
     "spawn_seeds",

@@ -48,8 +48,9 @@ __all__ = [
 def _capture_batch_task(board, stimulus, n_bins, task) -> np.ndarray:
     """One pickled batched capture over a device chunk."""
     devices, seeds = task
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    return board.signature_batch(devices, stimulus, rngs=rngs, n_bins=n_bins)
+    return board.signature_batch(
+        devices, stimulus, rngs=seeds.generators(), n_bins=n_bins
+    )
 
 
 def measure_signatures(
@@ -98,8 +99,9 @@ def measure_signatures(
         # an empty capture still knows its bin count: (0, m), not (0, 0)
         return board.signature_batch([], stimulus, rngs=[], n_bins=n_bins)
     ex = get_executor(executor)
-    # ship device *chunks*, one batched capture per task; per-device
-    # seeds keep the result independent of chunking
+    # ship device *chunks*, one batched capture per task, each with its
+    # slice of the seed block; per-device seeds keep the result
+    # independent of chunking
     tasks = [
         (devices[a:b], seeds[a:b])
         for a, b in _chunk_bounds(

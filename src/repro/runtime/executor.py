@@ -24,7 +24,8 @@ Determinism contract
 All backends preserve input order, and callers never share one RNG
 across tasks.  Instead, batch call sites derive one independent child
 stream per task with :func:`spawn_seeds` /
-:func:`spawn_generators` (built on ``np.random.SeedSequence.spawn``),
+:func:`spawn_generators` (``np.random.SeedSequence.spawn``'s children,
+derived for the whole batch in one vectorized pass: :class:`SeedBlock`),
 so the same master seed produces bit-identical results on every
 backend, any worker count, and any chunking.  Tasks must be pure: the
 process backend may re-run the batch serially after a pool failure.
@@ -32,7 +33,9 @@ process backend may re-run the batch serially after a pool failure.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import operator
 import os
 import pickle
 import warnings
@@ -47,6 +50,7 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
+    "SeedBlock",
     "available_cpus",
     "default_chunksize",
     "get_executor",
@@ -102,15 +106,209 @@ def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx);
+# the derivation must track SeedSequence bit for bit, which the
+# seed-derivation-equivalence relation and TestSeedDerivation check
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+#: ``generate_state(4, np.uint64)``: the 8 uint32 words PCG64 seeds from
+_STATE_WORDS = 8
 
-def spawn_seeds(seed: SeedLike, n: int) -> List[np.random.SeedSequence]:
-    """``n`` independent, order-stable child seed sequences.
 
-    The children depend only on the entropy of ``seed`` (for a
-    :class:`~numpy.random.Generator`, on its current state, from which
-    exactly one 64-bit draw is consumed), *not* on how the tasks are
-    later distributed over workers -- the foundation of the
-    cross-backend bit-identical guarantee.
+def _int_words(value: int) -> int:
+    """uint32 words a SeedSequence splits the non-negative ``value`` into."""
+    return max(1, (int(value).bit_length() + 31) // 32)
+
+
+def _entropy_words(entropy) -> int:
+    """Length of ``entropy`` as a SeedSequence coerces it to uint32 words."""
+    if isinstance(entropy, (int, np.integer)):
+        return _int_words(entropy)
+    if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
+        return entropy.size
+    if isinstance(entropy, str):
+        # SeedSequence parses "0x..." and decimal strings as integers
+        return _int_words(int(entropy, 16 if entropy.startswith("0x") else 10))
+    return sum(_entropy_words(item) for item in entropy)
+
+
+def _frozen(values, dtype=np.uint32) -> np.ndarray:
+    """A read-only array: the cached constants below are shared by every call."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _hash_steps(start: int, mult: int, skip: int, count: int):
+    """``(xor, mult)`` uint32 constants of hash steps ``skip .. skip + count - 1``.
+
+    Step ``j`` xors with the running constant ``start * mult**j``,
+    advances it by ``mult`` and multiplies by the advanced value:
+    SeedSequence's ``hashmix`` (``mult = MULT_A``) and its
+    ``generate_state`` loop (``MULT_B``).
+    """
+    consts = [start * pow(mult, skip, 1 << 32) & _MASK32]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return _frozen(consts[:-1]), _frozen(consts[1:])
+
+
+@functools.lru_cache(maxsize=64)
+def _mix_steps(pool_size: int, words_before: int):
+    """Hashmix constants of the entropy word after ``words_before`` words.
+
+    Filling the pool and mixing it costs ``pool_size**2`` hashmixes;
+    every entropy word past the pool costs ``pool_size`` more.
+    """
+    return _hash_steps(_INIT_A, _MULT_A, pool_size * words_before, pool_size)
+
+
+@functools.lru_cache(maxsize=8)
+def _state_steps(pool_size: int):
+    """Pool column and ``(xor, mult)`` constants of each ``generate_state`` word."""
+    return (_frozen(np.arange(_STATE_WORDS) % pool_size, np.intp),
+            *_hash_steps(_INIT_B, _MULT_B, 0, _STATE_WORDS))
+
+
+def _fold(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> _XSHIFT)
+
+
+def _child_words(root: np.random.SeedSequence, indices: range) -> np.ndarray:
+    """PCG64 seed words of ``root``'s children ``indices``, as ``(n, 4)`` uint64.
+
+    Child ``i`` of a SeedSequence mixes the root's entropy and spawn key
+    followed by the words of ``i``.  Everything before ``i`` is the same
+    for every child, and its result is the root's public ``pool``; the
+    hash constant reached by then depends only on the root's word count.
+    So only the last mix steps (``pool_size`` hashmixes per word of
+    ``i``) and ``generate_state(4, np.uint64)`` run, as uint32 columns.
+    Row ``r`` equals ``SeedSequence(root.entropy, spawn_key=root.spawn_key
+    + (indices[r],), pool_size=root.pool_size).generate_state(4,
+    np.uint64)`` bit for bit.
+    """
+    size = root.pool_size
+    # the child pads short run entropy to the pool size (its spawn key is
+    # never empty), which mixes exactly like the root's running the hash
+    # out with zeros
+    prefix = max(size, _entropy_words(root.entropy)) + _entropy_words(root.spawn_key)
+    index = np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64)[:, None]
+    pool = root.pool  # broadcast against the (n, 1) index column
+    last = max(indices[0], indices[-1]) if indices else 0
+    for word in range(_int_words(last)):
+        xor, mult = _mix_steps(size, prefix + word)
+        # the cast keeps the low 32 bits: word ``word`` of each index
+        column = (index >> np.uint64(32 * word) if word else index).astype(np.uint32)
+        mixed = _fold(_MIX_L * pool - _MIX_R * _fold((column ^ xor) * mult))
+        # an index has as many words as it needs: only the rows whose
+        # index reaches this word mix it in
+        pool = mixed if word == 0 else np.where(index >> np.uint64(32 * word) > 0, mixed, pool)
+    columns, xor, mult = _state_steps(size)
+    state = _fold((pool.take(columns, axis=1) ^ xor) * mult)
+    # little-endian word pairs, as generate_state assembles its uint64s
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _DeviceSeed(np.random.bit_generator.ISpawnableSeedSequence):  # repro-lint: disable=determinism-legacy-np-random -- the explicit API's seed interface, no global state
+    """One child's precomputed PCG64 seed words, standing in for its SeedSequence.
+
+    ``PCG64`` accepts any ``ISeedSequence`` and asks it only for
+    ``generate_state(4, np.uint64)``; other requests and :meth:`spawn`
+    (``Generator.spawn``) go to numpy's real child, built on first use.
+    """
+
+    _child = None
+
+    def __init__(self, words: np.ndarray, block: "SeedBlock", position: int):
+        self._words = words
+        self._block = block
+        self._position = position
+
+    def seed_sequence(self) -> np.random.SeedSequence:
+        """numpy's real child SeedSequence (built once, then advanced by spawn)."""
+        if self._child is None:
+            self._child = self._block[self._position]
+        return self._child
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            return self._words  # a read-only row of the block
+        return self.seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.seed_sequence().spawn(n_children)
+
+
+class SeedBlock:
+    """``n`` order-stable children of one SeedSequence root, as seed words.
+
+    The block holds each child's PCG64 seed words (an ``(n, 4)`` uint64
+    array) plus the root's entropy, spawn key and the children's spawn
+    indices -- small and picklable, so a process-pool task ships one
+    word array rather than one SeedSequence per device.
+
+    * :meth:`generators` -- one ``Generator`` per child, equal draw for
+      draw to ``np.random.default_rng(child)``;
+    * ``block[i]`` -- numpy's real child ``SeedSequence`` (iteration and
+      unpacking yield them too);
+    * ``block[a:b]`` -- a sub-block of the same children.
+    """
+
+    def __init__(self, words: np.ndarray, entropy, spawn_key: tuple,
+                 indices: range, pool_size: int):
+        words.flags.writeable = False
+        self.words = words
+        self.entropy = entropy
+        self.spawn_key = tuple(spawn_key)
+        self.indices = indices
+        self.pool_size = pool_size
+
+    @classmethod
+    def derive(cls, root: np.random.SeedSequence, indices: range) -> "SeedBlock":
+        """The children ``indices`` of ``root`` (``root`` is not advanced)."""
+        return cls(_child_words(root, indices), root.entropy, root.spawn_key,
+                   indices, root.pool_size)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key: Union[int, slice]):
+        if isinstance(key, slice):
+            return SeedBlock(self.words[key], self.entropy, self.spawn_key,
+                             self.indices[key], self.pool_size)
+        return np.random.SeedSequence(
+            self.entropy,
+            spawn_key=self.spawn_key + (self.indices[key],),
+            pool_size=self.pool_size,
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def generators(self) -> List[np.random.Generator]:
+        """One generator per child, in order: ``Generator(PCG64(words))``."""
+        return [
+            np.random.Generator(np.random.PCG64(_DeviceSeed(row, self, i)))
+            for i, row in enumerate(self.words)
+        ]
+
+
+def spawn_seeds(seed: SeedLike, n: int) -> SeedBlock:
+    """``n`` independent, order-stable child seeds, as one :class:`SeedBlock`.
+
+    The children are exactly ``SeedSequence.spawn``'s: of
+    ``SeedSequence(seed)`` for an integer, of ``seed`` itself for a
+    SeedSequence (whose spawn counter advances by ``n``), and of
+    ``SeedSequence(draw)`` for a :class:`~numpy.random.Generator`, from
+    which exactly one 64-bit ``draw`` is consumed.  They do *not*
+    depend on how the tasks are later distributed over workers -- the
+    foundation of the cross-backend bit-identical guarantee.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -119,13 +317,26 @@ def spawn_seeds(seed: SeedLike, n: int) -> List[np.random.SeedSequence]:
     elif isinstance(seed, np.random.SeedSequence):
         root = seed
     else:
-        root = np.random.SeedSequence(int(seed))
-    return list(root.spawn(n))
+        try:
+            root = np.random.SeedSequence(operator.index(seed))
+        except TypeError:
+            raise TypeError(
+                f"seed must be an integer, SeedSequence or Generator, "
+                f"not {type(seed).__name__}"
+            ) from None
+    start = root.n_children_spawned
+    if root is seed:
+        if start + n > _MASK32:
+            # numpy keeps the counter in a uint32; spawning past it loops forever
+            raise OverflowError("the SeedSequence's spawn counter would pass 2**32 - 1")
+        # advance the caller's spawn counter, as SeedSequence.spawn does
+        root.spawn(n)
+    return SeedBlock.derive(root, range(start, start + n))
 
 
 def spawn_generators(seed: SeedLike, n: int) -> List[np.random.Generator]:
     """``n`` independent generators, one per task (see :func:`spawn_seeds`)."""
-    return [np.random.default_rng(child) for child in spawn_seeds(seed, n)]
+    return spawn_seeds(seed, n).generators()
 
 
 class Executor:

@@ -49,9 +49,8 @@ def _insertion_batch_task(
     constant) would otherwise predict passing specs from it.
     """
     ids, devices, seeds = task
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     signatures = flow.board.signature_batch(
-        devices, flow.stimulus, rngs=rngs, n_bins=flow.signature_bins
+        devices, flow.stimulus, rngs=seeds.generators(), n_bins=flow.signature_bins
     )
     predicted = flow.calibration.predict_matrix(signatures)
     if flow.limits is not None:

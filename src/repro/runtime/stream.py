@@ -7,7 +7,7 @@ finished list.  This module holds the small, executor-agnostic pieces
 of that stream:
 
 * :class:`Lot` -- one submitted unit of work: a device list plus the
-  per-device seed streams frozen at submission time.
+  per-device seed block frozen at submission time.
 * :class:`StreamRecord` -- one emitted per-device outcome, wrapping the
   offline :class:`~repro.runtime.production.DeviceTestRecord` with its
   stream coordinates and latency.
@@ -30,9 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.runtime.executor import SeedLike, spawn_seeds
+from repro.runtime.executor import SeedBlock, SeedLike, spawn_seeds
 from repro.runtime.production import DeviceTestRecord
 
 __all__ = [
@@ -64,13 +62,14 @@ class Lot:
     Build lots with :meth:`Lot.seeded` (or let
     :meth:`StreamingTestService.submit
     <repro.runtime.service.StreamingTestService.submit>` build them);
-    the constructor itself assumes ``seeds`` was already spawned in
-    submission order.
+    the constructor itself assumes ``seeds`` is the
+    :class:`~repro.runtime.executor.SeedBlock` spawned in submission
+    order.
     """
 
     lot_id: int
     devices: Sequence
-    seeds: Sequence[np.random.SeedSequence]
+    seeds: SeedBlock
     #: simulated test cell that produced the lot (metrics tag only)
     cell_id: int = 0
     #: submission timestamp on the service clock (filled in by submit)
@@ -82,6 +81,8 @@ class Lot:
                 f"lot {self.lot_id}: {len(self.devices)} devices but "
                 f"{len(self.seeds)} seeds"
             )
+        if not isinstance(self.seeds, SeedBlock):
+            raise TypeError("a lot's seeds must be a SeedBlock (see Lot.seeded)")
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -97,10 +98,11 @@ class Lot:
     ) -> "Lot":
         """Freeze a lot's per-device streams from its master ``seed``.
 
-        Spawns one child :class:`~numpy.random.SeedSequence` per device
-        -- the identical derivation ``ProductionTestFlow.run`` performs,
-        so streamed and offline captures of the same (devices, seed)
-        pair are bit-identical.
+        Derives one child seed per device as a
+        :class:`~repro.runtime.executor.SeedBlock` -- the identical
+        derivation ``ProductionTestFlow.run`` performs, so streamed and
+        offline captures of the same (devices, seed) pair are
+        bit-identical.
         """
         return cls(
             lot_id=lot_id,
@@ -141,7 +143,7 @@ def iter_lot_chunks(lot: Lot, chunksize: int):
         yield (
             list(range(start, stop)),
             list(lot.devices[start:stop]),
-            list(lot.seeds[start:stop]),
+            lot.seeds[start:stop],
         )
 
 

@@ -10,13 +10,13 @@ Implemented from scratch (following Goldberg's classic scheme adapted to
 real-valued genes): tournament selection, BLX-alpha blend crossover,
 gaussian mutation scaled to the gene bounds, and elitism.  Minimizes the
 supplied batch fitness function, called once per generation (once per
-chunk on a pooled executor).
+chunk on a pooled executor) on the genes that run has not scored yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class GeneticAlgorithm:
         values to minimize, row for row.  Must be deterministic and
         row-independent (a gene's value may not depend on the other
         rows of its batch) for reproducible runs.  Non-finite values
-        rank last.
+        rank last.  Each distinct gene is scored once per :meth:`run`:
+        elites and unmutated clones reuse their first value.
     lower, upper:
         Per-gene bounds.
     config:
@@ -110,8 +111,8 @@ class GeneticAlgorithm:
     executor:
         Batch backend evaluating each generation's fitnesses
         (:class:`repro.parallel.ProcessExecutor` et al.); ``None`` is
-        serial.  A serial backend gets the whole population as one
-        batch, a pooled one chunks of it (the lots' chunk rule,
+        serial.  A serial backend gets the generation's unscored genes
+        as one batch, a pooled one chunks of them (the lots' chunk rule,
         :func:`repro.runtime.executor._chunk_bounds`).  Because
         ``fitness`` is required to be deterministic and row-independent
         and results are order-preserving, every backend yields the same
@@ -191,20 +192,35 @@ class GeneticAlgorithm:
 
         evaluations = 0
         history: List[Tuple[float, float]] = []
+        # fitness of every gene scored in this run: elites and unmutated
+        # clones recur, and a deterministic, row-independent fitness
+        # gives a repeated gene the value it had
+        scored: Dict[bytes, float] = {}
 
         def evaluate(pop: np.ndarray) -> np.ndarray:
             """Ranked fitnesses of ``pop``; appends the generation's history."""
             nonlocal evaluations
             evaluations += len(pop)
-            chunks = [
-                pop[a:b] for a, b in _chunk_bounds(len(pop), self.executor, None)
-            ]
-            values = self.executor.map_tasks(self.fitness, chunks, chunksize=1)
-            fitnesses = np.concatenate(
-                [np.asarray(v, dtype=float).reshape(-1) for v in values]
-            )
-            if fitnesses.shape != (len(pop),):
-                raise ValueError("fitness must return one value per gene")
+            keys = [gene.tobytes() for gene in pop]
+            first: Dict[bytes, int] = {}
+            for i, key in enumerate(keys):
+                if key not in scored:
+                    first.setdefault(key, i)
+            fresh = list(first.values())
+            if fresh:
+                genes = pop[fresh]
+                chunks = [
+                    genes[a:b]
+                    for a, b in _chunk_bounds(len(genes), self.executor, None)
+                ]
+                values = self.executor.map_tasks(self.fitness, chunks, chunksize=1)
+                new = np.concatenate(
+                    [np.asarray(v, dtype=float).reshape(-1) for v in values]
+                )
+                if new.shape != (len(genes),):
+                    raise ValueError("fitness must return one value per gene")
+                scored.update(zip((keys[i] for i in fresh), new.tolist()))
+            fitnesses = np.array([scored[k] for k in keys])
             ranked = _ranked(fitnesses)
             # best ranked value and the mean over the finite fitnesses
             history.append(

@@ -34,6 +34,7 @@ from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import CalibrationSession, measure_signatures
+from repro.runtime.executor import spawn_seeds
 
 __all__ = [
     "GoldenUpdateRefused",
@@ -196,9 +197,7 @@ def _ridge_candidates() -> Dict[str, Callable[[], Pipeline]]:
 
 def _corpus_setup(spec: _CorpusSpec):
     """Deterministic lot / stimulus / board shared by build and checks."""
-    lot_seq, stim_seq, train_seq, val_seq, cv_seq = np.random.SeedSequence(
-        spec.seed
-    ).spawn(5)
+    lot_seq, stim_seq, train_seq, val_seq, cv_seq = spawn_seeds(spec.seed, 5)
 
     lot_rng = np.random.default_rng(lot_seq)
     devices = [

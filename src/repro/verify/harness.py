@@ -29,6 +29,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.runtime.executor import spawn_seeds
+
 __all__ = [
     "RelationViolation",
     "check",
@@ -329,7 +331,7 @@ def _case_sequences(
     """
     tag = zlib.crc32(rel_name.encode("utf-8"))
     root = np.random.SeedSequence(entropy=(int(master_seed), tag, int(index)))
-    sample_seq, exec_seq = root.spawn(2)
+    sample_seq, exec_seq = spawn_seeds(root, 2)
     return sample_seq, exec_seq
 
 

@@ -40,6 +40,9 @@ equivalence                     describing function + ``np.interp`` per
 ga-generation-batch-            one GA generation's batched fitness
 equivalence                     (one capture for every gene) equals the
                                 per-gene capture loop, bit for bit
+seed-derivation-equivalence     every derived per-device generator
+                                draws like ``np.random.default_rng`` of
+                                ``SeedSequence.spawn``'s child
 ==============================  ========================================
 
 Tolerances are calibrated, not guessed: each non-exact bound sits an
@@ -86,7 +89,7 @@ from repro.runtime.calibration import (
     default_candidates,
     measure_signatures,
 )
-from repro.runtime.executor import SerialExecutor, spawn_seeds
+from repro.runtime.executor import SeedBlock, SerialExecutor, spawn_seeds
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
@@ -329,10 +332,10 @@ def _rel_capture_batch_equivalence(case, rng):
     seeds = spawn_seeds(rng, len(devices))
 
     batch_records = board.capture_batch(
-        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+        devices, stimulus, rngs=seeds.generators()
     )
     batch_sigs = board.signature_batch(
-        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+        devices, stimulus, rngs=seeds.generators()
     )
     for i, (device, seed) in enumerate(zip(devices, seeds)):
         solo_record = board.capture(device, stimulus, np.random.default_rng(seed))
@@ -383,10 +386,10 @@ def _rel_compiled_capture_equivalence(case, rng):
     seeds = spawn_seeds(rng, len(devices))
 
     reference = board._reference_signature_batch(
-        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+        devices, stimulus, rngs=seeds.generators()
     )
     compiled = board.signature_batch(
-        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+        devices, stimulus, rngs=seeds.generators()
     )
     check_array_equal(compiled, reference, label="compiled program")
 
@@ -827,7 +830,7 @@ def _rel_multisite_serial_equivalence(case, rng):
     seeds = spawn_seeds(rng, n_devices)
 
     multi = board.signature_batch(
-        devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+        devices, stimulus, rngs=seeds.generators()
     )
     for j, site_board in enumerate(board.site_boards):
         idx = list(range(j, n_devices, n_sites))
@@ -869,7 +872,7 @@ def _rel_multisite_serial_equivalence(case, rng):
             ),
         )
         coupled = coupled_board.signature_batch(
-            devices, stimulus, rngs=[np.random.default_rng(s) for s in seeds]
+            devices, stimulus, rngs=seeds.generators()
         )
         check(
             not np.array_equal(coupled, multi),
@@ -1164,3 +1167,101 @@ def _rel_ga_generation_batch_equivalence(case, rng):
     check_array_equal(
         values, want, label=f"{len(genes)} genes: batch vs per-gene fitness"
     )
+
+
+# ----------------------------------------------------------------------
+# the per-device noise-stream derivation
+# ----------------------------------------------------------------------
+@relation(
+    "seed-derivation-equivalence",
+    params={
+        "root": choice("int", "generator", "seed_sequence", "list_entropy", "big_entropy"),
+        "n_children": integers(0, 48, origin=0),
+        "counter": integers(0, 1000, origin=0),
+        "spawn_key_len": integers(0, 3, origin=0),
+        "pool_size": choice(4, 8),
+        "n_draws": integers(1, 16, origin=1),
+    },
+    equation="reproduction contract (per-device noise streams)",
+)
+def _rel_seed_derivation_equivalence(case, rng):
+    """Each derived device generator equals ``default_rng`` of the spawned child.
+
+    :func:`spawn_seeds` computes its children's PCG64 seed words as
+    uint32 columns instead of calling ``SeedSequence.spawn``.  For every
+    root kind it accepts -- an integer, a ``Generator`` (one draw
+    consumed), a caller's ``SeedSequence`` with a spawn key, a non-zero
+    spawn counter and a non-default pool, list entropy, entropy past
+    2**64 -- each block generator must start in the bit generator state
+    of ``np.random.default_rng(child)`` for ``child`` in the reference
+    ``spawn(n)``, draw the same numbers, and ``block[i]`` / a sub-block
+    must be that child.  The roots must be left in identical states.
+    """
+    n = case["n_children"]
+    kind = case["root"]
+    entropy = int(rng.integers(0, 2**63))
+    key = tuple(int(k) for k in rng.integers(0, 2**32, size=case["spawn_key_len"]))
+    if kind == "list_entropy":
+        entropy = [entropy, int(rng.integers(0, 2**32)), int(rng.integers(0, 2**63))]
+    elif kind == "big_entropy":
+        entropy = entropy << 64 | int(rng.integers(0, 2**63))
+
+    def root():
+        """One fresh copy of the sampled root (the derivation and the oracle each get one)."""
+        if kind == "int":
+            return entropy
+        if kind == "generator":
+            return np.random.default_rng(entropy)
+        if kind == "seed_sequence":
+            return np.random.SeedSequence(
+                entropy, spawn_key=key, pool_size=case["pool_size"],
+                n_children_spawned=case["counter"],
+            )
+        return np.random.SeedSequence(entropy, spawn_key=key)
+
+    derived_root, oracle_root = root(), root()
+    block = spawn_seeds(derived_root, n)
+    if isinstance(oracle_root, np.random.Generator):
+        oracle_seq = np.random.SeedSequence(int(oracle_root.integers(0, 2**63)))
+    elif isinstance(oracle_root, np.random.SeedSequence):
+        oracle_seq = oracle_root
+    else:
+        oracle_seq = np.random.SeedSequence(oracle_root)
+    children = oracle_seq.spawn(n)
+
+    check(isinstance(block, SeedBlock) and len(block) == n, f"{kind}: not a {n}-child block")
+    generators = block.generators()
+    for i, (gen, child) in enumerate(zip(generators, children)):
+        want = np.random.default_rng(child)
+        check(
+            gen.bit_generator.state == want.bit_generator.state,
+            f"{kind} child {i}: PCG64 state differs from default_rng(spawn child)",
+        )
+        check_array_equal(
+            gen.standard_normal(case["n_draws"]),
+            want.standard_normal(case["n_draws"]),
+            label=f"{kind} child {i} draws",
+        )
+        check(
+            (block[i].entropy, block[i].spawn_key, block[i].pool_size)
+            == (child.entropy, child.spawn_key, child.pool_size),
+            f"{kind}: block[{i}] is not the spawned child",
+        )
+    lo, hi = sorted(int(v) for v in rng.integers(0, n + 1, size=2))
+    for i, gen in enumerate(block[lo:hi].generators()):
+        check(
+            gen.bit_generator.state
+            == np.random.default_rng(children[lo + i]).bit_generator.state,
+            f"{kind}: sub-block [{lo}:{hi}] row {i} differs",
+        )
+    if isinstance(derived_root, np.random.Generator):
+        check(
+            derived_root.bit_generator.state == oracle_root.bit_generator.state,
+            f"{kind}: the root generator advanced differently from one draw",
+        )
+    if isinstance(derived_root, np.random.SeedSequence):
+        check(
+            derived_root.n_children_spawned == oracle_root.n_children_spawned,
+            f"{kind}: spawn counter {derived_root.n_children_spawned}, "
+            f"want {oracle_root.n_children_spawned}",
+        )

@@ -17,6 +17,7 @@ from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
 from repro.parallel import (
     ProcessExecutor,
+    SeedBlock,
     SerialExecutor,
     ThreadExecutor,
     available_cpus,
@@ -159,6 +160,110 @@ class TestSpawnStreams:
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
 
+    @pytest.mark.parametrize("seed", [2.7, 2.0, np.float64(3.0), "5", None])
+    def test_non_integral_seed_rejected(self, seed):
+        # int() would truncate 2.7 and collide with spawn_seeds(2, n)
+        with pytest.raises(TypeError):
+            spawn_seeds(seed, 3)
+
+    def test_numpy_integer_seed_equals_python_int(self):
+        a = spawn_generators(np.int64(11), 3)
+        b = spawn_generators(11, 3)
+        assert all(x.bit_generator.state == y.bit_generator.state for x, y in zip(a, b))
+
+
+def _spawned(root: np.random.SeedSequence, n: int):
+    """``default_rng`` of each child ``SeedSequence.spawn`` gives (the oracle)."""
+    return [np.random.default_rng(child) for child in root.spawn(n)]
+
+
+def _block_draws(block) -> list:
+    """Draws of every generator of a (pickled) seed block."""
+    return [g.standard_normal(3).tolist() for g in block.generators()]
+
+
+class TestSeedDerivation:
+    """SeedBlock's vectorized derivation equals SeedSequence.spawn, bit for bit."""
+
+    @pytest.mark.parametrize("entropy", [0, 123, 2**64 + 5, [7, 8, 9, 10, 11], 2**200])
+    def test_generators_equal_spawned_children(self, entropy):
+        got = spawn_generators(np.random.SeedSequence(entropy), 40)
+        want = _spawned(np.random.SeedSequence(entropy), 40)
+        for g, w in zip(got, want):
+            assert g.bit_generator.state == w.bit_generator.state
+            assert np.array_equal(g.random(5), w.random(5))
+
+    def test_seed_sequence_root_counter_advances(self):
+        root = np.random.SeedSequence(5, spawn_key=(2, 9), n_children_spawned=7)
+        oracle = np.random.SeedSequence(5, spawn_key=(2, 9), n_children_spawned=7)
+        first, second = spawn_seeds(root, 4), spawn_seeds(root, 3)
+        assert root.n_children_spawned == 14
+        want = _spawned(oracle, 4) + _spawned(oracle, 3)
+        got = first.generators() + second.generators()
+        assert [g.bit_generator.state for g in got] == [w.bit_generator.state for w in want]
+        assert [c.spawn_key for c in second] == [(2, 9, 11), (2, 9, 12), (2, 9, 13)]
+
+    def test_spawn_counter_overflow_raises(self):
+        # numpy keeps the counter in a uint32 and its spawn never returns past it
+        root = np.random.SeedSequence(5, n_children_spawned=2**32 - 3)
+        with pytest.raises(OverflowError):
+            spawn_seeds(root, 3)
+        assert root.n_children_spawned == 2**32 - 3
+
+    def test_child_indices_across_the_2_32_boundary(self):
+        # index 2**32 and up is two entropy words; each mixes in as its own step
+        root = np.random.SeedSequence([4, 5], spawn_key=(1,))
+        indices = range(2**32 - 3, 2**32 + 3)
+        block = SeedBlock.derive(root, indices)
+        for g, i in zip(block.generators(), indices):
+            child = np.random.SeedSequence([4, 5], spawn_key=(1, i))
+            assert np.array_equal(
+                g.bit_generator.seed_seq.generate_state(4, np.uint64),
+                child.generate_state(4, np.uint64),
+            )
+            assert np.array_equal(g.random(4), np.random.default_rng(child).random(4))
+
+    def test_slices_and_items_are_the_spawned_children(self):
+        block = spawn_seeds(31, 10)
+        children = np.random.SeedSequence(31).spawn(10)
+        assert [c.spawn_key for c in block] == [c.spawn_key for c in children]
+        assert block[3].spawn_key == (3,) and block[3].entropy == 31
+        tail = block[6:9]
+        assert len(tail) == 3 and [c.spawn_key for c in tail] == [(6,), (7,), (8,)]
+        want = [np.random.default_rng(c).bit_generator.state for c in children[6:9]]
+        assert [g.bit_generator.state for g in tail.generators()] == want
+
+    def test_pickle_round_trip_through_process_executor(self):
+        block = spawn_seeds(np.random.default_rng(19), 12)
+        chunks = [block[a:a + 4] for a in range(0, 12, 4)]
+        with ProcessExecutor(max_workers=2) as ex:
+            got = ex.map_tasks(_block_draws, chunks, chunksize=1)
+        want = [
+            g.standard_normal(3).tolist()
+            for g in _spawned(
+                np.random.SeedSequence(int(np.random.default_rng(19).integers(0, 2**63))), 12
+            )
+        ]
+        assert [row for chunk in got for row in chunk] == want
+
+    @pytest.mark.skipif(
+        not hasattr(np.random.Generator, "spawn"), reason="Generator.spawn needs numpy >= 1.25"
+    )
+    def test_generator_spawn_from_a_device_generator(self):
+        (device,) = spawn_generators(np.random.SeedSequence(8, n_children_spawned=3), 1)
+        (child,) = np.random.SeedSequence(8, n_children_spawned=3).spawn(1)
+        want = np.random.default_rng(child)
+        for _ in range(2):  # the device's own spawn counter advances too
+            got_kids, want_kids = device.spawn(2), want.spawn(2)
+            for g, w in zip(got_kids, want_kids):
+                assert g.bit_generator.state == w.bit_generator.state
+        assert np.array_equal(device.random(3), want.random(3))
+
+    def test_block_words_are_read_only(self):
+        block = spawn_seeds(1, 2)
+        with pytest.raises(ValueError):
+            block.words[0, 0] = 0
+
 
 class TestGACrossBackend:
     def _run(self, executor):
@@ -200,8 +305,10 @@ class TestGACrossBackend:
         ref = run("serial", SerialExecutor())
         with ThreadExecutor(2) as ex:
             out = run("thread", ex)
-        assert sizes["serial"] == [12, 12, 12]
-        assert len(sizes["thread"]) > 3 and sum(sizes["thread"]) == 36
+        # one call per generation with its not-yet-scored genes (elites
+        # and unmutated clones reuse their value); pools chunk them
+        assert sizes["serial"] == [12, 9, 8]
+        assert len(sizes["thread"]) > 3 and sum(sizes["thread"]) == 29
         assert ref.history == out.history
         assert np.array_equal(ref.best_gene, out.best_gene)
 

@@ -328,6 +328,11 @@ class TestStreamTypes:
         with pytest.raises(ValueError):
             Lot(lot_id=0, devices=[object()], seeds=[])
 
+    def test_lot_seeds_must_be_a_seed_block(self):
+        # chunk tasks build their generators from the block
+        with pytest.raises(TypeError):
+            Lot(lot_id=0, devices=[object()], seeds=np.random.SeedSequence(1).spawn(1))
+
     def test_seeded_lot_freezes_per_device_streams(self):
         lot = Lot.seeded(3, [object(), object()], seed=7, cell_id=1)
         assert len(lot) == 2

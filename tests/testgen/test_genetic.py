@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.testgen.genetic import GAConfig, GeneticAlgorithm
 
 
@@ -153,14 +154,18 @@ class TestSeeding:
 class TestBatchEvaluation:
     def test_one_fitness_call_per_generation_on_serial(self):
         calls = []
+        scored = []
 
         def fitness(genes):
             calls.append(len(genes))
+            scored.extend(gene.tobytes() for gene in genes)
             return sphere(genes)
 
         cfg = GAConfig(population_size=8, generations=3)
         GeneticAlgorithm(fitness, [-1.0] * 2, [1.0] * 2, cfg, np.random.default_rng(6)).run()
-        assert calls == [8] * 4
+        # one call per generation, carrying only the genes not yet scored
+        assert calls == [8, 6, 5, 4]
+        assert len(scored) == len(set(scored))
 
     def test_wrong_value_count_rejected(self):
         ga = GeneticAlgorithm(
@@ -169,6 +174,56 @@ class TestBatchEvaluation:
         )
         with pytest.raises(ValueError, match="one value per gene"):
             ga.run()
+
+
+class TestScoredGenesReused:
+    """Each distinct gene is scored once per run, with the GAResult unchanged."""
+
+    #: GAResult of the run below with every gene of every generation
+    #: scored (84 rows); reusing repeated genes' values must not change it
+    BEST_GENE = [
+        0.007145761827551833, 0.17633727913375452,
+        0.7175797945345597, -0.24514496872626726,
+    ]
+    BEST_FITNESS = 0.6061627151404552
+    HISTORY = [
+        (0.6943550166708902, 5.453352584043078),
+        (0.6943550166708902, 3.1204314754193336),
+        (0.6943550166708902, 1.9036587254037292),
+        (0.6943550166708902, 1.1516658140596319),
+        (0.6943550166708902, 0.7480010865085313),
+        (0.6718891893750241, 0.7909898521364841),
+        (0.6061627151404552, 0.7623871582478031),
+    ]
+
+    @pytest.mark.parametrize("backend", [
+        SerialExecutor, lambda: ThreadExecutor(max_workers=3),
+        lambda: ProcessExecutor(max_workers=2),
+    ], ids=["serial", "thread", "process"])
+    def test_same_result_with_fewer_fitness_rows(self, backend):
+        with backend() as executor:
+            result = GeneticAlgorithm(
+                sphere, [-2.0] * 4, [2.0] * 4,
+                GAConfig(population_size=12, generations=6),
+                np.random.default_rng(2002), executor,
+            ).run()
+        assert result.best_gene.tolist() == self.BEST_GENE
+        assert result.best_fitness == self.BEST_FITNESS
+        assert result.history == self.HISTORY
+        assert result.evaluations == 84
+
+    def test_rows_scored_once_each(self):
+        rows = []
+
+        def fitness(genes):
+            rows.extend(gene.tobytes() for gene in genes)
+            return sphere(genes)
+
+        GeneticAlgorithm(
+            fitness, [-2.0] * 4, [2.0] * 4,
+            GAConfig(population_size=12, generations=6), np.random.default_rng(2002),
+        ).run()
+        assert len(rows) == len(set(rows)) == 56
 
 
 def _nan_beyond_08(genes):
