@@ -36,6 +36,8 @@ __all__ = [
     "p1db_dbm_from_iip3",
     "gain_compression_db",
     "saturation_amplitudes",
+    "QuadratureCubes",
+    "quadrature_cubes",
     "describing_gain_tables",
     "RowInterpolator",
     "interp_rows",
@@ -210,6 +212,7 @@ class PolynomialNonlinearity:
 # ----------------------------------------------------------------------
 #: quadrature nodes of the saturating describing function
 _THETA = np.linspace(0.0, 2.0 * np.pi, 129)[:-1]
+_COS_THETA = np.cos(_THETA)
 #: describing-gain table points per device
 DESCRIBING_TABLE_POINTS = 256
 #: over-saturated (device, amplitude) cells integrated per block: one
@@ -233,7 +236,51 @@ def saturation_amplitudes(coeffs: np.ndarray) -> np.ndarray:
     return np.where((a3 >= 0.0) | (disc < 0.0), np.inf, sat)
 
 
-def describing_gain_tables(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class QuadratureCubes:
+    """``(grid[start:, None] * cos(theta)) ** 3``: one grid's abscissa cubes.
+
+    Every saturated cell of one grid column integrates over the same
+    unclipped abscissae ``A cos(theta)``, so their cubes are computed
+    once per column instead of once per cell.  Columns below ``start``
+    hold no saturated cell of the lot the table was built for.
+    """
+
+    start: int
+    values: np.ndarray
+
+
+def quadrature_cubes(
+    grid: np.ndarray, sat: np.ndarray
+) -> Optional[QuadratureCubes]:
+    """The abscissa cubes of every saturated cell of a lot on ``grid``.
+
+    ``sat`` holds the lot's :func:`saturation_amplitudes`.  A row
+    saturates only at grid points above its finite saturation amplitude
+    (NaN and ``inf`` rows never do), so the table starts at the first
+    point above the smallest finite one; ``None`` when no row saturates
+    below the grid's top.  ``grid`` ascends.
+    """
+    grid = np.asarray(grid, dtype=float)
+    finite = np.asarray(sat, dtype=float)
+    finite = finite[np.isfinite(finite)]
+    if not len(finite) or not finite.min() < grid[-1]:
+        return None
+    start = int(np.searchsorted(grid, finite.min(), side="right"))
+    # NumPy's power, as the scalar oracle cubes: x*x*x rounds differently
+    return QuadratureCubes(start, (grid[start:, None] * _COS_THETA[None, :]) ** 3)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise bitwise equality of two float64 arrays (broadcast)."""
+    return a.view(np.uint64) == b.view(np.uint64)
+
+
+def describing_gain_tables(
+    coeffs: np.ndarray,
+    grid: np.ndarray,
+    cubes: Optional[QuadratureCubes] = None,
+) -> np.ndarray:
     """``(N, len(grid))`` describing gains ``G(A)`` on one shared grid.
 
     Row ``i`` equals
@@ -241,7 +288,11 @@ def describing_gain_tables(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     bit for bit.  The closed form ``a1 + (3/4) a3 A^2`` fills the whole
     table at once; the saturating quadrature runs only on the
     (device, amplitude) cells beyond a device's fold-back point, in
-    blocks of at most ``_QUADRATURE_BLOCK`` cells.
+    blocks of at most ``_QUADRATURE_BLOCK`` cells.  Its cubes come from
+    ``cubes`` (:func:`quadrature_cubes` of a lot holding these rows;
+    built for this call alone when ``None``): the table's where
+    ``clip`` leaves an abscissa alone, the row's own ``(+-s) ** 3``
+    where it clips to the saturation amplitude ``s``.
     """
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
     grid = np.asarray(grid, dtype=float)
@@ -252,19 +303,34 @@ def describing_gain_tables(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     table += a1
     sat = saturation_amplitudes(coeffs)
     # grid ascends, so only rows saturating below its top have cells
-    sat_rows = np.flatnonzero(sat < grid[-1])
+    sat_rows = np.flatnonzero(np.isfinite(sat) & (sat < grid[-1]))
     sub, cols = np.nonzero(grid[None, :] > sat[sat_rows, None])
     rows = sat_rows[sub]
-    cos_t = np.cos(_THETA)
+    if not len(rows):
+        return table
+    if cubes is None:
+        cubes = quadrature_cubes(grid, sat)
+    elif cols.min() < cubes.start or len(cubes.values) != len(grid) - cubes.start:
+        raise ValueError("cubes do not cover the saturated cells of this grid")
+    # each saturating row's clip bounds, cubed once
+    s_rows = sat[sat_rows]
+    hi3 = s_rows**3
+    lo3 = (-s_rows) ** 3
     for start in range(0, len(rows), _QUADRATURE_BLOCK):
-        r = rows[start : start + _QUADRATURE_BLOCK]
-        c = cols[start : start + _QUADRATURE_BLOCK]
+        block = slice(start, start + _QUADRATURE_BLOCK)
+        r, c, k = rows[block], cols[block], sub[block]
         a_over = grid[c]
         s = sat[r][:, None]
-        # f(A cos t) of the clipped (saturating) polynomial, per cell
-        x = np.clip(a_over[:, None] * cos_t[None, :], -s, s)
-        y = a1[r] * x + a2[r] * x**2 + a3[r] * x**3
-        first = np.mean(y * cos_t[None, :], axis=1) * 2.0
+        # f(A cos t) of the clipped (saturating) polynomial, per cell;
+        # clip hands back u, -s or s bit for bit, so x**3 is u's cube
+        # from the table or the bound's own
+        u = a_over[:, None] * _COS_THETA[None, :]
+        x = np.clip(u, -s, s)
+        x3 = cubes.values[c - cubes.start]
+        np.copyto(x3, lo3[k, None], where=_same_bits(x, -s))
+        np.copyto(x3, hi3[k, None], where=_same_bits(x, s))
+        y = a1[r] * x + a2[r] * x**2 + a3[r] * x3
+        first = np.mean(y * _COS_THETA[None, :], axis=1) * 2.0
         table[r, c] = first / a_over
     return table
 
@@ -372,12 +438,25 @@ class DescribingGains:
             return 0
         return self._grid.nbytes + self._interp.nbytes()
 
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        """``(N, len(amps))`` gains, one row per ``(a1, a2, a3)`` row."""
+    def cubes(self, sat: np.ndarray) -> Optional[QuadratureCubes]:
+        """The grid's :func:`quadrature_cubes` for a lot whose saturation
+        amplitudes are ``sat`` (``None`` when no cell saturates)."""
+        if self._grid is None:
+            return None
+        return quadrature_cubes(self._grid, sat)
+
+    def __call__(
+        self, coeffs: np.ndarray, cubes: Optional[QuadratureCubes] = None
+    ) -> np.ndarray:
+        """``(N, len(amps))`` gains, one row per ``(a1, a2, a3)`` row.
+
+        ``cubes``: :meth:`cubes` of a lot holding these rows, shared by
+        its row blocks; built for this call alone when ``None``.
+        """
         coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
         if self._interp is None:
             return np.repeat(coeffs[:, :1], self.n, axis=1)
-        return self._interp(describing_gain_tables(coeffs, self._grid))
+        return self._interp(describing_gain_tables(coeffs, self._grid, cubes))
 
 
 def describing_gain_batch(

@@ -28,7 +28,7 @@ complex operands stay cache resident
 written into one preallocated result.
 :meth:`SignatureTestBoard.signature_grid` runs every (stimulus, device)
 pair of several stimuli through the same blocks -- one capture per GA
-generation.  Per-device RNG streams are spawned exactly like the
+generation, each distinct noise-free device captured once.  Per-device RNG streams are spawned exactly like the
 executor layer's (:func:`repro.runtime.executor.spawn_generators`), and
 every vectorized step is elementwise along the record axis, so batched
 and blocked results are bit-identical to the one-device-at-a-time path
@@ -47,13 +47,17 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.device import RFDevice
 from repro.circuits.noisefig import added_output_noise_vrms
-from repro.circuits.nonlinear import DescribingGains, saturation_amplitudes
+from repro.circuits.nonlinear import (
+    DescribingGains,
+    QuadratureCubes,
+    saturation_amplitudes,
+)
 from repro.dsp.filters import ButterworthLowpass
 from repro.dsp.mixer import Mixer
 from repro.dsp.sources import dbm_to_vpeak
@@ -142,9 +146,35 @@ def _row_blocks(n_plans: int, n_dev: int, rows: int) -> List[Tuple[int, int]]:
     return [(a, min(a + rows, total)) for a in range(0, total, rows)]
 
 
+def _distinct_devices(devices: Sequence[RFDevice]) -> Tuple[List[int], np.ndarray]:
+    """The devices a noise-free capture tells apart, and who is who.
+
+    Returns ``(first, rows)``: ``first`` indexes the first device of
+    each distinct (envelope-polynomial bytes, ``envelope_bandwidth``)
+    pair in order of appearance, and device ``i`` is captured as
+    ``devices[first[rows[i]]]``.
+    """
+    coeffs = envelope_coefficients(devices)
+    index: Dict[tuple, int] = {}
+    first: List[int] = []
+    rows = np.empty(len(devices), dtype=np.intp)
+    for i, device in enumerate(devices):
+        bw = getattr(device, "envelope_bandwidth", None)
+        key = (coeffs[i].tobytes(), None if bw is None else np.float64(bw).tobytes())
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        rows[i] = index[key]
+    return first, rows
+
+
 def overdrive_ratios(coeffs: np.ndarray, peak: float) -> np.ndarray:
     """Peak drive over each device's saturation amplitude (0 if none)."""
-    sat = saturation_amplitudes(coeffs)
+    return _saturation_ratios(saturation_amplitudes(coeffs), peak)
+
+
+def _saturation_ratios(sat: np.ndarray, peak: float) -> np.ndarray:
+    """:func:`overdrive_ratios` from the lot's saturation amplitudes."""
     finite = np.isfinite(sat)
     ratios = np.zeros(len(sat))
     ratios[finite] = peak / sat[finite]
@@ -183,7 +213,7 @@ def add_device_noise(
     n = noisy.shape[1]
     draws = np.empty((len(rows), 2, n))
     for k, i in enumerate(rows):
-        draws[k] = gens[i].normal(size=(2, n))
+        gens[i].standard_normal(out=draws[k])
     draws *= sigmas[rows, None, None]
     # the usual lot is noisy in every row: add through views instead of
     # a gather and scatter of every row
@@ -636,13 +666,18 @@ class SignatureTestBoard:
         return self._dut_rows(plan, coeffs, _wideband_terms(coeffs))
 
     def _dut_rows(
-        self, plan: CapturePlan, coeffs: np.ndarray, terms: Tuple[bool, bool]
+        self,
+        plan: CapturePlan,
+        coeffs: np.ndarray,
+        terms: Tuple[bool, bool],
+        cubes: Optional[QuadratureCubes] = None,
     ) -> EnvelopeSignal:
         """DUT outputs of the devices whose envelope polynomials are ``coeffs``.
 
         ``terms`` says whether the lot has any nonzero ``a2`` / ``a3``
         (wideband coupling only): decided once per lot, so every row
-        block carries the same harmonics.
+        block carries the same harmonics.  ``cubes`` are the plan's
+        quadrature cubes for the lot (tuned coupling only).
         """
         if self.config.dut_coupling == "tuned":
             # Narrowband DUT: only the carrier band reaches the
@@ -651,7 +686,7 @@ class SignatureTestBoard:
             # without the raw cubic's fold-back.  One (batch, 256) gain
             # table on the plan's shared grid interpolates the shared
             # |u1| record; the whole batch then multiplies u1 at once.
-            gain = plan.gains(coeffs)
+            gain = plan.gains(coeffs, cubes)
             return EnvelopeSignal(
                 {1: gain * plan.u1},
                 plan.dut_in.sample_rate,
@@ -861,8 +896,12 @@ class SignatureTestBoard:
         terms: Tuple[bool, bool],
         start: int,
         stop: int,
+        plan_cubes: Callable[[int], Optional[QuadratureCubes]],
     ) -> EnvelopeSignal:
-        """DUT outputs of rows ``start:stop`` of the ``(plan, device)`` grid."""
+        """DUT outputs of rows ``start:stop`` of the ``(plan, device)`` grid.
+
+        ``plan_cubes(s)`` gives plan ``s``'s quadrature cubes for the lot.
+        """
         n_dev = len(coeffs)
         if stop == start:
             return self._dut_rows(plans[0], coeffs[:0], terms)
@@ -870,7 +909,9 @@ class SignatureTestBoard:
         for s in range(start // n_dev, (stop - 1) // n_dev + 1):
             lo = max(start, s * n_dev) - s * n_dev
             hi = min(stop, (s + 1) * n_dev) - s * n_dev
-            pieces.append(self._dut_rows(plans[s], coeffs[lo:hi], terms))
+            pieces.append(
+                self._dut_rows(plans[s], coeffs[lo:hi], terms, plan_cubes(s))
+            )
         if len(pieces) == 1:
             return pieces[0]
         first = pieces[0]
@@ -892,6 +933,7 @@ class SignatureTestBoard:
         stages: Dict[str, float],
         n_bins: Optional[int] = None,
         log_scale: bool = False,
+        overdrive_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The device-dependent back half over every ``(plan, device)`` row.
 
@@ -907,14 +949,31 @@ class SignatureTestBoard:
         equals the whole-batch reference bit for bit.  Per-stage wall
         times accumulate into ``stages`` and are published as
         :attr:`last_stage_seconds`; the overdrive bookkeeping records
-        the last plan's ratios, as a loop over the plans would.
+        the last plan's ratios, as a loop over the plans would, for the
+        lot's ``overdrive_rows`` (default: one per device).
         """
         cfg = self.config
         n_dev = len(devices)
         n_rows = len(plans) * n_dev
         coeffs = envelope_coefficients(devices)
-        self._record_overdrive(overdrive_ratios(coeffs, plans[-1].peak))
+        sat = saturation_amplitudes(coeffs)
+        ratios = _saturation_ratios(sat, plans[-1].peak)
+        if overdrive_rows is not None:
+            ratios = ratios[overdrive_rows]
+        self._record_overdrive(ratios)
         terms = _wideband_terms(coeffs)
+        # each saturating (device, amplitude) cell of a plan cubes the
+        # plan's shared abscissae: one table per plan, built when the
+        # plan-major rows reach it and dropped when they leave it
+        cubes: Dict[int, Optional[QuadratureCubes]] = {}
+
+        def plan_cubes(s: int) -> Optional[QuadratureCubes]:
+            if s not in cubes:
+                cubes.clear()
+                gains = plans[s].gains
+                cubes[s] = None if gains is None else gains.cubes(sat)
+            return cubes[s]
+
         noisy = cfg.include_device_noise and any(g is not None for g in gens)
         if cfg.random_path_phase and any(g is None for g in gens):
             raise ValueError("random_path_phase requires an rng")
@@ -932,7 +991,7 @@ class SignatureTestBoard:
             t = clock()
             row_devices = [devices[r % n_dev] for r in range(start, end)]
             row_gens = [gens[r % n_dev] for r in range(start, end)]
-            dut_out = self._dut_block(plans, coeffs, terms, start, end)
+            dut_out = self._dut_block(plans, coeffs, terms, start, end, plan_cubes)
             dut_out = self._envelope_bandwidth_batch(dut_out, row_devices)
             if cfg.output_loss_db > 0.0:
                 dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
@@ -1102,7 +1161,11 @@ class SignatureTestBoard:
         ratio a capture under that stimulus records.  The plans come
         from one :meth:`capture_plans` batch and all ``S * N`` rows share
         one row-blocked back half -- one capture per GA generation
-        instead of one per gene.
+        instead of one per gene.  Without noise a row depends on its
+        device only through the envelope polynomial and
+        ``envelope_bandwidth``, so each distinct pair is captured once
+        and its rows are scattered to every device that has it;
+        :meth:`overdrive_snapshot` still holds one ratio per device.
         """
         devices = list(devices)
         if not len(stimuli):
@@ -1110,11 +1173,19 @@ class SignatureTestBoard:
         start = time.perf_counter()
         plans = self.capture_plans(stimuli)
         stages = {"plan": time.perf_counter() - start}
+        first, rows = _distinct_devices(devices)
+        distinct = [devices[i] for i in first]
         sigs = self._capture_rows(
-            plans, devices, [None] * len(devices), "fft", stages, n_bins
+            plans,
+            distinct,
+            [None] * len(distinct),
+            "fft",
+            stages,
+            n_bins,
+            overdrive_rows=rows,
         )
-        grid = sigs.reshape(len(plans), len(devices), sigs.shape[-1])
-        return grid, np.array([plan.peak for plan in plans])
+        grid = sigs.reshape(len(plans), len(distinct), sigs.shape[-1])
+        return grid[:, rows], np.array([plan.peak for plan in plans])
 
     def time_signature(
         self,

@@ -31,7 +31,8 @@ class PolynomialFeatures:
             raise ValueError("degree must be >= 1")
         self.degree = int(degree)
         self.interaction_only = bool(interaction_only)
-        self._combos: Optional[List[Tuple[int, ...]]] = None
+        #: per output column: (column of its prefix monomial or -1, input)
+        self._steps: Optional[List[Tuple[int, int]]] = None
         self._n_inputs: Optional[int] = None
 
     def fit(self, x: np.ndarray) -> "PolynomialFeatures":
@@ -45,18 +46,20 @@ class PolynomialFeatures:
                 if self.interaction_only and len(set(combo)) != len(combo):
                     continue
                 combos.append(combo)
-        self._combos = combos
+        # a monomial's prefix has a lower degree, so it comes first
+        column = {combo: j for j, combo in enumerate(combos)}
+        self._steps = [(column.get(combo[:-1], -1), combo[-1]) for combo in combos]
         self._n_inputs = d
         return self
 
     @property
     def n_output_features(self) -> int:
-        if self._combos is None:
+        if self._steps is None:
             raise RuntimeError("not fitted")
-        return len(self._combos)
+        return len(self._steps)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        if self._combos is None or self._n_inputs is None:
+        if self._steps is None or self._n_inputs is None:
             raise RuntimeError("not fitted")
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -66,8 +69,14 @@ class PolynomialFeatures:
             raise ValueError(
                 f"feature count {x.shape[1]} != fitted {self._n_inputs}"
             )
-        cols = [np.prod(x[:, combo], axis=1) for combo in self._combos]
-        out = np.column_stack(cols)
+        # each monomial is its prefix monomial times one input: the
+        # left-to-right product np.prod(x[:, combo], axis=1) takes
+        out = np.empty((len(x), len(self._steps)))
+        for j, (prefix, k) in enumerate(self._steps):
+            if prefix < 0:
+                out[:, j] = x[:, k]
+            else:
+                np.multiply(out[:, prefix], x[:, k], out=out[:, j])
         return out[0] if single else out
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:

@@ -99,16 +99,22 @@ def check_allclose(
 
 
 def check_array_equal(
-    actual: np.ndarray, desired: np.ndarray, label: str = "value"
+    actual: np.ndarray,
+    desired: np.ndarray,
+    label: str = "value",
+    equal_nan: bool = False,
 ) -> None:
-    """Bit-equality check (the batch/serial/parallel contract)."""
+    """Bit-equality check (the batch/serial/parallel contract).
+
+    ``equal_nan`` counts NaN as equal to NaN (a fail-closed value).
+    """
     actual = np.asarray(actual)
     desired = np.asarray(desired)
     if actual.shape != desired.shape:
         raise RelationViolation(
             f"{label}: shape mismatch {actual.shape} vs {desired.shape}"
         )
-    if not np.array_equal(actual, desired):
+    if not np.array_equal(actual, desired, equal_nan=equal_nan):
         diff = np.abs(np.asarray(actual, dtype=float) - np.asarray(desired, dtype=float))
         raise RelationViolation(
             f"{label}: arrays are not bit-identical "

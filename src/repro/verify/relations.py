@@ -67,6 +67,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.circuits.nonlinear import (
+    DescribingGains,
     PolynomialNonlinearity,
     describing_gain_batch,
     poly_from_specs,
@@ -1018,6 +1019,8 @@ def _rel_predict_batch_invariance(case, rng):
         "n_samples": integers(1, 600, origin=1),
         "overdrive": log_floats(0.05, 20.0, origin=0.05),
         "expansive_frac": floats(0.0, 0.5, origin=0.0),
+        "defect_frac": floats(0.0, 0.4, origin=0.0),
+        "n_blocks": integers(2, 6, origin=2),
         "silent_frac": floats(0.0, 0.5, origin=0.0),
         "zero_peak": booleans(),
     },
@@ -1032,7 +1035,11 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     :class:`PolynomialNonlinearity` per device, its describing function
     tabulated on ``linspace(0, 1.01 * peak, 256)`` and ``np.interp`` of
     the drive magnitudes -- and :func:`overdrive_ratios` to the scalar
-    saturation bookkeeping.
+    saturation bookkeeping.  Some rows are defective: a NaN coefficient
+    or a negated ``a1``.  The lot also runs the way a board capture
+    runs it, in 2-6 row blocks sharing the lot's quadrature cubes
+    (:meth:`DescribingGains.cubes`), checked device by device; a NaN
+    row must stay NaN, never pass.
     """
     n = case["n_devices"]
     rows = []
@@ -1046,6 +1053,12 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     coeffs = np.array(rows, dtype=float).reshape(n, 3)
     expansive = rng.random(n) < case["expansive_frac"]
     coeffs[expansive, 2] = np.abs(coeffs[expansive, 2])
+    defective = np.flatnonzero(rng.random(n) < case["defect_frac"])
+    negated = defective[rng.random(len(defective)) < 0.5]
+    # a2 stays >= 0, so a negated row saturates (if at all) above zero
+    coeffs[negated, 0] = -coeffs[negated, 0]
+    for i in np.setdiff1d(defective, negated):
+        coeffs[i, rng.integers(0, 3)] = np.nan
 
     sat = saturation_amplitudes(coeffs)
     finite = sat[np.isfinite(sat)]
@@ -1073,7 +1086,20 @@ def _rel_describing_gain_batch_equivalence(case, rng):
         describing_gain_batch(coeffs, amps, peak),
         want,
         label=f"{n} devices at {case['overdrive']:.3g}x median saturation",
+        equal_nan=True,
     )
+    gains = DescribingGains(amps, peak)
+    cubes = gains.cubes(sat)
+    step = max(1, -(-n // case["n_blocks"]))
+    for start in range(0, n, step):
+        block = gains(coeffs[start : start + step], cubes)
+        for i, row in enumerate(block, start):
+            check_array_equal(
+                row,
+                want[i],
+                label=f"device {i} of a {step}-row block, lot-wide cubes",
+                equal_nan=True,
+            )
     check_array_equal(
         overdrive_ratios(coeffs, peak),
         np.array(want_ratios).reshape(n),

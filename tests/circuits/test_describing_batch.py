@@ -20,6 +20,7 @@ from repro.circuits.nonlinear import (
     describing_gain_tables,
     interp_rows,
     poly_from_specs,
+    quadrature_cubes,
     saturation_amplitudes,
 )
 
@@ -192,6 +193,49 @@ class TestDescribingGains:
             got = gains(coeffs)
             assert np.array_equal(got, describing_gain_batch(coeffs, amps, peak))
             assert np.array_equal(got, _oracle_gain(coeffs, amps, peak))
+
+
+class TestLotCubes:
+    """One lot-wide table of abscissa cubes per grid, shared by row blocks."""
+
+    def test_nan_row_neither_disables_the_cube_nor_passes(self):
+        rng = np.random.default_rng(14)
+        coeffs = _lot_coeffs(rng, 12)
+        coeffs[4, 2] = np.nan
+        sat = saturation_amplitudes(coeffs)
+        assert np.isnan(sat[4])
+        peak = 3.0 * float(np.nanmin(sat))
+        amps = _drive(rng, 300, peak)
+        gains = DescribingGains(amps, peak)
+        cubes = gains.cubes(sat)
+        grid = np.linspace(0.0, 1.01 * peak, 256)
+        start = int(np.searchsorted(grid, np.nanmin(sat), side="right"))
+        assert 0 < cubes.start == start < 256
+        assert np.array_equal(cubes.values, (grid[start:, None] * np.cos(
+            np.linspace(0.0, 2.0 * np.pi, 129)[:-1])) ** 3)
+        got = np.concatenate([gains(coeffs[a : a + 5], cubes) for a in (0, 5, 10)])
+        assert np.array_equal(got, _oracle_gain(coeffs, amps, peak), equal_nan=True)
+        assert np.all(np.isnan(got[4]))
+        assert np.all(np.isfinite(np.delete(got, 4, axis=0)))
+
+    def test_no_saturated_cell_means_no_table(self):
+        grid = np.linspace(0.0, 2.0, 256)
+        for sat in ([np.inf, np.nan], [], [2.0, 5.0]):
+            assert quadrature_cubes(grid, np.array(sat, dtype=float)) is None
+        assert quadrature_cubes(grid, np.array([np.nan, 1.995, 5.0])).start == 255
+
+    def test_cubes_must_cover_the_saturated_cells(self):
+        coeffs = np.array([[10.0, 0.0, -40.0], [10.0, 0.0, -4.0]])
+        sat = saturation_amplitudes(coeffs)
+        grid = np.linspace(0.0, 3.0 * sat.max(), 256)
+        # built for the second row's lot only: misses the first's cells
+        narrow = quadrature_cubes(grid, sat[1:])
+        with pytest.raises(ValueError, match="cover"):
+            describing_gain_tables(coeffs, grid, narrow)
+        assert np.array_equal(
+            describing_gain_tables(coeffs[1:], grid, narrow),
+            describing_gain_tables(coeffs[1:], grid),
+        )
 
 
 def test_saturating_cells_across_many_blocks():

@@ -261,6 +261,50 @@ class TestSignatureGrid:
         with pytest.raises(ValueError, match="at least one stimulus"):
             board.signature_grid(make_lot(2), [])
 
+    @pytest.mark.parametrize(
+        "case", ["repeated_object", "equal_coefficients", "other_bandwidth"]
+    )
+    def test_distinct_devices_captured_once(self, case):
+        # a noise-free row depends on its device only through the
+        # envelope polynomial and bandwidth: repeats are captured once
+        # and scattered, and the overdrive bookkeeping keeps N ratios
+        cfg = simulation_config()
+        lot = make_lot(6, bandwidths=True)
+        lot[0] = lot[0].with_specs(iip3_dbm=-20.0)  # driven past fold-back
+        # distinct objects, equal polynomials: NF moves no coefficient
+        twins = [lot[i].with_specs(nf_db=3.5) for i in (0, 1)]
+        assert twins[1].envelope_poly() == lot[1].envelope_poly()
+        other = lot[1].with_specs()
+        other.envelope_bandwidth = 9e6
+        extra, captured = {
+            "repeated_object": ([lot[0], lot[4], lot[0]], 6),
+            "equal_coefficients": (twins, 6),
+            "other_bandwidth": ([other], 7),
+        }[case]
+        devices = lot + extra
+        stims = stimuli(3)
+        board = SignatureTestBoard(cfg)
+        seen = []
+        capture_rows = board._capture_rows
+
+        def counting(plans, rows, *args, **kwargs):
+            seen.append(len(rows))
+            return capture_rows(plans, rows, *args, **kwargs)
+
+        board._capture_rows = counting
+        grid, _ = board.signature_grid(devices, stims, n_bins=40)
+        assert seen == [captured]
+        loop = SignatureTestBoard(cfg)
+        want = np.stack(
+            [loop.signature_batch(devices, stim, rng=None, n_bins=40) for stim in stims]
+        )
+        assert np.array_equal(grid, want)
+        got_peak, got_ratios = board.overdrive_snapshot()
+        want_peak, want_ratios = loop.overdrive_snapshot()
+        assert len(got_ratios) == len(devices)
+        assert got_peak == want_peak > 1.0
+        assert np.array_equal(got_ratios, want_ratios)
+
 
 class TestSharedBoardThreads:
     def test_concurrent_generations_on_one_board(self):

@@ -42,6 +42,28 @@ class TestPolynomialFeatures:
         row = pf.transform(np.array([1.0, 2.0]))
         assert row.shape == (5,)
 
+    @pytest.mark.parametrize("interaction_only", [False, True])
+    def test_bit_identical_to_monomial_products(self, interaction_only):
+        # each monomial is built from its prefix column; it must equal
+        # np.prod over the monomial's inputs, the left-to-right product
+        from itertools import combinations_with_replacement
+
+        rng = np.random.default_rng(3)
+        for d, degree, n in [(1, 3, 5), (4, 3, 80), (3, 4, 7), (6, 2, 1)]:
+            x = rng.normal(size=(n, d)) * 37.0
+            pf = PolynomialFeatures(degree, interaction_only).fit(x)
+            combos = [
+                c
+                for deg in range(1, degree + 1)
+                for c in combinations_with_replacement(range(d), deg)
+                if not interaction_only or len(set(c)) == len(c)
+            ]
+            want = np.column_stack([np.prod(x[:, c], axis=1) for c in combos])
+            got = pf.transform(x)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(pf.transform(x[0]), want[0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PolynomialFeatures(0)
