@@ -136,7 +136,15 @@ class PolynomialNonlinearity:
 
     @property
     def saturation_amplitude(self) -> float:
-        """Input amplitude where ``d y / d x = 0`` (inf if non-compressive)."""
+        """Input amplitude where ``d y / d x = 0`` (inf if non-compressive).
+
+        An inverting device (``a1 < 0``) takes the amplitude of its
+        mirror ``(-a1, -a2, -a3)``: negation is exact and leaves ``|y|``
+        unchanged, so both fold back at the same positive amplitude.
+        """
+        if self.a1 < 0.0:
+            mirror = PolynomialNonlinearity(-self.a1, -self.a2, -self.a3)
+            return mirror.saturation_amplitude
         if self.a3 >= 0.0:
             return math.inf
         # y' = a1 + 2 a2 x + 3 a3 x^2 = 0; take the positive root
@@ -226,9 +234,15 @@ def saturation_amplitudes(coeffs: np.ndarray) -> np.ndarray:
 
     ``coeffs`` is an ``(N, 3)`` matrix of ``(a1, a2, a3)`` rows; entry
     ``i`` of the result equals the scalar property of row ``i`` bit for
-    bit (``inf`` when non-compressive, NaN for NaN coefficients).
+    bit (``inf`` when non-compressive, NaN for NaN coefficients); rows
+    with ``a1 < 0`` are mirrored to ``(-a1, -a2, -a3)`` first.
     """
     a1, a2, a3 = np.asarray(coeffs, dtype=float).reshape(-1, 3).T
+    inverting = a1 < 0.0
+    if inverting.any():
+        # multiplying by 1.0 is exact, so rows with a1 >= 0 keep their bits
+        sign = np.where(inverting, -1.0, 1.0)
+        a1, a2, a3 = a1 * sign, a2 * sign, a3 * sign
     disc = a2**2 - 3.0 * a1 * a3
     # the rows this masks to inf may take sqrt(<0) or divide by zero
     with np.errstate(invalid="ignore", divide="ignore"):

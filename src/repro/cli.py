@@ -485,8 +485,12 @@ def _soak_summary(payload: dict) -> str:
             f"(contention wait {payload['contention_wait_ms']:.1f} ms; {counts})"
         )
     lines.append(
-        "first lot bit-identical to offline flow: "
-        f"{payload['first_lot_bit_identical_to_offline']}"
+        f"captures:   {payload['captures']} "
+        f"({payload['lots_completed'] / max(1, payload['captures']):.1f} lots each)"
+    )
+    lines.append(
+        f"first {payload['first_lots_checked']} lots bit-identical to offline "
+        f"flow: {payload['first_lots_bit_identical_to_offline']}"
     )
     lines.append(
         "health:     " + ("ok" if payload["healthy"] else "UNHEALTHY")
@@ -517,7 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     payload = run_soak(on_snapshot=live, **_soak_kwargs(args))
     print(_soak_summary(payload))
     return 0 if payload["healthy"] and payload[
-        "first_lot_bit_identical_to_offline"
+        "first_lots_bit_identical_to_offline"
     ] else 1
 
 
@@ -538,7 +542,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print(f"soak metrics written to {args.output}")
     print(_soak_summary(payload))
     return 0 if payload["healthy"] and payload[
-        "first_lot_bit_identical_to_offline"
+        "first_lots_bit_identical_to_offline"
     ] else 1
 
 

@@ -20,6 +20,7 @@ are kept separately).
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Deque, Dict, Optional
@@ -35,10 +36,13 @@ DEFAULT_WINDOW = 4096
 class ThroughputMeter:
     """Devices/second, cumulative and over a sliding window of emissions.
 
-    The cumulative rate divides the total emitted count by the span
-    from the first to the latest emission; the windowed rate uses only
-    the last ``window`` emission timestamps, so it tracks the *current*
-    service speed even after a slow warm-up.
+    The cumulative rate divides the emitted count by the span from the
+    stream's origin (:meth:`start`, the service's first submission) to
+    the latest emission, so a stream whose records all leave in one
+    burst still has a rate.  Once the stream outgrows the window, the
+    windowed rate uses only the last ``window`` per-device emission
+    timestamps, so it tracks the *current* service speed even after a
+    slow warm-up.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -46,8 +50,14 @@ class ThroughputMeter:
             raise ValueError("window must be >= 2")
         self._times: Deque[float] = collections.deque(maxlen=window)
         self.total = 0
+        self._origin: Optional[float] = None
         self._first: Optional[float] = None
         self._last: Optional[float] = None
+
+    def start(self, timestamp: float) -> None:
+        """Mark the stream's origin; the earliest mark wins."""
+        if self._origin is None or timestamp < self._origin:
+            self._origin = timestamp
 
     def record(self, timestamp: float, count: int = 1) -> None:
         """Register ``count`` devices emitted at ``timestamp``."""
@@ -57,22 +67,43 @@ class ThroughputMeter:
         if self._first is None:
             self._first = timestamp
         self._last = timestamp
-        for _ in range(count):
-            self._times.append(timestamp)
+        self._times.extend(itertools.repeat(timestamp, count))
 
     def cumulative_rate(self) -> float:
-        """Devices/second since the first emission (0.0 before two)."""
-        if self._first is None or self._last is None or self.total < 2:
+        """Devices/second since the origin.
+
+        Without a :meth:`start` mark the first emission is the origin,
+        and its first device only marks time zero (0.0 before two
+        devices).
+        """
+        if self._last is None:
             return 0.0
+        if self._origin is not None:
+            span = self._last - self._origin
+            return self.total / span if span > 0 else 0.0
         span = self._last - self._first
         return (self.total - 1) / span if span > 0 else 0.0
 
     def windowed_rate(self) -> float:
-        """Devices/second over the recent emission window."""
+        """Devices/second over the recent emission window.
+
+        Until the window drops its first device it spans the whole
+        stream, and the rate is the cumulative one when the origin is
+        marked.  Otherwise the devices stamped at the window's oldest
+        timestamp only mark its start: counting them would over-count
+        bursts of ``k`` devices by up to 2x.
+        """
+        if self._origin is not None and len(self._times) == self.total:
+            return self.cumulative_rate()
         if len(self._times) < 2:
             return 0.0
-        span = self._times[-1] - self._times[0]
-        return (len(self._times) - 1) / span if span > 0 else 0.0
+        oldest = self._times[0]
+        span = self._times[-1] - oldest
+        if span <= 0:
+            return 0.0
+        burst = itertools.takewhile(lambda t: t == oldest, self._times)
+        at_oldest = sum(1 for _ in burst)
+        return (len(self._times) - at_oldest) / span
 
 
 class LatencyTracker:
@@ -134,7 +165,7 @@ class MetricsSnapshot:
     #: ingest queue depth in lots (the backpressure gauge)
     queue_depth: int
     queue_capacity: int
-    #: devices/second since the first emission and over the recent window
+    #: devices/second since the first submission and over the recent window
     duts_per_second: float
     duts_per_second_windowed: float
     #: per-device submission->emission latency stats (seconds)
@@ -149,6 +180,9 @@ class MetricsSnapshot:
     #: modeled shared-instrument arbitration wait accumulated across
     #: emitted devices (seconds; 0 without contention modeling)
     contention_wait_s: float = 0.0
+    #: dispatcher captures run so far; each serves every lot that was
+    #: queued when it started (``lots_completed / captures`` lots each)
+    captures: int = 0
 
     def to_dict(self) -> Dict[str, float]:
         return asdict(self)

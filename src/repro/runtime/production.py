@@ -44,13 +44,22 @@ def _insertion_batch_task(
     (:mod:`repro.regression.rowwise`), so a row's prediction does not
     depend on the chunk it was predicted in.
 
+    The task is ``(ids, devices, seed_blocks)``: ``seed_blocks`` holds
+    one :class:`~repro.runtime.executor.SeedBlock` per lot the chunk
+    covers (the streaming service captures several queued lots as one
+    chunk), in row order, so every row draws from its own generator.
+
     With limits set, a row whose signature has a NaN or inf entry fails:
     a model that ignores the signature (a hinge-free MARS fit is a
     constant) would otherwise predict passing specs from it.
     """
-    ids, devices, seeds = task
+    ids, devices, seed_blocks = task
+    # no local name: the generators are freed once the capture returns
     signatures = flow.board.signature_batch(
-        devices, flow.stimulus, rngs=seeds.generators(), n_bins=flow.signature_bins
+        devices,
+        flow.stimulus,
+        rngs=[rng for block in seed_blocks for rng in block.generators()],
+        n_bins=flow.signature_bins,
     )
     predicted = flow.calibration.predict_matrix(signatures)
     if flow.limits is not None:
@@ -74,8 +83,9 @@ def _insertion_batch_task(
             test_time=test_time,
             # detach the row from the batch matrix
             signature=signatures[position].copy(),
-            # chunk bounds are aligned to the site count, so the
-            # chunk-local position determines the site
+            # chunk bounds, and the starts of the lots a chunk covers,
+            # are aligned to the site count, so the chunk-local
+            # position determines the site
             site_index=site_of(position) if site_of is not None else 0,
         )
         for position, device_id in enumerate(ids)
@@ -167,7 +177,7 @@ class ProductionTestFlow:
         only record (up to ``device_id``).
         """
         (record,) = _insertion_batch_task(
-            self, ([device_id], [device], spawn_seeds(rng, 1))
+            self, ([device_id], [device], (spawn_seeds(rng, 1),))
         )
         return record
 
@@ -206,7 +216,7 @@ class ProductionTestFlow:
         seeds = spawn_seeds(rng, len(devices))
         ex = get_executor(executor)
         tasks = [
-            (list(range(a, b)), devices[a:b], seeds[a:b])
+            (list(range(a, b)), devices[a:b], (seeds[a:b],))
             for a, b in _chunk_bounds(
                 len(devices), ex, chunksize,
                 getattr(self.board, "chunk_alignment", 1),

@@ -11,12 +11,15 @@ unchanged offline flow:
   ingest queue -- a full queue blocks (or raises
   :class:`~repro.runtime.stream.SubmitTimeout`), which is the service's
   backpressure signal;
-* a dispatcher thread shards each lot into device chunks and ships
-  them through the existing executor backends via the same batched
-  ``signature_batch`` task the offline flow uses;
+* a dispatcher thread takes every lot already queued, captures them
+  as one row stream cut into device chunks, and ships the chunks
+  through the existing executor backends via the same batched
+  ``signature_batch`` task the offline flow uses -- the per-call cost
+  of a capture is paid once per batch of lots, not once per lot;
 * per-device :class:`~repro.runtime.stream.StreamRecord` results are
-  emitted incrementally (chunk wave by chunk wave, not lot by lot) and
-  drained with :meth:`~StreamingTestService.records`;
+  emitted incrementally (chunk wave by chunk wave, each record tagged
+  with its own lot and latency) and drained with
+  :meth:`~StreamingTestService.records`;
 * live metrics -- DUTs/sec, p50/p99 per-device latency, queue depth --
   are one :meth:`~StreamingTestService.metrics` call away.
 
@@ -26,18 +29,23 @@ Per-device seed streams are frozen at submission time with the exact
 :func:`~repro.runtime.executor.spawn_seeds` derivation the offline flow
 uses, so for the same (devices, master seed) pair the streamed records
 are bit-identical to ``ProductionTestFlow.run`` -- regardless of
-backend, chunking, queue capacity, or when the consumer drains.  The
+backend, chunking, queue capacity, which lots share a capture, or when
+the consumer drains.  Capture rows are independent, and a lot joins a
+batch only at an insertion boundary of the board (see
+:meth:`StreamingTestService._coalesce`), so a multi-site board sees
+each lot's insertions exactly as the offline flow does.  The
 ``streaming-offline-equivalence`` relation in :mod:`repro.verify`
 enforces this on every CI run.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
 from functools import partial
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.executor import (
     Executor,
@@ -46,7 +54,11 @@ from repro.runtime.executor import (
     get_executor,
 )
 from repro.runtime.metrics import LatencyTracker, MetricsSnapshot, ThroughputMeter
-from repro.runtime.production import ProductionTestFlow, _insertion_batch_task
+from repro.runtime.production import (
+    DeviceTestRecord,
+    ProductionTestFlow,
+    _insertion_batch_task,
+)
 from repro.runtime.stream import (
     Lot,
     ServiceClosed,
@@ -66,6 +78,21 @@ class _EndOfStream:
     """Sentinel closing the record outbox (one instance per service)."""
 
 
+class _Batch:
+    """Queued lots captured as one row stream, and how far it got."""
+
+    def __init__(self, lots: List[Lot], skip: int = 0):
+        self.lots = lots
+        #: each row's lot, as a position in ``lots``
+        self.row_lot = [i for i, lot in enumerate(lots) for _ in range(len(lot))]
+        #: the row stream's end offset of each lot
+        self.ends = list(itertools.accumulate(len(lot) for lot in lots))
+        #: leading rows an earlier attempt already emitted (dropped)
+        self.skip = skip
+        self.rows_done = 0
+        self.lots_done = 0
+
+
 class StreamingTestService:
     """Long-running streaming front end over a :class:`ProductionTestFlow`.
 
@@ -81,10 +108,12 @@ class StreamingTestService:
         closed with the service), or ``None`` for serial.
     max_pending_lots:
         Ingest-queue capacity; a full queue makes ``submit`` block --
-        bounded memory no matter how fast the cells produce.
+        bounded memory no matter how fast the cells produce.  The
+        dispatcher takes at most this many lots per capture, so the
+        service holds at most ``2 * max_pending_lots`` accepted lots.
     chunksize:
         Devices per capture task (default: the offline flow's chunking
-        for the resolved backend).
+        of a batch's rows for the resolved backend).
     clock:
         Monotonic time source for metrics (tests inject a fake one).
 
@@ -134,6 +163,7 @@ class StreamingTestService:
         self._devices_submitted = 0
         self._throughput = ThroughputMeter()
         self._latency = LatencyTracker()
+        self._captures = 0
         self._failure: Optional[BaseException] = None
 
         # multi-site observability: boards modeling shared-instrument
@@ -149,6 +179,9 @@ class StreamingTestService:
         else:
             self._arbitration_per_device = 0.0
         self._contention_wait = 0.0
+        self._align = max(1, int(getattr(board, "chunk_alignment", 1)))
+        self._workers = max(1, getattr(self._executor, "workers", 1))
+        self._task_fn = partial(_insertion_batch_task, flow)
 
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
@@ -212,6 +245,7 @@ class StreamingTestService:
         with self._lock:
             self._lots_submitted += 1
             self._devices_submitted += len(lot)
+            self._throughput.start(lot.submitted_at)
         return lot
 
     def close(self, timeout: Optional[float] = None) -> None:
@@ -302,65 +336,127 @@ class StreamingTestService:
                     else None
                 ),
                 contention_wait_s=self._contention_wait,
+                captures=self._captures,
             )
 
     # ------------------------------------------------------------------
     # dispatcher internals
     # ------------------------------------------------------------------
-    def _lot_chunksize(self, lot: Lot) -> int:
-        align = getattr(self.flow.board, "chunk_alignment", 1)
-        bounds = _chunk_bounds(len(lot), self._executor, self._chunksize, align)
-        return bounds[0][1] - bounds[0][0] if bounds else 1
-
     def _dispatch_loop(self) -> None:
-        """Pull lots FIFO, capture them in chunk waves, emit records."""
-        workers = max(1, getattr(self._executor, "workers", 1))
-        task_fn = partial(_insertion_batch_task, self.flow)
-        while True:
-            lot = self._inbox.get()
-            if isinstance(lot, _EndOfStream):
+        """Pull queued lots FIFO, capture each batch of them, emit records."""
+        head = self._inbox.get()
+        while not isinstance(head, _EndOfStream):
+            lots, carried = self._coalesce(head)
+            if not self._capture_batch(lots):
                 break
-            try:
-                chunks = iter_lot_chunks(lot, self._lot_chunksize(lot))
-                # one wave = one task per worker: every backend stays
-                # saturated inside a wave, and records still leave the
-                # service wave by wave instead of lot by lot
-                for wave in batched(chunks, workers):
-                    blocks = self._executor.map_tasks(task_fn, wave, chunksize=1)
-                    now = self._clock()
-                    latency = now - lot.submitted_at
-                    emitted = []
-                    for block in blocks:
-                        for record in block:
-                            emitted.append(
-                                StreamRecord(
-                                    lot_id=lot.lot_id,
-                                    cell_id=lot.cell_id,
-                                    record=record,
-                                    latency=latency,
-                                )
-                            )
-                    with self._lock:
-                        self._throughput.record(now, len(emitted))
-                        for stream_record in emitted:
-                            self._latency.record(latency)
-                            if self._track_sites:
-                                site = stream_record.record.site_index
-                                self._site_counts[site] = (
-                                    self._site_counts.get(site, 0) + 1
-                                )
-                        self._contention_wait += (
-                            len(emitted) * self._arbitration_per_device
-                        )
-                    for stream_record in emitted:
-                        self._outbox.put(stream_record)
-                with self._lock:
-                    self._lots_completed += 1
-            except BaseException as exc:  # surface on close()/records()
-                with self._lock:
-                    self._failure = exc
-                break
+            head = carried if carried is not None else self._inbox.get()
         self._outbox.put(self._eos)
+
+    def _coalesce(
+        self, head: Lot
+    ) -> Tuple[List[Lot], Optional[Union[Lot, _EndOfStream]]]:
+        """``head`` plus the lots queued behind it, and the next batch's head.
+
+        Drains the inbox without blocking.  A lot joins only at an
+        insertion boundary -- the rows already in the batch are a
+        multiple of the board's ``chunk_alignment`` -- so a multi-site
+        board assigns sites and crosstalk groups exactly as it does
+        offline; otherwise the lot (or the end-of-stream sentinel) is
+        handed back to start the next batch.  At most
+        ``max_pending_lots`` lots leave the inbox per batch, the handed
+        back one included.
+        """
+        lots, rows = [head], len(head)
+        while len(lots) < self._inbox.maxsize:
+            try:
+                item = self._inbox.get_nowait()
+            except queue.Empty:
+                break
+            if isinstance(item, _EndOfStream) or rows % self._align:
+                return lots, item
+            lots.append(item)
+            rows += len(item)
+        return lots, None
+
+    def _capture_batch(self, lots: List[Lot]) -> bool:
+        """Capture and emit ``lots``; False (failure stored) if one raised.
+
+        A coalesced batch that raises is re-run one lot at a time, so the
+        lots before the failing one emit and the error surfaces exactly
+        as if every lot had been dispatched alone.
+        """
+        batch = _Batch(lots)
+        try:
+            self._capture(batch)
+            return True
+        except BaseException as exc:  # surface on close()/records()
+            failure = exc
+        if len(lots) > 1:
+            try:
+                for i in range(batch.lots_done, len(lots)):
+                    start = batch.ends[i] - len(lots[i])
+                    self._capture(
+                        _Batch([lots[i]], skip=max(0, batch.rows_done - start))
+                    )
+                return True
+            except BaseException as exc:
+                failure = exc
+        with self._lock:
+            self._failure = failure
+        return False
+
+    def _capture(self, batch: _Batch) -> None:
+        """One capture of a batch's row stream, emitted chunk wave by wave."""
+        bounds = _chunk_bounds(
+            batch.ends[-1], self._executor, self._chunksize, self._align
+        )
+        chunksize = bounds[0][1] - bounds[0][0] if bounds else 1
+        with self._lock:
+            self._captures += 1
+        # one wave = one task per worker: every backend stays saturated
+        # inside a wave, and records still leave the service wave by wave
+        chunks = iter_lot_chunks(batch.lots, chunksize)
+        for wave in batched(chunks, self._workers):
+            blocks = self._executor.map_tasks(self._task_fn, wave, chunksize=1)
+            self._emit(batch, [record for block in blocks for record in block])
+        if batch.lots_done < len(batch.lots):  # trailing empty lots
+            self._emit(batch, [])
+
+    def _emit(self, batch: _Batch, records: List[DeviceTestRecord]) -> None:
+        """Emit the batch's next rows, each tagged with its own lot."""
+        now = self._clock()
+        emitted = []
+        for row, record in enumerate(records, batch.rows_done):
+            if row >= batch.skip:
+                lot = batch.lots[batch.row_lot[row]]
+                emitted.append(
+                    StreamRecord(
+                        lot_id=lot.lot_id,
+                        cell_id=lot.cell_id,
+                        record=record,
+                        latency=now - lot.submitted_at,
+                    )
+                )
+        batch.rows_done += len(records)
+        with self._lock:
+            self._throughput.record(now, len(emitted))
+            for stream_record in emitted:
+                self._latency.record(stream_record.latency)
+                if self._track_sites:
+                    site = stream_record.record.site_index
+                    self._site_counts[site] = self._site_counts.get(site, 0) + 1
+            self._contention_wait += len(emitted) * self._arbitration_per_device
+        for stream_record in emitted:
+            self._outbox.put(stream_record)
+        completed = batch.lots_done
+        while (
+            batch.lots_done < len(batch.lots)
+            and batch.ends[batch.lots_done] <= batch.rows_done
+        ):
+            batch.lots_done += 1
+        if batch.lots_done > completed:
+            with self._lock:
+                self._lots_completed += batch.lots_done - completed
 
     def _raise_failure(self) -> None:
         with self._lock:

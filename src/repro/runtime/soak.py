@@ -10,9 +10,12 @@ yield -- as one JSON-able payload.
 The load is deterministic (every lot's devices and capture seeds derive
 from the master seed) even though the *duration* is wall-clock bound:
 a longer run simply consumes a longer prefix of the same campaign.
-Each soak also re-runs its first lot through the offline
-``ProductionTestFlow.run`` and asserts bit-equality, so a soak that
-passes has exercised the correctness contract too, not just the
+Each soak also re-runs its first ``2 * max_pending_lots`` lots through
+the offline ``ProductionTestFlow.run`` and asserts bit-equality.  The
+service captures at most ``max_pending_lots`` queued lots at once, so
+those lots hold every lot of its first two captures -- lots at non-zero
+row offsets of a shared capture included, not just lot 0 -- and a soak
+that passes has exercised the correctness contract too, not just the
 plumbing.
 """
 
@@ -119,28 +122,32 @@ def build_soak_flow(
 
 
 class _Drain(threading.Thread):
-    """Concurrent record consumer: counts outcomes, keeps the first lot.
+    """Concurrent record consumer: counts outcomes, keeps the first lots.
 
     Only ``run`` (the drain thread) writes the counters; the main
     thread reads them strictly after ``join()`` returns, so the join's
     happens-before edge replaces a lock.
     """
 
-    def __init__(self, service: StreamingTestService):
+    def __init__(self, service: StreamingTestService, n_kept: int):
         super().__init__(name="repro-soak-drain", daemon=True)
         self.service = service
         self.n_records = 0
         self.n_passed = 0
         self.n_judged = 0
-        self.first_lot: List[StreamRecord] = []
+        #: records of lots ``0 .. n_kept - 1``, by lot id
+        self.first_lots: Dict[int, List[StreamRecord]] = {
+            lot_id: [] for lot_id in range(n_kept)
+        }
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
         try:
             for stream_record in self.service.records():
                 self.n_records += 1
-                if stream_record.lot_id == 0:
-                    self.first_lot.append(stream_record)
+                kept = self.first_lots.get(stream_record.lot_id)
+                if kept is not None:
+                    kept.append(stream_record)
                 passed = stream_record.record.passed
                 if passed is not None:
                     self.n_judged += 1
@@ -149,10 +156,10 @@ class _Drain(threading.Thread):
             self.error = exc
 
 
-def _check_first_lot(
+def _check_lot(
     flow: ProductionTestFlow, order, streamed: List[StreamRecord]
 ) -> bool:
-    """Bit-equality of the soak's first lot against the offline flow."""
+    """Bit-equality of one streamed lot against the offline flow."""
     offline = flow.run(order.devices, np.random.default_rng(order.seed))
     if len(streamed) != len(offline.records):
         return False
@@ -168,7 +175,19 @@ def _check_first_lot(
             return False
         if record.passed != reference.passed:
             return False
+        if record.site_index != reference.site_index:
+            return False
     return True
+
+
+def _check_first_lots(
+    flow: ProductionTestFlow, orders: List, streamed: Dict[int, List[StreamRecord]]
+) -> bool:
+    """Bit-equality of every submitted lot among the kept first lots."""
+    return all(
+        _check_lot(flow, order, streamed[lot_id])
+        for lot_id, order in enumerate(orders)
+    )
 
 
 def run_soak(
@@ -192,7 +211,8 @@ def run_soak(
     Streams wafer-map lots into the service until the wall-clock budget
     ``seconds`` runs out (or ``max_lots`` lots were submitted), drains
     records concurrently, health-checks every snapshot, re-runs the
-    first lot offline for bit-equality, and returns a JSON-able dict.
+    first ``2 * max_pending_lots`` lots offline for bit-equality, and
+    returns a JSON-able dict.
 
     ``on_snapshot`` (if given) receives a
     :class:`~repro.runtime.metrics.MetricsSnapshot` after every
@@ -278,10 +298,10 @@ def _run_soak(
         max_pending_lots=max_pending_lots,
         chunksize=chunksize,
     )
-    drain = _Drain(service)
+    drain = _Drain(service, n_kept=2 * max_pending_lots)
     drain.start()
 
-    first_order = None
+    first_orders: List = []
     lots_submitted = 0
     start = time.monotonic()
     deadline = start + seconds
@@ -290,8 +310,8 @@ def _run_soak(
             break
         if max_lots is not None and lots_submitted >= max_lots:
             break
-        if first_order is None:
-            first_order = order
+        if len(first_orders) < len(drain.first_lots):
+            first_orders.append(order)
         service.submit(
             order.devices, np.random.default_rng(order.seed), cell_id=order.cell_id
         )
@@ -310,11 +330,7 @@ def _run_soak(
     final = service.metrics()
     if final.devices_emitted:
         monitor.observe(final)
-    bit_identical = (
-        _check_first_lot(flow, first_order, drain.first_lot)
-        if first_order is not None
-        else True
-    )
+    bit_identical = _check_first_lots(flow, first_orders, drain.first_lots)
     health = monitor.history[-1] if monitor.history else None
     return {
         "benchmark": "streaming_soak",
@@ -330,6 +346,7 @@ def _run_soak(
         "max_pending_lots": int(max_pending_lots),
         "lots_submitted": lots_submitted,
         "lots_completed": final.lots_completed,
+        "captures": final.captures,
         "devices_tested": drain.n_records,
         "duts_per_second": final.duts_per_second,
         "duts_per_second_windowed": final.duts_per_second_windowed,
@@ -340,7 +357,8 @@ def _run_soak(
         "yield_fraction": (
             drain.n_passed / drain.n_judged if drain.n_judged else None
         ),
-        "first_lot_bit_identical_to_offline": bit_identical,
+        "first_lots_checked": len(first_orders),
+        "first_lots_bit_identical_to_offline": bit_identical,
         "healthy": monitor.healthy,
         "health_reasons": list(health.reasons) if health is not None else [],
         "unix_time": time.time(),

@@ -128,23 +128,32 @@ class StreamRecord:
         return self.record.device_id
 
 
-def iter_lot_chunks(lot: Lot, chunksize: int):
-    """``(ids, devices, seeds)`` capture tasks covering ``lot`` in order.
+def iter_lot_chunks(lots: Sequence[Lot], chunksize: int):
+    """``(ids, devices, seed_blocks)`` capture tasks covering ``lots`` in order.
 
-    The triple matches the task shape of
+    The lots run as one row stream cut every ``chunksize`` rows, so a
+    chunk may span lots: ``ids`` are lot-local device ids and
+    ``seed_blocks`` holds one seed sub-block per lot piece.  The triple
+    matches the task shape of
     :func:`repro.runtime.production._insertion_batch_task`, so a chunk
     can be shipped to any executor backend unchanged.
     """
     if chunksize < 1:
         raise ValueError("chunksize must be >= 1")
-    n = len(lot)
-    for start in range(0, n, chunksize):
-        stop = min(start + chunksize, n)
-        yield (
-            list(range(start, stop)),
-            list(lot.devices[start:stop]),
-            lot.seeds[start:stop],
-        )
+    ids, devices, seed_blocks = [], [], []
+    for lot in lots:
+        start = 0
+        while start < len(lot):
+            stop = min(len(lot), start + chunksize - len(ids))
+            ids.extend(range(start, stop))
+            devices.extend(lot.devices[start:stop])
+            seed_blocks.append(lot.seeds[start:stop])
+            start = stop
+            if len(ids) == chunksize:
+                yield ids, devices, tuple(seed_blocks)
+                ids, devices, seed_blocks = [], [], []
+    if ids:
+        yield ids, devices, tuple(seed_blocks)
 
 
 def batched(iterable, size: int):

@@ -680,10 +680,19 @@ def _rel_spec_permutation_stability(case, rng):
 # streaming service == offline production flow
 # ----------------------------------------------------------------------
 def _ridge_flow(
-    rng: np.random.Generator, stimulus: PiecewiseLinearStimulus
+    rng: np.random.Generator, stimulus: PiecewiseLinearStimulus, sites: int = 1
 ) -> ProductionTestFlow:
-    """A calibrated flow on the fast path (plain ridge, no model zoo)."""
-    board = SignatureTestBoard(_fast_config())
+    """A calibrated flow on the fast path (plain ridge, no model zoo).
+
+    With ``sites > 1`` it captures through a :class:`MultiSiteBoard`
+    with 1% site-to-site crosstalk.
+    """
+    if sites > 1:
+        board = MultiSiteBoard(
+            _fast_config(), MultiSiteConfig(n_sites=sites, crosstalk_coupling=0.01)
+        )
+    else:
+        board = SignatureTestBoard(_fast_config())
     train = _sample_lot(rng, 10)
     signatures = measure_signatures(
         board, stimulus, train, np.random.default_rng(int(rng.integers(0, 2**63)))
@@ -706,11 +715,12 @@ def _ridge_flow(
 @relation(
     "streaming-offline-equivalence",
     params={
-        "n_lots": integers(1, 3, origin=1),
-        "lot_size": integers(0, 3, origin=0),
-        "executor": choice("serial", "thread:2"),
-        "chunksize": integers(1, 3, origin=1),
-        "max_pending_lots": integers(1, 2, origin=1),
+        "n_lots": integers(1, 8, origin=1),
+        "max_lot_size": integers(0, 6, origin=0),
+        "executor": choice("serial", "thread:2", "process:2"),
+        "chunksize": choice(None, 1, 2, 3),
+        "max_pending_lots": integers(1, 6, origin=1),
+        "sites": choice(1, 4),
         "n_breakpoints": integers(3, 5, origin=3),
     },
     equation="reproduction contract (streaming service)",
@@ -721,14 +731,21 @@ def _rel_streaming_offline_equivalence(case, rng):
     The streaming service freezes per-device seed streams at submission
     time with the same ``spawn_seeds`` derivation the offline flow
     uses, so for the same master seed every streamed record -- raw
-    signature, predicted specs, pass verdict, device and lot order --
-    must be ``np.array_equal`` to the offline lot, across backends,
-    chunkings, queue bounds, and empty/single-device streams.
+    signature, predicted specs, pass verdict, device and lot order,
+    site -- must be ``np.array_equal`` to the offline lot, across
+    backends, chunkings, queue bounds, and empty/single-device streams.
+    Lots are submitted back to back, so several queue up and share one
+    capture; their sizes (0 to ``max_lot_size``) are mostly not
+    multiples of a 4-site board's insertion, whose crosstalk couples
+    co-inserted devices.
     """
     stimulus = _stimulus(rng, case["n_breakpoints"])
-    flow = _ridge_flow(rng, stimulus)
+    flow = _ridge_flow(rng, stimulus, sites=case["sites"])
     lots = [
-        (_sample_lot(rng, case["lot_size"]), int(rng.integers(0, 2**63)))
+        (
+            _sample_lot(rng, int(rng.integers(0, case["max_lot_size"] + 1))),
+            int(rng.integers(0, 2**63)),
+        )
         for _ in range(case["n_lots"])
     ]
 
@@ -779,6 +796,11 @@ def _rel_streaming_offline_equivalence(case, rng):
                 record.passed == reference.passed,
                 f"lot {lot_id} device {reference.device_id}: streamed verdict "
                 f"{record.passed} != offline {reference.passed}",
+            )
+            check(
+                record.site_index == reference.site_index,
+                f"lot {lot_id} device {reference.device_id}: streamed site "
+                f"{record.site_index} != offline {reference.site_index}",
             )
     check(
         total == len(streamed),
@@ -1036,10 +1058,10 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     tabulated on ``linspace(0, 1.01 * peak, 256)`` and ``np.interp`` of
     the drive magnitudes -- and :func:`overdrive_ratios` to the scalar
     saturation bookkeeping.  Some rows are defective: a NaN coefficient
-    or a negated ``a1``.  The lot also runs the way a board capture
-    runs it, in 2-6 row blocks sharing the lot's quadrature cubes
-    (:meth:`DescribingGains.cubes`), checked device by device; a NaN
-    row must stay NaN, never pass.
+    or a negated ``a1`` (half of those with ``a2`` negated too).  The
+    lot also runs the way a board capture runs it, in 2-6 row blocks
+    sharing the lot's quadrature cubes (:meth:`DescribingGains.cubes`),
+    checked device by device; a NaN row must stay NaN, never pass.
     """
     n = case["n_devices"]
     rows = []
@@ -1055,8 +1077,10 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     coeffs[expansive, 2] = np.abs(coeffs[expansive, 2])
     defective = np.flatnonzero(rng.random(n) < case["defect_frac"])
     negated = defective[rng.random(len(defective)) < 0.5]
-    # a2 stays >= 0, so a negated row saturates (if at all) above zero
     coeffs[negated, 0] = -coeffs[negated, 0]
+    # half the inverting rows flip a2 too (a2 < 0 when it is non-zero)
+    flipped = negated[rng.random(len(negated)) < 0.5]
+    coeffs[flipped, 1] = -coeffs[flipped, 1]
     for i in np.setdiff1d(defective, negated):
         coeffs[i, rng.integers(0, 3)] = np.nan
 

@@ -76,6 +76,25 @@ class TestSaturationAmplitudes:
     def test_empty(self):
         assert saturation_amplitudes(np.empty((0, 3))).shape == (0,)
 
+    def test_inverting_rows_take_the_mirrored_amplitude(self):
+        # (-1, -10, -1) mirrors to the expansive (1, 10, 1): never
+        # saturates; (-1, 10, 1) mirrors to the compressive (1, -10, -1)
+        coeffs = np.array([(-1.0, -10.0, -1.0), (-1.0, 10.0, 1.0)])
+        want = [PolynomialNonlinearity(*c).saturation_amplitude for c in coeffs]
+        got = saturation_amplitudes(coeffs)
+        assert np.array_equal(got, want)
+        assert got[0] == math.inf
+        assert got[1] == PolynomialNonlinearity(1.0, -10.0, -1.0).saturation_amplitude
+        assert 0.0 < got[1] < math.inf
+
+    def test_inverting_rows_match_the_oracle_gain(self):
+        coeffs = np.array([(-1.0, -10.0, -1.0), (-1.0, 10.0, 1.0)])
+        amps = np.array([0.0, 0.01, 0.05, 0.2])
+        with np.errstate(all="raise"):
+            gain = _assert_matches_oracle(coeffs, amps, float(amps.max()))
+        assert np.all(np.isfinite(gain))
+        assert gain[0, 0] == gain[1, 0] == -1.0
+
 
 class TestDescribingGainBatch:
     @pytest.mark.parametrize("n_rows", [0, 1, 16, 1000])

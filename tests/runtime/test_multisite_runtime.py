@@ -9,6 +9,9 @@ record must carry the site that captured it, and the stream metrics
 must expose per-site counts and the modeled contention wait.
 """
 
+import copy
+import threading
+
 import numpy as np
 import pytest
 
@@ -208,3 +211,64 @@ class TestStreamingMetrics:
             snapshot = service.metrics()
         assert snapshot.site_devices_emitted is None
         assert snapshot.contention_wait_s == 0.0
+
+
+class _GatedBoard:
+    """Board proxy holding captures until the test opens the gate.
+
+    It pickles as the plain board, so process workers (which only run
+    after the gate opened) never see the gate.
+    """
+
+    def __init__(self, board, gate):
+        self._board = board
+        self._gate = gate
+
+    def __getattr__(self, name):
+        return getattr(self._board, name)
+
+    def __reduce__(self):
+        return copy.copy, (self._board,)
+
+    def signature_batch(self, *args, **kwargs):
+        self._gate.wait(timeout=30)
+        return self._board.signature_batch(*args, **kwargs)
+
+
+class TestCoalescedLots:
+    @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+    def test_unaligned_lots_match_offline_on_a_crosstalk_board(self, stim, executor):
+        # a one-device lot holds the dispatcher at the gate while the
+        # rest queue up; on 4 sites a lot joins a capture only where the
+        # rows before it fill whole insertions: [4, 8, 5] | [3] | [0, 4, 6] | [2]
+        board = _board(n_sites=4)
+        flow = _ridge_flow(board, stim)
+        gate = threading.Event()
+        gated = ProductionTestFlow(
+            _GatedBoard(board, gate), stim, flow.calibration, limits=flow.limits
+        )
+        sizes = [1, 4, 8, 5, 3, 0, 4, 6, 2]
+        lots = [(_lot(n, seed=50 + i), 70 + i) for i, n in enumerate(sizes)]
+        with StreamingTestService(gated, executor=executor, max_pending_lots=8) as service:
+            for devices, seed in lots:
+                service.submit(devices, np.random.default_rng(seed))
+            gate.set()
+            service.close()
+            streamed = list(service.records())
+            snapshot = service.metrics()
+        assert snapshot.captures == 5
+        assert snapshot.lots_completed == len(sizes)
+        assert [r.lot_id for r in streamed] == [
+            i for i, n in enumerate(sizes) for _ in range(n)
+        ]
+        for lot_id, (devices, seed) in enumerate(lots):
+            offline = flow.run(devices, np.random.default_rng(seed))
+            mine = [r.record for r in streamed if r.lot_id == lot_id]
+            assert [r.device_id for r in mine] == [r.device_id for r in offline.records]
+            for record, reference in zip(mine, offline.records):
+                assert np.array_equal(record.signature, reference.signature)
+                assert np.array_equal(
+                    record.predicted.as_vector(), reference.predicted.as_vector()
+                )
+                assert record.passed == reference.passed
+                assert record.site_index == reference.site_index

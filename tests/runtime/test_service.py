@@ -241,6 +241,49 @@ class _BrokenBoard:
         raise RuntimeError("capture exploded")
 
 
+class _CountingGatedBoard(_GatedBoard):
+    """Gated proxy that records the rows of every capture."""
+
+    def __init__(self, board, gate):
+        super().__init__(board, gate)
+        self.rows = []
+
+    def signature_batch(self, devices, *args, **kwargs):
+        self.rows.append(len(devices))
+        return super().signature_batch(devices, *args, **kwargs)
+
+
+class _StepBoard:
+    """Board proxy that holds each capture until the test releases it."""
+
+    def __init__(self, board):
+        self._board = board
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Semaphore(0)
+
+    def __getattr__(self, name):
+        return getattr(self._board, name)
+
+    def signature_batch(self, *args, **kwargs):
+        self.entered.release()
+        assert self.release.acquire(timeout=30)
+        return self._board.signature_batch(*args, **kwargs)
+
+
+class _FailingBoard(_GatedBoard):
+    """Gated proxy whose capture fails when it holds a marked device."""
+
+    def __init__(self, board, gate, bad_devices):
+        super().__init__(board, gate)
+        self._bad = {id(device) for device in bad_devices}
+
+    def signature_batch(self, devices, *args, **kwargs):
+        self._gate.wait(timeout=30)
+        if any(id(device) in self._bad for device in devices):
+            raise RuntimeError("bad lot")
+        return self._board.signature_batch(devices, *args, **kwargs)
+
+
 def _proxied_flow(flow, board):
     return ProductionTestFlow(
         board, flow.stimulus, flow.calibration, limits=flow.limits
@@ -286,6 +329,107 @@ class TestBackpressure:
         finally:
             gate.set()
             svc.close()
+
+
+class TestCoalescing:
+    def test_one_capture_serves_every_queued_lot(self, flow_setup):
+        flow = flow_setup[2]
+        gate = threading.Event()
+        board = _CountingGatedBoard(flow.board, gate)
+        lots = [_lot_devices(flow_setup, 3, seed=i) for i in range(5)]
+        with StreamingTestService(_proxied_flow(flow, board), max_pending_lots=4) as svc:
+            for i, devices in enumerate(lots):
+                svc.submit(devices, np.random.default_rng(200 + i))
+                while not board.rows:  # lot 0 holds the dispatcher at the gate
+                    threading.Event().wait(0.005)
+            gate.set()
+            svc.close()
+            streamed = list(svc.records())
+            snapshot = svc.metrics()
+        # lots 1-4 queued behind lot 0 share the next capture
+        assert board.rows == [3, 12]
+        assert snapshot.captures == len(board.rows)
+        assert snapshot.lots_completed == 5
+        assert [r.lot_id for r in streamed] == [i for i in range(5) for _ in range(3)]
+        for i, devices in enumerate(lots):
+            offline = flow.run(devices, np.random.default_rng(200 + i))
+            _assert_records_match([r for r in streamed if r.lot_id == i], offline.records)
+
+    def test_each_lot_keeps_its_own_latency(self, flow_setup):
+        flow = flow_setup[2]
+        gate = threading.Event()
+        now = [0.0]
+        slow = _proxied_flow(flow, _GatedBoard(flow.board, gate))
+        with StreamingTestService(slow, clock=lambda: now[0]) as svc:
+            for i in range(3):
+                now[0] = float(i)
+                svc.submit(_lot_devices(flow_setup, 2, seed=i), i)
+            now[0] = 10.0
+            gate.set()
+            svc.close()
+            latencies = {r.lot_id: r.latency for r in svc.records()}
+            snapshot = svc.metrics()
+        assert latencies == {0: 10.0, 1: 9.0, 2: 8.0}
+        # six devices from the first submission at t = 0 to t = 10
+        assert snapshot.duts_per_second == pytest.approx(0.6)
+
+    def test_in_flight_lots_never_exceed_twice_the_queue(self, flow_setup):
+        flow = flow_setup[2]
+        board = _StepBoard(flow.board)
+        pending = 3
+        n_lots = 12
+        svc = StreamingTestService(_proxied_flow(flow, board), max_pending_lots=pending)
+        submitter = threading.Thread(
+            target=lambda: [
+                svc.submit(_lot_devices(flow_setup, 2, seed=i), i) for i in range(n_lots)
+            ],
+            daemon=True,
+        )
+        submitter.start()
+        seen = []
+        try:
+            while True:
+                # the dispatcher is inside a capture: let the submitter
+                # fill the inbox (or finish), then count what is held
+                assert board.entered.acquire(timeout=30)
+                while submitter.is_alive() and svc.metrics().queue_depth < pending:
+                    threading.Event().wait(0.005)
+                threading.Event().wait(0.05)
+                seen.append(svc.metrics().lots_in_flight)
+                board.release.release()
+                if not submitter.is_alive() and svc.metrics().queue_depth == 0:
+                    break
+        finally:
+            board.release.release(n_lots)
+            submitter.join(timeout=30)
+            svc.close()
+        assert len(list(svc.records())) == 2 * n_lots
+        assert max(seen) <= 2 * pending
+        # the bound is reached: a full batch in capture, a full inbox
+        assert max(seen) == 2 * pending
+
+
+class TestCoalescedFailure:
+    def test_lots_before_the_failing_lot_emit(self, flow_setup):
+        flow = flow_setup[2]
+        gate = threading.Event()
+        lots = [_lot_devices(flow_setup, 2, seed=i) for i in range(5)]
+        board = _FailingBoard(flow.board, gate, bad_devices=lots[3])
+        svc = StreamingTestService(_proxied_flow(flow, board), max_pending_lots=4)
+        for i, devices in enumerate(lots):
+            svc.submit(devices, np.random.default_rng(300 + i))
+        gate.set()
+        with pytest.raises(RuntimeError, match="bad lot"):
+            svc.close()
+        streamed = list(svc.records())
+        # lot 3 shared a capture with lots 1 and 2 (and 0, if the
+        # dispatcher woke late), which raised: the earlier lots still
+        # emit, lot 3 and the later lot 4 never do
+        assert [r.lot_id for r in streamed] == [0, 0, 1, 1, 2, 2]
+        for i in range(3):
+            offline = flow.run(lots[i], np.random.default_rng(300 + i))
+            _assert_records_match([r for r in streamed if r.lot_id == i], offline.records)
+        assert svc.metrics().lots_completed == 3
 
 
 class TestServiceMetrics:
@@ -345,13 +489,34 @@ class TestStreamTypes:
 
     def test_iter_lot_chunks_covers_in_order(self):
         lot = Lot.seeded(0, [f"d{i}" for i in range(5)], seed=1)
-        chunks = list(iter_lot_chunks(lot, 2))
+        chunks = list(iter_lot_chunks([lot], 2))
         assert [ids for ids, _, _ in chunks] == [[0, 1], [2, 3], [4]]
         assert [devs for _, devs, _ in chunks] == [
             ["d0", "d1"], ["d2", "d3"], ["d4"]
         ]
         with pytest.raises(ValueError):
-            list(iter_lot_chunks(lot, 0))
+            list(iter_lot_chunks([lot], 0))
+
+    def test_iter_lot_chunks_spans_lots(self):
+        # three lots (one empty) as one row stream: chunks cross lot
+        # boundaries, ids stay lot-local, every row keeps its own seed
+        lots = [
+            Lot.seeded(0, ["a0", "a1", "a2"], seed=1),
+            Lot.seeded(1, [], seed=2),
+            Lot.seeded(2, ["b0", "b1", "b2"], seed=3),
+        ]
+        chunks = list(iter_lot_chunks(lots, 4))
+        assert [ids for ids, _, _ in chunks] == [[0, 1, 2, 0], [1, 2]]
+        assert [devs for _, devs, _ in chunks] == [
+            ["a0", "a1", "a2", "b0"], ["b1", "b2"]
+        ]
+        words = [
+            np.vstack([block.words for block in blocks]) for _, _, blocks in chunks
+        ]
+        assert np.array_equal(
+            np.vstack(words), np.vstack([lots[0].seeds.words, lots[2].seeds.words])
+        )
+        assert [len(blocks) for _, _, blocks in chunks] == [2, 1]
 
     def test_batched_waves(self):
         assert list(batched(range(5), 2)) == [[0, 1], [2, 3], [4]]

@@ -61,6 +61,37 @@ class TestThroughputMeter:
         assert meter.windowed_rate() == pytest.approx(10.0, rel=1e-6)
         assert meter.cumulative_rate() < 1.0
 
+    def test_single_burst_rates_from_the_origin(self):
+        # a one-lot stream: every record leaves in one emission
+        meter = ThroughputMeter()
+        meter.start(0.5)
+        meter.record(2.5, count=16)
+        assert meter.cumulative_rate() == pytest.approx(16 / 2.0)
+        # the window still holds the whole stream, origin included
+        assert meter.windowed_rate() == pytest.approx(16 / 2.0)
+        unmarked = ThroughputMeter()
+        unmarked.record(2.5, count=16)
+        assert unmarked.windowed_rate() == 0.0  # one timestamp is not a span
+
+    def test_two_equal_bursts(self):
+        meter = ThroughputMeter()
+        meter.start(0.5)
+        meter.start(0.0)  # the earliest mark wins
+        meter.record(1.0, count=10)
+        meter.record(2.0, count=10)
+        assert meter.cumulative_rate() == pytest.approx(20 / 2.0)
+        assert meter.windowed_rate() == pytest.approx(20 / 2.0)
+
+    def test_two_equal_bursts_in_a_full_window(self):
+        meter = ThroughputMeter(window=20)
+        meter.start(0.0)
+        for t in (1.0, 2.0, 3.0):
+            meter.record(t, count=10)
+        # the window holds the last 20 devices over 1 s: 10 of them
+        # arrived within it (at t = 3), not 19
+        assert meter.windowed_rate() == pytest.approx(10.0)
+        assert meter.cumulative_rate() == pytest.approx(30 / 3.0)
+
     def test_degenerate_cases(self):
         meter = ThroughputMeter()
         assert meter.cumulative_rate() == 0.0

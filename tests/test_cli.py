@@ -90,7 +90,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "DUTs/s" in out  # live metrics lines
-        assert "first lot bit-identical to offline flow: True" in out
+        assert "first 2 lots bit-identical to offline flow: True" in out
         assert "health:     ok" in out
 
     def test_soak_writes_metrics_json(self, tmp_path, capsys):
@@ -107,7 +107,9 @@ class TestCommands:
         assert payload["lots_submitted"] == 3
         assert payload["devices_tested"] == 12
         assert payload["duts_per_second"] > 0
-        assert payload["first_lot_bit_identical_to_offline"] is True
+        assert payload["first_lots_checked"] == 3
+        assert payload["first_lots_bit_identical_to_offline"] is True
+        assert 1 <= payload["captures"] <= 3
         assert payload["healthy"] is True
 
     def test_program_roundtrip(self, tmp_path, capsys):
