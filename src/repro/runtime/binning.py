@@ -82,36 +82,24 @@ def confusion(
     if true_specs.shape[1] != len(spec_names):
         raise ValueError("spec column count does not match spec_names")
     decision_limits = decision_limits or limits
+    # columns in SpecSet.NAMES order; a name spec_names lacks reads 0.0
+    # (a repeated name keeps its last column, as a dict would)
+    position = {name: j for j, name in enumerate(spec_names)}
 
-    def as_specset(row: np.ndarray) -> SpecSet:
-        values = dict(zip(spec_names, row))
-        return SpecSet(
-            gain_db=values.get("gain_db", 0.0),
-            nf_db=values.get("nf_db", 0.0),
-            iip3_dbm=values.get("iip3_dbm", 0.0),
-        )
+    def spec_matrix(specs: np.ndarray) -> np.ndarray:
+        return np.column_stack([
+            specs[:, position[name]] if name in position else np.zeros(len(specs))
+            for name in SpecSet.NAMES
+        ])
 
-    escapes = 0
-    yield_loss = 0
-    true_pass = 0
-    true_fail = 0
-    for t_row, p_row in zip(true_specs, predicted_specs):
-        truly_good = limits.check(as_specset(t_row))
-        binned_good = decision_limits.check(as_specset(p_row))
-        if truly_good:
-            true_pass += 1
-            if not binned_good:
-                yield_loss += 1
-        else:
-            true_fail += 1
-            if binned_good:
-                escapes += 1
+    truly_good = limits.check_matrix(spec_matrix(true_specs))
+    binned_good = decision_limits.check_matrix(spec_matrix(predicted_specs))
     return BinningReport(
         n_devices=len(true_specs),
-        true_pass=true_pass,
-        true_fail=true_fail,
-        escapes=escapes,
-        yield_loss=yield_loss,
+        true_pass=int(np.count_nonzero(truly_good)),
+        true_fail=int(np.count_nonzero(~truly_good)),
+        escapes=int(np.count_nonzero(~truly_good & binned_good)),
+        yield_loss=int(np.count_nonzero(truly_good & ~binned_good)),
     )
 
 
@@ -149,19 +137,8 @@ def sweep_guard_band(
     spec_names: Sequence[str] = SpecSet.NAMES,
 ) -> List[Tuple[float, BinningReport]]:
     """Escape/yield-loss trade-off curve over the guard-band factor."""
-    out: List[Tuple[float, BinningReport]] = []
-    for k in k_values:
-        decision = guard_banded_limits(limits, prediction_sigmas, k)
-        out.append(
-            (
-                float(k),
-                confusion(
-                    true_specs,
-                    predicted_specs,
-                    limits,
-                    spec_names=spec_names,
-                    decision_limits=decision,
-                ),
-            )
-        )
-    return out
+    return [
+        (float(k), confusion(true_specs, predicted_specs, limits, spec_names=spec_names,
+                             decision_limits=guard_banded_limits(limits, prediction_sigmas, k)))
+        for k in k_values
+    ]

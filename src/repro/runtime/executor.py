@@ -28,7 +28,8 @@ stream per task with :func:`spawn_seeds` /
 derived for the whole batch in one vectorized pass: :class:`SeedBlock`),
 so the same master seed produces bit-identical results on every
 backend, any worker count, and any chunking.  Tasks must be pure: the
-process backend may re-run the batch serially after a pool failure.
+process backend may re-run the batch serially after a pool failure (a
+task's own exception is none: it propagates, and the pool stays).
 """
 
 from __future__ import annotations
@@ -387,6 +388,17 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
+class _TaskError(Exception):
+    """A task's own exception (``args[0]``), wrapped in the worker."""
+
+
+def _tagged_call(fn: Callable[[Any], Any], item: Any) -> Any:
+    try:
+        return fn(item)
+    except Exception as exc:
+        raise _TaskError(exc)
+
+
 class _PoolExecutor(Executor):
     """Pooled backend base: lazy pool, reused across ``map_tasks`` calls.
 
@@ -398,6 +410,7 @@ class _PoolExecutor(Executor):
     """
 
     #: pool construction / submission failures that trigger serial fallback
+    #: (a task's own exceptions arrive as a _TaskError and propagate)
     _FALLBACK_ERRORS = (OSError, BrokenProcessPool, pickle.PicklingError,
                         RuntimeError, ValueError, AttributeError, TypeError,
                         ImportError)
@@ -435,7 +448,9 @@ class _PoolExecutor(Executor):
         try:
             if self._pool is None:
                 self._pool = self._make_pool()
-            return self._pool_map(self._pool, fn, items, chunksize)
+            return self._pool_map(self._pool, functools.partial(_tagged_call, fn), items, chunksize)
+        except _TaskError as error:  # a process pool's cause: the worker traceback
+            raise error.args[0] from error.__cause__
         except self._FALLBACK_ERRORS as exc:
             # a broken pool cannot be reused; stop retrying forks and
             # degrade this executor to serial for its remaining lifetime

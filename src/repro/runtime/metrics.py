@@ -122,12 +122,13 @@ class LatencyTracker:
         self._sum = 0.0
         self.worst = 0.0
 
-    def record(self, latency: float) -> None:
+    def record(self, latency: float, count: int = 1) -> None:
         latency = float(latency)
-        self._ring.append(latency)
-        self.count += 1
-        self._sum += latency
-        if latency > self.worst:
+        self._ring.extend(itertools.repeat(latency, count))
+        self.count += count
+        for _ in range(count):  # one add per device, as device by device
+            self._sum += latency
+        if count > 0 and latency > self.worst:
             self.worst = latency
 
     @property

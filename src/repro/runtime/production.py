@@ -6,15 +6,16 @@ specifications are computed from the obtained signature."
 
 :class:`ProductionTestFlow` owns the pieces a test-floor insertion needs:
 the signature board (with its stimulus), the calibration model, and the
-datasheet limits.  It produces per-device records plus run-level yield
-and throughput statistics.
+datasheet limits.  It produces a lot's results as columns plus run-level
+yield and throughput statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,12 +36,12 @@ __all__ = ["DeviceTestRecord", "ProductionRunResult", "ProductionTestFlow"]
 
 def _insertion_batch_task(
     flow: "ProductionTestFlow", task
-) -> List["DeviceTestRecord"]:
+) -> "ProductionRunResult":
     """One pickled insertion over a device chunk: capture, predict, bin.
 
     The chunk is captured, predicted and binned as whole matrices (one
-    ``signature_batch``, one ``predict_matrix``, one limit check); each
-    record then reads its row.  The regression kernels are row-invariant
+    ``signature_batch``, one ``predict_matrix``, one limit check): the
+    chunk's result columns.  The regression kernels are row-invariant
     (:mod:`repro.regression.rowwise`), so a row's prediction does not
     depend on the chunk it was predicted in.
 
@@ -62,76 +63,131 @@ def _insertion_batch_task(
         n_bins=flow.signature_bins,
     )
     predicted = flow.calibration.predict_matrix(signatures)
-    if flow.limits is not None:
-        verdicts = flow.limits.check_matrix(predicted)
-        verdicts &= np.isfinite(signatures).all(axis=1)
-        passed = [bool(p) for p in verdicts]
-    else:
-        passed = [None] * len(ids)
+    passed = None if flow.limits is None else (
+        flow.limits.check_matrix(predicted) & np.isfinite(signatures).all(axis=1)
+    )
     # multi-site boards amortize the (contention-inflated) insertion
     # time over the sites; single-site boards keep the config's time
     if hasattr(flow.board, "device_test_time"):
         test_time = flow.board.device_test_time()
     else:
         test_time = flow.board.config.total_test_time()
-    site_of = getattr(flow.board, "site_of", None)
-    return [
-        DeviceTestRecord(
-            device_id=device_id,
-            predicted=SpecSet.from_vector(predicted[position]),
-            passed=passed[position],
-            test_time=test_time,
-            # detach the row from the batch matrix
-            signature=signatures[position].copy(),
-            # chunk bounds, and the starts of the lots a chunk covers,
-            # are aligned to the site count, so the chunk-local
-            # position determines the site
-            site_index=site_of(position) if site_of is not None else 0,
-        )
-        for position, device_id in enumerate(ids)
-    ]
+    # chunk bounds, and the starts of the lots a chunk covers, are
+    # aligned to the site count, so the chunk-local position determines the site
+    site_of = getattr(flow.board, "site_of", lambda position: 0)
+    return ProductionRunResult(
+        np.array(ids, dtype=np.int64), signatures, predicted, passed,
+        np.fromiter(map(site_of, range(len(ids))), dtype=np.int64, count=len(ids)),
+        np.concatenate([block.words for block in seed_blocks]), test_time,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceTestRecord:
-    """Outcome of testing one device."""
+    """One device's outcome, a row view of a :class:`ProductionRunResult`."""
 
     device_id: int
     predicted: SpecSet
     passed: Optional[bool]  # None when no limits were configured
     test_time: float
-    signature: np.ndarray
+    signature: np.ndarray  # a read-only row of the lot's signature matrix
     #: load-board site that captured this device (0 on single-site boards)
     site_index: int = 0
 
+    def __eq__(self, other) -> bool:  # field by field; a NaN equals a NaN
+        scalars = ("device_id", "passed", "test_time", "site_index")
+        return isinstance(other, DeviceTestRecord) and all(
+            getattr(self, name) == getattr(other, name) for name in scalars
+        ) and all(np.array_equal(a, b, equal_nan=True) for a, b in (
+            (self.predicted.as_vector(), other.predicted.as_vector()),
+            (self.signature, other.signature)))
 
-@dataclass
+
+def _empty(*shape, dtype=float):
+    return field(default_factory=lambda: np.empty(shape, dtype=dtype))
+
+
+@dataclass(frozen=True, eq=False)
 class ProductionRunResult:
-    """Aggregate statistics of a production run."""
+    """A lot's outcome as read-only columns, one row per device in lot order.
 
-    records: List[DeviceTestRecord] = field(default_factory=list)
+    The columns are the chunk matrices the capture, predict and limit
+    check returned, nothing copied per device.  ``result[i]``, iteration
+    and :attr:`records` build :class:`DeviceTestRecord` views on demand;
+    ``result[a:b]`` is a sub-result sharing the columns.
+    """
+
+    device_id: np.ndarray = _empty(0, dtype=np.int64)
+    signatures: np.ndarray = _empty(0, 0)  #: ``(N, m)``
+    predicted: np.ndarray = _empty(0, len(SpecSet.NAMES))  #: ``(N, 3)``, NAMES order
+    passed: Optional[np.ndarray] = None  #: ``(N,)`` bool; None without limits
+    site: np.ndarray = _empty(0, dtype=np.int64)  #: load-board site per row
+    seed_words: np.ndarray = _empty(0, 4, dtype=np.uint64)  #: each row's PCG64 seed
+    test_time: float = 0.0  #: tester seconds per device (one flow, one value)
+
+    def _columns(self):  # the per-row fields, in order; test_time stays last
+        return [getattr(self, f.name) for f in fields(self) if f.name != "test_time"]
+
+    def __post_init__(self):
+        for column in self._columns():
+            if column is not None:
+                column.flags.writeable = False
+
+    @classmethod
+    def concat(cls, parts: Sequence["ProductionRunResult"]) -> "ProductionRunResult":
+        """The rows of ``parts`` in order (a single part is returned as it is)."""
+        if len(parts) <= 1:
+            return parts[0] if parts else cls()
+        columns = zip(*(part._columns() for part in parts))
+        return cls(*(None if c[0] is None else np.concatenate(c) for c in columns),
+                   parts[0].test_time)
+
+    def __len__(self) -> int:
+        return len(self.device_id)
+
+    def __getitem__(self, key: Union[int, slice]):
+        if isinstance(key, slice):
+            return ProductionRunResult(
+                *(None if c is None else c[key] for c in self._columns()), self.test_time
+            )
+        index = range(len(self))[key]
+        return next(iter(self[index:index + 1]))
+
+    def __iter__(self) -> Iterator[DeviceTestRecord]:
+        passed = itertools.repeat(None) if self.passed is None else self.passed.tolist()
+        for device_id, specs, verdict, signature, site in zip(
+            self.device_id.tolist(), self.predicted.tolist(), passed, self.signatures,
+            self.site.tolist(),
+        ):
+            yield DeviceTestRecord(device_id, SpecSet(*specs), verdict, self.test_time,
+                                   signature, site)
+
+    @property
+    def records(self) -> List[DeviceTestRecord]:
+        """Per-device record views, built on each read."""
+        return list(self)
 
     @property
     def n_devices(self) -> int:
-        return len(self.records)
+        return len(self)
 
     @property
     def yield_fraction(self) -> float:
         """Pass fraction (requires limits to have been configured)."""
-        judged = [r for r in self.records if r.passed is not None]
-        if not judged:
+        if self.passed is None or not len(self):
             raise ValueError("no pass/fail information recorded")
-        return sum(r.passed for r in judged) / len(judged)
+        return int(np.count_nonzero(self.passed)) / len(self)
 
     @property
     def total_test_time(self) -> float:
-        return sum(r.test_time for r in self.records)
+        # the per-device float sum, left to right
+        return sum(itertools.repeat(self.test_time, len(self)))
 
     @property
     def mean_test_time(self) -> float:
-        if not self.records:
+        if not len(self):
             raise ValueError("empty run")
-        return self.total_test_time / len(self.records)
+        return self.total_test_time / len(self)
 
     def throughput_per_hour(self) -> float:
         """Devices per tester-hour at this flow's test time."""
@@ -141,9 +197,7 @@ class ProductionRunResult:
 
     def predicted_matrix(self) -> np.ndarray:
         """All predicted specs as an (N, 3) matrix (empty run: (0, 3))."""
-        if not self.records:
-            return np.empty((0, len(SpecSet.NAMES)))
-        return np.vstack([r.predicted.as_vector() for r in self.records])
+        return self.predicted.copy()
 
 
 class ProductionTestFlow:
@@ -176,10 +230,9 @@ class ProductionTestFlow:
         ``rng`` directly, so the record equals ``run([device], rng)``'s
         only record (up to ``device_id``).
         """
-        (record,) = _insertion_batch_task(
+        return _insertion_batch_task(
             self, ([device_id], [device], (spawn_seeds(rng, 1),))
-        )
-        return record
+        )[0]
 
     def run(
         self,
@@ -216,13 +269,12 @@ class ProductionTestFlow:
         seeds = spawn_seeds(rng, len(devices))
         ex = get_executor(executor)
         tasks = [
-            (list(range(a, b)), devices[a:b], (seeds[a:b],))
+            (range(a, b), devices[a:b], (seeds[a:b],))
             for a, b in _chunk_bounds(
                 len(devices), ex, chunksize,
                 getattr(self.board, "chunk_alignment", 1),
             )
         ]
-        blocks = ex.map_tasks(partial(_insertion_batch_task, self), tasks, chunksize=1)
-        return ProductionRunResult(
-            records=[record for block in blocks for record in block]
+        return ProductionRunResult.concat(
+            ex.map_tasks(partial(_insertion_batch_task, self), tasks, chunksize=1)
         )

@@ -16,10 +16,9 @@ unchanged offline flow:
   through the existing executor backends via the same batched
   ``signature_batch`` task the offline flow uses -- the per-call cost
   of a capture is paid once per batch of lots, not once per lot;
-* per-device :class:`~repro.runtime.stream.StreamRecord` results are
-  emitted incrementally (chunk wave by chunk wave, each record tagged
-  with its own lot and latency) and drained with
-  :meth:`~StreamingTestService.records`;
+* results leave chunk wave by chunk wave, one block of result columns
+  per lot piece, and :meth:`~StreamingTestService.records` drains them
+  as per-device :class:`~repro.runtime.stream.StreamRecord` views;
 * live metrics -- DUTs/sec, p50/p99 per-device latency, queue depth --
   are one :meth:`~StreamingTestService.metrics` call away.
 
@@ -44,6 +43,7 @@ import itertools
 import queue
 import threading
 import time
+from collections import Counter
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +55,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.metrics import LatencyTracker, MetricsSnapshot, ThroughputMeter
 from repro.runtime.production import (
-    DeviceTestRecord,
+    ProductionRunResult,
     ProductionTestFlow,
     _insertion_batch_task,
 )
@@ -78,13 +78,20 @@ class _EndOfStream:
     """Sentinel closing the record outbox (one instance per service)."""
 
 
+class _Outbox(queue.Queue):
+    """Emitted ``(lot, latency, block)`` items; :meth:`unget` puts one back first."""
+
+    def unget(self, item) -> None:
+        with self.not_empty:
+            self.queue.appendleft(item)
+            self.not_empty.notify()
+
+
 class _Batch:
     """Queued lots captured as one row stream, and how far it got."""
 
     def __init__(self, lots: List[Lot], skip: int = 0):
         self.lots = lots
-        #: each row's lot, as a position in ``lots``
-        self.row_lot = [i for i, lot in enumerate(lots) for _ in range(len(lot))]
         #: the row stream's end offset of each lot
         self.ends = list(itertools.accumulate(len(lot) for lot in lots))
         #: leading rows an earlier attempt already emitted (dropped)
@@ -152,7 +159,7 @@ class StreamingTestService:
         self._inbox: "queue.Queue[Union[Lot, _EndOfStream]]" = queue.Queue(
             maxsize=max_pending_lots
         )
-        self._outbox: "queue.Queue[Union[StreamRecord, _EndOfStream]]" = queue.Queue()
+        self._outbox = _Outbox()
         self._eos = _EndOfStream()
 
         self._lock = threading.Lock()
@@ -171,7 +178,7 @@ class StreamingTestService:
         # emitted records carry their site for per-site accounting
         board = flow.board
         self._track_sites = hasattr(board, "site_of")
-        self._site_counts: Dict[int, int] = {}
+        self._site_counts: Dict[int, int] = Counter()
         if hasattr(board, "arbitration_seconds") and hasattr(board, "n_sites"):
             self._arbitration_per_device = (
                 board.arbitration_seconds() / board.n_sites
@@ -295,7 +302,8 @@ class StreamingTestService:
         Ends when the service is closed *and* every accepted lot has
         been emitted.  With a ``timeout``, raises ``queue.Empty`` if no
         record (and no end-of-stream) arrives in time -- for liveness
-        checks in monitoring code.
+        checks in monitoring code.  Records are views built from the
+        emitted blocks; a drainer that stops mid-block hands the rest back.
         """
         while True:
             item = self._outbox.get(timeout=timeout)
@@ -304,7 +312,14 @@ class StreamingTestService:
                 self._outbox.put(item)
                 self._raise_failure()
                 return
-            yield item
+            lot, latency, block = item
+            taken = 0
+            try:
+                for taken, record in enumerate(block, 1):
+                    yield StreamRecord(lot.lot_id, lot.cell_id, record, latency)
+            finally:
+                if taken < len(block):
+                    self._outbox.unget((lot, latency, block[taken:]))
 
     # ------------------------------------------------------------------
     # metrics
@@ -417,46 +432,35 @@ class StreamingTestService:
         # inside a wave, and records still leave the service wave by wave
         chunks = iter_lot_chunks(batch.lots, chunksize)
         for wave in batched(chunks, self._workers):
-            blocks = self._executor.map_tasks(self._task_fn, wave, chunksize=1)
-            self._emit(batch, [record for block in blocks for record in block])
+            self._emit(batch, self._executor.map_tasks(self._task_fn, wave, chunksize=1))
         if batch.lots_done < len(batch.lots):  # trailing empty lots
             self._emit(batch, [])
 
-    def _emit(self, batch: _Batch, records: List[DeviceTestRecord]) -> None:
-        """Emit the batch's next rows, each tagged with its own lot."""
+    def _emit(self, batch: _Batch, results: List[ProductionRunResult]) -> None:
+        """Emit the batch's next rows: one block of columns per lot piece."""
         now = self._clock()
-        emitted = []
-        for row, record in enumerate(records, batch.rows_done):
-            if row >= batch.skip:
-                lot = batch.lots[batch.row_lot[row]]
-                emitted.append(
-                    StreamRecord(
-                        lot_id=lot.lot_id,
-                        cell_id=lot.cell_id,
-                        record=record,
-                        latency=now - lot.submitted_at,
-                    )
-                )
-        batch.rows_done += len(records)
-        with self._lock:
-            self._throughput.record(now, len(emitted))
-            for stream_record in emitted:
-                self._latency.record(stream_record.latency)
-                if self._track_sites:
-                    site = stream_record.record.site_index
-                    self._site_counts[site] = self._site_counts.get(site, 0) + 1
-            self._contention_wait += len(emitted) * self._arbitration_per_device
-        for stream_record in emitted:
-            self._outbox.put(stream_record)
-        completed = batch.lots_done
-        while (
-            batch.lots_done < len(batch.lots)
-            and batch.ends[batch.lots_done] <= batch.rows_done
-        ):
+        wave = ProductionRunResult.concat(results)
+        start, stop = batch.rows_done, batch.rows_done + len(wave)
+        pieces, completed = [], batch.lots_done
+        for lot, end in zip(batch.lots[completed:], batch.ends[completed:]):
+            first, last = max(start, batch.skip, end - len(lot)), min(stop, end)
+            if first < last:
+                pieces.append((lot, now - lot.submitted_at, wave[first - start:last - start]))
+            if end > stop:
+                break
             batch.lots_done += 1
-        if batch.lots_done > completed:
-            with self._lock:
-                self._lots_completed += batch.lots_done - completed
+        batch.rows_done = stop
+        emitted = sum(len(block) for _, _, block in pieces)
+        with self._lock:
+            self._throughput.record(now, emitted)
+            for _, latency, block in pieces:
+                self._latency.record(latency, len(block))
+                if self._track_sites:
+                    self._site_counts.update(block.site.tolist())
+            self._contention_wait += emitted * self._arbitration_per_device
+            self._lots_completed += batch.lots_done - completed
+        for piece in pieces:
+            self._outbox.put(piece)
 
     def _raise_failure(self) -> None:
         with self._lock:

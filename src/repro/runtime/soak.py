@@ -21,6 +21,7 @@ plumbing.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Union
@@ -156,40 +157,6 @@ class _Drain(threading.Thread):
             self.error = exc
 
 
-def _check_lot(
-    flow: ProductionTestFlow, order, streamed: List[StreamRecord]
-) -> bool:
-    """Bit-equality of one streamed lot against the offline flow."""
-    offline = flow.run(order.devices, np.random.default_rng(order.seed))
-    if len(streamed) != len(offline.records):
-        return False
-    for stream_record, reference in zip(streamed, offline.records):
-        record = stream_record.record
-        if record.device_id != reference.device_id:
-            return False
-        if not np.array_equal(record.signature, reference.signature):
-            return False
-        if not np.array_equal(
-            record.predicted.as_vector(), reference.predicted.as_vector()
-        ):
-            return False
-        if record.passed != reference.passed:
-            return False
-        if record.site_index != reference.site_index:
-            return False
-    return True
-
-
-def _check_first_lots(
-    flow: ProductionTestFlow, orders: List, streamed: Dict[int, List[StreamRecord]]
-) -> bool:
-    """Bit-equality of every submitted lot among the kept first lots."""
-    return all(
-        _check_lot(flow, order, streamed[lot_id])
-        for lot_id, order in enumerate(orders)
-    )
-
-
 def run_soak(
     seed: int = 2002,
     seconds: float = 60.0,
@@ -226,43 +193,24 @@ def run_soak(
     entry with the observed order edges and worst hold times.  Pass
     ``flow=None`` in that mode so the flow's locks are instrumented too.
     """
+    guard = contextlib.nullcontext()
     if sanitize_locks:
         from repro.verify.guards import lock_sanitizer
 
-        with lock_sanitizer(fail_fast=True) as report:
-            payload = _run_soak(
-                seed=seed,
-                seconds=seconds,
-                max_lots=max_lots,
-                lot_size=lot_size,
-                n_cells=n_cells,
-                executor=executor,
-                max_pending_lots=max_pending_lots,
-                chunksize=chunksize,
-                n_train=n_train,
-                min_duts_per_second=min_duts_per_second,
-                on_snapshot=on_snapshot,
-                flow=flow,
-                sites=sites,
-            )
+        guard = lock_sanitizer(fail_fast=True)
+    with guard as report:
+        payload = _run_soak(
+            seed=seed, seconds=seconds, max_lots=max_lots, lot_size=lot_size,
+            n_cells=n_cells, executor=executor, max_pending_lots=max_pending_lots,
+            chunksize=chunksize, n_train=n_train,
+            min_duts_per_second=min_duts_per_second, on_snapshot=on_snapshot,
+            flow=flow, sites=sites,
+        )
+        if sanitize_locks:
             report.check()
+    if sanitize_locks:
         payload["lock_sanitizer"] = report.to_dict()
-        return payload
-    return _run_soak(
-        seed=seed,
-        seconds=seconds,
-        max_lots=max_lots,
-        lot_size=lot_size,
-        n_cells=n_cells,
-        executor=executor,
-        max_pending_lots=max_pending_lots,
-        chunksize=chunksize,
-        n_train=n_train,
-        min_duts_per_second=min_duts_per_second,
-        on_snapshot=on_snapshot,
-        flow=flow,
-        sites=sites,
-    )
+    return payload
 
 
 def _run_soak(
@@ -282,11 +230,8 @@ def _run_soak(
 ) -> Dict:
     if seconds <= 0:
         raise ValueError("seconds must be positive")
-    flow = (
-        flow
-        if flow is not None
-        else build_soak_flow(seed, n_train=n_train, sites=sites)
-    )
+    if flow is None:
+        flow = build_soak_flow(seed, n_train=n_train, sites=sites)
     traffic = TrafficGenerator(
         WaferMapProfile(), master_seed=int(seed) + 1, lot_size=lot_size,
         n_cells=n_cells,
@@ -330,7 +275,12 @@ def _run_soak(
     final = service.metrics()
     if final.devices_emitted:
         monitor.observe(final)
-    bit_identical = _check_first_lots(flow, first_orders, drain.first_lots)
+    # bit-equality of every submitted lot among the kept first lots
+    bit_identical = all(
+        [r.record for r in drain.first_lots[lot_id]]
+        == flow.run(order.devices, np.random.default_rng(order.seed)).records
+        for lot_id, order in enumerate(first_orders)
+    )
     health = monitor.history[-1] if monitor.history else None
     return {
         "benchmark": "streaming_soak",

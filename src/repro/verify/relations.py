@@ -25,6 +25,8 @@ spec-permutation-stability      Eqs. 6-10: spec predictions are stable
                                 under signature column permutation
 streaming-offline-equivalence   streamed service records ==
                                 ``ProductionTestFlow.run``, bit for bit
+lot-columns-equivalence         a lot's on-demand records == the
+                                per-row record build, field by field
 multisite-serial-equivalence    a zero-crosstalk N-site capture ==
                                 N independent single-site captures, bit
                                 for bit, on every executor
@@ -59,7 +61,7 @@ replay exactly from the master seed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +85,7 @@ from repro.loadboard.signature_path import (
 )
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
+from repro.regression.mars import MARSRegressor
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import (
@@ -91,7 +94,7 @@ from repro.runtime.calibration import (
     measure_signatures,
 )
 from repro.runtime.executor import SeedBlock, SerialExecutor, spawn_seeds
-from repro.runtime.production import ProductionTestFlow
+from repro.runtime.production import DeviceTestRecord, ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
 from repro.testgen.objective import signature_test_objective
@@ -809,6 +812,160 @@ def _rel_streaming_offline_equivalence(case, rng):
 
 
 # ----------------------------------------------------------------------
+# the columnar lot result == the per-row record build
+# ----------------------------------------------------------------------
+def _per_row_records(
+    flow: ProductionTestFlow, devices: list, rng: np.random.Generator
+) -> List[DeviceTestRecord]:
+    """The lot's records built row by row from one whole-lot capture.
+
+    The oracle of ``lot-columns-equivalence``: how the production flow
+    built its records before a lot's result became columns -- one
+    :class:`DeviceTestRecord` per row, with its own ``SpecSet``, a copy
+    of its signature row and its site.
+    """
+    seeds = spawn_seeds(rng, len(devices))
+    if not devices:
+        return []
+    board = flow.board
+    signatures = board.signature_batch(
+        devices, flow.stimulus, rngs=seeds.generators(), n_bins=flow.signature_bins
+    )
+    predicted = flow.calibration.predict_matrix(signatures)
+    passed = [None] * len(devices)
+    if flow.limits is not None:
+        verdicts = flow.limits.check_matrix(predicted)
+        passed = [bool(p) for p in verdicts & np.isfinite(signatures).all(axis=1)]
+    if hasattr(board, "device_test_time"):
+        test_time = board.device_test_time()
+    else:
+        test_time = board.config.total_test_time()
+    site_of = getattr(board, "site_of", lambda position: 0)
+    return [
+        DeviceTestRecord(
+            device_id=i,
+            predicted=SpecSet.from_vector(predicted[i]),
+            passed=passed[i],
+            test_time=test_time,
+            signature=signatures[i].copy(),
+            site_index=site_of(i),
+        )
+        for i in range(len(devices))
+    ]
+
+
+@relation(
+    "lot-columns-equivalence",
+    params={
+        "n_devices": integers(0, 9, origin=0),
+        "executor": choice("serial", "thread:2", "process:2"),
+        "chunksize": choice(None, 1, 3),
+        "sites": choice(1, 4),
+        "limits": booleans(),
+        "nan_row": booleans(),
+        "constant_model": booleans(),
+        "n_breakpoints": integers(3, 5, origin=3),
+    },
+    equation="reproduction contract (columnar lot result)",
+)
+def _rel_lot_columns_equivalence(case, rng):
+    """A lot's on-demand records equal the per-row record build, field by field.
+
+    ``ProductionTestFlow.run`` keeps a lot as columns (signatures,
+    predictions, verdicts, sites) and builds each
+    :class:`DeviceTestRecord` only when it is read.  Every record --
+    ``device_id``, ``signature``, ``predicted``, ``passed``,
+    ``test_time``, ``site_index`` -- and the run's aggregates must equal
+    :func:`_per_row_records` bit for bit, on serial, thread and process
+    backends, any chunking, a 4-site crosstalk board, with and without
+    limits, and for the empty lot.  A device with a NaN gain has a
+    non-finite signature row: with limits set it must stay failed, also
+    when every model is a constant that predicts passing specs from it.
+    """
+    stimulus = _stimulus(rng, case["n_breakpoints"])
+    flow = _ridge_flow(rng, stimulus, sites=case["sites"])
+    calibration = flow.calibration
+    if case["constant_model"]:
+        # hinge-free MARS fits of constant targets ignore the signature
+        train = flow.board.signature_batch(
+            _sample_lot(rng, 4), stimulus, rngs=spawn_seeds(rng, 4).generators()
+        )
+        nominal = {"gain_db": 16.0, "nf_db": 2.0, "iip3_dbm": 3.0}
+        calibration = CalibrationModel(
+            spec_names=SpecSet.NAMES,
+            pipelines={
+                name: Pipeline([MARSRegressor()]).fit(train, np.full(4, value))
+                for name, value in nominal.items()
+            },
+            chosen={name: "mars" for name in SpecSet.NAMES},
+            cv_scores={name: {"mars": 0.0} for name in SpecSet.NAMES},
+        )
+    flow = ProductionTestFlow(
+        flow.board, stimulus, calibration, limits=lna_limits() if case["limits"] else None
+    )
+    devices = _sample_lot(rng, case["n_devices"])
+    nan_rows = []
+    if case["nan_row"] and devices:
+        nan_rows = [int(rng.integers(0, len(devices)))]
+        devices[nan_rows[0]] = _amplifier(float("nan"), 2.0, -6.0)
+    seed = int(rng.integers(0, 2**63))
+
+    want = _per_row_records(flow, devices, np.random.default_rng(seed))
+    result = flow.run(
+        devices,
+        np.random.default_rng(seed),
+        executor=case["executor"],
+        chunksize=case["chunksize"],
+    )
+    got = result.records
+    check(
+        len(got) == len(want) == result.n_devices,
+        f"{result.n_devices} devices, {len(got)} records, oracle {len(want)}",
+    )
+    for record, reference in zip(got, want):
+        label = f"device {reference.device_id}"
+        for name in ("device_id", "passed", "test_time", "site_index"):
+            check(
+                getattr(record, name) == getattr(reference, name),
+                f"{label}: {name} {getattr(record, name)!r} != "
+                f"oracle {getattr(reference, name)!r}",
+            )
+        check_array_equal(
+            record.signature, reference.signature, label=f"{label} signature",
+            equal_nan=True,
+        )
+        check(not record.signature.flags.writeable, f"{label}: signature is writeable")
+        check_array_equal(
+            record.predicted.as_vector(),
+            reference.predicted.as_vector(),
+            label=f"{label} predicted specs",
+            equal_nan=True,
+        )
+    if flow.limits is not None:
+        for row in nan_rows:
+            check(
+                not np.isfinite(got[row].signature).all() and got[row].passed is False,
+                f"device {row}: a NaN-gain device did not fail",
+            )
+    check_array_equal(
+        result.predicted_matrix(),
+        np.vstack([r.predicted.as_vector() for r in want]) if want
+        else np.empty((0, len(SpecSet.NAMES))),
+        label="predicted matrix",
+        equal_nan=True,
+    )
+    check(
+        result.total_test_time == sum(r.test_time for r in want),
+        f"total test time {result.total_test_time!r} != oracle sum",
+    )
+    if flow.limits is not None and want:
+        check(
+            result.yield_fraction == sum(r.passed for r in want) / len(want),
+            f"yield {result.yield_fraction!r} != oracle",
+        )
+
+
+# ----------------------------------------------------------------------
 # multi-site insertions == independent single-site captures
 # ----------------------------------------------------------------------
 @relation(
@@ -1034,35 +1191,8 @@ def _rel_predict_batch_invariance(case, rng):
 # ----------------------------------------------------------------------
 # the batched describing-gain kernel against the per-device loop
 # ----------------------------------------------------------------------
-@relation(
-    "describing-gain-batch-equivalence",
-    params={
-        "n_devices": integers(0, 48, origin=1),
-        "n_samples": integers(1, 600, origin=1),
-        "overdrive": log_floats(0.05, 20.0, origin=0.05),
-        "expansive_frac": floats(0.0, 0.5, origin=0.0),
-        "defect_frac": floats(0.0, 0.4, origin=0.0),
-        "n_blocks": integers(2, 6, origin=2),
-        "silent_frac": floats(0.0, 0.5, origin=0.0),
-        "zero_peak": booleans(),
-    },
-    equation="reproduction contract (batched describing function)",
-)
-def _rel_describing_gain_batch_equivalence(case, rng):
-    """The batched tuned-DUT gain equals the per-device loop bit for bit.
-
-    Random device polynomials (some expansive, some with even-order
-    terms) driven from far below to far past their fold-back point:
-    :func:`describing_gain_batch` must be ``np.array_equal`` to one
-    :class:`PolynomialNonlinearity` per device, its describing function
-    tabulated on ``linspace(0, 1.01 * peak, 256)`` and ``np.interp`` of
-    the drive magnitudes -- and :func:`overdrive_ratios` to the scalar
-    saturation bookkeeping.  Some rows are defective: a NaN coefficient
-    or a negated ``a1`` (half of those with ``a2`` negated too).  The
-    lot also runs the way a board capture runs it, in 2-6 row blocks
-    sharing the lot's quadrature cubes (:meth:`DescribingGains.cubes`),
-    checked device by device; a NaN row must stay NaN, never pass.
-    """
+def _describing_gain_rows(case, rng) -> np.ndarray:
+    """``describing-gain-batch-equivalence``'s ``(n_devices, 3)`` polynomial rows."""
     n = case["n_devices"]
     rows = []
     for _ in range(n):
@@ -1083,6 +1213,53 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     coeffs[flipped, 1] = -coeffs[flipped, 1]
     for i in np.setdiff1d(defective, negated):
         coeffs[i, rng.integers(0, 3)] = np.nan
+    # the inverting stratum, from the intact rows: a2**2 exceeds
+    # 3*a1*a3 (> 0) by 1.5x to 100x
+    intact = rng.permutation(np.setdiff1d(np.arange(n), defective))
+    stratum = intact[: int(np.ceil(case["inverting_frac"] * len(intact)))]
+    a1 = -np.abs(coeffs[stratum, 0])
+    a3 = -np.abs(coeffs[stratum, 2])
+    a2 = -np.sqrt(3.0 * a1 * a3 * rng.uniform(1.5, 100.0, len(stratum)))
+    coeffs[stratum] = np.column_stack([a1, a2, a3])
+    return coeffs
+
+
+@relation(
+    "describing-gain-batch-equivalence",
+    params={
+        "n_devices": integers(0, 48, origin=1),
+        "n_samples": integers(1, 600, origin=1),
+        "overdrive": log_floats(0.05, 20.0, origin=0.05),
+        "expansive_frac": floats(0.0, 0.5, origin=0.0),
+        "defect_frac": floats(0.0, 0.4, origin=0.0),
+        "inverting_frac": floats(0.05, 0.5, origin=0.05),
+        "n_blocks": integers(2, 6, origin=2),
+        "silent_frac": floats(0.0, 0.5, origin=0.0),
+        "zero_peak": booleans(),
+    },
+    equation="reproduction contract (batched describing function)",
+)
+def _rel_describing_gain_batch_equivalence(case, rng):
+    """The batched tuned-DUT gain equals the per-device loop bit for bit.
+
+    Random device polynomials (some expansive, some with even-order
+    terms) driven from far below to far past their fold-back point:
+    :func:`describing_gain_batch` must be ``np.array_equal`` to one
+    :class:`PolynomialNonlinearity` per device, its describing function
+    tabulated on ``linspace(0, 1.01 * peak, 256)`` and ``np.interp`` of
+    the drive magnitudes -- and :func:`overdrive_ratios` to the scalar
+    saturation bookkeeping.  Some rows are defective: a NaN coefficient
+    or a negated ``a1`` (half of those with ``a2`` negated too).  An
+    explicit inverting stratum -- ``a1 < 0``, ``a2 < 0``, ``a3 < 0`` and
+    ``a2**2 > 3*a1*a3``, like ``(-1, -10, -1)`` -- reaches the fold-back
+    that saturated at a negative amplitude before inverting rows were
+    mirrored; realistic polynomials almost never do.  The lot also runs
+    the way a board capture runs it, in 2-6 row blocks sharing the lot's
+    quadrature cubes (:meth:`DescribingGains.cubes`), checked device by
+    device; a NaN row must stay NaN, never pass.
+    """
+    n = case["n_devices"]
+    coeffs = _describing_gain_rows(case, rng)
 
     sat = saturation_amplitudes(coeffs)
     finite = sat[np.isfinite(sat)]

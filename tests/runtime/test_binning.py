@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.circuits.device import SpecSet
 from repro.runtime.binning import (
     BinningReport,
     confusion,
     guard_banded_limits,
     sweep_guard_band,
 )
-from repro.runtime.specs import SpecificationLimit, SpecificationLimits
+from repro.runtime.specs import SpecificationLimit, SpecificationLimits, lna_limits
 
 
 def gain_only_limits(minimum=14.0):
@@ -29,6 +30,24 @@ def lot(rng, n=500, err=0.2):
     )
     predicted = true + rng.normal(0.0, err, size=true.shape)
     return true, predicted
+
+
+def _per_row_confusion(true, predicted, limits, spec_names, decision_limits):
+    """The per-row oracle: one SpecSet and one limit check per row."""
+
+    def as_specset(row):
+        values = dict(zip(spec_names, row))
+        return SpecSet(*(values.get(name, 0.0) for name in SpecSet.NAMES))
+
+    good = [limits.check(as_specset(row)) for row in true]
+    binned = [decision_limits.check(as_specset(row)) for row in predicted]
+    return BinningReport(
+        n_devices=len(true),
+        true_pass=sum(good),
+        true_fail=len(good) - sum(good),
+        escapes=sum(b and not g for g, b in zip(good, binned)),
+        yield_loss=sum(g and not b for g, b in zip(good, binned)),
+    )
 
 
 class TestConfusion:
@@ -61,6 +80,37 @@ class TestConfusion:
             confusion(
                 np.zeros((3, 2)), np.zeros((3, 2)), gain_only_limits()
             )
+
+    @pytest.mark.allow_nonfinite
+    @pytest.mark.parametrize(
+        "spec_names",
+        [
+            SpecSet.NAMES,
+            ("iip3_dbm", "gain_db", "nf_db"),
+            ("nf_db", "gain_db"),
+            ("gain_db",),
+            ("iip3_dbm", "nf_db", "gain_db", "nf_db"),
+        ],
+    )
+    def test_matches_the_per_row_oracle(self, spec_names):
+        rng = np.random.default_rng(3)
+        n = 64
+        true = np.column_stack(
+            [rng.normal(*{"gain_db": (15.0, 1.0), "nf_db": (2.5, 0.5),
+                          "iip3_dbm": (-1.0, 1.0)}[name], n) for name in spec_names]
+        )
+        predicted = true + rng.normal(0.0, 0.5, size=true.shape)
+        for matrix in (true, predicted):
+            rows = rng.choice(n, size=8, replace=False)
+            cols = rng.integers(0, len(spec_names), size=8)
+            matrix[rows, cols] = rng.choice([np.nan, np.inf, -np.inf], size=8)
+        limits = lna_limits(15.0, 2.6, -1.0)
+        decision = guard_banded_limits(limits, {"gain_db": 0.3, "nf_db": 0.1}, 1.0)
+        for decision_limits in (None, decision):
+            report = confusion(true, predicted, limits, spec_names=spec_names,
+                               decision_limits=decision_limits)
+            assert report == _per_row_confusion(true, predicted, limits, spec_names,
+                                                decision_limits or limits)
 
     def test_rates_with_empty_classes(self):
         report = BinningReport(

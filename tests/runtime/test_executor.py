@@ -9,6 +9,8 @@ fitness evaluation, the production flow, and Monte-Carlo training-set
 capture -- plus the executor primitives themselves.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,42 @@ class TestExecutorPrimitives:
     def test_worker_exceptions_propagate(self):
         with pytest.raises(ZeroDivisionError):
             SerialExecutor().map_tasks(lambda x: 1 // x, [1, 0])
+
+
+def _fails_on_one(x):
+    if x == 1:
+        raise RuntimeError("task 1 failed")
+    return x * x
+
+
+class TestTaskErrors:
+    """A task's own exception is not a broken pool."""
+
+    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+    def test_task_error_propagates_and_the_pool_stays(self, spec):
+        with get_executor(spec) as ex:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no fallback warning
+                with pytest.raises(RuntimeError, match="task 1 failed"):
+                    ex.map_tasks(_fails_on_one, [0, 1, 2])
+            assert ex._broken is False
+            pool = ex._pool
+            assert pool is not None
+            assert ex.map_tasks(_square, [0, 2, 3]) == [0, 4, 9]
+            assert ex._pool is pool  # the next batch ran in the same pool
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError, AttributeError])
+    def test_every_fallback_type_raised_by_a_task_propagates(self, error):
+        def task(x):
+            raise error(f"bad item {x}")
+
+        with ThreadExecutor(max_workers=2) as ex:
+            with pytest.raises(error, match="bad item"):
+                ex.map_tasks(task, [0, 1])
+            assert ex._broken is False
+
+    # an unpicklable fn still falls back with the warning:
+    # TestExecutorPrimitives.test_unpicklable_fn_falls_back_to_serial
 
 
 class TestGetExecutor:

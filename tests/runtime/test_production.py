@@ -10,7 +10,11 @@ from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoa
 from repro.regression.mars import MARSRegressor
 from repro.regression.pipeline import Pipeline
 from repro.runtime.calibration import CalibrationModel, CalibrationSession
-from repro.runtime.production import ProductionRunResult, ProductionTestFlow
+from repro.runtime.production import (
+    DeviceTestRecord,
+    ProductionRunResult,
+    ProductionTestFlow,
+)
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
 from repro.testgen.pwl import StimulusEncoding
@@ -202,3 +206,90 @@ class TestEdgeLots:
         assert rec.predicted.as_vector() == pytest.approx(
             ref.predicted.as_vector()
         )
+
+
+class TestColumnarResult:
+    """A lot's result is columns; records are views built when read."""
+
+    def _flow_and_lot(self, flow_setup, n=7, limits=True):
+        space, factory, board, stim, calibration = flow_setup
+        flow = ProductionTestFlow(
+            board, stim, calibration, limits=lna_limits() if limits else None
+        )
+        rng = np.random.default_rng(12)
+        return flow, [factory(space.to_dict(p)) for p in space.sample(rng, n)]
+
+    @pytest.mark.parametrize("executor", [None, "thread:2"])
+    def test_run_builds_no_record_unless_records_is_read(
+        self, flow_setup, executor, monkeypatch
+    ):
+        built = []
+        init = DeviceTestRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceTestRecord, "__init__", counting_init)
+        flow, devices = self._flow_and_lot(flow_setup)
+        result = flow.run(
+            devices, np.random.default_rng(3), executor=executor, chunksize=3
+        )
+        assert result.n_devices == 7
+        assert 0.0 <= result.yield_fraction <= 1.0
+        assert result.predicted_matrix().shape == (7, 3)
+        assert result.total_test_time > 0.0
+        assert built == []
+        assert len(result.records) == 7
+        assert len(built) == 7
+
+    def test_columns_are_read_only_and_records_are_views(self, flow_setup):
+        flow, devices = self._flow_and_lot(flow_setup)
+        result = flow.run(devices, np.random.default_rng(3))
+        for column in (result.device_id, result.signatures, result.predicted,
+                       result.passed, result.site, result.seed_words):
+            assert not column.flags.writeable
+        record = result[2]
+        assert np.shares_memory(record.signature, result.signatures)
+        with pytest.raises(ValueError):
+            record.signature[0] = 0.0
+        assert result.seed_words.shape == (7, 4)
+        assert result.device_id.tolist() == list(range(7))
+
+    def test_indexing_iteration_and_slices_agree(self, flow_setup):
+        flow, devices = self._flow_and_lot(flow_setup)
+        result = flow.run(devices, np.random.default_rng(3))
+        for i, record in enumerate(result):
+            other = result[i]
+            assert record.device_id == other.device_id == i
+            assert record.passed is other.passed
+            assert record.site_index == other.site_index
+            assert record.test_time == other.test_time
+            assert np.array_equal(record.signature, other.signature)
+            assert np.array_equal(record.predicted.as_vector(), other.predicted.as_vector())
+        tail = result[4:]
+        assert tail.n_devices == 3
+        assert [r.device_id for r in tail] == [4, 5, 6]
+        assert np.array_equal(tail.predicted, result.predicted[4:])
+        whole = ProductionRunResult.concat([result[:4], tail])
+        assert np.array_equal(whole.signatures, result.signatures)
+        assert np.array_equal(whole.passed, result.passed)
+        assert whole.total_test_time == result.total_test_time
+
+    def test_aggregates_match_the_records(self, flow_setup):
+        flow, devices = self._flow_and_lot(flow_setup)
+        result = flow.run(devices, np.random.default_rng(3))
+        records = result.records
+        assert result.total_test_time == sum(r.test_time for r in records)
+        assert result.yield_fraction == sum(r.passed for r in records) / len(records)
+        assert np.array_equal(
+            result.predicted_matrix(), np.vstack([r.predicted.as_vector() for r in records])
+        )
+
+    def test_no_limits_has_no_verdict_column(self, flow_setup):
+        flow, devices = self._flow_and_lot(flow_setup, n=3, limits=False)
+        result = flow.run(devices, np.random.default_rng(3), executor="thread:2")
+        assert result.passed is None
+        assert [r.passed for r in result] == [None] * 3
+        with pytest.raises(ValueError):
+            result.yield_fraction

@@ -432,6 +432,55 @@ class TestCoalescedFailure:
         assert svc.metrics().lots_completed == 3
 
 
+class TestBlocks:
+    """The outbox holds one block of result columns per lot piece."""
+
+    def test_one_outbox_item_per_lot_piece(self, flow_setup):
+        flow = flow_setup[2]
+        gate = threading.Event()
+        gated = _proxied_flow(flow, _GatedBoard(flow.board, gate))
+        with StreamingTestService(gated, max_pending_lots=4) as svc:
+            for i in range(4):
+                svc.submit(_lot_devices(flow_setup, 3, seed=i), i)
+            gate.set()
+            svc.close()
+            items = list(svc._outbox.queue)
+            streamed = list(svc.records())
+        blocks = items[:-1]  # then the end-of-stream sentinel
+        assert len(blocks) == 4
+        assert [lot.lot_id for lot, _, _ in blocks] == [0, 1, 2, 3]
+        assert [len(block) for _, _, block in blocks] == [3] * 4
+        assert [(r.lot_id, r.device_id) for r in streamed] == [
+            (lot, device) for lot in range(4) for device in range(3)
+        ]
+
+    def test_a_drainer_that_stops_mid_block_drops_nothing(self, flow_setup):
+        flow = flow_setup[2]
+        devices = _lot_devices(flow_setup, 5)
+        offline = flow.run(devices, np.random.default_rng(11))
+        with StreamingTestService(flow) as svc:
+            svc.submit(devices, np.random.default_rng(11))
+            svc.close()
+            drainer = svc.records()
+            first = [next(drainer), next(drainer)]
+            drainer.close()  # hands the other three back, in order
+            rest = list(svc.records())
+        _assert_records_match(first + rest, offline.records)
+
+    def test_per_lot_metrics_count_every_device(self, flow_setup):
+        flow = flow_setup[2]
+        ticks = iter(range(1000))
+        with StreamingTestService(flow, clock=lambda: float(next(ticks))) as svc:
+            svc.submit(_lot_devices(flow_setup, 3, seed=0), 0)
+            svc.submit(_lot_devices(flow_setup, 2, seed=1), 1)
+            svc.close()
+            latencies = [r.latency for r in svc.records()]
+            snapshot = svc.metrics()
+        assert snapshot.devices_emitted == 5
+        assert snapshot.latency_mean_s == sum(latencies) / 5
+        assert snapshot.latency_worst_s == max(latencies)
+
+
 class TestServiceMetrics:
     def test_quiescent_snapshot_is_consistent(self, flow_setup):
         flow = flow_setup[2]

@@ -127,6 +127,19 @@ class TestLatencyTracker:
         assert tracker.mean == pytest.approx(np.mean(np.arange(100.0)))
         assert tracker.worst == pytest.approx(99.0)
 
+    def test_counted_record_equals_one_record_per_device(self):
+        # the streaming service records one latency per lot piece
+        rng = np.random.default_rng(4)
+        batched, single = LatencyTracker(window=8), LatencyTracker(window=8)
+        for latency, count in zip(rng.uniform(0.0, 1.0, 6), [3, 1, 0, 5, 2, 4]):
+            batched.record(latency, count)
+            for _ in range(count):
+                single.record(latency)
+        assert batched.count == single.count == 15
+        assert batched.mean == single.mean  # the same adds, in the same order
+        assert batched.worst == single.worst
+        assert batched.p50 == single.p50 and batched.p99 == single.p99
+
     def test_empty_and_validation(self):
         tracker = LatencyTracker()
         assert tracker.p50 == 0.0

@@ -1,5 +1,7 @@
 """The built-in relation library: registration and a passing smoke campaign."""
 
+import numpy as np
+
 import repro.verify.relations  # noqa: F401 - populate the default registry
 from repro.verify.harness import DEFAULT_REGISTRY, run_campaign
 
@@ -13,6 +15,7 @@ EXPECTED = {
     "noise-determinism",
     "spec-permutation-stability",
     "streaming-offline-equivalence",
+    "lot-columns-equivalence",
 }
 
 
@@ -31,3 +34,22 @@ def test_smoke_campaign_passes():
     campaign = run_campaign(names=sorted(EXPECTED), n_cases=3, master_seed=99)
     failing = [r.name for r in campaign.relations if not r.ok]
     assert campaign.ok, f"relations violated: {failing}"
+
+
+def test_describing_gain_relation_reaches_the_inverting_fold_back():
+    """The sampled cases hold rows like ``(-1, -10, -1)``: the stratum is real."""
+    from repro.verify.harness import DEFAULT_MASTER_SEED, _case_sequences, _draw_case
+    from repro.verify.relations import _describing_gain_rows
+
+    name = "describing-gain-batch-equivalence"
+    (rel,) = DEFAULT_REGISTRY.get([name])
+    with_rows = 0
+    for index in range(20):
+        sample_seq, exec_seq = _case_sequences(name, DEFAULT_MASTER_SEED, index)
+        case = _draw_case(rel.params, sample_seq)
+        # the relation draws its rows first, from this very generator
+        a1, a2, a3 = _describing_gain_rows(case, np.random.default_rng(exec_seq)).T
+        inverting = (a1 < 0) & (a2 < 0) & (a3 < 0) & (a2**2 > 3 * a1 * a3)
+        with_rows += bool(inverting.any())
+    # every case with an intact row has a stratum row
+    assert with_rows >= 18
