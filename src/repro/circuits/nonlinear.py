@@ -19,8 +19,8 @@ polynomial coefficients to the datasheet numbers the paper predicts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,8 @@ __all__ = [
     "RowInterpolator",
     "interp_rows",
     "DescribingGains",
+    "DescribingGainStack",
+    "GainLot",
     "describing_gain_batch",
 ]
 
@@ -312,20 +314,47 @@ def describing_gain_tables(
     grid = np.asarray(grid, dtype=float)
     if np.any(grid < 0):
         raise ValueError("amplitudes must be non-negative")
-    a1, a2, a3 = (coeffs[:, k : k + 1] for k in range(3))
-    table = 0.75 * a3 * grid**2
-    table += a1
     sat = saturation_amplitudes(coeffs)
-    # grid ascends, so only rows saturating below its top have cells
-    sat_rows = np.flatnonzero(np.isfinite(sat) & (sat < grid[-1]))
-    sub, cols = np.nonzero(grid[None, :] > sat[sat_rows, None])
+
+    def cube_cells(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        nonlocal cubes
+        if cubes is None:
+            cubes = quadrature_cubes(grid, sat)
+        elif cols.min() < cubes.start or len(cubes.values) != len(grid) - cubes.start:
+            raise ValueError("cubes do not cover the saturated cells of this grid")
+        return cubes.values[cols - cubes.start]
+
+    return _describing_table(coeffs, sat, grid, grid**2, cube_cells)
+
+
+def _describing_table(
+    coeffs: np.ndarray,
+    sat: np.ndarray,
+    grid: np.ndarray,
+    grid_sq: np.ndarray,
+    cube_cells: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """:func:`describing_gain_tables` with row ``i`` on grid row ``i``.
+
+    ``grid`` is one ascending grid shared by every row ``(G,)`` or one
+    per row ``(N, G)``; ``grid_sq`` is ``grid ** 2`` and ``sat`` the
+    rows' :func:`saturation_amplitudes`.  ``cube_cells(rows, cols)``
+    returns the abscissa cubes of the saturated cells ``(rows, cols)``
+    as a fresh ``(cells, 128)`` array.
+    """
+    a1, a2, a3 = (coeffs[:, k : k + 1] for k in range(3))
+    table = 0.75 * a3 * grid_sq
+    table += a1
+    shared = grid.ndim == 1
+    # grids ascend, so only rows saturating below their grid's top have cells
+    sat_rows = np.flatnonzero(np.isfinite(sat) & (sat < grid[..., -1]))
+    if not len(sat_rows):
+        return table
+    over = grid[None, :] if shared else grid[sat_rows]
+    sub, cols = np.nonzero(over > sat[sat_rows, None])
     rows = sat_rows[sub]
     if not len(rows):
         return table
-    if cubes is None:
-        cubes = quadrature_cubes(grid, sat)
-    elif cols.min() < cubes.start or len(cubes.values) != len(grid) - cubes.start:
-        raise ValueError("cubes do not cover the saturated cells of this grid")
     # each saturating row's clip bounds, cubed once
     s_rows = sat[sat_rows]
     hi3 = s_rows**3
@@ -333,14 +362,14 @@ def describing_gain_tables(
     for start in range(0, len(rows), _QUADRATURE_BLOCK):
         block = slice(start, start + _QUADRATURE_BLOCK)
         r, c, k = rows[block], cols[block], sub[block]
-        a_over = grid[c]
+        a_over = grid[c] if shared else grid[r, c]
         s = sat[r][:, None]
         # f(A cos t) of the clipped (saturating) polynomial, per cell;
         # clip hands back u, -s or s bit for bit, so x**3 is u's cube
         # from the table or the bound's own
         u = a_over[:, None] * _COS_THETA[None, :]
         x = np.clip(u, -s, s)
-        x3 = cubes.values[c - cubes.start]
+        x3 = cube_cells(r, c)
         np.copyto(x3, lo3[k, None], where=_same_bits(x, -s))
         np.copyto(x3, hi3[k, None], where=_same_bits(x, s))
         y = a1[r] * x + a2[r] * x**2 + a3[r] * x3
@@ -473,12 +502,241 @@ class DescribingGains:
         return self._interp(describing_gain_tables(coeffs, self._grid, cubes))
 
 
+def _knot_search(grids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``searchsorted(grids[s], x[s], side="right") - 1`` for every row.
+
+    ``grids`` are ``linspace(0, top, P)`` rows with a positive finite
+    step ``grids[:, 1]``, so ``floor(x / step)`` lands within a knot of
+    the answer; it is corrected against the grid itself until each ``j``
+    has ``grids[s, j] <= x < grids[s, j + 1]`` (-1 left of the grid,
+    ``P - 1`` at or past its end and for NaN, as a NaN sorts last).
+    """
+    n_rows, points = grids.shape
+    est = x / grids[:, 1:2]
+    j = np.where(
+        np.isnan(est), points - 1, np.clip(np.floor(est), -1, points - 1)
+    ).astype(np.intp)
+    base = np.arange(n_rows)[:, None] * points
+    while True:
+        down = (j >= 0) & (np.take(grids, base + np.maximum(j, 0)) > x)
+        up = (j < points - 1) & (np.take(grids, base + np.minimum(j + 1, points - 1)) <= x)
+        if not (down.any() or up.any()):
+            return j
+        j = j - down + up
+
+
+class GainLot:
+    """A device lot on the grids of a :class:`DescribingGainStack`.
+
+    Holds the lot's ``(N, 3)`` polynomial rows, their
+    :func:`saturation_amplitudes` and their quadrature cubes: record
+    ``s``'s table is :func:`quadrature_cubes` of its grid and the lot's
+    saturation amplitudes, built when a row block first needs it.
+    Record-major row blocks never return to an earlier record, so its
+    table is dropped once a block starts past it.
+    """
+
+    def __init__(self, grids: np.ndarray, coeffs: np.ndarray):
+        self.coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
+        self.sat = saturation_amplitudes(self.coeffs)
+        self._grids = grids
+        self._tables: Dict[int, Optional[QuadratureCubes]] = {}
+
+    def cubes(self, records: Union[int, np.ndarray], cols: np.ndarray) -> np.ndarray:
+        """The cubes of cells ``(record records[i], column cols[i])``, as a
+        fresh ``(cells, 128)`` array (``records`` may be one record)."""
+        records = np.broadcast_to(records, cols.shape)
+        first = int(records.min())
+        for s in [s for s in self._tables if s < first]:
+            del self._tables[s]
+        out = np.empty((len(cols), len(_COS_THETA)))
+        for s in np.unique(records).tolist():
+            if s not in self._tables:
+                self._tables[s] = quadrature_cubes(self._grids[s], self.sat)
+            table = self._tables[s]
+            mine = records == s
+            c = cols[mine]
+            if table is None or c.min() < table.start:
+                raise ValueError("cubes do not cover the saturated cells of this grid")
+            out[mine] = table.values[c - table.start]
+        return out
+
+
+@dataclass(frozen=True)
+class DescribingGainStack:
+    """Tuned-coupling DUT gains over a stack of ``S`` envelope records.
+
+    The stacked form of :class:`DescribingGains`: record ``s`` has drive
+    magnitudes ``amps[s]`` and peak drive ``peaks[s]``.  The grids
+    ``linspace(0, 1.01 * peak, 256)`` of every record come from one
+    ``linspace`` call and their knot searches over ``amps`` are stacked
+    ``(S, n)`` arrays, built once per stack (:meth:`build`).  A call
+    computes one row block: each row pairs a device of a
+    :class:`GainLot` with one record, and the block's describing-gain
+    table (one grid row per row) and its interpolation run as
+    whole-block array operations.  Rows of one record read its grid and
+    knots as views; rows of several gather them.  Each row equals
+    :class:`DescribingGains` of its record bit for bit; a record whose
+    peak is not positive gives the small-signal gain ``a1``.
+    """
+
+    #: ``(S, n)`` drive magnitudes
+    amps: np.ndarray
+    #: ``(S,)`` whether the record's peak is positive (it has a grid)
+    active: np.ndarray
+    #: ``(S, 256)`` each active record's grid (zeros otherwise), its
+    #: squares and its knot spacings (ones otherwise)
+    grids: np.ndarray
+    grid_sq: np.ndarray
+    steps: np.ndarray
+    #: ``(S, n)`` knot search: interval ``jc`` and offset ``dx`` of each
+    #: magnitude (``np.interp``'s, see :class:`RowInterpolator`)
+    jc: np.ndarray
+    dx: np.ndarray
+    #: ``(S, n)`` cells on a knot or past the grid's end (NaN included),
+    #: which take the table value itself, and NaN magnitudes stay NaN;
+    #: ``fixed`` ``(S,)`` flags the records that have any such cell
+    exact: np.ndarray
+    fixed: np.ndarray
+
+    @classmethod
+    def build(cls, amps: np.ndarray, peaks: np.ndarray) -> "DescribingGainStack":
+        """Grids and knot searches of the records ``amps`` ``(S, n)``."""
+        amps = np.asarray(amps, dtype=float)
+        n_rec = len(amps)
+        peaks = np.asarray(peaks, dtype=float).reshape(n_rec)
+        points = DESCRIBING_TABLE_POINTS
+        active = peaks > 0.0
+        stops = 1.01 * peaks
+        grids = np.zeros((n_rec, points))
+        # one linspace over every record whose own linspace takes the
+        # ``arange * step`` branch: a zero step anywhere (a denormal peak)
+        # switches a stacked call to its ``/ div * delta`` branch for all
+        # rows, so such records (and non-finite ones) are built alone
+        stacked = active & np.isfinite(stops) & (stops / (points - 1) != 0.0)
+        if stacked.any():
+            grids[stacked] = np.linspace(0.0, stops[stacked], points, axis=1)
+        for s in np.flatnonzero(active & ~stacked).tolist():
+            grids[s] = np.linspace(0.0, stops[s], points)
+        steps = grids[:, 1:] - grids[:, :-1]
+        steps[~active] = 1.0
+        # j with grid[j] <= amp < grid[j + 1]; -1 left of the grid
+        j = np.zeros(amps.shape, dtype=np.intp)
+        if stacked.all():
+            j = _knot_search(grids, amps)
+        elif stacked.any():
+            j[stacked] = _knot_search(grids[stacked], amps[stacked])
+        for s in np.flatnonzero(active & ~stacked).tolist():
+            j[s] = np.searchsorted(grids[s], amps[s], side="right") - 1
+        jc = np.clip(j, 0, points - 2)
+        at_jc = np.take_along_axis(grids, jc, axis=1)
+        exact = (j < 0) | (j >= points - 1) | (at_jc == amps)
+        exact[~active] = False
+        return cls(
+            amps=amps,
+            active=active,
+            grids=grids,
+            grid_sq=grids**2,
+            steps=steps,
+            jc=jc,
+            dx=amps - at_jc,
+            exact=exact,
+            fixed=exact.any(axis=1),
+        )
+
+    def __len__(self) -> int:
+        return len(self.amps)
+
+    def __getitem__(self, key: slice) -> "DescribingGainStack":
+        """The records ``key`` as a stack of views."""
+        return DescribingGainStack(*(getattr(self, f.name)[key] for f in fields(self)))
+
+    def nbytes(self) -> int:
+        """Bytes of the grids and knot searches (``amps``, the first
+        field, excluded)."""
+        return sum(getattr(self, f.name).nbytes for f in fields(self)[1:])
+
+    def lot(self, coeffs: np.ndarray) -> GainLot:
+        """The device lot of polynomial rows ``coeffs`` on these grids."""
+        return GainLot(self.grids, coeffs)
+
+    def __call__(
+        self,
+        lot: GainLot,
+        devices: Union[slice, np.ndarray],
+        records: Union[int, np.ndarray],
+    ) -> np.ndarray:
+        """``(B, n)`` gains of a row block: row ``i`` is device
+        ``lot.coeffs[devices][i]`` on record ``records`` (one record) or
+        ``records[i]``."""
+        coeffs = lot.coeffs[devices]
+        single = np.ndim(records) == 0
+        if single and not self.active[records]:
+            return np.repeat(coeffs[:, :1], self.amps.shape[1], axis=1)
+        grid, grid_sq, steps, jc, dx = (
+            a[records] for a in (self.grids, self.grid_sq, self.steps, self.jc, self.dx)
+        )
+
+        def cube_cells(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            return lot.cubes(records if single else records[rows], cols)
+
+        table = _describing_table(coeffs, lot.sat[devices], grid, grid_sq, cube_cells)
+        if not single:
+            # a[i, jc[i]] per row of a (B, 256) block, as one flat take
+            jc = jc + np.arange(len(table))[:, None] * table.shape[1]
+
+        def take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return np.take(a, idx, axis=-1 if single else None)
+
+        # np.interp's formula (see RowInterpolator); it never warns.  The
+        # slopes sit in a table-wide buffer so one index serves both.
+        with np.errstate(all="ignore"):
+            slopes = np.empty_like(table)
+            np.subtract(table[:, 1:], table[:, :-1], out=slopes[:, :-1])
+            slopes[:, :-1] /= steps
+            f_lo = take(table, jc)
+            out = take(slopes, jc)
+            out *= dx
+            out += f_lo
+            nan = np.isnan(out)
+            if nan.any():
+                f_hi = take(table, jc + 1)
+                x_hi = take(grid, jc + 1)
+                retry = take(slopes, jc) * (self.amps[records] - x_hi) + f_hi
+                out[nan] = retry[nan]
+                flat = np.isnan(out) & (f_lo == f_hi)
+                out[flat] = f_lo[flat]
+        # exact cells take the table at their knot: jc, or the grid's end
+        # for magnitudes not below it (NaN included, which then stays NaN)
+        if single:
+            if self.fixed[records]:
+                cols = np.flatnonzero(self.exact[records])
+                x = self.amps[records, cols]
+                out[:, cols] = table[:, self.jc[records, cols] + ~(x < grid[-1])]
+                nan = np.isnan(x)
+                out[:, cols[nan]] = x[nan]
+            return out
+        if self.fixed[records].any():
+            rows, cols = np.nonzero(self.exact[records])
+            x = self.amps[records[rows], cols]
+            knots = self.jc[records[rows], cols] + ~(x < grid[rows, -1])
+            out[rows, cols] = table[rows, knots]
+            nan = np.isnan(x)
+            out[rows[nan], cols[nan]] = x[nan]
+        idle = ~self.active[records]
+        if idle.any():
+            out[idle] = coeffs[idle, :1]
+        return out
+
+
 def describing_gain_batch(
     coeffs: np.ndarray, amps: np.ndarray, peak: float
 ) -> np.ndarray:
     """Tuned-coupling DUT gains: ``(N, len(amps))``, one row per device.
 
     Row ``i`` equals ``np.interp(amps, grid, describing_function(grid))``
-    for device ``i`` bit for bit (:class:`DescribingGains`).
+    for device ``i`` bit for bit: a one-record
+    :class:`DescribingGainStack`.
     """
-    return DescribingGains(np.asarray(amps, dtype=float), peak)(coeffs)
+    stack = DescribingGainStack.build(np.asarray(amps, dtype=float)[None, :], [peak])
+    return stack(stack.lot(coeffs), slice(None), 0)

@@ -47,15 +47,15 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.device import RFDevice
 from repro.circuits.noisefig import added_output_noise_vrms
 from repro.circuits.nonlinear import (
-    DescribingGains,
-    QuadratureCubes,
+    DescribingGainStack,
+    GainLot,
     saturation_amplitudes,
 )
 from repro.dsp.filters import ButterworthLowpass
@@ -337,47 +337,56 @@ class SignaturePathConfig:
         return self.setup_time + self.capture_seconds
 
 
+def _rows(
+    env: Optional[EnvelopeSignal], key: Union[int, slice, np.ndarray]
+) -> Optional[EnvelopeSignal]:
+    """Rows ``key`` of a stacked envelope signal (a single row broadcasts)."""
+    if env is None:
+        return None
+    return EnvelopeSignal(
+        {h: e[key] for h, e in env.envelopes.items()}, env.sample_rate, env.carrier_freq
+    )
+
+
 @dataclass(frozen=True)
 class CapturePlan:
-    """The device-independent front half of a signature capture.
+    """The device-independent front half of ``S`` signature captures.
 
-    Everything here depends only on ``(stimulus, config)``: the stimulus
-    record rendered at the engine rate, the mixer-1 upconversion (with
+    Everything here depends only on ``(stimuli, config)``: the stimulus
+    records rendered at the engine rate, the mixer-1 upconversion (with
     fixture input loss applied), the coupled DUT drive and its cached
     derived quantities, and -- when the path phase is fixed -- the second
-    LO envelope.  A batch of N devices reuses one plan instead of paying
-    the front half N times.
+    LO envelope.  Every array holds one row per stimulus; a lot of N
+    devices reuses one plan instead of paying the front half N times.
+    One stimulus's plan (:meth:`SignatureTestBoard.capture_plan`) is the
+    ``S = 1`` stack, and ``plan[s]`` is stimulus ``s``'s, made of views.
     """
 
-    #: stimulus rendered at the engine rate, padded/truncated to the capture
-    record: Waveform
-    #: mixer-1 output after fixture input loss
+    #: stimuli rendered at the engine rate, padded/truncated to the capture
+    records: Tuple[Waveform, ...]
+    #: mixer-1 output after fixture input loss, ``(S, n)`` per harmonic
     upconverted: EnvelopeSignal
     #: the drive the DUT sees (carrier band only for tuned coupling)
     dut_in: EnvelopeSignal
-    #: peak drive estimate used for overdrive bookkeeping
-    peak: float
-    #: tuned coupling: carrier-band drive envelope and its magnitude
+    #: ``(S,)`` peak drive estimates used for overdrive bookkeeping
+    peaks: np.ndarray
+    #: tuned coupling: ``(S, n)`` carrier-band drive envelopes and magnitudes
     u1: Optional[np.ndarray] = None
     amps: Optional[np.ndarray] = None
-    #: tuned coupling: the describing-gain grid and knot search over
+    #: tuned coupling: the describing-gain grids and knot searches over
     #: ``amps``, shared by every row block and device of the plan
-    gains: Optional[DescribingGains] = None
+    gains: Optional[DescribingGainStack] = None
     #: wideband coupling: cached powers of the drive for the cubic DUT
     dut_in_sq: Optional[EnvelopeSignal] = None
     dut_in_cube: Optional[EnvelopeSignal] = None
-    #: second LO at the fixed path phase (None when the phase is random)
+    #: second LO at the fixed path phase (None when the phase is random),
+    #: shared by every stimulus
     lo2: Optional[EnvelopeSignal] = None
 
     def __post_init__(self):
         # the plan is frozen, so the byte count the cache budget reads
         # on every publish is counted once, here
-        def env_bytes(env: Optional[EnvelopeSignal]) -> int:
-            if env is None:
-                return 0
-            return sum(np.asarray(e).nbytes for e in env.envelopes.values())
-
-        total = self.record.samples.nbytes
+        total = sum(r.samples.nbytes for r in self.records)
         for env in (
             self.upconverted,
             self.dut_in,
@@ -385,18 +394,58 @@ class CapturePlan:
             self.dut_in_cube,
             self.lo2,
         ):
-            total += env_bytes(env)
+            if env is not None:
+                total += sum(np.asarray(e).nbytes for e in env.envelopes.values())
         for arr in (self.u1, self.amps):
             if arr is not None:
-                total += np.asarray(arr).nbytes
+                total += arr.nbytes
         if self.gains is not None:
             total += self.gains.nbytes()
         object.__setattr__(self, "_nbytes", total)
 
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, s: int) -> "CapturePlan":
+        """Stimulus ``s``'s plan: the ``S = 1`` stack of row views."""
+        s = range(len(self))[s]
+        key = slice(s, s + 1)
+        return CapturePlan(
+            records=self.records[key],
+            upconverted=_rows(self.upconverted, key),
+            dut_in=_rows(self.dut_in, key),
+            peaks=self.peaks[key],
+            u1=None if self.u1 is None else self.u1[key],
+            amps=None if self.amps is None else self.amps[key],
+            gains=None if self.gains is None else self.gains[key],
+            dut_in_sq=_rows(self.dut_in_sq, key),
+            dut_in_cube=_rows(self.dut_in_cube, key),
+            lo2=self.lo2,
+        )
+
+    def __iter__(self):
+        return (self[s] for s in range(len(self)))
+
+    def _one(self) -> None:
+        if len(self) != 1:
+            raise ValueError("a stack of several stimuli: index it first")
+
+    @property
+    def record(self) -> Waveform:
+        """A one-stimulus plan's rendered record."""
+        self._one()
+        return self.records[0]
+
+    @property
+    def peak(self) -> float:
+        """A one-stimulus plan's peak drive."""
+        self._one()
+        return float(self.peaks[0])
+
     @property
     def n(self) -> int:
         """Engine-rate record length."""
-        return len(self.record)
+        return len(self.records[0])
 
     def nbytes(self) -> int:
         """Approximate retained bytes: envelopes and arrays.
@@ -503,7 +552,7 @@ class SignatureTestBoard:
         of :attr:`_plan_cache_size` plans is kept per board -- enough for
         a finite-difference star (nominal plus per-parameter steps uses
         one plan each) while bounding memory.  A miss builds the plan as
-        a batch of one (:meth:`capture_plans`).
+        a stack of one (:meth:`_build_plans`).
         """
         record = self._stimulus_record(stimulus)
         key = self._record_key(record)
@@ -514,7 +563,7 @@ class SignatureTestBoard:
                 return plan
         # build outside the lock: concurrent first captures may build
         # the same plan twice, but neither stalls behind the other
-        plan = self._build_plans([record])[0]
+        plan = self._build_plans([record])
         with self._state_lock:
             winner = self._plan_cache.get(key)
             if winner is not None:
@@ -527,16 +576,17 @@ class SignatureTestBoard:
         return plan
 
     def capture_plans(self, stimuli: Sequence[Stimulus]) -> List[CapturePlan]:
-        """Front halves for several stimuli, built as one batch.
+        """Front halves for several stimuli, built as one stack.
 
-        Renders every record, runs mixer-1 once over the ``(S, n)``
-        baseband and returns one plan per stimulus whose arrays are row
-        views of that batch.  Plan ``s`` equals :meth:`capture_plan` of
-        ``stimuli[s]`` bit for bit, its per-row ``peak`` included.  The
-        plans bypass the LRU: a GA generation's stimuli are seldom seen
-        again.
+        The rows of :meth:`_build_plans` of every rendered record, as
+        one-stimulus plans of views: plan ``s`` equals
+        :meth:`capture_plan` of ``stimuli[s]`` bit for bit, its ``peak``
+        included.  The plans bypass the LRU: a GA generation's stimuli
+        are seldom seen again.
         """
-        return self._build_plans([self._stimulus_record(s) for s in stimuli])
+        if not len(stimuli):
+            return []
+        return list(self._build_plans([self._stimulus_record(s) for s in stimuli]))
 
     def _cache_nbytes(self) -> int:
         """Bytes retained by cached plans and compiled programs."""
@@ -573,9 +623,10 @@ class SignatureTestBoard:
         """
         return self.capture_plan(stimulus).peak
 
-    def _build_plans(self, records: Sequence[Waveform]) -> List[CapturePlan]:
-        if not records:
-            return []
+    def _build_plans(self, records: Sequence[Waveform]) -> CapturePlan:
+        """The plan stack of ``records`` (at least one): mixer-1 runs once
+        over the ``(S, n)`` baseband, and the describing-gain grids and
+        knot searches are built for every record at once."""
         cfg = self.config
         n = len(records[0])
         rf_in = EnvelopeSignal(
@@ -594,13 +645,14 @@ class SignatureTestBoard:
         if cfg.input_loss_db > 0.0:
             upconverted = upconverted.scale(undb20(-cfg.input_loss_db))
 
-        u1 = amps = None
+        u1 = amps = gains = None
         dut_in_sq = dut_in_cube = None
         if cfg.dut_coupling == "tuned":
             dut_in = upconverted.keep_harmonics([1])
             u1 = dut_in.harmonic(1)
             amps = np.abs(u1)
             peaks = amps.max(axis=-1) if n else np.zeros(len(records))
+            gains = DescribingGainStack.build(amps, peaks)
         else:
             dut_in = upconverted
             peaks = dut_in.peak_passband_rows()
@@ -617,31 +669,18 @@ class SignatureTestBoard:
                 phase=cfg.path_phase_rad,
                 offset_hz=cfg.lo_offset_hz,
             )
-
-        def row(env: Optional[EnvelopeSignal], s: int) -> Optional[EnvelopeSignal]:
-            if env is None:
-                return None
-            return EnvelopeSignal(
-                {h: e[s] for h, e in env.envelopes.items()},
-                env.sample_rate,
-                env.carrier_freq,
-            )
-
-        return [
-            CapturePlan(
-                record=record,
-                upconverted=row(upconverted, s),
-                dut_in=row(dut_in, s),
-                peak=float(peaks[s]),
-                u1=None if u1 is None else u1[s],
-                amps=None if amps is None else amps[s],
-                gains=None if amps is None else DescribingGains(amps[s], peaks[s]),
-                dut_in_sq=row(dut_in_sq, s),
-                dut_in_cube=row(dut_in_cube, s),
-                lo2=lo2,
-            )
-            for s, record in enumerate(records)
-        ]
+        return CapturePlan(
+            records=tuple(records),
+            upconverted=upconverted,
+            dut_in=dut_in,
+            peaks=np.asarray(peaks, dtype=float),
+            u1=u1,
+            amps=amps,
+            gains=gains,
+            dut_in_sq=dut_in_sq,
+            dut_in_cube=dut_in_cube,
+            lo2=lo2,
+        )
 
     # ------------------------------------------------------------------
     # the device-dependent back half (vectorized over the batch)
@@ -663,32 +702,39 @@ class SignatureTestBoard:
         """
         coeffs = envelope_coefficients(devices)
         self._record_overdrive(overdrive_ratios(coeffs, plan.peak))
-        return self._dut_rows(plan, coeffs, _wideband_terms(coeffs))
+        return self._dut_rows(plan, coeffs, _wideband_terms(coeffs), slice(None), 0)
 
     def _dut_rows(
         self,
         plan: CapturePlan,
         coeffs: np.ndarray,
         terms: Tuple[bool, bool],
-        cubes: Optional[QuadratureCubes] = None,
+        devices: Union[slice, np.ndarray],
+        stimuli: Union[int, np.ndarray],
+        lot: Optional[GainLot] = None,
     ) -> EnvelopeSignal:
-        """DUT outputs of the devices whose envelope polynomials are ``coeffs``.
+        """DUT outputs of rows pairing device ``coeffs[devices][i]`` with
+        stimulus ``stimuli`` (one stimulus of the plan) or ``stimuli[i]``.
 
         ``terms`` says whether the lot has any nonzero ``a2`` / ``a3``
         (wideband coupling only): decided once per lot, so every row
-        block carries the same harmonics.  ``cubes`` are the plan's
-        quadrature cubes for the lot (tuned coupling only).
+        block carries the same harmonics.  ``lot`` is ``coeffs`` on the
+        plan's describing-gain grids (tuned coupling only; built here
+        when ``None``).  One stimulus's drive broadcasts over its rows;
+        several are gathered.
         """
         if self.config.dut_coupling == "tuned":
             # Narrowband DUT: only the carrier band reaches the
             # nonlinearity, so the describing function of the *saturating*
             # transfer is exact -- physical gain compression at any drive,
-            # without the raw cubic's fold-back.  One (batch, 256) gain
-            # table on the plan's shared grid interpolates the shared
-            # |u1| record; the whole batch then multiplies u1 at once.
-            gain = plan.gains(coeffs, cubes)
+            # without the raw cubic's fold-back.  One (rows, 256) gain
+            # table, each row on its stimulus's grid, interpolates the
+            # rows' |u1| records; the block then multiplies u1 at once.
+            if lot is None:
+                lot = plan.gains.lot(coeffs)
+            gain = plan.gains(lot, devices, stimuli)
             return EnvelopeSignal(
-                {1: gain * plan.u1},
+                {1: gain * plan.u1[stimuli]},
                 plan.dut_in.sample_rate,
                 plan.dut_in.carrier_freq,
             )
@@ -697,12 +743,13 @@ class SignatureTestBoard:
         # valid below the fold-back point; the optimizer's drive
         # penalty keeps stimuli inside that range.  The drive powers
         # come precomputed from the plan; per-device coefficients enter
-        # as (batch, 1) columns.
-        out = plan.dut_in.scale(coeffs[:, 0:1])
+        # as (rows, 1) columns.
+        coeffs = coeffs[devices]
+        out = _rows(plan.dut_in, stimuli).scale(coeffs[:, 0:1])
         if terms[0]:
-            out = out + plan.dut_in_sq.scale(coeffs[:, 1][:, None])
+            out = out + _rows(plan.dut_in_sq, stimuli).scale(coeffs[:, 1][:, None])
         if terms[1]:
-            out = out + plan.dut_in_cube.scale(coeffs[:, 2][:, None])
+            out = out + _rows(plan.dut_in_cube, stimuli).scale(coeffs[:, 2][:, None])
         return out
 
     def _random_lo2(self, gens: RngList, n: int) -> EnvelopeSignal:
@@ -891,42 +938,27 @@ class SignatureTestBoard:
 
     def _dut_block(
         self,
-        plans: Sequence[CapturePlan],
+        plan: CapturePlan,
         coeffs: np.ndarray,
         terms: Tuple[bool, bool],
         start: int,
         stop: int,
-        plan_cubes: Callable[[int], Optional[QuadratureCubes]],
+        lot: Optional[GainLot],
     ) -> EnvelopeSignal:
-        """DUT outputs of rows ``start:stop`` of the ``(plan, device)`` grid.
-
-        ``plan_cubes(s)`` gives plan ``s``'s quadrature cubes for the lot.
-        """
+        """DUT outputs of rows ``start:stop`` of the ``(stimulus, device)`` grid."""
         n_dev = len(coeffs)
-        if stop == start:
-            return self._dut_rows(plans[0], coeffs[:0], terms)
-        pieces = []
-        for s in range(start // n_dev, (stop - 1) // n_dev + 1):
-            lo = max(start, s * n_dev) - s * n_dev
-            hi = min(stop, (s + 1) * n_dev) - s * n_dev
-            pieces.append(
-                self._dut_rows(plans[s], coeffs[lo:hi], terms, plan_cubes(s))
-            )
-        if len(pieces) == 1:
-            return pieces[0]
-        first = pieces[0]
-        return EnvelopeSignal(
-            {
-                h: np.concatenate([p.envelopes[h] for p in pieces])
-                for h in first.envelopes
-            },
-            first.sample_rate,
-            first.carrier_freq,
-        )
+        first = start // n_dev if n_dev else 0
+        if stop == start or (stop - 1) // n_dev == first:
+            # inside one stimulus: its drive and knots are views
+            lo = start - first * n_dev
+            devices = slice(lo, lo + stop - start)
+            return self._dut_rows(plan, coeffs, terms, devices, first, lot)
+        rows = np.arange(start, stop)
+        return self._dut_rows(plan, coeffs, terms, rows % n_dev, rows // n_dev, lot)
 
     def _capture_rows(
         self,
-        plans: Sequence[CapturePlan],
+        plan: CapturePlan,
         devices: Sequence[RFDevice],
         gens: RngList,
         stop: str,
@@ -935,10 +967,10 @@ class SignatureTestBoard:
         log_scale: bool = False,
         overdrive_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The device-dependent back half over every ``(plan, device)`` row.
+        """The device-dependent back half over every ``(stimulus, device)`` row.
 
-        Row ``s * N + i`` pairs ``plans[s]`` with ``devices[i]`` (and its
-        generator ``gens[i]``).  Rows run in blocks of :func:`block_rows`
+        Row ``s * N + i`` pairs the plan's stimulus ``s`` with
+        ``devices[i]`` (and its generator ``gens[i]``).  Rows run in blocks of :func:`block_rows`
         through the DUT response, envelope bandwidth, output loss,
         device noise, path phase, compiled mixer-2 tape, LPF and -- up
         to ``stop`` (``"filter"``, ``"digitize"`` or ``"fft"``) -- the
@@ -949,35 +981,27 @@ class SignatureTestBoard:
         equals the whole-batch reference bit for bit.  Per-stage wall
         times accumulate into ``stages`` and are published as
         :attr:`last_stage_seconds`; the overdrive bookkeeping records
-        the last plan's ratios, as a loop over the plans would, for the
+        the last stimulus's ratios, as a loop over them would, for the
         lot's ``overdrive_rows`` (default: one per device).
         """
         cfg = self.config
         n_dev = len(devices)
-        n_rows = len(plans) * n_dev
+        n_rows = len(plan) * n_dev
         coeffs = envelope_coefficients(devices)
         sat = saturation_amplitudes(coeffs)
-        ratios = _saturation_ratios(sat, plans[-1].peak)
+        ratios = _saturation_ratios(sat, plan.peaks[-1])
         if overdrive_rows is not None:
             ratios = ratios[overdrive_rows]
         self._record_overdrive(ratios)
         terms = _wideband_terms(coeffs)
-        # each saturating (device, amplitude) cell of a plan cubes the
-        # plan's shared abscissae: one table per plan, built when the
-        # plan-major rows reach it and dropped when they leave it
-        cubes: Dict[int, Optional[QuadratureCubes]] = {}
-
-        def plan_cubes(s: int) -> Optional[QuadratureCubes]:
-            if s not in cubes:
-                cubes.clear()
-                gains = plans[s].gains
-                cubes[s] = None if gains is None else gains.cubes(sat)
-            return cubes[s]
-
+        # each saturating (device, amplitude) cell of a stimulus cubes its
+        # grid's shared abscissae: one table per stimulus, built when the
+        # stimulus-major rows reach it and dropped when they leave it
+        lot = None if plan.gains is None else plan.gains.lot(coeffs)
         noisy = cfg.include_device_noise and any(g is not None for g in gens)
         if cfg.random_path_phase and any(g is None for g in gens):
             raise ValueError("random_path_phase requires an rng")
-        n = plans[0].n
+        n = plan.n
         program: Optional[CompiledCaptureProgram] = None
         out: Optional[np.ndarray] = None
         clock = time.perf_counter
@@ -987,11 +1011,11 @@ class SignatureTestBoard:
             stages[name] = stages.get(name, 0.0) + (now - since)
             return now
 
-        for start, end in _row_blocks(len(plans), n_dev, block_rows(n)):
+        for start, end in _row_blocks(len(plan), n_dev, block_rows(n)):
             t = clock()
             row_devices = [devices[r % n_dev] for r in range(start, end)]
             row_gens = [gens[r % n_dev] for r in range(start, end)]
-            dut_out = self._dut_block(plans, coeffs, terms, start, end, plan_cubes)
+            dut_out = self._dut_block(plan, coeffs, terms, start, end, lot)
             dut_out = self._envelope_bandwidth_batch(dut_out, row_devices)
             if cfg.output_loss_db > 0.0:
                 dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
@@ -1001,7 +1025,7 @@ class SignatureTestBoard:
             t = lap("noise", t)
             rf_arrays = {h: np.asarray(env) for h, env in dut_out.envelopes.items()}
             if program is None:
-                program = self._compiled_program(plans[0], tuple(rf_arrays))
+                program = self._compiled_program(plan, tuple(rf_arrays))
                 t = clock()  # compiling is not a capture stage
             lo = None
             if cfg.random_path_phase:
@@ -1038,9 +1062,7 @@ class SignatureTestBoard:
         start = time.perf_counter()
         plan = self.capture_plan(stimulus)
         stages = {"plan": time.perf_counter() - start}
-        return self._capture_rows(
-            [plan], devices, gens, stop, stages, n_bins, log_scale
-        )
+        return self._capture_rows(plan, devices, gens, stop, stages, n_bins, log_scale)
 
     def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
         """The last capture's (peak ratio, per-device ratios), atomically.
@@ -1159,7 +1181,7 @@ class SignatureTestBoard:
         rng=None, n_bins=n_bins)`` bit for bit.  ``peaks[s]`` equals
         ``peak_drive(stimuli[s])``, the numerator of every overdrive
         ratio a capture under that stimulus records.  The plans come
-        from one :meth:`capture_plans` batch and all ``S * N`` rows share
+        from one plan stack (:meth:`_build_plans`) and all ``S * N`` rows share
         one row-blocked back half -- one capture per GA generation
         instead of one per gene.  Without noise a row depends on its
         device only through the envelope polynomial and
@@ -1171,12 +1193,12 @@ class SignatureTestBoard:
         if not len(stimuli):
             raise ValueError("signature_grid needs at least one stimulus")
         start = time.perf_counter()
-        plans = self.capture_plans(stimuli)
+        plan = self._build_plans([self._stimulus_record(s) for s in stimuli])
         stages = {"plan": time.perf_counter() - start}
         first, rows = _distinct_devices(devices)
         distinct = [devices[i] for i in first]
         sigs = self._capture_rows(
-            plans,
+            plan,
             distinct,
             [None] * len(distinct),
             "fft",
@@ -1184,8 +1206,8 @@ class SignatureTestBoard:
             n_bins,
             overdrive_rows=rows,
         )
-        grid = sigs.reshape(len(plans), len(distinct), sigs.shape[-1])
-        return grid[:, rows], np.array([plan.peak for plan in plans])
+        grid = sigs.reshape(len(plan), len(distinct), sigs.shape[-1])
+        return grid[:, rows], plan.peaks.copy()
 
     def time_signature(
         self,

@@ -315,8 +315,9 @@ class StreamingTestService:
             lot, latency, block = item
             taken = 0
             try:
-                for taken, record in enumerate(block, 1):
-                    yield StreamRecord(lot.lot_id, lot.cell_id, record, latency)
+                for row in range(len(block)):
+                    taken = row + 1
+                    yield StreamRecord(lot.lot_id, lot.cell_id, None, latency, block, row)
             finally:
                 if taken < len(block):
                     self._outbox.unget((lot, latency, block[taken:]))

@@ -8,9 +8,9 @@ of that stream:
 
 * :class:`Lot` -- one submitted unit of work: a device list plus the
   per-device seed block frozen at submission time.
-* :class:`StreamRecord` -- one emitted per-device outcome, wrapping the
-  offline :class:`~repro.runtime.production.DeviceTestRecord` with its
-  stream coordinates and latency.
+* :class:`StreamRecord` -- one emitted per-device outcome: a row of the
+  lot's columns, with its stream coordinates and latency, whose offline
+  :class:`~repro.runtime.production.DeviceTestRecord` is built on demand.
 * :class:`ServiceClosed` / :class:`SubmitTimeout` -- the submission
   error surface.
 
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.runtime.executor import SeedBlock, SeedLike, spawn_seeds
-from repro.runtime.production import DeviceTestRecord
+from repro.runtime.production import DeviceTestRecord, ProductionRunResult
 
 __all__ = [
     "Lot",
@@ -113,19 +113,64 @@ class Lot:
         )
 
 
-@dataclass(frozen=True)
 class StreamRecord:
-    """One per-device outcome, emitted incrementally by the service."""
+    """One per-device outcome, emitted incrementally by the service.
 
-    lot_id: int
-    cell_id: int
-    record: DeviceTestRecord
-    #: seconds from lot submission to record emission (service clock)
-    latency: float
+    A view of row ``row`` of a lot piece's columns (``block``, a
+    :class:`~repro.runtime.production.ProductionRunResult`):
+    :attr:`device_id` reads the id column, and :attr:`record` -- the
+    row's :class:`DeviceTestRecord` -- is built on its first read, so a
+    drainer that reads only ids builds none.  Pass ``record`` instead of
+    a block to wrap a record that already exists.
+    """
+
+    __slots__ = ("lot_id", "cell_id", "latency", "_record", "_block", "_row")
+
+    def __init__(
+        self,
+        lot_id: int,
+        cell_id: int,
+        record: Optional[DeviceTestRecord],
+        latency: float,
+        block: Optional[ProductionRunResult] = None,
+        row: int = 0,
+    ):
+        if (record is None) == (block is None):
+            raise ValueError("a stream record wraps a record or a block row")
+        self.lot_id = lot_id
+        self.cell_id = cell_id
+        #: seconds from lot submission to record emission (service clock)
+        self.latency = latency
+        self._record = record
+        self._block = block
+        self._row = row
+
+    @property
+    def record(self) -> DeviceTestRecord:
+        if self._record is None:
+            self._record = self._block[self._row]
+        return self._record
 
     @property
     def device_id(self) -> int:
-        return self.record.device_id
+        if self._record is None:
+            return int(self._block.device_id[self._row])
+        return self._record.device_id
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StreamRecord):
+            return NotImplemented
+        return (self.lot_id, self.cell_id, self.record, self.latency) == (
+            other.lot_id, other.cell_id, other.record, other.latency
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamRecord(lot_id={self.lot_id}, cell_id={self.cell_id}, "
+            f"device_id={self.device_id}, latency={self.latency})"
+        )
 
 
 def iter_lot_chunks(lots: Sequence[Lot], chunksize: int):

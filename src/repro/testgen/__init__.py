@@ -23,6 +23,7 @@ from repro.testgen.mapping import LinearSignatureMap
 from repro.testgen.objective import (
     prediction_error_variances,
     signature_test_objective,
+    signature_test_objective_batch,
     signature_noise_std,
 )
 from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
@@ -41,6 +42,7 @@ __all__ = [
     "LinearSignatureMap",
     "prediction_error_variances",
     "signature_test_objective",
+    "signature_test_objective_batch",
     "signature_noise_std",
     "GAConfig",
     "GAResult",

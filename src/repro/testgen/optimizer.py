@@ -33,13 +33,12 @@ from repro.loadboard.signature_path import (
 from repro.runtime.executor import Executor
 from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
 from repro.testgen.mapping import LinearSignatureMap
-from repro.testgen.objective import signature_noise_std, signature_test_objective
-from repro.testgen.pwl import StimulusEncoding
-from repro.testgen.sensitivity import (
-    difference_star,
-    performance_sensitivity,
-    star_jacobian,
+from repro.testgen.objective import (
+    signature_noise_std,
+    signature_test_objective_batch,
 )
+from repro.testgen.pwl import StimulusEncoding
+from repro.testgen.sensitivity import difference_star, performance_sensitivity
 
 __all__ = ["OptimizationResult", "SignatureStimulusOptimizer"]
 
@@ -215,8 +214,9 @@ class SignatureStimulusOptimizer:
 
     def _signature_matrices(
         self, stimuli: Sequence[PiecewiseLinearStimulus]
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """``A_s`` in process-sigma units and the peak drive per stimulus.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``A_s`` in process-sigma units (an ``(S, m, k)`` stack) and the
+        peak drive per stimulus.
 
         Central differences: the signature path is mildly nonlinear over
         the process range (compression, FFT magnitudes), and forward
@@ -224,18 +224,20 @@ class SignatureStimulusOptimizer:
         singular directions.  The difference stars of all the stimuli run
         as one noise-free capture (``board.signature_grid``), which also
         returns each stimulus's peak drive -- this is the GA fitness's
-        hot path.
+        hot path -- and every star's differences are taken at once, each
+        matrix equal to :func:`~repro.testgen.sensitivity.star_jacobian`
+        of its star bit for bit.
         """
         grid, peaks = self.board.signature_grid(
             self._fd_star(), stimuli, n_bins=self.signature_bins
         )
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 3 or grid.shape[1] != 1 + 2 * len(self.space):
+            raise ValueError("need one signature row per difference-star point")
+        # star rows: nominal, then (+step, -step) per parameter
+        jac = (grid[:, 1::2] - grid[:, 2::2]) / (2.0 * self.rel_step)
         scale = self.space.fractional_std_vector()[None, :]
-        matrices = [
-            star_jacobian(signatures, self.space, self.rel_step, central=True)[0]
-            * scale
-            for signatures in grid
-        ]
-        return matrices, np.asarray(peaks, dtype=float)
+        return jac.transpose(0, 2, 1) * scale, np.asarray(peaks, dtype=float)
 
     def signature_matrix(self, stimulus: PiecewiseLinearStimulus) -> np.ndarray:
         """``A_s`` in process-sigma units for one candidate stimulus."""
@@ -297,23 +299,17 @@ class SignatureStimulusOptimizer:
         ``overdrive_margin`` of the weakest device's saturation
         amplitude, where the cubic DUT model stops being physical.  All
         ``k`` stimuli share one ``board.signature_grid`` capture, which
-        also returns their peak drives; value ``j`` equals
-        :meth:`objective` of ``genes[j]`` bit for bit.
+        also returns their peak drives, and one stacked Eq. 10 solve
+        (:func:`~repro.testgen.objective.signature_test_objective_batch`);
+        value ``j`` equals :meth:`objective` of ``genes[j]`` bit for bit.
         """
         stimuli = [self.encoding.decode(gene) for gene in genes]
-        matrices, peaks = self._signature_matrices(stimuli)
-        ratios = self._overdrive_ratios(peaks)
-        a_p = self.performance_matrix()
-        values = np.empty(len(stimuli))
-        for j, a_s in enumerate(matrices):
-            penalty = 0.0
-            excess = float(ratios[j]) - self.overdrive_margin
-            if excess > 0.0:
-                penalty = self.overdrive_weight * excess**2
-            values[j] = penalty + signature_test_objective(
-                a_p, a_s, self.sigma_m, self.spec_scales
-            )
-        return values
+        a_s, peaks = self._signature_matrices(stimuli)
+        excess = self._overdrive_ratios(peaks) - self.overdrive_margin
+        penalty = np.where(excess > 0.0, self.overdrive_weight * excess**2, 0.0)
+        return penalty + signature_test_objective_batch(
+            self.performance_matrix(), a_s, self.sigma_m, self.spec_scales
+        )
 
     def objective(self, gene: np.ndarray) -> float:
         """GA fitness of one gene (:meth:`objective_batch` of one)."""

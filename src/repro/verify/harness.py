@@ -24,6 +24,7 @@ import json
 import os
 import time
 import zlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,7 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "DEFAULT_MASTER_SEED",
     "relation",
+    "stratum",
     "CaseFailure",
     "RelationReport",
     "CampaignReport",
@@ -66,6 +68,23 @@ MAX_RECORDED_FAILURES = 10
 
 class RelationViolation(AssertionError):
     """A relation's invariant does not hold for one sampled configuration."""
+
+
+#: the strata the running campaign case has reached (None outside one)
+_REACHED: ContextVar[Optional[set]] = ContextVar("_REACHED", default=None)
+
+
+def stratum(name: str) -> None:
+    """Record that the running case reached the stratum ``name``.
+
+    A campaign counts, per relation, the sampled cases that reach each
+    named stratum (shrinking re-runs are not counted), so a report shows
+    how often a relation exercises each edge case it claims to cover.
+    Outside a campaign this does nothing.
+    """
+    reached = _REACHED.get()
+    if reached is not None:
+        reached.add(name)
 
 
 def check(condition: bool, message: str) -> None:
@@ -449,6 +468,8 @@ class RelationReport:
     n_failures: int = 0
     seconds: float = 0.0
     failures: List[CaseFailure] = field(default_factory=list)
+    #: sampled cases that reached each :func:`stratum`
+    strata: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -463,6 +484,7 @@ class RelationReport:
             "n_failures": self.n_failures,
             "seconds": round(self.seconds, 4),
             "ok": self.ok,
+            "strata": dict(sorted(self.strata.items())),
             "failures": [f.to_dict() for f in self.failures],
         }
 
@@ -511,6 +533,12 @@ class CampaignReport:
                 f"{rel.name:<36s} {rel.n_cases:>4d} cases  "
                 f"{rel.seconds:6.2f} s  {status}"
             )
+            if rel.strata:
+                reached = ", ".join(
+                    f"{name} {count}/{rel.n_cases}"
+                    for name, count in sorted(rel.strata.items())
+                )
+                lines.append(f"    strata: {reached}")
             for failure in rel.failures[:1]:
                 shown = failure.shrunk_config or failure.config
                 lines.append(f"    counterexample: {shown}")
@@ -551,7 +579,14 @@ def run_relation(
     for index in range(n_cases):
         sample_seq, exec_seq = _case_sequences(rel.name, master_seed, index)
         values = _draw_case(rel.params, sample_seq)
-        message = _run_case(rel, values, exec_seq)
+        reached: set = set()
+        token = _REACHED.set(reached)
+        try:
+            message = _run_case(rel, values, exec_seq)
+        finally:
+            _REACHED.reset(token)
+        for name in reached:
+            report.strata[name] = report.strata.get(name, 0) + 1
         if message is None:
             continue
         report.n_failures += 1

@@ -69,6 +69,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.circuits.nonlinear import (
+    DescribingGainStack,
     DescribingGains,
     PolynomialNonlinearity,
     describing_gain_batch,
@@ -78,9 +79,12 @@ from repro.circuits.nonlinear import (
 from repro.dsp.units import db, db20, dbm_to_watts, undb, undb20, watts_to_dbm
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
+from repro.loadboard.capture_compiler import block_rows
 from repro.loadboard.signature_path import (
     SignaturePathConfig,
     SignatureTestBoard,
+    _distinct_devices,
+    envelope_coefficients,
     overdrive_ratios,
 )
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
@@ -111,6 +115,7 @@ from repro.verify.harness import (
     integers,
     log_floats,
     relation,
+    stratum,
 )
 
 __all__: list = []  # relations register by import; nothing to re-export
@@ -1216,11 +1221,11 @@ def _describing_gain_rows(case, rng) -> np.ndarray:
     # the inverting stratum, from the intact rows: a2**2 exceeds
     # 3*a1*a3 (> 0) by 1.5x to 100x
     intact = rng.permutation(np.setdiff1d(np.arange(n), defective))
-    stratum = intact[: int(np.ceil(case["inverting_frac"] * len(intact)))]
-    a1 = -np.abs(coeffs[stratum, 0])
-    a3 = -np.abs(coeffs[stratum, 2])
-    a2 = -np.sqrt(3.0 * a1 * a3 * rng.uniform(1.5, 100.0, len(stratum)))
-    coeffs[stratum] = np.column_stack([a1, a2, a3])
+    inverting = intact[: int(np.ceil(case["inverting_frac"] * len(intact)))]
+    a1 = -np.abs(coeffs[inverting, 0])
+    a3 = -np.abs(coeffs[inverting, 2])
+    a2 = -np.sqrt(3.0 * a1 * a3 * rng.uniform(1.5, 100.0, len(inverting)))
+    coeffs[inverting] = np.column_stack([a1, a2, a3])
     return coeffs
 
 
@@ -1236,6 +1241,7 @@ def _describing_gain_rows(case, rng) -> np.ndarray:
         "n_blocks": integers(2, 6, origin=2),
         "silent_frac": floats(0.0, 0.5, origin=0.0),
         "zero_peak": booleans(),
+        "n_records": integers(1, 4, origin=1),
     },
     equation="reproduction contract (batched describing function)",
 )
@@ -1256,7 +1262,12 @@ def _rel_describing_gain_batch_equivalence(case, rng):
     mirrored; realistic polynomials almost never do.  The lot also runs
     the way a board capture runs it, in 2-6 row blocks sharing the lot's
     quadrature cubes (:meth:`DescribingGains.cubes`), checked device by
-    device; a NaN row must stay NaN, never pass.
+    device; a NaN row must stay NaN, never pass.  With 2-4 records the
+    lot also runs the way a GA generation's capture runs it: every
+    (record, device) row of a :class:`DescribingGainStack` -- the drive
+    records at their own overdrives, a third of the added ones silent --
+    in record-major blocks whose tables hold several records' grids,
+    each row checked against its record's :class:`DescribingGains`.
     """
     n = case["n_devices"]
     coeffs = _describing_gain_rows(case, rng)
@@ -1306,6 +1317,51 @@ def _rel_describing_gain_batch_equivalence(case, rng):
         np.array(want_ratios).reshape(n),
         label="overdrive ratios",
     )
+    if case["n_records"] > 1:
+        _check_describing_stack(case, rng, coeffs, amps, scale)
+
+
+def _check_describing_stack(case, rng, coeffs, amps, scale) -> None:
+    """``describing-gain-batch-equivalence``'s several-records stratum."""
+    stratum("several records in one stack")
+    records = [amps]
+    for _ in range(case["n_records"] - 1):
+        extra = np.abs(rng.normal(size=len(amps)))
+        if rng.random() < 1.0 / 3.0 or not extra.max() > 0.0:
+            extra[:] = 0.0
+        else:
+            extra *= float(rng.uniform(0.05, 20.0)) * scale / extra.max()
+        records.append(extra)
+    records = np.array(records)
+    peaks = records.max(axis=1)
+    if rng.random() < 0.5 and peaks.any():
+        # half the drive samples exactly on their record's grid knots
+        stratum("magnitudes on grid knots")
+        for s in np.flatnonzero(peaks > 0.0):
+            grid = np.linspace(0.0, 1.01 * peaks[s], 256)
+            cells = rng.integers(0, len(amps), max(1, len(amps) // 2))
+            records[s, cells] = grid[rng.integers(0, 255, len(cells))]
+        peaks = records.max(axis=1)
+    if (peaks > 0.0).any() and (peaks == 0.0).any():
+        stratum("zero-peak record among driven ones")
+    n, n_rec = len(coeffs), len(records)
+    want = [DescribingGains(r, p)(coeffs) for r, p in zip(records, peaks)]
+    stack = DescribingGainStack.build(records, peaks)
+    lot = stack.lot(coeffs)
+    step = max(1, -(-n * n_rec // case["n_blocks"]))
+    for start in range(0, n * n_rec, step):
+        rows = np.arange(start, min(start + step, n * n_rec))
+        block = stack(lot, rows % n, rows // n)
+        if rows[0] // n != rows[-1] // n:
+            stratum("block spanning records")
+        for row, got in zip(rows, block):
+            s, i = divmod(int(row), n)
+            check_array_equal(
+                got,
+                want[s][i],
+                label=f"device {i} on record {s} of {n_rec}, {step}-row blocks",
+                equal_nan=True,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -1319,6 +1375,8 @@ def _rel_describing_gain_batch_equivalence(case, rng):
         "output_loss_db": choice(0.0, 1.5),
         "n_breakpoints": integers(3, 8, origin=3),
         "drive": floats(0.05, 0.6, origin=0.05),
+        "zero_gene": booleans(),
+        "overdrive": booleans(),
     },
     equation="Eqs. 6-10 (batched GA fitness)",
 )
@@ -1332,7 +1390,11 @@ def _rel_ga_generation_batch_equivalence(case, rng):
     long way -- ``peak_drive``, one ``signature_batch`` of the star,
     the star Jacobian and Eq. 10 -- on a fresh board, each grid slice
     to its stimulus's ``signature_batch`` and each peak to its
-    ``peak_drive``.
+    ``peak_drive``.  Strata: an all-zero gene (zero drive, the
+    small-signal gain); half the genes at full-scale levels, driving
+    the star's weakest devices past their fold-back so that saturated
+    cells fall in row blocks spanning two genes; and generations whose
+    rows are not a multiple of the block size.
     """
     config = _fast_config(
         dut_coupling=case["dut_coupling"],
@@ -1363,10 +1425,15 @@ def _rel_ga_generation_batch_equivalence(case, rng):
     batched = optimizer()
     lower, upper = batched.encoding.bounds()
     genes = rng.uniform(lower, upper, size=(case["n_genes"], len(lower)))
+    if case["overdrive"]:
+        loud = rng.random(len(genes)) < 0.5
+        genes[loud] = np.where(rng.random((int(loud.sum()), len(lower))) < 0.5, lower, upper)
+    if case["zero_gene"]:
+        genes[rng.integers(len(genes))] = 0.0
     values = batched.objective_batch(genes)
-    grid, peaks = batched.board.signature_grid(
-        batched._fd_star(), [batched.encoding.decode(gene) for gene in genes]
-    )
+    stimuli = [batched.encoding.decode(gene) for gene in genes]
+    grid, peaks = batched.board.signature_grid(batched._fd_star(), stimuli)
+    _ga_strata(batched, stimuli, peaks)
 
     single = optimizer()
     star = single._fd_star()
@@ -1394,6 +1461,32 @@ def _rel_ga_generation_batch_equivalence(case, rng):
     check_array_equal(
         values, want, label=f"{len(genes)} genes: batch vs per-gene fitness"
     )
+
+
+def _ga_strata(opt: SignatureStimulusOptimizer, stimuli, peaks: np.ndarray) -> None:
+    """The ``ga-generation-batch-equivalence`` strata a generation reached.
+
+    The grid captures each distinct star device once, gene-major, in
+    blocks of ``block_rows(n)`` rows; a (gene, device) row has saturated
+    table cells when the device's saturation amplitude lies below the
+    gene's grid top ``1.01 * peak``.
+    """
+    first, _ = _distinct_devices(opt._fd_star())
+    sat = saturation_amplitudes(
+        envelope_coefficients([opt._fd_star()[i] for i in first])
+    )
+    if np.any(peaks == 0.0):
+        stratum("zero-drive gene")
+    n_dev, rows = len(first), block_rows(opt.board.capture_plan(stimuli[0]).n)
+    total = len(stimuli) * n_dev
+    if total % rows:
+        stratum("rows not a block multiple")
+    saturated = (sat[None, :] < 1.01 * peaks[:, None]).ravel()
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        if start // n_dev != (stop - 1) // n_dev and saturated[start:stop].any():
+            stratum("saturated block spanning genes")
+            break
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.nonlinear import (
+    DescribingGainStack,
     DescribingGains,
     PolynomialNonlinearity,
     RowInterpolator,
@@ -267,3 +268,100 @@ def test_saturating_cells_across_many_blocks():
     tables = describing_gain_tables(coeffs, grid)
     want = PolynomialNonlinearity(10.0, 0.0, -40.0).describing_function(grid)
     assert np.array_equal(tables, np.tile(want, (40, 1)))
+
+
+class TestDescribingGainStack:
+    """Several records' gains per block, each row against its record's
+    :class:`DescribingGains` (and the per-device loop)."""
+
+    @staticmethod
+    def _records(rng, peaks, n=300):
+        records = []
+        for peak in peaks:
+            amps = _drive(rng, n, peak) if peak > 0.0 else np.zeros(n)
+            records.append(amps)
+        return np.array(records)
+
+    @staticmethod
+    def _assert_rows(coeffs, records, peaks, block_rows=7):
+        """Every (record, device) row, record-major in blocks that
+        straddle records, one lot shared by the blocks."""
+        n = len(coeffs)
+        stack = DescribingGainStack.build(records, peaks)
+        lot = stack.lot(coeffs)
+        want = [DescribingGains(r, p)(coeffs) for r, p in zip(records, peaks)]
+        total = n * len(records)
+        for start in range(0, total, block_rows):
+            rows = np.arange(start, min(start + block_rows, total))
+            if rows[0] // n == rows[-1] // n:
+                # inside one record: the view path
+                lo = rows[0] % n
+                block = stack(lot, slice(lo, lo + len(rows)), int(rows[0] // n))
+            else:
+                block = stack(lot, rows % n, rows // n)
+            for row, got in zip(rows.tolist(), block):
+                s, i = divmod(row, n)
+                assert np.array_equal(got, want[s][i], equal_nan=True), (s, i)
+        return want
+
+    def test_records_straddle_blocks(self):
+        rng = np.random.default_rng(20)
+        coeffs = _lot_coeffs(rng, 9)
+        sat = saturation_amplitudes(coeffs)
+        peaks = np.array([0.3, 3.0, 0.8, 5.0]) * float(np.median(sat))
+        want = self._assert_rows(coeffs, self._records(rng, peaks), peaks)
+        assert all(np.all(np.isfinite(w)) for w in want)
+
+    def test_zero_peak_record_inside_a_driven_stack(self):
+        rng = np.random.default_rng(21)
+        coeffs = _lot_coeffs(rng, 6)
+        peak = 2.0 * float(np.median(saturation_amplitudes(coeffs)))
+        peaks = np.array([peak, 0.0, 1.5 * peak])
+        want = self._assert_rows(coeffs, self._records(rng, peaks), peaks, block_rows=4)
+        assert np.array_equal(want[1], np.repeat(coeffs[:, :1], 300, axis=1))
+
+    def test_nan_and_inverting_coefficients(self):
+        rng = np.random.default_rng(22)
+        coeffs = _lot_coeffs(rng, 8)
+        coeffs[1, 0] = np.nan
+        coeffs[4, 2] = np.nan
+        coeffs[6] = (-1.0, -10.0, -1.0)
+        coeffs[7] = (-1.0, 10.0, 1.0)
+        peaks = np.array([0.05, 0.4, 2.0])
+        want = self._assert_rows(coeffs, self._records(rng, peaks), peaks, block_rows=5)
+        for w in want:
+            assert np.all(np.isnan(w[[1, 4]]))
+
+    def test_amps_on_knots_above_the_top_and_nan(self):
+        rng = np.random.default_rng(23)
+        coeffs = _lot_coeffs(rng, 5)
+        peaks = np.array([0.6, 0.9]) * float(np.median(saturation_amplitudes(coeffs)))
+        records = self._records(rng, peaks)
+        grid = np.linspace(0.0, 1.01 * peaks[0], 256)
+        records[0, :40] = grid[rng.integers(0, 256, 40)]  # exactly on knots
+        records[0, 40] = grid[-1]
+        # the peak passed in sits below the record's own maximum
+        records[1, :10] = 1.5 * peaks[1]
+        records[1, 10:13] = np.nan
+        self._assert_rows(coeffs, records, peaks, block_rows=3)
+
+    def test_denormal_peak_is_built_alone(self):
+        # a zero linspace step in one row would switch a stacked call's
+        # formula for every row, so that record takes its own linspace
+        rng = np.random.default_rng(24)
+        coeffs = _lot_coeffs(rng, 4)
+        peaks = np.array([0.2, 5e-322, 0.3])
+        assert 1.01 * peaks[1] / 255 == 0.0
+        records = self._records(rng, peaks)
+        with np.errstate(all="ignore"):
+            self._assert_rows(coeffs, records, peaks, block_rows=3)
+
+    def test_one_record_is_describing_gain_batch(self):
+        rng = np.random.default_rng(25)
+        coeffs = _lot_coeffs(rng, 12)
+        peak = 2.0 * float(np.median(saturation_amplitudes(coeffs)))
+        amps = _drive(rng, 200, peak)
+        stack = DescribingGainStack.build(amps[None, :], [peak])
+        got = stack(stack.lot(coeffs), slice(None), 0)
+        assert np.array_equal(got, _oracle_gain(coeffs, amps, peak))
+        assert np.array_equal(stack[0:1].grids, stack.grids)

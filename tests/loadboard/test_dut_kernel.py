@@ -123,8 +123,9 @@ class TestBoardDutStage:
         grid = np.linspace(0.0, 1.01 * plan.peak, 256)
         for i, d in enumerate(devices):
             poly = PolynomialNonlinearity(*d.envelope_poly())
-            gain = np.interp(plan.amps, grid, poly.describing_function(grid))
-            assert np.array_equal(out.harmonic(1)[i], gain * plan.u1)
+            # a one-stimulus plan is the S = 1 stack: its drive is row 0
+            gain = np.interp(plan.amps[0], grid, poly.describing_function(grid))
+            assert np.array_equal(out.harmonic(1)[i], gain * plan.u1[0])
         ratio, ratios = board.overdrive_snapshot()
         assert ratio == ratios.max()
 

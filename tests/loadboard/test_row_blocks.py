@@ -223,6 +223,18 @@ class TestBatchedPlans:
         board = SignatureTestBoard(simulation_config())
         assert board.capture_plans([]) == []
 
+    def test_stack_bytes_count_every_row(self):
+        # the plan-cache budget reads nbytes(): a stack counts each row's
+        # arrays and describing-gain grids once, and the shared LO once
+        board = SignatureTestBoard(simulation_config())
+        stack = board._build_plans([board._stimulus_record(s) for s in stimuli(4)])
+        rows = list(stack)
+        lo2 = np.asarray(stack.lo2.envelopes[1]).nbytes
+        assert stack.gains.nbytes() > 0
+        assert stack.nbytes() == sum(p.nbytes() for p in rows) - 3 * lo2
+        single = board.capture_plan(stimuli(1)[0])
+        assert single.nbytes() == rows[0].nbytes()
+
 
 class TestSignatureGrid:
     @pytest.mark.parametrize(

@@ -580,3 +580,33 @@ class TestStreamTypes:
         )
         wrapped = StreamRecord(lot_id=2, cell_id=1, record=rec, latency=0.5)
         assert wrapped.device_id == 9
+
+    def test_id_only_drain_builds_no_record(self, flow_setup, monkeypatch):
+        # a stream record is a row view of its lot piece's columns: reading
+        # ids builds no DeviceTestRecord, reading .record builds one, once
+        from repro.runtime import production
+
+        flow = flow_setup[2]
+        lots = [_lot_devices(flow_setup, 5, seed=i) for i in range(3)]
+        built = []
+        real = production.DeviceTestRecord
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(production, "DeviceTestRecord", counting)
+        with StreamingTestService(flow) as svc:
+            for i, devices in enumerate(lots):
+                svc.submit(devices, i)
+            svc.close()
+            streamed = list(svc.records())
+        ids = [(r.lot_id, r.device_id) for r in streamed]
+        assert sorted(ids) == [(lot, i) for lot in range(3) for i in range(5)]
+        assert built == []
+        first = streamed[0]
+        assert first.record is first.record
+        assert len(built) == 1
+        monkeypatch.undo()
+        offline = flow.run(lots[first.lot_id], first.lot_id)
+        _assert_records_match([first], [offline[first.device_id]])

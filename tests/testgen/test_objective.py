@@ -5,10 +5,12 @@ import pytest
 
 from repro.dsp.spectral import fft_magnitude_signature
 from repro.dsp.waveform import Waveform
+from repro.testgen.mapping import LinearSignatureMap
 from repro.testgen.objective import (
     prediction_error_variances,
     signature_noise_std,
     signature_test_objective,
+    signature_test_objective_batch,
 )
 
 
@@ -89,3 +91,70 @@ class TestObjective:
             prediction_error_variances(a_p, a_s, 0.01, spec_scales=[1.0])
         with pytest.raises(ValueError):
             prediction_error_variances(a_p, a_s, 0.01, spec_scales=[1.0, -1.0, 1.0])
+
+
+class TestObjectiveBatch:
+    """The stacked Eq. 10 against the per-matrix ``signature_test_objective``."""
+
+    @staticmethod
+    def _assert_equals_loop(a_p, a_s, sigma_m, spec_scales=None, rcond=1e-10):
+        got = signature_test_objective_batch(a_p, a_s, sigma_m, spec_scales, rcond)
+        want = [
+            signature_test_objective(a_p, m, sigma_m, spec_scales, rcond) for m in a_s
+        ]
+        assert got.shape == (len(a_s),)
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("m, k", [(40, 6), (5, 9), (12, 1)])
+    def test_random_stacks(self, m, k):
+        rng = np.random.default_rng(m * k)
+        a_p = rng.normal(size=(3, k))
+        a_s = rng.normal(size=(24, m, k)) * 10.0 ** rng.uniform(-3, 1, (24, 1, 1))
+        for sigma_m in (0.0, 1e-3, 0.3):
+            self._assert_equals_loop(a_p, a_s, sigma_m)
+
+    def test_one_gene(self):
+        rng = np.random.default_rng(1)
+        a_p, a_s = rng.normal(size=(3, 4)), rng.normal(size=(1, 30, 4))
+        got = self._assert_equals_loop(a_p, a_s, 0.01)
+        assert got[0] == signature_test_objective(a_p, a_s[0], 0.01)
+
+    def test_zero_sensitivity_gene(self):
+        # s[0] == 0: the signature explains nothing and amplifies nothing
+        rng = np.random.default_rng(2)
+        a_p = rng.normal(size=(3, 4))
+        a_s = rng.normal(size=(3, 20, 4))
+        a_s[1] = 0.0
+        got = self._assert_equals_loop(a_p, a_s, 0.05)
+        assert got[1] == pytest.approx(np.mean(np.sum(a_p**2, axis=1)))
+
+    def test_no_signature_components(self):
+        a_p = np.arange(6.0).reshape(3, 2)
+        self._assert_equals_loop(a_p, np.zeros((2, 0, 2)), 0.1)
+
+    def test_rank_truncated_by_rcond(self):
+        # two directions sit below rcond * s_max and are never inverted
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.normal(size=(30, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        a_s = np.stack([u @ np.diag([1.0, 0.5, 1e-13, 1e-14]) @ v.T, u @ v.T])
+        a_p = rng.normal(size=(3, 4))
+        mapping = LinearSignatureMap.from_sensitivities(
+            a_p, a_s[0], sigma_m=0.0, rcond=1e-10
+        )
+        assert mapping.rank == 2
+        self._assert_equals_loop(a_p, a_s, 0.0)
+        self._assert_equals_loop(a_p, a_s, 1e-3, rcond=1e-3)
+
+    def test_spec_scales(self):
+        rng = np.random.default_rng(4)
+        a_p, a_s = rng.normal(size=(3, 5)), rng.normal(size=(6, 25, 5))
+        scaled = self._assert_equals_loop(a_p, a_s, 0.02, spec_scales=[1.0, 0.5, 4.0])
+        assert not np.array_equal(scaled, signature_test_objective_batch(a_p, a_s, 0.02))
+        with pytest.raises(ValueError, match="one entry per spec"):
+            signature_test_objective_batch(a_p, a_s, 0.02, spec_scales=[1.0])
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match="stack"):
+            signature_test_objective_batch(np.ones((3, 2)), np.ones((5, 2)), 0.1)

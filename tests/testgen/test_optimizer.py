@@ -459,6 +459,30 @@ class TestObjectiveBatch:
 
         _assert_batch_equals_loop(make, k)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
+    def test_pooled_chunks_equal_the_loop(self, executor):
+        # the GA maps objective_batch over chunks of a generation: every
+        # backend's chunk values join to the per-gene loop bit for bit
+        from repro.parallel import get_executor
+
+        single = make_optimizer()
+        genes = _random_genes(single, k=10)
+        sat = _loop_weakest_saturation(single)
+        star = [
+            single.device_factory(p)
+            for p in difference_star(single.space, single.rel_step, central=True)
+        ]
+        want = np.array([_per_gene_objective(single, g, sat, star) for g in genes])
+        opt = make_optimizer()
+        opt.performance_matrix()
+        opt._find_weakest_device()
+        opt._fd_star()
+        with get_executor(executor) as ex:
+            chunks = ex.map_tasks(
+                opt.objective_batch, [genes[:3], genes[3:4], genes[4:]], chunksize=1
+            )
+        assert np.array_equal(np.concatenate(chunks), want)
+
     def test_objective_is_a_batch_of_one(self):
         opt = make_optimizer()
         genes = _random_genes(opt, k=3)

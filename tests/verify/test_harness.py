@@ -22,6 +22,7 @@ from repro.verify.harness import (
     relation,
     run_campaign,
     run_relation,
+    stratum,
 )
 
 
@@ -286,3 +287,28 @@ class TestReports:
         reg = self._failing_registry()
         with pytest.raises(ValueError):
             run_relation(reg.get(["flaky"])[0], n_cases=0)
+
+
+class TestStrata:
+    def test_cases_reaching_each_stratum_are_counted(self):
+        reg = Registry()
+
+        @relation(name="edges", params={"x": floats(0.0, 1.0)}, registry=reg)
+        def _rel_edges(case, rng):
+            if case["x"] < 0.5:
+                stratum("low")
+                stratum("low")  # once per case, however often reached
+            stratum("any")
+            check(case["x"] < 0.9, "x too big")
+
+        report = run_relation(reg.get(["edges"])[0], n_cases=40, master_seed=0)
+        # shrinking re-runs a failing case, and is not counted
+        assert report.n_failures > 0
+        assert report.strata["any"] == 40
+        assert 0 < report.strata["low"] < 40
+        assert report.to_dict()["strata"] == {"any": 40, "low": report.strata["low"]}
+        campaign = CampaignReport(master_seed=0, n_cases=40, relations=[report])
+        assert f"strata: any 40/40, low {report.strata['low']}/40" in campaign.summary()
+
+    def test_outside_a_campaign_it_does_nothing(self):
+        stratum("nowhere")
