@@ -437,6 +437,15 @@ class CompiledCaptureProgram:
 
         needed = self._needed(tape, out)
         consts = self._fold_constants(tape, needed, const_inputs)
+        # a folded operand whose samples all share their bits (every
+        # folded LO constant of a coherent capture) runs as a 0-d
+        # scalar: NumPy multiplies by a scalar operand about twice as
+        # fast as by a broadcast row, to the same bits
+        # (tests/test_stacking_identities.py pins it)
+        for nid, arr in consts.items():
+            flat = arr.reshape(-1)
+            if nid != out and flat.size and arr.tobytes() == flat[:1].tobytes() * flat.size:
+                consts[nid] = flat[:1].reshape(()).copy()
         self._schedule(tape, needed, consts, out)
         self.out_node = out
         self.fingerprint = tape.fingerprint(out)

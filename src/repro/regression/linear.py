@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.regression.memo import memoized
 from repro.regression.rowwise import rowwise_matmul
 
 __all__ = ["LinearRegression", "RidgeRegression"]
@@ -43,22 +44,25 @@ class RidgeRegression:
             raise ValueError("y must be a vector matching x's row count")
         if len(x) < 2:
             raise ValueError("need at least two training samples")
-        x_mean = x.mean(axis=0)
-        y_mean = y.mean()
-        xc = x - x_mean
-        yc = y - y_mean
         n_samples, n_features = x.shape
+        # wide data (e.g. thousands of raw FFT bins, a dozen devices):
+        # the dual form w = Xc^T (Xc Xc^T + alpha I)^-1 yc is the same
+        # solution from an n x n system, O(n^2 d) instead of O(d^3)
+        dual = n_samples < n_features
+        # every alpha fitted on one read-only x shares its centring and
+        # Gram inside a fit memo (repro.regression.memo)
+        x_mean, xc, base = memoized(
+            ("centred_gram", dual), (x,), lambda: _centred_gram(x, dual)
+        )
+        y_mean = y.mean()
+        yc = y - y_mean
         # solve instead of invert: better conditioned and faster
         try:
-            if n_samples < n_features:
-                # wide data (e.g. thousands of raw FFT bins, a dozen
-                # devices): the dual form w = Xc^T (Xc Xc^T + alpha I)^-1 yc
-                # is the same solution from an n x n system, O(n^2 d)
-                # instead of O(d^3)
-                kernel = xc @ xc.T + self.alpha * np.eye(n_samples)
+            if dual:
+                kernel = base + self.alpha * np.eye(n_samples)
                 w = xc.T @ np.linalg.solve(kernel, yc)
             else:
-                gram = xc.T @ xc + self.alpha * np.eye(n_features)
+                gram = base + self.alpha * np.eye(n_features)
                 w = np.linalg.solve(gram, xc.T @ yc)
         except np.linalg.LinAlgError:
             gram = xc.T @ xc + self.alpha * np.eye(n_features)
@@ -80,6 +84,14 @@ class RidgeRegression:
             )
         out = rowwise_matmul(x, self.coef_) + self.intercept_
         return out[0] if single else out
+
+
+def _centred_gram(x: np.ndarray, dual: bool):
+    """``(mean, xc, gram)``: ``x``'s column means, ``x`` centred on them,
+    and ``xc @ xc.T`` (``dual``) or ``xc.T @ xc``."""
+    x_mean = x.mean(axis=0)
+    xc = x - x_mean
+    return x_mean, xc, xc @ xc.T if dual else xc.T @ xc
 
 
 class LinearRegression(RidgeRegression):

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.regression.metrics import first_minimum
 from repro.regression.rowwise import rowwise_matmul
 
 __all__ = ["HingeBasis", "MARSRegressor"]
@@ -90,11 +91,14 @@ class MARSRegressor:
         gram = design_t @ design + self.ridge * np.eye(design.shape[-1])
         return np.linalg.solve(gram, (design_t @ y)[..., None])[..., 0]
 
-    def _gcv(self, rss: float, n: int, n_params: int) -> float:
-        """Friedman's GCV criterion with the usual complexity penalty."""
+    def _gcv(self, rss, n: int, n_params: int):
+        """Friedman's GCV criterion with the usual complexity penalty
+        (elementwise for an array of residual sums of squares)."""
         penalty = n_params + 0.5 * 3.0 * (n_params - 1)
         denom = (1.0 - penalty / n) ** 2 if penalty < n else np.inf
-        return np.inf if denom == 0 or not np.isfinite(denom) else rss / (n * denom)
+        if denom == 0 or not np.isfinite(denom):
+            return np.full(np.shape(rss), np.inf) if np.ndim(rss) else np.inf
+        return rss / (n * denom)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MARSRegressor":
         x = np.asarray(x, dtype=float)
@@ -105,14 +109,17 @@ class MARSRegressor:
         if n < 4:
             raise ValueError("need at least four training samples")
 
-        # candidate knots at interior quantiles of each feature; every
-        # candidate's hinge pair is evaluated once, as rows of (C, n)
+        # candidate knots at interior quantiles of each feature, in
+        # feature-major order; every candidate's hinge pair is evaluated
+        # once, as rows of (C, n)
         qs = np.linspace(0.0, 1.0, self.n_knots + 2)[1:-1]
-        knots = [np.quantile(x[:, j], qs) for j in range(d)]
-        cands = [(j, float(t)) for j in range(d) for t in knots[j]]
-        diff = x[:, [j for j, _ in cands]] - np.array([t for _, t in cands])
+        knots = np.quantile(x, qs, axis=0).T.ravel()
+        features = np.repeat(np.arange(d), len(qs))
+        diff = x[:, features] - knots
         hinge_pos = np.maximum(diff, 0.0).T.copy()
         hinge_neg = np.maximum(-diff, 0.0).T.copy()
+        # a pair already in the model is not a candidate
+        open_ = np.ones(len(knots), dtype=bool)
 
         bases: List[HingeBasis] = []
         design = self._design(x, bases)
@@ -121,17 +128,11 @@ class MARSRegressor:
         best_gcv = self._gcv(float(resid @ resid), n, design.shape[1])
 
         while len(bases) + 2 <= self.max_terms:
-            # a pair already in the model is not a candidate (float ==,
-            # like HingeBasis equality)
-            active = [
-                c
-                for c, (j, t) in enumerate(cands)
-                if not any(b.feature == j and b.knot == t for b in bases)
-            ]
-            if not active:
+            active = np.flatnonzero(open_)
+            if not active.size:
                 break
-            # every candidate's trial design, Gram, solve and residual
-            # as one stacked (K, n, p + 2) operation each
+            # every candidate's trial design, Gram, solve, residual and
+            # GCV as one stacked (K, n, p + 2) operation each
             p = design.shape[1]
             trials = np.empty((len(active), n, p + 2))
             trials[:, :, :p] = design
@@ -140,15 +141,19 @@ class MARSRegressor:
             coefs = self._solve(trials, y)
             resid = y - (trials @ coefs[:, :, None])[:, :, 0]
             rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-            gcvs = [self._gcv(float(v), n, p + 2) for v in rss]
-            # min() keeps the first strict minimum, like the
-            # one-candidate-at-a-time scan (a NaN never displaces it)
-            k_best = min(range(len(gcvs)), key=gcvs.__getitem__)
-            gcv = gcvs[k_best]
+            gcvs = self._gcv(rss, n, p + 2)
+            # the one-candidate-at-a-time scan's pick: its first strict
+            # minimum (a NaN never displaces it)
+            k_best = first_minimum(gcvs)
+            gcv = float(gcvs[k_best])
             if best_gcv - gcv < self.min_improvement * max(best_gcv, 1e-300):
                 break
-            j, t = cands[active[k_best]]
+            c = active[k_best]
+            j, t = int(features[c]), float(knots[c])
             bases.extend([HingeBasis(j, t, +1), HingeBasis(j, t, -1)])
+            # float ==, like HingeBasis equality: tied knots leave
+            # together, a NaN knot never does
+            open_ &= (features != j) | (knots != t)
             design = trials[k_best]
             coef = coefs[k_best]
             best_gcv = gcv

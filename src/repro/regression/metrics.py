@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rmse", "std_err", "mae", "bias", "r2_score"]
+__all__ = ["rmse", "std_err", "mae", "bias", "r2_score", "first_minimum"]
 
 
 def _pair(y_true, y_pred):
@@ -62,3 +62,16 @@ def r2_score(y_true, y_pred) -> float:
     if ss_tot == 0.0:
         return 0.0 if ss_res == 0.0 else -np.inf
     return 1.0 - ss_res / ss_tot
+
+
+def first_minimum(values: np.ndarray) -> int:
+    """Index a running strict-minimum scan over ``values`` ends on.
+
+    The loop ``best = 0; if values[i] < values[best]: best = i``: the
+    first occurrence of the smallest non-NaN value, NaNs never picked
+    -- unless ``values[0]`` is NaN, which no comparison can displace.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(values), np.inf, values)))

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.regression.metrics import rmse
-from repro.regression.pca import _shared_svd
+from repro.regression.memo import fit_memo
 
 __all__ = ["kfold_indices", "cross_val_rmse", "select_best_model"]
 
@@ -48,8 +48,9 @@ def _cross_val_scores(
     """Mean held-out RMSE per candidate over one k-fold split from ``rng``.
 
     Folds run in the outer loop, so every candidate fits the same
-    read-only fold arrays and the PCA candidates share one centred SVD
-    per fold (:func:`repro.regression.pca._shared_svd`).  A candidate
+    read-only fold arrays, and inside one fit memo per fold
+    (:mod:`repro.regression.memo`) the candidates share the fold's
+    centred SVD, their common front ends and the ridge Gram.  A candidate
     that fails to fit on some fold (e.g. a degenerate design matrix) is
     charged an infinite score and skips its remaining folds.
     """
@@ -63,7 +64,7 @@ def _cross_val_scores(
         for arr in fold:
             arr.setflags(write=False)
         x_train, y_train, x_test, y_test = fold
-        with _shared_svd():
+        with fit_memo():
             for name, factory in candidates.items():
                 scores = fold_scores[name]
                 if scores is None:

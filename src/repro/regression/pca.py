@@ -9,50 +9,20 @@ signature before nonlinear models that scale poorly with input dimension
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.regression.memo import memoized
 from repro.regression.rowwise import rowwise_matmul
 
 __all__ = ["PCA"]
 
-#: per-thread memo of the open :func:`_shared_svd` block (None outside)
-_svd_scope = threading.local()
-
-
-@contextmanager
-def _shared_svd() -> Iterator[None]:
-    """Within this block, PCA fits on one read-only array share its SVD.
-
-    Cross-validation fits several PCA pipelines (different component
-    counts) on the same fold training matrix.  Inside the block the
-    first fit on a read-only array computes its centred SVD and every
-    later fit on that same array object truncates it instead -- the
-    same bits, one SVD.  The memo pins each array alive, so its
-    identity cannot be reused within the block.
-    """
-    outer = getattr(_svd_scope, "memo", None)
-    _svd_scope.memo = {}
-    try:
-        yield
-    finally:
-        _svd_scope.memo = outer
-
 
 def _centred_svd(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(mean, s, vt)`` of ``x`` minus its column means (memoized in scope)."""
-    memo: Optional[Dict[int, tuple]] = getattr(_svd_scope, "memo", None)
-    if memo is not None and not x.flags.writeable:
-        hit = memo.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
+    """``(mean, s, vt)`` of ``x`` minus its column means."""
     mean = x.mean(axis=0)
     _u, s, vt = np.linalg.svd(x - mean, full_matrices=False)
-    if memo is not None and not x.flags.writeable:
-        memo[id(x)] = (x, (mean, s, vt))
     return mean, s, vt
 
 
@@ -75,11 +45,18 @@ class PCA:
         self.explained_variance_: Optional[np.ndarray] = None
         self.total_variance_: float = 0.0
 
+    def _fit_key(self) -> tuple:
+        """What, besides the training array, decides this fit (see
+        :class:`~repro.regression.pipeline.Pipeline`)."""
+        return ("PCA", self.n_components)
+
     def fit(self, x: np.ndarray) -> "PCA":
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or len(x) < 2:
             raise ValueError("fit expects at least two samples")
-        self.mean_, s, vt = _centred_svd(x)
+        # PCA fits of several component counts on one read-only array
+        # share its SVD inside a fit memo (repro.regression.memo)
+        self.mean_, s, vt = memoized("centred_svd", (x,), lambda: _centred_svd(x))
         var = s**2 / max(len(x) - 1, 1)
         k = len(s) if self.n_components is None else min(self.n_components, len(s))
         self.components_ = vt[:k]

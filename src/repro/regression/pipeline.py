@@ -4,6 +4,11 @@ A pipeline owns the full signature-to-spec path of Figure 5:
 standardize the raw FFT-bin signature, optionally compress it with PCA,
 then regress.  The same fitted pipeline is used at calibration time (fit)
 and production time (predict).
+
+Inside a fit memo (:mod:`repro.regression.memo`), pipelines that start
+with the same front end -- ``PCA(k)``, ``StandardScaler``, or both in a
+row -- fitted on the same read-only array share that front end's fit
+and its output.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
+
+from repro.regression.memo import memoized
 
 __all__ = ["Pipeline"]
 
@@ -48,7 +55,7 @@ class Pipeline:
             )
         self._n_features = z.shape[1]
         for s in self.steps[:-1]:
-            z = s.fit(z).transform(z)
+            z = _fit_transform(s, z)
         self.steps[-1].fit(z, y)
         return self
 
@@ -67,3 +74,25 @@ class Pipeline:
         for s in self.steps[:-1]:
             z = s.transform(z)
         return self.steps[-1].predict(z)
+
+
+def _fit_transform(step, z: np.ndarray) -> np.ndarray:
+    """``step.fit(z).transform(z)``, shared in a fit memo by keyed steps.
+
+    A step with a ``_fit_key`` (its class and settings, which with ``z``
+    decide the fit) fitted on a read-only ``z`` inside a fit memo
+    shares the first such fit: later steps copy its fitted state into
+    themselves, so every pipeline still owns its steps, and get its
+    read-only output.
+    """
+    fit_key = getattr(step, "_fit_key", None)
+    if fit_key is None:
+        return step.fit(z).transform(z)
+
+    def fit():
+        step.fit(z)
+        return dict(vars(step)), step.transform(z)
+
+    state, out = memoized(("fit", fit_key()), (z,), fit)
+    vars(step).update(state)
+    return out

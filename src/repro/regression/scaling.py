@@ -32,6 +32,11 @@ class StandardScaler:
             raise RuntimeError("scaler is not fitted")
         return len(self.mean_)
 
+    def _fit_key(self) -> tuple:
+        """What, besides the training array, decides this fit (see
+        :class:`~repro.regression.pipeline.Pipeline`)."""
+        return ("StandardScaler",)
+
     def fit(self, x: np.ndarray) -> "StandardScaler":
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or len(x) < 1:

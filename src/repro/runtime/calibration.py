@@ -25,6 +25,7 @@ from repro.circuits.device import SpecSet
 from repro.regression.knn import KNNRegressor
 from repro.regression.linear import RidgeRegression
 from repro.regression.mars import MARSRegressor
+from repro.regression.memo import fit_memo
 from repro.regression.model_select import select_best_model
 from repro.regression.pca import PCA
 from repro.regression.pipeline import Pipeline
@@ -261,13 +262,20 @@ class CalibrationSession:
         pipelines: Dict[str, Pipeline] = {}
         chosen: Dict[str, str] = {}
         scores: Dict[str, Dict[str, float]] = {}
-        for j, name in enumerate(self.spec_names):
-            best_name, model, cv = select_best_model(
-                candidates, signatures, spec_matrix[:, j], k=folds, rng=rng
-            )
-            pipelines[name] = model
-            chosen[name] = best_name
-            scores[name] = cv
+        # the winners' refits on all devices share one fit memo over a
+        # read-only view: one full-data SVD, front end and Gram for every
+        # spec.  Each spec's cross-validation draws its own split seed
+        # and runs in per-fold memos of its own.
+        shared = signatures.view()
+        shared.setflags(write=False)
+        with fit_memo():
+            for j, name in enumerate(self.spec_names):
+                best_name, model, cv = select_best_model(
+                    candidates, shared, spec_matrix[:, j], k=folds, rng=rng
+                )
+                pipelines[name] = model
+                chosen[name] = best_name
+                scores[name] = cv
         return CalibrationModel(
             spec_names=self.spec_names,
             pipelines=pipelines,

@@ -30,6 +30,7 @@ from repro.loadboard.signature_path import (
     SignatureTestBoard,
     envelope_coefficients,
 )
+from repro.regression.metrics import first_minimum
 from repro.runtime.executor import Executor
 from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
 from repro.testgen.mapping import LinearSignatureMap
@@ -43,19 +44,6 @@ from repro.testgen.sensitivity import difference_star, performance_sensitivity
 __all__ = ["OptimizationResult", "SignatureStimulusOptimizer"]
 
 DeviceFactory = Callable[[Dict[str, float]], RFDevice]
-
-
-def _first_minimum(values: np.ndarray) -> int:
-    """Index a running strict-minimum scan over ``values`` ends on.
-
-    The loop ``best = 0; if values[i] < values[best]: best = i``: the
-    first occurrence of the smallest non-NaN value, NaNs never picked
-    -- unless ``values[0]`` is NaN, which no comparison can displace.
-    """
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values[0]):
-        return 0
-    return int(np.argmin(np.where(np.isnan(values), np.inf, values)))
 
 
 @dataclass
@@ -268,7 +256,7 @@ class SignatureStimulusOptimizer:
                 self.device_factory(self.space.to_dict(vec)) for vec in candidates
             ]
             sat = saturation_amplitudes(envelope_coefficients(devices))
-            best = _first_minimum(sat)
+            best = first_minimum(sat)
             self._weakest_saturation = sat[best]
             self._weakest_device = devices[best]
         return self._weakest_device

@@ -36,6 +36,9 @@ bist-calibration-predicts       ridge calibration predicts gain through
 predict-batch-invariance        every model family predicts each row
                                 bit-identically whatever batch it is
                                 predicted in
+calibration-sharing-            the model-zoo calibration with its fit
+equivalence                     memos == every fit on its own, bit for
+                                bit
 describing-gain-batch-          the batched tuned-DUT gain equals one
 equivalence                     describing function + ``np.interp`` per
                                 device, bit for bit
@@ -69,6 +72,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.circuits.nonlinear import (
+    DESCRIBING_TABLE_POINTS,
     DescribingGainStack,
     DescribingGains,
     PolynomialNonlinearity,
@@ -90,10 +94,14 @@ from repro.loadboard.signature_path import (
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
 from repro.regression.mars import MARSRegressor
+from repro.regression.metrics import rmse
+from repro.regression.model_select import kfold_indices
+from repro.regression.pca import PCA
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import (
     CalibrationModel,
+    CalibrationSession,
     default_candidates,
     measure_signatures,
 )
@@ -1194,6 +1202,146 @@ def _rel_predict_batch_invariance(case, rng):
 
 
 # ----------------------------------------------------------------------
+# the calibration's shared fits against fits that share nothing
+# ----------------------------------------------------------------------
+class _FailsWithoutDevice:
+    """A regressor that raises unless its training targets hold ``marker``:
+    on the fold that holds that device out, and on every other spec."""
+
+    def __init__(self, marker: float):
+        self.marker = marker
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "_FailsWithoutDevice":
+        if not np.any(y == self.marker):
+            raise ValueError("the marked device is not in this training set")
+        return self
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros(len(x))
+
+
+def _unshared_calibration(candidates, signatures, specs, folds, rng) -> CalibrationModel:
+    """``CalibrationSession.fit`` with no fit memo: every candidate fits
+    every fold on fresh writable arrays, which no memo shares, and each
+    winner refits on a writable copy of its own."""
+    x = np.array(signatures, dtype=float)
+    pipelines, chosen, scores = {}, {}, {}
+    for j, name in enumerate(SpecSet.NAMES):
+        # the session's own strided column: MARS's coefficients depend
+        # on the target's memory layout
+        y = specs[:, j]
+        split_seed = int(rng.integers(0, 2**31 - 1))
+        cv = {}
+        for family, make in candidates.items():
+            per_fold = []
+            for train, test in kfold_indices(len(x), folds, np.random.default_rng(split_seed)):
+                try:
+                    model = make().fit(x[train], y[train])
+                    per_fold.append(rmse(y[test], model.predict(x[test])))
+                except (np.linalg.LinAlgError, ValueError):
+                    per_fold = None
+                    break
+            cv[family] = float("inf") if per_fold is None else float(np.mean(per_fold))
+        ranked = {f: v if np.isfinite(v) else np.inf for f, v in cv.items()}
+        best = min(ranked, key=ranked.get)
+        pipelines[name] = candidates[best]().fit(np.array(x), y)
+        chosen[name] = best
+        scores[name] = cv
+    return CalibrationModel(SpecSet.NAMES, pipelines, chosen, scores)
+
+
+@relation(
+    "calibration-sharing-equivalence",
+    params={
+        "n_train": choice(28, 100, 200),
+        "n_bins": integers(6, 60, origin=6),
+        "n_latent": integers(1, 4, origin=1),
+        "noise": log_floats(1e-4, 1e-1, origin=1e-4),
+        "folds": integers(2, 5, origin=5),
+        "constant_bins": booleans(),
+        "failing_candidate": booleans(),
+    },
+    equation="reproduction contract (shared calibration fits)",
+)
+def _rel_calibration_sharing_equivalence(case, rng):
+    """The model-zoo calibration with its fit memos equals unshared fits.
+
+    ``CalibrationSession.fit`` shares, inside one fit memo per fold and
+    one over the spec loop, each fold's centred SVD, every
+    ``PCA(k) -> StandardScaler`` front-end fit with its output, the
+    ridge alphas' centring and Gram and the winners' full-data refits.
+    Over the full :func:`default_candidates` zoo on
+    signatures from a random low-dimensional manifold, the chosen
+    families and CV scores must equal (``==``) those of fits that share
+    nothing (:func:`_unshared_calibration`), and ``predict_matrix`` must
+    be ``np.array_equal`` on the training signatures and a fresh lot.
+    Strata: 28 devices of more bins than a fold's rows (the dual ridge
+    form), constant bins, and a candidate that fails on some folds
+    (charged ``inf``, no other score moves).  Every returned pipeline owns its steps, and the
+    caller's arrays stay writable.
+    """
+    n, m = case["n_train"], case["n_bins"]
+    basis = rng.normal(size=(case["n_latent"], m)) * 10.0 ** rng.uniform(-2, 1, m)
+    u = rng.uniform(0.5, 1.5, size=(n + 40, case["n_latent"]))
+    sigs = u @ basis + case["noise"] * rng.normal(size=(n + 40, m))
+    if case["constant_bins"]:
+        stratum("constant bins")
+        sigs[:, rng.integers(0, m, max(1, m // 5))] = float(rng.normal())
+    specs = np.column_stack(
+        [
+            db20(u[:, 0]) + 16.0,
+            2.0 + 0.3 * u[:, -1] ** 2,
+            3.0 + 5.0 * np.log10(u[:, 0] / u[:, -1]) + 0.1 * np.sin(4.0 * u[:, 0]),
+        ]
+    )
+    train, lot = sigs[:n], sigs[n:]
+    folds = min(case["folds"], n // 2)
+    candidates = dict(default_candidates(n))
+    if case["failing_candidate"]:
+        stratum("a candidate fails on some folds")
+        marker = float(specs[rng.integers(n), 0])
+        n_pc = max(2, min(4, n // 12))
+        names = list(candidates)
+        at = int(rng.integers(0, len(names) + 1))
+        candidates = dict(
+            [(f, candidates[f]) for f in names[:at]]
+            + [("fails", lambda: Pipeline([PCA(n_pc), StandardScaler(), _FailsWithoutDevice(marker)]))]
+            + [(f, candidates[f]) for f in names[at:]]
+        )
+    if n - -(-n // folds) < m:
+        stratum("dual ridge")
+    seed = int(rng.integers(0, 2**32))
+    shared = CalibrationSession(candidates=candidates, cv_folds=folds).fit(
+        train, specs[:n], rng=np.random.default_rng(seed)
+    )
+    oracle = _unshared_calibration(
+        candidates, train, specs[:n], folds, np.random.default_rng(seed)
+    )
+    label = f"{n} devices x {m} bins, {folds} folds"
+    check(
+        shared.chosen == oracle.chosen,
+        f"{label}: chosen {shared.chosen} vs unshared {oracle.chosen}",
+    )
+    for name in SpecSet.NAMES:
+        got = np.array(list(shared.cv_scores[name].values()))
+        want = np.array(list(oracle.cv_scores[name].values()))
+        check(
+            list(shared.cv_scores[name]) == list(oracle.cv_scores[name]),
+            f"{label}: {name} scored other families",
+        )
+        check_array_equal(got, want, label=f"{label}: {name} CV scores", equal_nan=True)
+    for rows, what in ((train, "training signatures"), (lot, "a fresh lot")):
+        check_array_equal(
+            shared.predict_matrix(rows),
+            oracle.predict_matrix(rows),
+            label=f"{label}: predict_matrix on {what}",
+        )
+    steps = [id(step) for p in shared.pipelines.values() for step in p.steps]
+    check(len(steps) == len(set(steps)), f"{label}: two pipelines share a step")
+    check(train.flags.writeable, f"{label}: the caller's signatures became read-only")
+
+
+# ----------------------------------------------------------------------
 # the batched describing-gain kernel against the per-device loop
 # ----------------------------------------------------------------------
 def _describing_gain_rows(case, rng) -> np.ndarray:
@@ -1362,6 +1510,33 @@ def _check_describing_stack(case, rng, coeffs, amps, scale) -> None:
                 label=f"device {i} on record {s} of {n_rec}, {step}-row blocks",
                 equal_nan=True,
             )
+    _check_knot_search(rng, records, peaks, f"{n_rec} records")
+
+
+def _check_knot_search(rng, amps: np.ndarray, peaks: np.ndarray, label: str) -> None:
+    """A stack's knot intervals equal ``np.searchsorted`` on its grids.
+
+    A third of each driven record's samples move onto its grid's knots,
+    where ``floor(amp / step)`` alone misses the interval at about one
+    knot in twenty; :meth:`DescribingGainStack.build` must still find
+    ``jc`` with ``grid[jc] <= amp < grid[jc + 1]`` (clipped to the
+    table) on every record's own ``linspace`` grid.
+    """
+    amps = np.array(amps, dtype=float)
+    points = DESCRIBING_TABLE_POINTS
+    want = np.zeros(amps.shape, dtype=np.intp)
+    for s in np.flatnonzero(peaks > 0.0).tolist():
+        grid = np.linspace(0.0, 1.01 * peaks[s], points)
+        cells = rng.integers(0, amps.shape[1], max(1, amps.shape[1] // 3))
+        amps[s, cells] = grid[rng.integers(0, points, len(cells))]
+        j = np.searchsorted(grid, amps[s], side="right") - 1
+        with np.errstate(all="ignore"):
+            estimate = np.floor(amps[s] / grid[1])
+        if np.any(np.isfinite(estimate) & (estimate != j) & (j >= 0) & (j < points - 1)):
+            stratum("floor(amp / step) off by one")
+        want[s] = np.clip(j, 0, points - 2)
+    stack = DescribingGainStack.build(amps, peaks)
+    check_array_equal(stack.jc, want, label=f"{label}: knot intervals vs np.searchsorted")
 
 
 # ----------------------------------------------------------------------
@@ -1434,6 +1609,11 @@ def _rel_ga_generation_batch_equivalence(case, rng):
     stimuli = [batched.encoding.decode(gene) for gene in genes]
     grid, peaks = batched.board.signature_grid(batched._fd_star(), stimuli)
     _ga_strata(batched, stimuli, peaks)
+    if case["dut_coupling"] == "tuned":
+        plan = batched.board._build_plans(
+            [batched.board._stimulus_record(s) for s in stimuli]
+        )
+        _check_knot_search(rng, plan.gains.amps, plan.peaks, f"{len(genes)} genes")
 
     single = optimizer()
     star = single._fd_star()

@@ -154,3 +154,78 @@ class TestStackedForwardStep:
             _loop_fit(model, x, y)
         with pytest.raises(np.linalg.LinAlgError):
             model.fit(x, y)
+
+
+def _same_fit(model, bases, coef):
+    """Bases equal feature, sign and knot bits (a NaN knot included) and
+    coefficients equal, NaN to NaN (a NaN's sign bit comes out of
+    LAPACK and differs between a stacked and a 2-D solve)."""
+    got = [(b.feature, b.sign) for b in model.bases_]
+    assert got == [(b.feature, b.sign) for b in bases]
+    knots = np.array([b.knot for b in model.bases_])
+    want = np.array([b.knot for b in bases])
+    assert knots.tobytes() == want.tobytes()
+    assert np.array_equal(model.coef_, coef, equal_nan=True)
+
+
+class TestArrayBookkeeping:
+    """The knot table, candidate mask and GCV pick as arrays equal the
+    loop's per-feature quantiles, ``any()`` scan and running minimum."""
+
+    def _both(self, x, y, **settings):
+        model = MARSRegressor(min_improvement=0.0, **settings)
+        with np.errstate(all="ignore"):
+            bases, coef = _loop_fit(model, x, y)
+            model.fit(x, y)
+        _same_fit(model, bases, coef)
+        return model
+
+    def test_nan_gcv_at_index_zero_wins(self):
+        # a NaN in feature 0 makes its knots and hinge columns NaN: the
+        # first candidates' GCVs are NaN and, at index 0, nothing
+        # displaces them; a NaN knot never leaves the candidates
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(60, 3))
+        y = np.sin(x[:, 0]) + x[:, 2] ** 2
+        x[5, 0] = np.nan
+        model = self._both(x, y, max_terms=8)
+        assert model.n_terms == 8
+        assert all(np.isnan(b.knot) for b in model.bases_)
+
+    def test_nan_gcv_mid_array_never_wins(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(60, 3))
+        y = np.sin(x[:, 0]) + x[:, 2] ** 2
+        x[5, 1] = np.nan
+        model = self._both(x, y, max_terms=8)
+        assert model.n_terms == 8
+        assert not any(np.isnan(b.knot) for b in model.bases_)
+        assert {b.feature for b in model.bases_} <= {0, 2}
+
+    def test_tied_knots(self):
+        # a 3-level feature repeats its quantile knots: every tie leaves
+        # the candidates with the pair that used it
+        rng = np.random.default_rng(8)
+        x = np.column_stack(
+            [rng.integers(0, 3, 90).astype(float), rng.normal(size=90)]
+        )
+        y = np.abs(x[:, 0] - 1.0) + np.maximum(x[:, 1], 0.0)
+        model = self._both(x, y, max_terms=14, n_knots=9)
+        assert model.n_terms > 2
+
+    def test_constant_column(self):
+        # all of a constant feature's candidates tie (all-zero hinges)
+        rng = np.random.default_rng(9)
+        x = np.column_stack([np.full(70, -0.0), rng.normal(size=70), np.full(70, 3.5)])
+        y = np.maximum(x[:, 1] - 0.2, 0.0) + 0.01 * rng.normal(size=70)
+        self._both(x, y, max_terms=10)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_columns(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n, d = int(rng.integers(8, 120)), int(rng.integers(2, 6))
+        x = rng.normal(size=(n, d))
+        x[:, rng.integers(d)] = rng.integers(0, 2, n)
+        x[:, rng.integers(d)] = 1.25
+        y = np.cos(x[:, 0]) + 0.1 * rng.normal(size=n)
+        self._both(x, y, max_terms=int(rng.integers(2, 15)), n_knots=int(rng.integers(1, 9)))

@@ -200,12 +200,12 @@ class TestSharedFoldSVD:
         assert len(calls) == 5 + 1
 
     def test_shared_and_fresh_svds_agree_bit_for_bit(self):
-        from repro.regression.pca import _shared_svd
+        from repro.regression.memo import fit_memo
 
         rng = np.random.default_rng(10)
         x = rng.normal(size=(30, 8))
         x.setflags(write=False)
-        with _shared_svd():
+        with fit_memo():
             shared = [PCA(k).fit(x) for k in (2, 5, None)]
         fresh = [PCA(k).fit(np.array(x)) for k in (2, 5, None)]
         for a, b in zip(shared, fresh):
@@ -215,7 +215,7 @@ class TestSharedFoldSVD:
             assert a.total_variance_ == b.total_variance_
 
     def test_writable_arrays_are_never_shared(self, monkeypatch):
-        from repro.regression.pca import _shared_svd
+        from repro.regression.memo import fit_memo
 
         calls = []
         real_svd = np.linalg.svd
@@ -223,7 +223,7 @@ class TestSharedFoldSVD:
             np.linalg, "svd", lambda a, *k, **kw: calls.append(1) or real_svd(a, *k, **kw)
         )
         x = np.random.default_rng(11).normal(size=(12, 4))
-        with _shared_svd():
+        with fit_memo():
             PCA(2).fit(x)
             x[0, 0] += 1.0  # a writable array may change between fits
             PCA(2).fit(x)

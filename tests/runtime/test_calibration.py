@@ -1,31 +1,33 @@
 """Tests for repro.runtime.calibration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.circuits.device import SpecSet
-from repro.regression.metrics import rmse
-from repro.regression.model_select import kfold_indices
 from repro.regression.pca import PCA
-from repro.runtime import calibration
+from repro.regression.pipeline import Pipeline
+from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import (
     CalibrationSession,
     default_candidates,
 )
+from repro.verify.relations import _unshared_calibration
 
 
-def _basis():
+def _basis(m=12):
     """Fixed 2-D mixing basis, identical on every call (seeded)."""
-    return np.random.default_rng(99).normal(size=(2, 12))
+    return np.random.default_rng(99).normal(size=(2, m))
 
 
-def synthetic_dataset(rng, n=60):
+def synthetic_dataset(rng, n=60, m=12):
     """Signatures lying on a fixed 2-D manifold; specs are functions of it.
 
     The mixing basis is shared across calls so training and validation
     sets live on the same manifold, as real signatures do.
     """
-    basis = _basis()
+    basis = _basis(m)
     u = rng.uniform(0.5, 1.5, size=(n, 2))
     signatures = u @ basis + rng.normal(0, 1e-3, size=(n, basis.shape[1]))
     specs = np.column_stack(
@@ -100,37 +102,18 @@ class TestCalibrationSession:
             session.fit(np.zeros((5, 4)), np.zeros((5, 3)), rng=rng)
 
 
-def _per_candidate_select(candidates, x, y, k=5, rng=None):
-    """The model selection the shared-fold loop replaced: candidates in
-    the outer loop, fresh fold arrays and a fresh PCA SVD per fit."""
-    split_seed = int(rng.integers(0, 2**31 - 1))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scores = {}
-    for name, factory in candidates.items():
-        per_fold = []
-        for train, test in kfold_indices(len(x), k, np.random.default_rng(split_seed)):
-            model = factory()
-            try:
-                model.fit(x[train], y[train])
-                per_fold.append(rmse(y[test], model.predict(x[test])))
-            except (np.linalg.LinAlgError, ValueError):
-                per_fold = None
-                break
-        scores[name] = float("inf") if per_fold is None else float(np.mean(per_fold))
-    best_name = min(scores, key=scores.get)
-    best = candidates[best_name]()
-    best.fit(x, y)
-    return best_name, best, scores
-
-
 class TestSharedFoldFitEquivalence:
-    """The full zoo fits to the same bits as a per-candidate-SVD oracle."""
+    """The full zoo fits to the same bits as a per-candidate oracle that
+    shares nothing (no fit memo, see ``_unshared_calibration``)."""
 
-    @pytest.mark.parametrize("n_train, seed", [(100, 11), (60, 12), (28, 13)])
-    def test_full_zoo_matches_per_candidate_oracle(self, monkeypatch, n_train, seed):
-        sigs, specs = synthetic_dataset(np.random.default_rng(seed), n=n_train)
-        val, _ = synthetic_dataset(np.random.default_rng(seed + 100), n=40)
+    @pytest.mark.parametrize(
+        "n_train, seed, m",
+        # 28 devices of 51 bins fit the ridge families' dual form
+        [(200, 14, 12), (100, 11, 12), (60, 12, 12), (28, 13, 12), (28, 18, 51)],
+    )
+    def test_full_zoo_matches_per_candidate_oracle(self, monkeypatch, n_train, seed, m):
+        sigs, specs = synthetic_dataset(np.random.default_rng(seed), n=n_train, m=m)
+        val, _ = synthetic_dataset(np.random.default_rng(seed + 100), n=40, m=m)
 
         svd_calls = []
         real_svd = np.linalg.svd
@@ -142,20 +125,81 @@ class TestSharedFoldFitEquivalence:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         shared = CalibrationSession().fit(sigs, specs, rng=np.random.default_rng(seed))
         n_shared = len(svd_calls)
-        monkeypatch.setattr(calibration, "select_best_model", _per_candidate_select)
-        oracle = CalibrationSession().fit(sigs, specs, rng=np.random.default_rng(seed))
+        oracle = _unshared_calibration(
+            default_candidates(n_train), sigs, specs, 5, np.random.default_rng(seed)
+        )
         n_oracle = len(svd_calls) - n_shared
 
         assert shared.chosen == oracle.chosen
         assert shared.cv_scores == oracle.cv_scores
         assert np.array_equal(shared.predict_matrix(val), oracle.predict_matrix(val))
-        # the PCA families share one SVD per fold: per spec, one SVD per
-        # fold plus the winner's refit (when it uses PCA)
+        # the PCA families share one SVD per fold, and the winners'
+        # refits one full-data SVD across the specs
         n_specs = len(SpecSet.NAMES)
         n_pca = sum(
             isinstance(make().steps[0], PCA)
             for make in default_candidates(n_train).values()
         )
         assert n_pca >= 3
-        assert n_shared <= n_specs * (5 + 1)
+        assert n_shared <= n_specs * 5 + 1
         assert n_oracle >= n_specs * n_pca * 5
+        # the caller's arrays are left writable
+        assert sigs.flags.writeable and specs.flags.writeable
+
+    def test_a_raising_candidate_changes_no_other(self):
+        sigs, specs = synthetic_dataset(np.random.default_rng(15), n=100)
+        val, _ = synthetic_dataset(np.random.default_rng(115), n=40)
+        zoo = default_candidates(len(sigs))
+
+        class FailsOnThirdFit:
+            fits = 0
+
+            def fit(self, x, y):
+                FailsOnThirdFit.fits += 1
+                if FailsOnThirdFit.fits == 3:
+                    raise ValueError("degenerate fold")
+                return self
+
+            def predict(self, x):
+                return np.zeros(len(x))
+
+        # between the PCA families, after the shared front end is memoized
+        names = list(zoo)
+        at = names.index("knn")
+        with_bad = dict(
+            [(n, zoo[n]) for n in names[:at]]
+            + [("bad", lambda: Pipeline([PCA(4), StandardScaler(), FailsOnThirdFit()]))]
+            + [(n, zoo[n]) for n in names[at:]]
+        )
+        got = CalibrationSession(candidates=with_bad).fit(
+            sigs, specs, rng=np.random.default_rng(15)
+        )
+        want = CalibrationSession(candidates=zoo).fit(
+            sigs, specs, rng=np.random.default_rng(15)
+        )
+        assert FailsOnThirdFit.fits >= 3
+        # it raises on the first spec's third fold and is charged inf
+        assert got.cv_scores[SpecSet.NAMES[0]]["bad"] == np.inf
+        for name in SpecSet.NAMES:
+            scores = dict(got.cv_scores[name])
+            del scores["bad"]
+            assert scores == want.cv_scores[name]
+        assert got.chosen == want.chosen
+        assert np.array_equal(got.predict_matrix(val), want.predict_matrix(val))
+
+    def test_pipelines_own_their_steps(self):
+        sigs, specs = synthetic_dataset(np.random.default_rng(16), n=100)
+        val, _ = synthetic_dataset(np.random.default_rng(116), n=40)
+        model = CalibrationSession().fit(sigs, specs, rng=np.random.default_rng(16))
+        steps = [id(s) for p in model.pipelines.values() for s in p.steps]
+        assert len(steps) == len(set(steps))
+        before = model.predict_matrix(val)
+        restored = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(restored.predict_matrix(val), before)
+        # refitting one spec's pipeline in place leaves the others alone
+        first = model.spec_names[0]
+        other_sigs, other_specs = synthetic_dataset(np.random.default_rng(17), n=60)
+        model.pipelines[first].fit(other_sigs * 2.0, other_specs[:, 1])
+        after = model.predict_matrix(val)
+        assert np.array_equal(after[:, 1:], before[:, 1:])
+        assert not np.array_equal(after[:, 0], before[:, 0])

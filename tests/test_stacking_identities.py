@@ -1,12 +1,15 @@
-"""NumPy identities the stacked GA generation rests on, pinned bitwise.
+"""NumPy identities the batched kernels rest on, pinned bitwise.
 
 A GA generation is evaluated as stacked arrays (the describing-gain
 grids and knot searches of every stimulus, one table per row block,
 one Eq. 10 solve for every gene), and each stacked call must equal the
-per-stimulus or per-gene call it replaced bit for bit.  That holds only
-while these library identities hold on the installed NumPy and LAPACK,
-so each is asserted here on random data: an upgrade that breaks one
-fails this file, not a golden corpus far downstream.
+per-stimulus or per-gene call it replaced bit for bit.  So must the
+compiled mixer-2 tape's 0-d folded constants (against the per-sample
+rows they replaced) and MARS's one-call knot table (against one
+quantile per feature).  That holds only while these library identities
+hold on the installed NumPy and LAPACK, so each is asserted here on
+random data: an upgrade that breaks one fails this file, not a golden
+corpus far downstream.
 """
 
 import numpy as np
@@ -86,3 +89,69 @@ class TestStackedGrids:
         got += np.take(tables, j + offset)
         for i in range(8):
             assert np.array_equal(got[i], np.interp(x[i], grids[i], tables[i]))
+
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-310, -1e308]
+
+
+def _with_specials(rng, shape, dtype):
+    """Random values with NaN, +-inf, -0 and denormals sprinkled in."""
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    if dtype is complex:
+        a = a + 1j * rng.normal(size=shape)
+    flat = a.reshape(-1)
+    cells = rng.integers(0, flat.size, flat.size // 8)
+    for i in cells:
+        if dtype is complex:
+            flat[i] = complex(rng.choice(_SPECIALS), rng.choice(_SPECIALS + [1.5]))
+        else:
+            flat[i] = rng.choice(_SPECIALS)
+    return a
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestScalarOperands:
+    """A 0-d operand gives the bits of a row of that value, repeated."""
+
+    @pytest.mark.parametrize("op", [np.multiply, np.add])
+    @pytest.mark.parametrize("a_dtype, c_dtype", [(complex, complex), (complex, float), (float, complex), (float, float)])
+    def test_scalar_operand_equals_per_sample_row(self, rng, op, a_dtype, c_dtype):
+        a = _with_specials(rng, (40, 400), a_dtype)
+        consts = list(_with_specials(rng, (24,), c_dtype)) + (
+            [complex(x, y) for x in _SPECIALS for y in _SPECIALS]
+            if c_dtype is complex
+            else list(_SPECIALS)
+        )
+        for c in consts:
+            scalar = np.array(c, dtype=c_dtype)
+            row = np.full(400, c, dtype=c_dtype)
+            dtype = np.result_type(a, scalar)
+            for left in (True, False):
+                args_s = (a, scalar) if left else (scalar, a)
+                args_r = (a, row) if left else (row, a)
+                with np.errstate(all="ignore"):
+                    got = op(*args_s, out=np.empty(a.shape, dtype))
+                    want = op(*args_r, out=np.empty(a.shape, dtype))
+                assert _bits(got) == _bits(want), (op.__name__, c, left)
+
+
+class TestQuantileTable:
+    @pytest.mark.parametrize("n, d, k", [(60, 3, 7), (8, 5, 1), (200, 4, 9), (5, 2, 12)])
+    def test_axis0_quantile_equals_per_column(self, rng, n, d, k):
+        qs = np.linspace(0.0, 1.0, k + 2)[1:-1]
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        x[:, 0] = rng.integers(0, 3, n)  # tied values
+        x[:, -1] = -0.0  # a constant column
+        extra = np.column_stack([x[:, 1], x[:, 1], x[:, 1]])
+        extra[rng.integers(n), 0] = np.nan
+        extra[rng.integers(n), 1] = np.inf
+        extra[rng.integers(n), 2] = -np.inf
+        x = np.column_stack([x, extra])
+        with np.errstate(all="ignore"):  # inf - inf between two knots
+            table = np.quantile(x, qs, axis=0)
+            for j in range(x.shape[1]):
+                assert _bits(table[:, j]) == _bits(np.quantile(x[:, j], qs))
+

@@ -16,7 +16,8 @@ from repro.loadboard.signature_path import SignaturePathConfig
 from repro.circuits.nonlinear import PolynomialNonlinearity
 from repro.testgen.genetic import GAConfig
 from repro.testgen.objective import signature_test_objective
-from repro.testgen.optimizer import SignatureStimulusOptimizer, _first_minimum
+from repro.regression.metrics import first_minimum
+from repro.testgen.optimizer import SignatureStimulusOptimizer
 from repro.testgen.pwl import StimulusEncoding
 from repro.testgen.sensitivity import difference_star, star_jacobian
 
@@ -517,7 +518,7 @@ class TestWeakestDeviceScan:
             if v < values[best]:
                 best = i
         assert best == want
-        assert _first_minimum(np.array(values)) == want
+        assert first_minimum(np.array(values)) == want
 
     @pytest.mark.parametrize(
         "factory_name", ["behavioral", "lna", "linear_lna"]

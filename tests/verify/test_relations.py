@@ -16,6 +16,7 @@ EXPECTED = {
     "spec-permutation-stability",
     "streaming-offline-equivalence",
     "lot-columns-equivalence",
+    "calibration-sharing-equivalence",
 }
 
 
