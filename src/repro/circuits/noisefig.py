@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.dsp.noise import BOLTZMANN, ROOM_TEMPERATURE_K
 from repro.dsp.units import db, undb
 
@@ -29,6 +31,7 @@ __all__ = [
     "y_factor_nf_db",
     "output_noise_vrms",
     "added_output_noise_vrms",
+    "added_output_noise_vrms_rows",
     "input_referred_noise_vrms",
 ]
 
@@ -134,6 +137,35 @@ def added_output_noise_vrms(
     g = undb(gain_db)
     power = (f - 1.0) * g * BOLTZMANN * temperature_k * bandwidth_hz
     return math.sqrt(max(power, 0.0) * impedance)
+
+
+def added_output_noise_vrms_rows(
+    gains_db: Sequence[float],
+    nfs_db: Sequence[float],
+    bandwidth_hz: float,
+    impedance: float = _REFERENCE_IMPEDANCE,
+    temperature_k: float = ROOM_TEMPERATURE_K,
+) -> np.ndarray:
+    """:func:`added_output_noise_vrms` of each ``(gain_db, nf_db)`` pair.
+
+    Bit for bit the scalar function's value per pair: the dB
+    conversions stay scalar (NumPy's array power differs from the
+    scalar ``10.0 ** x`` in the last bit), and the rest is the same
+    float64 arithmetic in the same order as array operations, which
+    IEEE 754 rounds exactly like the scalar ones.  ``max(p, 0.0)``
+    becomes ``where(p < 0.0, 0.0, p)``, not ``np.maximum``: that
+    returns ``+0.0`` for ``-0.0`` where ``max`` keeps ``-0.0``
+    (``tests/test_stacking_identities.py`` pins both).
+    """
+    if bandwidth_hz < 0:
+        raise ValueError("bandwidth must be non-negative")
+    f = np.array([nf_db_to_factor(x) for x in nfs_db], dtype=float)
+    g = np.array([undb(x) for x in gains_db], dtype=float)
+    # Python float arithmetic overflows to inf (and inf * 0 to NaN)
+    # without a warning; so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (f - 1.0) * g * BOLTZMANN * temperature_k * bandwidth_hz
+        return np.sqrt(np.where(power < 0.0, 0.0, power) * impedance)
 
 
 def input_referred_noise_vrms(

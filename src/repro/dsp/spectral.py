@@ -195,9 +195,14 @@ def fft_magnitude_signature_matrix(
     n = samples.shape[-1]
     if n < 2:
         raise ValueError("need at least 2 samples for a spectrum")
-    w = window(window_kind, n)
-    coherent_gain = float(np.mean(w))
-    spec = np.fft.rfft(samples * w, axis=-1)
+    if window_kind == "rect":
+        # all ones: x * 1.0 == x and their mean is exactly 1.0
+        coherent_gain = 1.0
+        spec = np.fft.rfft(samples, axis=-1)
+    else:
+        w = window(window_kind, n)
+        coherent_gain = float(np.mean(w))
+        spec = np.fft.rfft(samples * w, axis=-1)
     amps = np.abs(spec) * 2.0 / (n * coherent_gain)
     amps[..., 0] /= 2.0  # DC bin is not doubled
     if n % 2 == 0 and amps.shape[-1] > 1:

@@ -58,6 +58,8 @@ class BasebandDigitizer:
         self.full_scale = float(full_scale)
         self.noise_vrms = float(noise_vrms)
         self.jitter_rms = float(jitter_rms)
+        #: (key, grid) of the last record shape resampled, see :meth:`_grid`
+        self._grid_memo: Optional[tuple] = None
 
     def capture(
         self,
@@ -114,7 +116,7 @@ class BasebandDigitizer:
             rngs = [None] * n_rows
         if len(rngs) != n_rows:
             raise ValueError("need one rng (or None) per batch row")
-        t = t0 + np.arange(n) / sample_rate
+        t, new_t, step, decimate = self._grid(n, sample_rate, t0)
         if self.jitter_rms > 0.0 and n:
             jittered_rows = np.array(mat, copy=True)
             for i, rng in enumerate(rngs):
@@ -123,23 +125,15 @@ class BasebandDigitizer:
                     inst = np.clip(inst, t[0], t[-1])
                     jittered_rows[i] = np.interp(inst, t, mat[i])
             mat = jittered_rows
-        if sample_rate != self.sample_rate:
-            n_new = max(1, int(round(n / sample_rate * self.sample_rate)))
-            new_t = t0 + np.arange(n_new) / self.sample_rate
-            step = int(round(sample_rate / self.sample_rate))
-            decimated = mat[:, ::step][:, :n_new] if step >= 1 else None
-            if (
-                decimated is not None
-                and decimated.shape[-1] == n_new
-                and np.array_equal(new_t, t[::step][:n_new])
-            ):
+        if new_t is not None:
+            if decimate:
                 # integer decimation whose target grid coincides bitwise
                 # with a stride of the source grid: interpolation at an
                 # exact knot returns that knot's sample, so the strided
                 # copy equals the interp loop without touching every row
-                mat = np.ascontiguousarray(decimated)
+                mat = np.ascontiguousarray(mat[:, ::step][:, : len(new_t)])
             else:
-                resampled = np.empty((n_rows, n_new))
+                resampled = np.empty((n_rows, len(new_t)))
                 for i in range(n_rows):
                     resampled[i] = np.interp(new_t, t, mat[i])
                 mat = resampled
@@ -150,21 +144,59 @@ class BasebandDigitizer:
             if n_keep < mat.shape[-1]:
                 mat = mat[:, :n_keep]
         if self.noise_vrms > 0.0:
-            # per-row draws stay in serial order (the RNG contract); only
-            # the add is batched, which is elementwise per row and thus
-            # value-identical to adding row by row
-            noise = np.zeros_like(mat)
-            drew = False
+            # per-row draws stay in serial order (the RNG contract), each
+            # straight into its row of one buffer; the scale and shift are
+            # Generator.normal's own arithmetic, 0.0 + sigma * z, as two
+            # block operations, and rows without a generator add 0.0
+            noise = np.empty(mat.shape)
+            quiet = []
             for i, rng in enumerate(rngs):
-                if rng is not None:
-                    noise[i] = rng.normal(
-                        0.0, self.noise_vrms, size=mat.shape[-1]
-                    )
-                    drew = True
-            mat = mat + noise if drew else np.array(mat, copy=True)
+                if rng is None:
+                    quiet.append(i)
+                else:
+                    rng.standard_normal(out=noise[i])
+            if len(quiet) < n_rows:
+                if quiet:
+                    noise[quiet] = 0.0
+                noise *= self.noise_vrms
+                np.add(0.0, noise, out=noise)
+                mat = np.add(mat, noise, out=noise)
+            else:
+                mat = np.array(mat, copy=True)
         if self.bits is not None:
             mat = quantize_array(mat, self.bits, self.full_scale)
         return mat
+
+    def _grid(self, n: int, sample_rate: float, t0: float) -> tuple:
+        """``(t, new_t, step, decimate)`` of ``n`` samples at ``sample_rate``
+        from ``t0``: the source grid, the digitizer-rate grid (``None``
+        at the digitizer's own rate), the integer decimation stride and
+        whether a strided copy equals interpolation onto ``new_t``.
+
+        Kept for the last key, like
+        :meth:`repro.dsp.filters.ButterworthLowpass.magnitude_response`:
+        every capture of one board digitizes records of one shape.
+        """
+        key = (n, sample_rate, t0, self.sample_rate)
+        memo = self._grid_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        t = t0 + np.arange(n) / sample_rate
+        t.flags.writeable = False
+        new_t, step, decimate = None, 0, False
+        if sample_rate != self.sample_rate:
+            n_new = max(1, int(round(n / sample_rate * self.sample_rate)))
+            new_t = t0 + np.arange(n_new) / self.sample_rate
+            new_t.flags.writeable = False
+            step = int(round(sample_rate / self.sample_rate))
+            decimate = (
+                step >= 1
+                and len(t[::step][:n_new]) == n_new
+                and np.array_equal(new_t, t[::step][:n_new])
+            )
+        grid = (t, new_t, step, decimate)
+        self._grid_memo = (key, grid)
+        return grid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bits = "ideal" if self.bits is None else f"{self.bits}-bit"

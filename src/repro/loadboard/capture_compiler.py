@@ -38,8 +38,11 @@ This module compiles that stage once per board and capture shape
    by plan-bound inputs (the cached LO and its powers) fold into
    precomputed constants at compile time using the same kernels.
 4. **Execute.**  The surviving ops run over preallocated block-sized
-   workspaces with ``out=`` kernels -- the steady-state inner loop
-   performs no Python-level envelope bookkeeping and no allocations.
+   workspaces with ``out=`` kernels, as an op list bound once per
+   (thread, record length) for full blocks: each entry holds its
+   kernel, its operand arrays and its output view, so the steady-state
+   inner loop performs no operand lookups, no envelope bookkeeping and
+   no allocations.
    One call runs one cache-resident block of rows (:data:`BLOCK_BYTES`);
    the board streams a whole lot through it block by block.
 
@@ -392,6 +395,41 @@ def _apply_kernel(node: TapeNode, a, b, out=None):
     raise AssertionError(f"unexpected kernel op {node.op!r}")
 
 
+def _bind_kernel(node: TapeNode, a, b, out) -> Tuple[object, tuple]:
+    """``(function, positional args)`` running one tape op into ``out``.
+
+    The kernels, operands and operand order of :func:`_apply_kernel`
+    with ``out=``, resolved once so a call is just ``fn(*args)``.
+    """
+    if node.op == "half":
+        return np.divide, (a, 2.0, out)
+    if node.op == "double":
+        return np.multiply, (a, 2.0, out)
+    if node.op == "conj":
+        return np.conjugate, (a, out)
+    if node.op == "mul":
+        return np.multiply, (a, b, out)
+    if node.op == "add":
+        return np.add, (a, b, out)
+    if node.op == "scale":
+        return np.multiply, (a, node.scalar, out)
+    if node.op == "real":
+        return np.copyto, (out, a.real)
+    raise AssertionError(f"unexpected kernel op {node.op!r}")
+
+
+class _Workspace:
+    """One thread's block buffers at one record length, and the op list
+    bound to them for full blocks (see
+    :meth:`CompiledCaptureProgram._bind`)."""
+
+    __slots__ = ("bufs", "full")
+
+    def __init__(self, bufs: List[np.ndarray]):
+        self.bufs = bufs
+        self.full: Optional[tuple] = None
+
+
 @dataclass
 class _Step:
     """One scheduled runtime op: kernel + operand locations."""
@@ -414,10 +452,11 @@ class CompiledCaptureProgram:
         envelopes); every subgraph they feed folds at compile time.
 
     Each thread gets one workspace set per record length ``n``, sized
-    to one block of :func:`block_rows` rows.  :meth:`execute` runs one
-    block at a time (the board streams a lot through it block by
-    block), so the retained bytes (:meth:`nbytes`) never grow with the
-    lot.
+    to one block of :func:`block_rows` rows, and keeps with it the op
+    list bound to it for full blocks; pickling drops both.
+    :meth:`execute` runs one block at a time (the board streams a lot
+    through it block by block), so the retained bytes (:meth:`nbytes`)
+    never grow with the lot.
 
     The schedule attributes (``consts``, ``input_keys``, ``steps``,
     ``out_node``, ``fingerprint``, ``op_count`` and the private slot
@@ -450,7 +489,7 @@ class CompiledCaptureProgram:
         self.out_node = out
         self.fingerprint = tape.fingerprint(out)
         self.op_count = len(self.steps)
-        self._workspaces: "Dict[tuple, List[np.ndarray]]" = {}
+        self._workspaces: "Dict[tuple, _Workspace]" = {}
         self._workspace_lock = threading.Lock()
 
     # -- compile passes ------------------------------------------------
@@ -555,35 +594,84 @@ class CompiledCaptureProgram:
         self._out_const = consts.get(out)
 
     # -- workspaces ----------------------------------------------------
-    def _buffers(self, n: int) -> List[np.ndarray]:
+    def _workspace(self, n: int) -> _Workspace:
         # one block-sized set per (thread, n): concurrent captures on a
         # shared program (thread executors) must not scribble over each
         # other's buffers, and every block of a lot reuses the set
         key = (threading.get_ident(), n)
         with self._workspace_lock:
-            bufs = self._workspaces.get(key)
-            if bufs is None:
+            ws = self._workspaces.get(key)
+            if ws is None:
                 rows = block_rows(n)
-                bufs = [
-                    np.empty(
-                        (rows, n),
-                        dtype=np.complex128 if dt == "c" else np.float64,
-                    )
-                    for dt in self._slot_dtype
-                ]
-                self._workspaces[key] = bufs
-        return bufs
+                ws = _Workspace(
+                    [
+                        np.empty(
+                            (rows, n),
+                            dtype=np.complex128 if dt == "c" else np.float64,
+                        )
+                        for dt in self._slot_dtype
+                    ]
+                )
+                self._workspaces[key] = ws
+        return ws
+
+    def _bind(self, ws: _Workspace, rows: int) -> tuple:
+        """The op list of a ``rows``-row call over ``ws``.
+
+        ``(ops, late, result)``: ``ops[i]`` is step ``i`` as ``(fn,
+        args)`` over views of the buffers and the folded constants,
+        ``late`` lists the steps that read a runtime input (bound on
+        every call) and ``result`` is the output view.  The full-block
+        list is kept with the workspace; a tail block's is built for
+        its call only: keeping one list per tail size (~100 small
+        objects each) raised the streaming workload's peak RSS by
+        ~0.5 MB.
+        """
+        full = rows == len(ws.bufs[0]) if ws.bufs else False
+        if full and ws.full is not None:
+            return ws.full
+        # tail blocks run over views of the block-sized workspace
+        bufs = [buf[:rows] for buf in ws.bufs]
+
+        def operand(src):
+            if src is None:
+                return None
+            kind, ref = src
+            if kind == "buf":
+                return bufs[ref]
+            if kind == "const":
+                return self.consts[ref]
+            return src  # a runtime input, bound per call
+
+        ops: List[Optional[tuple]] = []
+        late = []
+        for i, step in enumerate(self.steps):
+            a, b, out = operand(step.a), operand(step.b), bufs[step.out_slot]
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                late.append((i, step.node, a, b, out))
+                ops.append(None)
+            else:
+                ops.append(_bind_kernel(step.node, a, b, out))
+        if self._out_slot is not None:
+            result = bufs[self._out_slot]
+        else:
+            result = bufs[self.steps[-1].out_slot] if self.steps else None
+        bound = (ops, late, result)
+        if full:
+            ws.full = bound
+        return bound
 
     def nbytes(self) -> int:
         """Constant + workspace bytes retained by this program."""
         total = sum(arr.nbytes for arr in self.consts.values())
         with self._workspace_lock:
-            for bufs in self._workspaces.values():
-                total += sum(buf.nbytes for buf in bufs)
+            for ws in self._workspaces.values():
+                total += sum(buf.nbytes for buf in ws.bufs)
         return total
 
     def __getstate__(self):
-        # workspaces are cheap to rebuild; the lock is recreated on unpickle
+        # workspaces and the op lists bound to them are cheap to
+        # rebuild; the lock is recreated on unpickle
         state = self.__dict__.copy()
         state["_workspaces"] = {}
         del state["_workspace_lock"]
@@ -605,9 +693,11 @@ class CompiledCaptureProgram:
         harmonic; ``lo_envelopes`` supplies the LO slots when they were
         not plan-bound (the random-path-phase regime).  The batch is one
         row block: at most :func:`block_rows` rows, run in one pass over
-        the calling thread's block workspace.  The returned array is a
-        view of that workspace: consume it before this thread's next
-        ``execute`` at the same record length.
+        the calling thread's block workspace with the op list bound to
+        it (:meth:`_bind`; :func:`_apply_kernel` over the same steps is
+        the oracle).  The returned array is a view of that workspace:
+        consume it before this thread's next ``execute`` at the same
+        record length.
         """
         sources = {"rf": rf_envelopes, "lo": lo_envelopes or {}}
         inputs: Dict[Tuple[str, int], np.ndarray] = {}
@@ -637,22 +727,16 @@ class CompiledCaptureProgram:
             raise ValueError(
                 f"batch of {batch} rows exceeds one block of {block_rows(n)}"
             )
-        # tail blocks run over views of the block-sized workspace
-        bufs = [buf[:batch] for buf in self._buffers(n)]
-
-        def fetch(src):
-            kind, ref = src
-            if kind == "buf":
-                return bufs[ref]
-            if kind == "const":
-                return self.consts[ref]
-            return inputs[ref]
-
-        result = None
-        for step in self.steps:
-            a = fetch(step.a)
-            b = fetch(step.b) if step.b is not None else None
-            result = _apply_kernel(step.node, a, b, out=bufs[step.out_slot])
-        if self._out_slot is not None:
-            result = bufs[self._out_slot]
+        ops, late, result = self._bind(self._workspace(n), batch)
+        for i, node, a, b, out in late:
+            if isinstance(a, tuple):
+                a = inputs[a[1]]
+            if isinstance(b, tuple):
+                b = inputs[b[1]]
+            ops[i] = _bind_kernel(node, a, b, out)
+        for fn, args in ops:
+            fn(*args)
+        # the input-bound entries must not keep this block's inputs alive
+        for entry in late:
+            ops[entry[0]] = None
         return result

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits.device import RFDevice
-from repro.circuits.noisefig import added_output_noise_vrms
+from repro.circuits.noisefig import added_output_noise_vrms_rows
 from repro.circuits.nonlinear import (
     DescribingGainStack,
     GainLot,
@@ -81,6 +81,7 @@ __all__ = [
     "SignaturePathConfig",
     "SignatureTestBoard",
     "add_device_noise",
+    "device_noise_sigmas",
     "envelope_coefficients",
     "mix_envelope",
     "overdrive_ratios",
@@ -146,6 +147,11 @@ def _row_blocks(n_plans: int, n_dev: int, rows: int) -> List[Tuple[int, int]]:
     return [(a, min(a + rows, total)) for a in range(0, total, rows)]
 
 
+def _take(seq: Sequence, rows: Union[slice, np.ndarray]) -> Sequence:
+    """The entries of ``seq`` at ``rows``: a slice, or an index array."""
+    return seq[rows] if isinstance(rows, slice) else [seq[r] for r in rows.tolist()]
+
+
 def _distinct_devices(devices: Sequence[RFDevice]) -> Tuple[List[int], np.ndarray]:
     """The devices a noise-free capture tells apart, and who is who.
 
@@ -181,6 +187,52 @@ def _saturation_ratios(sat: np.ndarray, peak: float) -> np.ndarray:
     return ratios
 
 
+def device_noise_sigmas(
+    devices: Sequence[RFDevice], gens: RngList, engine_rate: float
+) -> np.ndarray:
+    """Each device's added output-noise sigma in ``engine_rate`` hertz.
+
+    ``added_output_noise_vrms`` of device ``i``'s specs, bit for bit,
+    for every row with a generator; rows without one get 0.  One
+    ``specs()`` call per noisy device, and one set of array operations
+    for the lot.
+    """
+    sigmas = np.zeros(len(devices))
+    rows = [i for i, g in enumerate(gens) if g is not None]
+    if rows:
+        specs = [devices[i].specs() for i in rows]
+        sigmas[rows] = added_output_noise_vrms_rows(
+            [s.gain_db for s in specs], [s.nf_db for s in specs], engine_rate
+        )
+    return sigmas
+
+
+def _noisy_rows(sigmas: np.ndarray) -> np.ndarray:
+    """Rows that draw device noise: a positive sigma, or a NaN one (a
+    device whose gain or NF is NaN), which then turns its row NaN."""
+    return np.flatnonzero(~(sigmas <= 0.0))
+
+
+def _add_noise_rows(
+    env: np.ndarray, sigmas: np.ndarray, gens: RngList, rows: np.ndarray
+) -> None:
+    """Add ``sigmas[i] * (re + 1j im)`` to rows ``rows`` of the complex
+    ``env``, in place, with ``re`` then ``im`` drawn from ``gens[i]``.
+
+    All draws land in one ``(M, 2, n)`` buffer, scaled and added once
+    per quadrature.
+    """
+    draws = np.empty((len(rows), 2, env.shape[1]))
+    for k, i in enumerate(rows.tolist()):
+        gens[i].standard_normal(out=draws[k])
+    draws *= sigmas[rows, None, None]
+    # the usual lot is noisy in every row: add through views instead of
+    # a gather and scatter of every row
+    target = slice(None) if len(rows) == len(env) else rows
+    env.real[target] += draws[:, 0]
+    env.imag[target] += draws[:, 1]
+
+
 def add_device_noise(
     env: np.ndarray,
     devices: Sequence[RFDevice],
@@ -193,33 +245,18 @@ def add_device_noise(
     hertz around the carrier has independent gaussian quadratures of
     standard deviation equal to the real noise RMS in that band.  Row
     ``i`` of ``env`` (shape ``(N, n)``) gains ``sigma_i * (re + 1j im)``
-    with ``re`` then ``im`` drawn from ``gens[i]`` -- the draw order of
-    a one-device capture -- and rows without a generator or without
-    added noise pass through untouched.  All draws land in one
-    ``(M, 2, n)`` buffer, scaled and added once per quadrature.  With
-    no noisy row, ``env`` itself comes back.
+    (:func:`device_noise_sigmas`) with ``re`` then ``im`` drawn from
+    ``gens[i]`` -- the draw order of a one-device capture -- and rows
+    without a generator or without added noise pass through untouched;
+    a NaN sigma draws and turns its row NaN.  The result is a copy;
+    with no noisy row, ``env`` itself comes back.
     """
-    sigmas = np.zeros(len(devices))
-    for i, (device, g) in enumerate(zip(devices, gens)):
-        if g is not None:
-            specs = device.specs()
-            sigmas[i] = added_output_noise_vrms(
-                specs.gain_db, specs.nf_db, engine_rate
-            )
-    rows = np.flatnonzero(sigmas > 0.0)
+    sigmas = device_noise_sigmas(devices, gens, engine_rate)
+    rows = _noisy_rows(sigmas)
     if not len(rows):
         return env
     noisy = np.array(env, dtype=complex)
-    n = noisy.shape[1]
-    draws = np.empty((len(rows), 2, n))
-    for k, i in enumerate(rows):
-        gens[i].standard_normal(out=draws[k])
-    draws *= sigmas[rows, None, None]
-    # the usual lot is noisy in every row: add through views instead of
-    # a gather and scatter of every row
-    target = slice(None) if len(rows) == len(noisy) else rows
-    noisy.real[target] += draws[:, 0]
-    noisy.imag[target] += draws[:, 1]
+    _add_noise_rows(noisy, sigmas, gens, rows)
     return noisy
 
 
@@ -859,10 +896,17 @@ class SignatureTestBoard:
         devices = list(devices)
         gens = resolve_rng_streams(rng, rngs, len(devices))
         filtered = self._reference_front_matrix(devices, stimulus, gens)
+        return self._signature_rows(
+            self.digitize_matrix(filtered, gens), n_bins, log_scale
+        )
+
+    @staticmethod
+    def _signature_rows(
+        records: np.ndarray, n_bins: Optional[int] = None, log_scale: bool = False
+    ) -> np.ndarray:
+        """The FFT-magnitude signature (Figure 3) of each digitized row."""
         return fft_magnitude_signature_matrix(
-            self.digitize_matrix(filtered, gens),
-            n_bins=n_bins,
-            log_scale=log_scale,
+            records, n_bins=n_bins, log_scale=log_scale
         )
 
     def _envelope_bandwidth_batch(
@@ -978,7 +1022,11 @@ class SignatureTestBoard:
         preallocated result.  Every stage is elementwise along rows and
         each row draws from its own generator in the one-device order
         (device noise, path phase, digitizer noise), so the result
-        equals the whole-batch reference bit for bit.  Per-stage wall
+        equals the whole-batch reference bit for bit.  Lot-wide work
+        runs once, before the blocks: the device-noise sigmas
+        (:func:`device_noise_sigmas`) and whether any device has
+        envelope dynamics; device noise then lands in place on each
+        block's own DUT output.  Per-stage wall
         times accumulate into ``stages`` and are published as
         :attr:`last_stage_seconds`; the overdrive bookkeeping records
         the last stimulus's ratios, as a loop over them would, for the
@@ -998,9 +1046,16 @@ class SignatureTestBoard:
         # grid's shared abscissae: one table per stimulus, built when the
         # stimulus-major rows reach it and dropped when they leave it
         lot = None if plan.gains is None else plan.gains.lot(coeffs)
-        noisy = cfg.include_device_noise and any(g is not None for g in gens)
         if cfg.random_path_phase and any(g is None for g in gens):
             raise ValueError("random_path_phase requires an rng")
+        # lot-wide work, done once: the device-noise sigmas and whether
+        # any device has envelope dynamics (tuned coupling only)
+        sigmas = None
+        if cfg.include_device_noise and any(g is not None for g in gens):
+            sigmas = device_noise_sigmas(devices, gens, cfg.engine_rate)
+        dynamics = cfg.dut_coupling == "tuned" and any(
+            getattr(d, "envelope_bandwidth", None) is not None for d in devices
+        )
         n = plan.n
         program: Optional[CompiledCaptureProgram] = None
         out: Optional[np.ndarray] = None
@@ -1013,17 +1068,29 @@ class SignatureTestBoard:
 
         for start, end in _row_blocks(len(plan), n_dev, block_rows(n)):
             t = clock()
-            row_devices = [devices[r % n_dev] for r in range(start, end)]
-            row_gens = [gens[r % n_dev] for r in range(start, end)]
+            # one stimulus: row r is device r, so a block is a slice
+            rows = slice(start, end) if len(plan) == 1 else np.arange(start, end) % n_dev
+            row_gens = _take(gens, rows)
             dut_out = self._dut_block(plan, coeffs, terms, start, end, lot)
-            dut_out = self._envelope_bandwidth_batch(dut_out, row_devices)
+            if dynamics:
+                dut_out = self._envelope_bandwidth_batch(dut_out, _take(devices, rows))
             if cfg.output_loss_db > 0.0:
                 dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
+            rf_arrays = dict(dut_out.envelopes)
             t = lap("nonlinearity", t)
-            if noisy:
-                dut_out = self._add_device_noise_batch(dut_out, row_devices, row_gens)
+            if sigmas is not None:
+                # harmonic 1 is this block's own fresh array: noise goes
+                # in place (a missing harmonic joins as zeros, as in
+                # _add_device_noise_batch)
+                env = rf_arrays.get(1)
+                if env is None or not env.flags.owndata:
+                    env = np.array(dut_out.harmonic(1), dtype=complex)
+                rf_arrays[1] = env
+                row_sigmas = sigmas[rows]
+                drawn = _noisy_rows(row_sigmas)
+                if len(drawn):
+                    _add_noise_rows(env, row_sigmas, row_gens, drawn)
             t = lap("noise", t)
-            rf_arrays = {h: np.asarray(env) for h, env in dut_out.envelopes.items()}
             if program is None:
                 program = self._compiled_program(plan, tuple(rf_arrays))
                 t = clock()  # compiling is not a capture stage
@@ -1038,9 +1105,7 @@ class SignatureTestBoard:
                 block = self.digitize_matrix(block, row_gens)
                 t = lap("digitize", t)
                 if stop == "fft":
-                    block = fft_magnitude_signature_matrix(
-                        block, n_bins=n_bins, log_scale=log_scale
-                    )
+                    block = self._signature_rows(block, n_bins, log_scale)
                     lap("fft", t)
             if out is None:
                 out = np.empty((n_rows,) + block.shape[1:])

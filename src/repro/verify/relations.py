@@ -379,6 +379,7 @@ def _rel_capture_batch_equivalence(case, rng):
         "n_breakpoints": integers(3, 7, origin=3),
         "backend": choice("serial", "thread:2"),
         "chunksize": integers(1, 3, origin=1),
+        "lot": choice("plain", "mixed generators", "odd lot of long records"),
     },
     equation="reproduction contract (compiled capture program)",
 )
@@ -388,26 +389,41 @@ def _rel_compiled_capture_equivalence(case, rng):
     ``signature_batch`` must be ``np.array_equal`` to the uncompiled
     oracle (``_reference_signature_batch``) -- directly, through
     ``measure_signatures`` on every backend/chunking, and on the empty
-    lot.
+    lot.  Two kinds of lot stress the row blocks' lot-wide work: one
+    whose generators mix ``None`` and seeded rows (noise sigmas and
+    digitizer noise per row), and an odd lot of records long enough
+    for two rows per block, whose last block is a single row.
     """
+    long_records = case["lot"] == "odd lot of long records"
     board = SignatureTestBoard(
         _fast_config(
             dut_coupling=case["dut_coupling"],
             digitizer_bits=case["digitizer_bits"],
             random_path_phase=case["random_path_phase"],
             lo_offset_hz=case["lo_offset_hz"],
+            # 8,192 engine samples: two rows per block
+            capture_seconds=32 * _CAPTURE_SECONDS if long_records else _CAPTURE_SECONDS,
         )
     )
-    devices = _sample_lot(rng, case["n_devices"])
+    n_devices = 2 * case["n_devices"] - 1 if long_records else case["n_devices"]
+    devices = _sample_lot(rng, n_devices)
     stimulus = _stimulus(rng, case["n_breakpoints"])
     seeds = spawn_seeds(rng, len(devices))
+    quiet = np.zeros(n_devices, dtype=bool)
+    # a random path phase draws from every row's generator, so such a
+    # lot cannot mix in rows without one
+    if case["lot"] == "mixed generators" and not case["random_path_phase"] and n_devices > 1:
+        quiet[rng.permutation(n_devices)[: int(rng.integers(1, n_devices))]] = True
+        stratum("generators mix None and seeded rows")
+    rows = block_rows(board.capture_plan(stimulus).n)
+    if n_devices > rows and n_devices % rows == 1:
+        stratum("last block is a single row")
 
-    reference = board._reference_signature_batch(
-        devices, stimulus, rngs=seeds.generators()
-    )
-    compiled = board.signature_batch(
-        devices, stimulus, rngs=seeds.generators()
-    )
+    def generators():
+        return [None if q else g for q, g in zip(quiet, seeds.generators())]
+
+    reference = board._reference_signature_batch(devices, stimulus, rngs=generators())
+    compiled = board.signature_batch(devices, stimulus, rngs=generators())
     check_array_equal(compiled, reference, label="compiled program")
 
     empty = board.signature_batch([], stimulus, rngs=[])

@@ -63,3 +63,88 @@ class TestDigitizer:
             BasebandDigitizer(1e6, bits=0)
         with pytest.raises(ValueError):
             BasebandDigitizer(1e6, noise_vrms=-1.0)
+
+
+def _per_row(dig, mat, rate, duration, rngs, t0=0.0):
+    """``capture_matrix``'s oracle: ``capture`` on each row alone."""
+    return np.array(
+        [
+            dig.capture(Waveform(row, rate, t0), duration, rng).samples
+            for row, rng in zip(mat, rngs)
+        ]
+    )
+
+
+class TestCaptureMatrix:
+    def _rows(self, n_rows=5, n=400, seed=1):
+        return np.random.default_rng(seed).normal(size=(n_rows, n))
+
+    @pytest.mark.parametrize("bits", [None, 12])
+    def test_rows_equal_per_row_capture(self, bits):
+        # noise is drawn with standard_normal into one buffer and scaled
+        # as 0.0 + sigma * z, Generator.normal's own arithmetic; rows
+        # without a generator still add 0.0 (which clears a -0.0)
+        dig = BasebandDigitizer(20e6, bits=bits, noise_vrms=1e-3)
+        mat = self._rows()
+        mat[1, :7] = -0.0
+        seeds = [3, None, 4, None, 5]
+
+        def gens():
+            return [None if s is None else np.random.default_rng(s) for s in seeds]
+
+        got = dig.capture_matrix(mat, 80e6, 5e-6, gens())
+        want = _per_row(dig, mat, 80e6, 5e-6, gens())
+        noisy = [i for i, s in enumerate(seeds) if s is not None]
+        assert got[noisy].tobytes() == want[noisy].tobytes()
+        # a row without a generator adds 0.0, so its -0.0 samples turn
+        # +0.0 where capture() alone keeps them
+        quiet = [i for i, s in enumerate(seeds) if s is None]
+        assert got[quiet].tobytes() == (want[quiet] + 0.0).tobytes()
+        assert not np.signbit(got[1, :2]).any()
+
+    def test_noise_free_rows_are_copies(self):
+        dig = BasebandDigitizer(20e6, bits=None, noise_vrms=1e-3)
+        mat = self._rows(n_rows=3, n=100)
+        got = dig.capture_matrix(mat, 20e6, None, [None] * 3)
+        assert np.array_equal(got, mat)
+        assert not np.shares_memory(got, mat)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((400, 80e6, 0.0), (800, 80e6, 0.0)),  # another n
+            ((400, 80e6, 0.0), (400, 60e6, 0.0)),  # another rate: interp
+            ((400, 80e6, 0.0), (400, 80e6, 3.3e-8)),  # another t0
+            ((400, 60e6, 0.0), (400, 80e6, 0.0)),  # interp, then decimation
+        ],
+    )
+    def test_reuse_at_another_grid(self, first, second):
+        # the decimation-grid decision is kept per (n, rate, t0): a board
+        # digitizer reused at another shape must not read a stale one
+        reused = BasebandDigitizer(20e6, bits=None, noise_vrms=1e-3)
+        for n, rate, t0 in (first, second):
+            mat = self._rows(n=n)
+            got = reused.capture_matrix(mat, rate, None, None, t0=t0)
+            fresh = BasebandDigitizer(20e6, bits=None, noise_vrms=1e-3)
+            want = fresh.capture_matrix(mat, rate, None, None, t0=t0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, _per_row(fresh, mat, rate, None, [None] * 5, t0))
+
+    def test_jittered_rows_keep_their_interp_path(self):
+        dig = BasebandDigitizer(20e6, bits=None, noise_vrms=1e-3, jitter_rms=2e-10)
+        mat = self._rows()
+        seeds = [3, None, 4, 5, None]
+
+        def gens():
+            return [None if s is None else np.random.default_rng(s) for s in seeds]
+
+        for t0 in (0.0, 1e-7):  # a second grid on the same digitizer
+            got = dig.capture_matrix(mat, 80e6, 5e-6, gens(), t0=t0)
+            assert np.array_equal(got, _per_row(dig, mat, 80e6, 5e-6, gens(), t0))
+        plain = BasebandDigitizer(20e6, bits=None, noise_vrms=0.0)
+        still = plain.capture_matrix(mat, 80e6, 5e-6, gens(), t0=1e-7)
+        jittered = BasebandDigitizer(20e6, bits=None, noise_vrms=0.0, jitter_rms=2e-10)
+        moved = jittered.capture_matrix(mat, 80e6, 5e-6, gens(), t0=1e-7)
+        # rows with a generator are interpolated at jittered instants
+        assert not np.array_equal(moved[0], still[0])
+        assert np.array_equal(moved[1], still[1])

@@ -23,6 +23,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.capture_compiler import (
     CaptureTape,
+    _apply_kernel,
     block_rows,
     trace_mixer_baseband,
 )
@@ -390,8 +391,8 @@ class TestPlanCacheBytes:
         big = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
         # a lot of three blocks streams through the same block-sized set
         assert program.nbytes() == one_block
-        (bufs,) = program._workspaces.values()
-        assert {buf.shape[0] for buf in bufs} == {rows}
+        (ws,) = program._workspaces.values()
+        assert {buf.shape[0] for buf in ws.bufs} == {rows}
         ref = SignatureTestBoard(cfg)._reference_signature_batch(
             devices, stim, rng=np.random.default_rng(4)
         )
@@ -408,13 +409,128 @@ class TestPlanCacheBytes:
             program.execute(rf)
 
 
+def _compiled(cfg, stim):
+    """A board's compiled program for ``cfg`` after a one-block capture."""
+    board = SignatureTestBoard(cfg)
+    n = board.capture_plan(stim).n
+    board.signature_batch(make_lot(block_rows(n)), stim, rng=np.random.default_rng(1))
+    return next(iter(board._programs.values())), n
+
+
+def _random_inputs(program, rows, n, seed):
+    """Random ``(rf, lo)`` runtime inputs of ``rows`` rows."""
+    rng = np.random.default_rng(seed)
+    inputs = {"rf": {}, "lo": {}}
+    for kind, harmonic in program.input_keys:
+        arr = rng.normal(size=(rows, n))
+        if program._input_dtype[(kind, harmonic)] == "c":
+            arr = arr + 1j * rng.normal(size=(rows, n))
+        inputs[kind][harmonic] = arr
+    return inputs["rf"], inputs["lo"]
+
+
+def _step_loop(program, rf, lo):
+    """The oracle of the bound op list: ``_apply_kernel`` per scheduled
+    step over fresh buffers, operands looked up on every step."""
+    inputs = {}
+    for key in program.input_keys:
+        kind, harmonic = key
+        arr = np.asarray((rf if kind == "rf" else lo)[harmonic])
+        inputs[key] = arr.real if program._input_dtype[key] == "r" else arr
+    shape = next(iter(inputs.values())).shape
+    bufs = [
+        np.empty(shape, dtype=complex if dt == "c" else float)
+        for dt in program._slot_dtype
+    ]
+
+    def fetch(src):
+        kind, ref = src
+        if kind == "buf":
+            return bufs[ref]
+        return program.consts[ref] if kind == "const" else inputs[ref]
+
+    for step in program.steps:
+        b = fetch(step.b) if step.b is not None else None
+        _apply_kernel(step.node, fetch(step.a), b, out=bufs[step.out_slot])
+    return bufs[program._out_slot]
+
+
+class TestBoundOpList:
+    """``execute`` runs an op list bound to the thread's workspace: kept
+    for full blocks, built per call for tail blocks."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "tuned",
+            # the LO is a runtime input too: two input-fed steps rebound
+            # on every call
+            "random_phase",
+        ],
+    )
+    def test_equals_the_step_loop(self, stim, config):
+        cfg = simulation_config()
+        if config == "random_phase":
+            cfg = dataclasses.replace(cfg, random_path_phase=True)
+        program, n = _compiled(cfg, stim)
+        full = block_rows(n)
+        # full, tail and 1-row blocks, and back: the full-block list is
+        # kept and reused, a tail's is built for its call
+        (ws,) = program._workspaces.values()
+        kept = ws.full
+        assert kept is not None
+        for k, rows in enumerate((full, 7, 1, full, 7)):
+            rf, lo = _random_inputs(program, rows, n, seed=k)
+            got = program.execute(rf, lo).copy()
+            assert got.shape == (rows, n)
+            assert np.array_equal(got, _step_loop(program, rf, lo))
+            assert ws.full is kept
+
+    def test_inputs_are_not_kept_after_a_call(self, stim):
+        cfg = dataclasses.replace(simulation_config(), random_path_phase=True)
+        program, n = _compiled(cfg, stim)
+        rf, lo = _random_inputs(program, block_rows(n), n, seed=1)
+        program.execute(rf, lo)
+        (ws,) = program._workspaces.values()
+        ops, late, _ = ws.full
+        assert len(late) == 2
+        assert all(ops[entry[0]] is None for entry in late)
+
+    def test_two_threads_share_one_program(self, stim):
+        program, n = _compiled(simulation_config(), stim)
+        rows = (block_rows(n), 5)
+        barrier = threading.Barrier(2)
+        mismatches = []
+
+        def work(t):
+            barrier.wait()
+            for k in range(20):
+                rf, lo = _random_inputs(program, rows[(t + k) % 2], n, seed=100 * t + k)
+                got = program.execute(rf, lo).copy()
+                if not np.array_equal(got, _step_loop(program, rf, lo)):
+                    mismatches.append((t, k))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert mismatches == []
+        # one workspace, with its full-block list, per thread
+        assert len(program._workspaces) >= 2
+        assert all(ws.full is not None for ws in program._workspaces.values())
+
+
 class TestPickling:
     def test_program_roundtrip_drops_workspaces(self, stim):
         board = SignatureTestBoard(simulation_config())
         board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(3))
         plan = next(iter(board._plan_cache.values()))
         program = next(iter(board._programs.values()))
-        assert program._workspaces  # populated by the capture
+        # populated by the capture, with the op list bound to them
+        assert program._workspaces
+        program.execute(*_random_inputs(program, block_rows(plan.n), plan.n, seed=2))
+        assert all(ws.full is not None for ws in program._workspaces.values())
         clone = pickle.loads(pickle.dumps(program))
         assert clone._workspaces == {}
         rng = np.random.default_rng(13)

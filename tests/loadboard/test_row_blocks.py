@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 
 from repro.circuits.behavioral import BehavioralAmplifier
+from repro.circuits.device import SpecSet
+from repro.circuits.noisefig import added_output_noise_vrms
 from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.capture_compiler import block_rows
 from repro.loadboard.signature_path import (
     SignatureTestBoard,
     _row_blocks,
+    device_noise_sigmas,
     hardware_config,
     simulation_config,
 )
@@ -172,6 +175,108 @@ class TestStageSeconds:
         board.filtered_baseband_matrix(make_lot(2), stimuli(1)[0])
         assert "digitize" not in board.last_stage_seconds
         assert "filter" in board.last_stage_seconds
+
+
+class _SpecsOnly(BehavioralAmplifier):
+    """A nominal amplifier whose specs read the given gain and NF, which
+    a datasheet device could not have (a negative NF)."""
+
+    def __init__(self, gain_db, nf_db):
+        super().__init__(900e6, 16.0, 2.0, 10.0)
+        self._specs = SpecSet(gain_db=gain_db, nf_db=nf_db, iip3_dbm=10.0)
+
+    def specs(self):
+        return self._specs
+
+
+class TestLotNoiseSigmas:
+    """The lot's device-noise sigmas, computed once before the blocks."""
+
+    RATE = simulation_config().engine_rate
+
+    @pytest.mark.allow_nonfinite
+    def test_vector_equals_per_device_function(self):
+        devices = make_lot(5) + [
+            BehavioralAmplifier(900e6, 16.0, 0.0, 10.0),  # F - 1 = 0: sigma 0
+            BehavioralAmplifier(900e6, 3000.0, 2.0, 10.0),  # huge gain
+            BehavioralAmplifier(900e6, 3000.0, 300.0, 10.0),  # power overflows
+            BehavioralAmplifier(900e6, 16.0, float("nan"), 10.0),
+            BehavioralAmplifier(900e6, float("nan"), 2.0, 10.0),
+            _SpecsOnly(-4000.0, -1e-9),  # (F - 1) G underflows to -0.0
+            _SpecsOnly(float("inf"), 2.0),
+        ]
+        gens = [np.random.default_rng(i) for i in range(len(devices))]
+        gens[1] = gens[3] = None  # rows without a generator read 0
+        got = device_noise_sigmas(devices, gens, self.RATE)
+        for i, (device, g) in enumerate(zip(devices, gens)):
+            specs = device.specs()
+            want = 0.0 if g is None else added_output_noise_vrms(
+                specs.gain_db, specs.nf_db, self.RATE
+            )
+            assert np.float64(want).tobytes() == got[i].tobytes(), i
+        assert np.signbit(got[-2]) and got[-2] == 0.0
+        assert np.isnan(got[-4]) and np.isinf(got[-5])
+
+    def test_zero_sigma_row_draws_nothing(self):
+        # nf = 0 dB adds no noise: the row skips the device-noise draws,
+        # so its digitizer noise starts where a noise-free board's does
+        devices = make_lot(3)
+        devices[1] = BehavioralAmplifier(900e6, 16.0, 0.0, 10.0)
+        stim = stimuli(1)[0]
+        got = SignatureTestBoard(simulation_config()).signature_batch(
+            devices, stim, rngs=spawn_generators(4, 3)
+        )
+        quiet = dataclasses.replace(simulation_config(), include_device_noise=False)
+        want = SignatureTestBoard(quiet).signature_batch(
+            devices, stim, rngs=spawn_generators(4, 3)
+        )
+        assert np.array_equal(got[1], want[1])
+        assert not np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("n", [1, TestBlockedBackHalf.ROWS + 1, 83])
+    def test_rows_without_generators_equal_oracle(self, n):
+        devices = make_lot(n)
+        stim = stimuli(1)[0]
+
+        def gens():
+            return [
+                None if i % 3 == 1 else g
+                for i, g in enumerate(spawn_generators(6, n))
+            ]
+
+        ref = SignatureTestBoard(simulation_config())._reference_signature_batch(
+            devices, stim, rngs=gens()
+        )
+        out = SignatureTestBoard(simulation_config()).signature_batch(
+            devices, stim, rngs=gens()
+        )
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.allow_nonfinite
+    def test_nan_sigma_row_turns_nan_alone(self):
+        # a NaN NF draws and scales like any noisy row, so the row turns
+        # NaN; its neighbours keep their bits
+        n = TestBlockedBackHalf.ROWS + 3
+        devices = make_lot(n)
+        nan_rows = [2, n - 1]
+        for i in nan_rows:
+            devices[i] = BehavioralAmplifier(900e6, 16.0, float("nan"), 10.0)
+        stim = stimuli(1)[0]
+        out = SignatureTestBoard(simulation_config()).signature_batch(
+            devices, stim, rngs=spawn_generators(8, n)
+        )
+        ref = SignatureTestBoard(simulation_config())._reference_signature_batch(
+            devices, stim, rngs=spawn_generators(8, n)
+        )
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.isnan(out[nan_rows]).all()
+        finite = [i for i in range(n) if i not in nan_rows]
+        assert np.isfinite(out[finite]).all()
+        gens = spawn_generators(8, n)
+        alone = SignatureTestBoard(simulation_config()).signature_batch(
+            [devices[i] for i in finite], stim, rngs=[gens[i] for i in finite]
+        )
+        assert np.array_equal(out[finite], alone)
 
 
 class TestRowBlocks:

@@ -1,5 +1,7 @@
 """Tests for repro.runtime.production (end-to-end production flow)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,47 @@ class TestFailClosed:
         # finite rows bin exactly as the limits alone say
         for record in records[:1] + records[2:]:
             assert flow.limits.check(record.predicted) is record.passed
+
+
+    @pytest.mark.parametrize("runner", ["flow.run", "stream"])
+    @pytest.mark.parametrize("executor", [None, "thread:2"])
+    def test_nan_noise_figure_fails(self, flow_setup, runner, executor):
+        # with device noise on, a NaN NF is a NaN noise sigma: the row
+        # draws and scales like any noisy row, turns NaN and fails
+        # through the non-finite-signature check instead of passing
+        # with a clean, noise-free signature
+        space, factory, board, stim, calibration = flow_setup
+        noisy = SignatureTestBoard(
+            dataclasses.replace(board.config, include_device_noise=True)
+        )
+        flow = ProductionTestFlow(noisy, stim, calibration, limits=lna_limits())
+        nominal = space.to_dict(space.nominal_vector())
+        devices = [factory(nominal) for _ in range(7)]
+        bad = [1, 5]
+        for i in bad:
+            devices[i] = factory({**nominal, "nf_db": float("nan")})
+        if runner == "flow.run":
+            records = flow.run(
+                devices, np.random.default_rng(3), executor=executor, chunksize=3
+            ).records
+        else:
+            with StreamingTestService(flow, executor=executor, chunksize=3) as svc:
+                svc.submit(devices[:4], np.random.default_rng(3))
+                svc.submit(devices[4:], np.random.default_rng(4))
+                svc.close()
+                records = [stream_record.record for stream_record in svc.records()]
+            offline = flow.run(devices[:4], np.random.default_rng(3)).records
+            offline += flow.run(devices[4:], np.random.default_rng(4)).records
+            for streamed, alone in zip(records, offline):
+                assert np.array_equal(streamed.signature, alone.signature, equal_nan=True)
+                assert streamed.passed is alone.passed
+        for i, record in enumerate(records):
+            if i in bad:
+                assert np.isnan(record.signature).all()
+                assert record.passed is False
+            else:
+                assert np.isfinite(record.signature).all()
+                assert flow.limits.check(record.predicted) is record.passed
 
 
 class TestEdgeLots:

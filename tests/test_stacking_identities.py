@@ -5,8 +5,11 @@ grids and knot searches of every stimulus, one table per row block,
 one Eq. 10 solve for every gene), and each stacked call must equal the
 per-stimulus or per-gene call it replaced bit for bit.  So must the
 compiled mixer-2 tape's 0-d folded constants (against the per-sample
-rows they replaced) and MARS's one-call knot table (against one
-quantile per feature).  That holds only while these library identities
+rows they replaced), MARS's one-call knot table (against one
+quantile per feature) and the capture's block noise and FFT stages
+(``standard_normal`` then ``0.0 + sigma * z`` against
+``Generator.normal``, the lot's array noise sigmas against the scalar
+chain, and the skipped rect window's ``x * 1.0 == x``).  That holds only while these library identities
 hold on the installed NumPy and LAPACK, so each is asserted here on
 random data: an upgrade that breaks one fails this file, not a golden
 corpus far downstream.
@@ -155,3 +158,62 @@ class TestQuantileTable:
             for j in range(x.shape[1]):
                 assert _bits(table[:, j]) == _bits(np.quantile(x[:, j], qs))
 
+
+
+class TestCaptureNoiseArithmetic:
+    """The capture's noise and FFT stages as block operations."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 2.5, 1e-300, 0.0])
+    def test_standard_normal_then_scale_equals_normal(self, sigma):
+        # the digitizer draws z into its row of a block buffer, then runs
+        # sigma * z and 0.0 + (.) over the block: Generator.normal's own
+        # loc + scale * z.  At sigma = 0 the negative draws give -0.0
+        # products, which the 0.0 + (.) turns +0.0, as normal does
+        block = np.empty((3, 257))
+        for i in range(3):
+            np.random.default_rng(i).standard_normal(out=block[i])
+        block[1, :5] = 0.0  # a row without a generator adds 0.0
+        block *= sigma
+        if sigma == 0.0:
+            assert np.signbit(block[0]).any()
+        np.add(0.0, block, out=block)
+        for i in (0, 2):
+            want = np.random.default_rng(i).normal(0.0, sigma, size=257)
+            assert _bits(block[i]) == _bits(want)
+        assert _bits(block[1, :5]) == _bits(np.zeros(5))
+
+    def test_noise_sigma_array_form_equals_scalar_chain(self, rng):
+        # (f - 1) g k T B, then max(., 0.0) and sqrt, as array operations
+        # on the scalar pow's f and g (the pow itself stays scalar)
+        import math
+
+        values = list(rng.uniform(0.5, 5.0, 32)) + [
+            1.0, 0.0, -0.0, 1e-320, np.nan, np.inf, -np.inf, 1e300, 1e-300, -2.0,
+        ]
+        pairs = [(f, g) for f in values for g in values]
+        f = np.array([p[0] for p in pairs])
+        g = np.array([p[1] for p in pairs])
+        k, t, b, r = 1.380649e-23, 290.0, 80e6, 50.0
+        with np.errstate(all="ignore"):
+            power = (f - 1.0) * g * k * t * b
+            got = np.sqrt(np.where(power < 0.0, 0.0, power) * r)
+            loose = np.sqrt(np.maximum(power, 0.0) * r)
+        want = []
+        for fi, gi in pairs:
+            p = (float(fi) - 1.0) * float(gi) * k * t * b
+            want.append(math.sqrt(max(p, 0.0) * r))
+        assert _bits(got) == _bits(np.array(want))
+        # np.maximum is not the scalar max: it turns a -0.0 power into
+        # +0.0 where max keeps -0.0 (both are sigma 0, drawing nothing)
+        neg_zero = np.flatnonzero((power == 0.0) & np.signbit(power))
+        assert len(neg_zero)
+        assert np.signbit(got[neg_zero]).all() and not np.signbit(loose[neg_zero]).any()
+
+    def test_rect_window_multiply_is_exact(self, rng):
+        # the FFT signature skips the all-ones rect window: x * 1.0 == x
+        x = _with_specials(rng, (40, 100), float)
+        ones = np.ones(100)
+        assert _bits(x * ones) == _bits(x)
+        assert float(np.mean(ones)) == 1.0
+        finite = rng.normal(size=(40, 100))
+        assert _bits(np.fft.rfft(finite * ones, axis=-1)) == _bits(np.fft.rfft(finite, axis=-1))
