@@ -4,11 +4,11 @@ Runs the same 64-device lot four ways and records the wall-clock
 numbers as JSON under ``benchmarks/results/``:
 
 * one-device-at-a-time through the uncompiled reference oracle
-  (``_reference_signature_batch``) with the plan cache cleared before
+  (``reference_signature_batch``) with the plan cache cleared before
   every capture -- the pre-batching signature path, which recomputed the
   device-independent front half per capture;
 * the same one-device-at-a-time loop with a warm plan cache;
-* one ``_reference_signature_batch`` call over the whole lot (the
+* one ``reference_signature_batch`` call over the whole lot (the
   uncompiled batched envelope algebra);
 * one ``signature_batch`` call through the **compiled** whole-lot
   program: the mixer-2 downconversion lowered to a DCE'd op tape over
@@ -37,6 +37,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.signature_path import SignatureTestBoard, simulation_config
 from repro.parallel import spawn_generators
+from repro.verify.reference import reference_signature_batch
 
 N_DEVICES = 64
 LOT_SEED = 2002
@@ -84,21 +85,21 @@ def test_bench_capture_hotpath(benchmark, report):
             # the pre-batching engine rebuilt the stimulus front half
             # (mixers, LO envelopes, drive powers) on every capture
             board.clear_plan_cache()
-            rows.append(board._reference_signature_batch([device], stim, rngs=[gen]))
+            rows.append(reference_signature_batch(board, [device], stim, rngs=[gen]))
         return np.vstack(rows)
 
     def per_device_warm():
         gens = spawn_generators(np.random.default_rng(LOT_SEED), len(lot))
         return np.vstack(
             [
-                board._reference_signature_batch([d], stim, rngs=[g])
+                reference_signature_batch(board, [d], stim, rngs=[g])
                 for d, g in zip(lot, gens)
             ]
         )
 
     def reference_batched():
-        return board._reference_signature_batch(
-            lot, stim, rng=np.random.default_rng(LOT_SEED)
+        return reference_signature_batch(
+            board, lot, stim, rng=np.random.default_rng(LOT_SEED)
         )
 
     def compiled():

@@ -38,10 +38,6 @@ __all__ = [
     "saturation_amplitudes",
     "QuadratureCubes",
     "quadrature_cubes",
-    "describing_gain_tables",
-    "RowInterpolator",
-    "interp_rows",
-    "DescribingGains",
     "DescribingGainStack",
     "GainLot",
     "describing_gain_batch",
@@ -292,41 +288,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.view(np.uint64) == b.view(np.uint64)
 
 
-def describing_gain_tables(
-    coeffs: np.ndarray,
-    grid: np.ndarray,
-    cubes: Optional[QuadratureCubes] = None,
-) -> np.ndarray:
-    """``(N, len(grid))`` describing gains ``G(A)`` on one shared grid.
-
-    Row ``i`` equals
-    ``PolynomialNonlinearity(*coeffs[i]).describing_function(grid)``
-    bit for bit.  The closed form ``a1 + (3/4) a3 A^2`` fills the whole
-    table at once; the saturating quadrature runs only on the
-    (device, amplitude) cells beyond a device's fold-back point, in
-    blocks of at most ``_QUADRATURE_BLOCK`` cells.  Its cubes come from
-    ``cubes`` (:func:`quadrature_cubes` of a lot holding these rows;
-    built for this call alone when ``None``): the table's where
-    ``clip`` leaves an abscissa alone, the row's own ``(+-s) ** 3``
-    where it clips to the saturation amplitude ``s``.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0):
-        raise ValueError("amplitudes must be non-negative")
-    sat = saturation_amplitudes(coeffs)
-
-    def cube_cells(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        nonlocal cubes
-        if cubes is None:
-            cubes = quadrature_cubes(grid, sat)
-        elif cols.min() < cubes.start or len(cubes.values) != len(grid) - cubes.start:
-            raise ValueError("cubes do not cover the saturated cells of this grid")
-        return cubes.values[cols - cubes.start]
-
-    return _describing_table(coeffs, sat, grid, grid**2, cube_cells)
-
-
 def _describing_table(
     coeffs: np.ndarray,
     sat: np.ndarray,
@@ -334,7 +295,16 @@ def _describing_table(
     grid_sq: np.ndarray,
     cube_cells: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """:func:`describing_gain_tables` with row ``i`` on grid row ``i``.
+    """Describing gains ``G(A)`` of ``coeffs`` row ``i`` on its grid row.
+
+    Row ``i`` equals ``PolynomialNonlinearity(*coeffs[i])``'s
+    ``describing_function`` on its grid bit for bit.  The closed form
+    ``a1 + (3/4) a3 A^2`` fills the whole table at once; the saturating
+    quadrature runs only on the (device, amplitude) cells beyond a
+    device's fold-back point, in blocks of at most
+    ``_QUADRATURE_BLOCK`` cells.  Where ``clip`` leaves an abscissa
+    alone its cube comes from ``cube_cells``; where it clips to the
+    saturation amplitude ``s``, the row's own ``(+-s) ** 3``.
 
     ``grid`` is one ascending grid shared by every row ``(G,)`` or one
     per row ``(N, G)``; ``grid_sq`` is ``grid ** 2`` and ``sat`` the
@@ -376,130 +346,6 @@ def _describing_table(
         first = np.mean(y * _COS_THETA[None, :], axis=1) * 2.0
         table[r, c] = first / a_over
     return table
-
-
-class RowInterpolator:
-    """``np.interp(x, xp, fp[i])`` for every row ``i`` of a table, bit for bit.
-
-    Uses ``np.interp``'s own formula -- precomputed slopes
-    ``(fp[j+1] - fp[j]) / (xp[j+1] - xp[j])``, the exact-knot and
-    end-point cases, and its NaN fallback.  The knot search over ``x``
-    (index, offset, exact-knot and NaN positions) depends only on
-    ``(x, xp)`` and runs once, here; every table interpolated on the
-    same abscissae reuses it.  ``xp`` must be increasing with at least
-    two points.
-    """
-
-    def __init__(self, x: np.ndarray, xp: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        n_xp = len(xp)
-        if n_xp < 2:
-            raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
-        self.x = x
-        self.xp = xp
-        # j with xp[j] <= x < xp[j + 1]; -1 left of the grid
-        j = np.searchsorted(xp, x, side="right") - 1
-        self._jc = np.clip(j, 0, n_xp - 2)
-        self._dx = x - xp[self._jc]
-        # knots, the right end and beyond take the table value itself;
-        # left of the grid takes fp[0]; NaN abscissae stay NaN
-        exact = (j < 0) | (j >= n_xp - 1) | (xp[self._jc] == x)
-        self._exact = np.flatnonzero(exact)
-        self._exact_knot = np.clip(j[exact], 0, n_xp - 1)
-        self._x_nan = np.flatnonzero(np.isnan(x))
-
-    def nbytes(self) -> int:
-        """Bytes of the precomputed knot search (``x`` and ``xp`` excluded)."""
-        return sum(
-            a.nbytes
-            for a in (self._jc, self._dx, self._exact, self._exact_knot, self._x_nan)
-        )
-
-    def __call__(self, fp: np.ndarray) -> np.ndarray:
-        """``(N, len(x))``: row ``i`` interpolates table row ``fp[i]``."""
-        fp = np.asarray(fp, dtype=float)
-        xp = self.xp
-        if fp.ndim != 2 or fp.shape[1] != len(xp):
-            raise ValueError("need xp of >= 2 points and fp of shape (N, len(xp))")
-        jc = self._jc
-        f_lo = np.take(fp, jc, axis=1)
-        # np.interp never warns: an infinite or NaN table just propagates
-        with np.errstate(all="ignore"):
-            slopes = fp[:, 1:] - fp[:, :-1]
-            slopes /= xp[1:] - xp[:-1]
-            out = np.take(slopes, jc, axis=1)
-            out *= self._dx
-            out += f_lo
-            # its fallback when an infinite table makes the slope NaN
-            nan = np.isnan(out)
-            if nan.any():
-                f_hi = np.take(fp, jc + 1, axis=1)
-                retry = np.take(slopes, jc, axis=1) * (self.x - xp[jc + 1]) + f_hi
-                out[nan] = retry[nan]
-                flat = np.isnan(out) & (f_lo == f_hi)
-                out[flat] = f_lo[flat]
-        if len(self._exact):
-            out[:, self._exact] = fp[:, self._exact_knot]
-        if len(self._x_nan):
-            out[:, self._x_nan] = self.x[self._x_nan]
-        return out
-
-
-def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp[i])`` for every row ``i`` of ``fp``, bit for bit.
-
-    A one-off :class:`RowInterpolator`.
-    """
-    return RowInterpolator(x, xp)(fp)
-
-
-class DescribingGains:
-    """Tuned-coupling DUT gains over one envelope magnitude record.
-
-    A narrowband DUT sees only the carrier band, so its complex gain at
-    each envelope sample is the saturating describing function at that
-    sample's magnitude ``amps``.  Each device's gain is tabulated on the
-    shared grid ``linspace(0, 1.01 * peak, 256)`` and interpolated.  The
-    grid and the knot search over ``amps`` depend only on the record, so
-    they are built once and shared by every device batch that sees it.
-    A zero peak drive means the device only ever sees its small-signal
-    gain ``a1``.
-    """
-
-    def __init__(self, amps: np.ndarray, peak: float):
-        self.n = len(amps)
-        self._grid: Optional[np.ndarray] = None
-        self._interp: Optional[RowInterpolator] = None
-        if peak > 0.0:
-            self._grid = np.linspace(0.0, 1.01 * peak, DESCRIBING_TABLE_POINTS)
-            self._interp = RowInterpolator(amps, self._grid)
-
-    def nbytes(self) -> int:
-        """Bytes of the shared grid and knot search."""
-        if self._interp is None:
-            return 0
-        return self._grid.nbytes + self._interp.nbytes()
-
-    def cubes(self, sat: np.ndarray) -> Optional[QuadratureCubes]:
-        """The grid's :func:`quadrature_cubes` for a lot whose saturation
-        amplitudes are ``sat`` (``None`` when no cell saturates)."""
-        if self._grid is None:
-            return None
-        return quadrature_cubes(self._grid, sat)
-
-    def __call__(
-        self, coeffs: np.ndarray, cubes: Optional[QuadratureCubes] = None
-    ) -> np.ndarray:
-        """``(N, len(amps))`` gains, one row per ``(a1, a2, a3)`` row.
-
-        ``cubes``: :meth:`cubes` of a lot holding these rows, shared by
-        its row blocks; built for this call alone when ``None``.
-        """
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 3)
-        if self._interp is None:
-            return np.repeat(coeffs[:, :1], self.n, axis=1)
-        return self._interp(describing_gain_tables(coeffs, self._grid, cubes))
 
 
 def _knot_search(grids: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -566,7 +412,8 @@ class GainLot:
 class DescribingGainStack:
     """Tuned-coupling DUT gains over a stack of ``S`` envelope records.
 
-    The stacked form of :class:`DescribingGains`: record ``s`` has drive
+    The stacked form of the one-record oracle
+    :class:`repro.verify.reference.DescribingGains`: record ``s`` has drive
     magnitudes ``amps[s]`` and peak drive ``peaks[s]``.  The grids
     ``linspace(0, 1.01 * peak, 256)`` of every record come from one
     ``linspace`` call and their knot searches over ``amps`` are stacked
@@ -576,7 +423,7 @@ class DescribingGainStack:
     table (one grid row per row) and its interpolation run as
     whole-block array operations.  Rows of one record read its grid and
     knots as views; rows of several gather them.  Each row equals
-    :class:`DescribingGains` of its record bit for bit; a record whose
+    ``DescribingGains`` of its record bit for bit; a record whose
     peak is not positive gives the small-signal gain ``a1``.
     """
 
@@ -590,7 +437,8 @@ class DescribingGainStack:
     grid_sq: np.ndarray
     steps: np.ndarray
     #: ``(S, n)`` knot search: interval ``jc`` and offset ``dx`` of each
-    #: magnitude (``np.interp``'s, see :class:`RowInterpolator`)
+    #: magnitude (``np.interp``'s, see
+    #: :class:`repro.verify.reference.RowInterpolator`)
     jc: np.ndarray
     dx: np.ndarray
     #: ``(S, n)`` cells on a knot or past the grid's end (NaN included),
@@ -688,8 +536,9 @@ class DescribingGainStack:
         def take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
             return np.take(a, idx, axis=-1 if single else None)
 
-        # np.interp's formula (see RowInterpolator); it never warns.  The
-        # slopes sit in a table-wide buffer so one index serves both.
+        # np.interp's formula (see repro.verify.reference.RowInterpolator);
+        # it never warns.  The slopes sit in a table-wide buffer so one
+        # index serves both.
         with np.errstate(all="ignore"):
             slopes = np.empty_like(table)
             np.subtract(table[:, 1:], table[:, :-1], out=slopes[:, :-1])

@@ -165,16 +165,12 @@ def fft_magnitude_signature(
         features because spec errors are naturally expressed in dB.
     floor:
         Small constant preventing ``log(0)``.
+
+    The one-record :func:`fft_magnitude_signature_matrix`.
     """
-    spec = amplitude_spectrum(wf, window_kind)
-    mags = spec.amplitudes
-    if n_bins is not None:
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        mags = mags[:n_bins]
-    if log_scale:
-        return db20(mags + floor)
-    return mags.copy()
+    return fft_magnitude_signature_matrix(
+        wf.samples, n_bins, window_kind, log_scale, floor
+    )
 
 
 def fft_magnitude_signature_matrix(
@@ -184,12 +180,12 @@ def fft_magnitude_signature_matrix(
     log_scale: bool = False,
     floor: float = 1e-12,
 ) -> np.ndarray:
-    """Batched :func:`fft_magnitude_signature` over ``(..., n)`` records.
+    """:func:`fft_magnitude_signature` of ``(..., n)`` records.
 
     One ``rfft`` call over the whole batch; row ``i`` of the result is
-    bit-identical to :func:`fft_magnitude_signature` on a waveform holding
-    row ``i`` alone (the sample rate only affects bin *frequencies*, never
-    the magnitude signature, so it is not needed here).
+    bit-identical to the signature of row ``i`` alone (the sample rate
+    only affects bin *frequencies*, never the magnitude signature, so it
+    is not needed here).  Scaled like :func:`amplitude_spectrum`.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[-1]

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dsp.noise import add_awgn, quantize, quantize_array, sample_jitter
+from repro.dsp.noise import quantize_array
 from repro.dsp.waveform import Waveform
 
 __all__ = ["BasebandDigitizer"]
@@ -67,28 +67,16 @@ class BasebandDigitizer:
         duration: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> Waveform:
-        """Digitize a record.
+        """Digitize a record: row 0 of a one-row :meth:`capture_matrix`.
 
         The input is (optionally) jittered, resampled to the digitizer
-        rate, noise-corrupted, quantized and truncated to ``duration``
-        seconds.
+        rate, truncated to ``duration`` seconds, noise-corrupted and
+        quantized.
         """
-        out = wf
-        if self.jitter_rms > 0.0 and rng is not None:
-            out = sample_jitter(out, self.jitter_rms, rng)
-        if out.sample_rate != self.sample_rate:
-            out = out.resample(self.sample_rate)
-        if duration is not None:
-            n = int(round(duration * self.sample_rate))
-            if n < 1:
-                raise ValueError("capture duration shorter than one sample")
-            if n < len(out):
-                out = Waveform(out.samples[:n], self.sample_rate, out.t0)
-        if self.noise_vrms > 0.0 and rng is not None:
-            out = add_awgn(out, self.noise_vrms, rng)
-        if self.bits is not None:
-            out = quantize(out, self.bits, self.full_scale)
-        return out
+        samples = self.capture_matrix(
+            wf.samples[None], wf.sample_rate, duration, [rng], wf.t0
+        )[0]
+        return Waveform(samples, self.sample_rate, wf.t0)
 
     def capture_matrix(
         self,
@@ -100,13 +88,14 @@ class BasebandDigitizer:
     ) -> np.ndarray:
         """Digitize a ``(batch, n)`` matrix of records, one row per device.
 
-        Applies the same jitter / resample / truncate / noise / quantize
-        chain as :meth:`capture`, with ``rngs[i]`` supplying row ``i``'s
-        measurement noise.  Row ``i`` of the result is bit-identical to
-        ``capture(Waveform(samples[i], sample_rate, t0), duration,
-        rngs[i])`` -- the vectorized steps are elementwise along the last
-        axis, and the per-row RNG draws happen in the same order as the
-        serial path.
+        The input is (optionally) jittered, resampled to the digitizer
+        rate, truncated to ``duration`` seconds, noise-corrupted and
+        quantized, with ``rngs[i]`` supplying row ``i``'s jitter and
+        measurement noise; a row without a generator gets neither.  Row
+        ``i`` of the result is bit-identical to ``capture(Waveform(
+        samples[i], sample_rate, t0), duration, rngs[i])`` -- the steps
+        are elementwise along the last axis, and each row draws from its
+        own generator in the same order as a one-row capture.
         """
         mat = np.asarray(samples, dtype=float)
         if mat.ndim != 2:
@@ -147,22 +136,19 @@ class BasebandDigitizer:
             # per-row draws stay in serial order (the RNG contract), each
             # straight into its row of one buffer; the scale and shift are
             # Generator.normal's own arithmetic, 0.0 + sigma * z, as two
-            # block operations, and rows without a generator add 0.0
-            noise = np.empty(mat.shape)
-            quiet = []
-            for i, rng in enumerate(rngs):
-                if rng is None:
-                    quiet.append(i)
-                else:
-                    rng.standard_normal(out=noise[i])
-            if len(quiet) < n_rows:
-                if quiet:
-                    noise[quiet] = 0.0
-                noise *= self.noise_vrms
-                np.add(0.0, noise, out=noise)
+            # block operations.  Rows without a generator stay untouched
+            # (adding 0.0 would turn their -0.0 samples into +0.0)
+            noisy = [i for i, rng in enumerate(rngs) if rng is not None]
+            noise = np.empty((len(noisy),) + mat.shape[1:])
+            for k, i in enumerate(noisy):
+                rngs[i].standard_normal(out=noise[k])
+            noise *= self.noise_vrms
+            np.add(0.0, noise, out=noise)
+            if len(noisy) == n_rows:
                 mat = np.add(mat, noise, out=noise)
             else:
                 mat = np.array(mat, copy=True)
+                mat[noisy] += noise
         if self.bits is not None:
             mat = quantize_array(mat, self.bits, self.full_scale)
         return mat

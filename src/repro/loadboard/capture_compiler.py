@@ -1,7 +1,7 @@
 """Capture-chain compiler: the mixer-2 downconversion as a fused op tape.
 
 The uncompiled capture chain (the reference oracle,
-``SignatureTestBoard._reference_front_matrix``) spends most of a
+:func:`repro.verify.reference.reference_front_matrix`) spends most of a
 batched capture inside :func:`~repro.loadboard.signature_path.mix_envelope`:
 the generic harmonic-envelope algebra walks Python dicts, builds
 two-sided coefficient tables, and materializes every harmonic of every

@@ -17,10 +17,9 @@ signature-to-specification calibration machinery:
   and each switched AT-bus node an RC pole that low-passes the captured
   baseband record.
 
-Both expose the duck-typed board surface the runtime layer dispatches
-on (``signature`` / ``signature_batch`` / ``signature_grid`` /
-``config`` / ``overdrive_snapshot`` / ``peak_drive``),
-so calibration, the production flow, the streaming service and the
+Both subclass :class:`~repro.loadboard.signature_path.SignaturePath`,
+implementing only the digitized capture matrix and the peak drive, so
+calibration, the production flow, the streaming service and the
 stimulus optimizer work unchanged.  The ``bist-calibration-predicts``
 relation in :mod:`repro.verify` checks that ridge calibration still
 predicts specs through the coarse BIST path to a declared tolerance.
@@ -28,31 +27,28 @@ predicts specs through the coarse BIST path to a declared tolerance.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.circuits.device import RFDevice
 from repro.circuits.nonlinear import describing_gain_batch
 from repro.circuits.parasitics import SwitchParasitics
-from repro.dsp.spectral import (
-    fft_magnitude_signature,
-    fft_magnitude_signature_matrix,
-)
-from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.instruments.digitizer import BasebandDigitizer
 from repro.loadboard.envelope import one_pole_lowpass
 from repro.loadboard.signature_path import (
-    PerStimulusGrid,
     RngList,
+    SignaturePath,
     SignaturePathConfig,
     SignatureTestBoard,
-    add_device_noise,
+    Stimulus,
+    _add_noise_rows,
+    _noisy_rows,
+    device_noise_sigmas,
     envelope_coefficients,
     overdrive_ratios,
-    resolve_rng_streams,
+    render_stimulus,
 )
 
 __all__ = [
@@ -128,7 +124,7 @@ class BistPathConfig:
         return self.setup_time + self.capture_seconds
 
 
-class BistSignaturePath(PerStimulusGrid):
+class BistSignaturePath(SignaturePath):
     """On-die signature capture: drive -> DUT -> detector -> coarse ADC.
 
     The describing-function DUT model and the per-device RNG contract
@@ -140,60 +136,31 @@ class BistSignaturePath(PerStimulusGrid):
     """
 
     def __init__(self, config: BistPathConfig):
+        super().__init__()
         self.config = config
         self._adc = BasebandDigitizer(
             sample_rate=config.adc_rate,
             bits=config.adc_bits,
             noise_vrms=config.adc_noise_vrms,
         )
-        self.last_overdrive_ratio: float = 0.0
-        self.last_overdrive_ratios: np.ndarray = np.zeros(0)
-        self._state_lock = threading.Lock()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_state_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._state_lock = threading.Lock()
-
-    def _drive_record(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> np.ndarray:
+    def _drive_record(self, stimulus: Stimulus) -> np.ndarray:
         """On-die drive envelope at the engine rate, padded to the capture."""
         cfg = self.config
-        if hasattr(stimulus, "to_waveform"):
-            wf = stimulus.to_waveform(cfg.engine_rate)
-        else:
-            wf = stimulus
-            if wf.sample_rate != cfg.engine_rate:
-                wf = wf.resample(cfg.engine_rate)
-        n_needed = int(round(cfg.capture_seconds * cfg.engine_rate))
-        if len(wf) < n_needed:
-            wf = wf.pad_to(n_needed)
-        elif len(wf) > n_needed:
-            wf = Waveform(wf.samples[:n_needed], cfg.engine_rate, wf.t0)
+        wf = render_stimulus(stimulus, cfg.engine_rate, cfg.capture_seconds)
         return cfg.drive_scale * wf.samples
 
-    def _detected_matrix(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        gens: RngList,
+    def _capture_matrix(
+        self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
     ) -> np.ndarray:
-        """Detected (video-filtered) envelope rows, one per device."""
+        """Coarse-ADC records of the detected (video-filtered) envelopes."""
         cfg = self.config
         u = self._drive_record(stimulus)
         amps = np.abs(u)
         peak = _peak(amps)
 
         coeffs = envelope_coefficients(devices)
-        ratios = overdrive_ratios(coeffs, peak)
-        with self._state_lock:
-            self.last_overdrive_ratios = ratios
-            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
+        self._record_overdrive(overdrive_ratios(coeffs, peak))
 
         # tuned coupling, exactly like the load board: the DUT's matched
         # port passes only the carrier band, so the saturating describing
@@ -201,83 +168,21 @@ class BistSignaturePath(PerStimulusGrid):
         out_env = describing_gain_batch(coeffs, amps, peak) * u[None, :]
 
         if cfg.include_device_noise and any(g is not None for g in gens):
-            out_env = add_device_noise(out_env, devices, gens, cfg.engine_rate)
-        detected = np.abs(out_env)
-        return one_pole_lowpass(
-            detected, cfg.engine_rate, cfg.detector_bandwidth_hz
+            # the board's device noise on the carrier envelope, drawn
+            # into a complex copy only when some row is noisy
+            sigmas = device_noise_sigmas(devices, gens, cfg.engine_rate)
+            rows = _noisy_rows(sigmas)
+            if len(rows):
+                out_env = np.array(out_env, dtype=complex)
+                _add_noise_rows(out_env, sigmas, gens, rows)
+        detected = one_pole_lowpass(
+            np.abs(out_env), cfg.engine_rate, cfg.detector_bandwidth_hz
         )
-
-    def capture_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> List[Waveform]:
-        """One coarse-ADC record per device, in lot order."""
-        cfg = self.config
-        devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
-        detected = self._detected_matrix(devices, stimulus, gens)
-        mat = self._adc.capture_matrix(
+        return self._adc.capture_matrix(
             detected, cfg.engine_rate, cfg.capture_seconds, gens
         )
-        return [Waveform(row, cfg.adc_rate, 0.0) for row in mat]
 
-    def capture(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-    ) -> Waveform:
-        """One BIST acquisition (a batch of one)."""
-        return self.capture_batch([device], stimulus, rngs=[rng])[0]
-
-    def signature_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> np.ndarray:
-        """FFT-magnitude signatures of the detected envelopes, ``(batch, m)``."""
-        cfg = self.config
-        devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
-        detected = self._detected_matrix(devices, stimulus, gens)
-        mat = self._adc.capture_matrix(
-            detected, cfg.engine_rate, cfg.capture_seconds, gens
-        )
-        return fft_magnitude_signature_matrix(
-            mat, n_bins=n_bins, log_scale=log_scale
-        )
-
-    def signature(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-    ) -> np.ndarray:
-        """Capture and reduce one device to its signature vector."""
-        record = self.capture(device, stimulus, rng)
-        return fft_magnitude_signature(
-            record, n_bins=n_bins, log_scale=log_scale
-        )
-
-    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
-        """The last capture's (peak ratio, per-device ratios), atomically."""
-        with self._state_lock:
-            return self.last_overdrive_ratio, self.last_overdrive_ratios
-
-    def peak_drive(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> float:
+    def peak_drive(self, stimulus: Stimulus) -> float:
         """Peak on-die drive for this stimulus, without capturing."""
         return _peak(np.abs(self._drive_record(stimulus)))
 
@@ -322,7 +227,7 @@ class AbmPathConfig:
         )
 
 
-class AbmAccessPath(PerStimulusGrid):
+class AbmAccessPath(SignaturePath):
     """The load board reached through an ABM switch network.
 
     Runs the unchanged :class:`~repro.loadboard.signature_path.SignatureTestBoard`
@@ -354,77 +259,19 @@ class AbmAccessPath(PerStimulusGrid):
             out = one_pole_lowpass(out, self.board.config.engine_rate, pole)
         return out
 
-    def capture_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> List[Waveform]:
-        """One digitized record per device, accessed through the ABM network."""
-        mat = self._capture_matrix(devices, stimulus, rng, rngs)
-        return [
-            Waveform(row, self.board.config.digitizer_rate, 0.0) for row in mat
-        ]
-
     def _capture_matrix(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator],
-        rngs: Optional[RngList],
+        self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
     ) -> np.ndarray:
+        """The board's filtered baseband through the AT-bus poles, digitized."""
         filtered, gens = self.board.filtered_baseband_matrix(
-            devices, stimulus, rng, rngs=rngs
+            devices, stimulus, rngs=gens
         )
         return self.board.digitize_matrix(self._bus_filtered(filtered), gens)
-
-    def capture(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-    ) -> Waveform:
-        """One ABM-path acquisition (a batch of one)."""
-        return self.capture_batch([device], stimulus, rngs=[rng])[0]
-
-    def signature_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> np.ndarray:
-        """FFT-magnitude signatures through the ABM network, ``(batch, m)``."""
-        mat = self._capture_matrix(devices, stimulus, rng, rngs)
-        return fft_magnitude_signature_matrix(
-            mat, n_bins=n_bins, log_scale=log_scale
-        )
-
-    def signature(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-    ) -> np.ndarray:
-        """Capture and reduce one device to its signature vector."""
-        record = self.capture(device, stimulus, rng)
-        return fft_magnitude_signature(
-            record, n_bins=n_bins, log_scale=log_scale
-        )
 
     def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
         """Delegate to the inner board (the DUT drive is the board's)."""
         return self.board.overdrive_snapshot()
 
-    def peak_drive(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> float:
+    def peak_drive(self, stimulus: Stimulus) -> float:
         """Delegate to the inner board (the DUT drive is the board's)."""
         return self.board.peak_drive(stimulus)

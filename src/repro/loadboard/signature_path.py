@@ -32,12 +32,17 @@ generation, each distinct noise-free device captured once.  Per-device RNG strea
 executor layer's (:func:`repro.runtime.executor.spawn_generators`), and
 every vectorized step is elementwise along the record axis, so batched
 and blocked results are bit-identical to the one-device-at-a-time path
--- :meth:`capture` itself is a batch of one.
+-- :meth:`SignaturePath.capture` itself is a batch of one.
+
+:class:`SignaturePath` is the surface every signature path shares (this
+board, the BIST and ABM paths of :mod:`repro.loadboard.scenario_paths`
+and :class:`~repro.loadboard.sites.MultiSiteBoard`): each implements
+only its digitized capture matrix and its peak drive.
 
 Every capture runs the mixer-2 downconversion as a compiled op tape
 (:mod:`repro.loadboard.capture_compiler`).  The uncompiled envelope
 algebra survives as the test oracle,
-:meth:`SignatureTestBoard._reference_signature_batch`, which the
+:func:`repro.verify.reference.reference_signature_batch`, which the
 compiled program equals bit for bit.
 """
 
@@ -61,10 +66,7 @@ from repro.circuits.nonlinear import (
 from repro.dsp.filters import ButterworthLowpass
 from repro.dsp.mixer import Mixer
 from repro.dsp.sources import dbm_to_vpeak
-from repro.dsp.spectral import (
-    fft_magnitude_signature,
-    fft_magnitude_signature_matrix,
-)
+from repro.dsp.spectral import fft_magnitude_signature_matrix
 from repro.dsp.units import undb20
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.instruments.digitizer import BasebandDigitizer
@@ -77,14 +79,14 @@ from repro.loadboard.envelope import EnvelopeSignal, one_pole_lowpass
 
 __all__ = [
     "CapturePlan",
-    "PerStimulusGrid",
+    "SignaturePath",
     "SignaturePathConfig",
     "SignatureTestBoard",
-    "add_device_noise",
     "device_noise_sigmas",
     "envelope_coefficients",
     "mix_envelope",
     "overdrive_ratios",
+    "render_stimulus",
     "resolve_rng_streams",
     "simulation_config",
     "hardware_config",
@@ -121,6 +123,28 @@ def resolve_rng_streams(
     from repro.runtime.executor import spawn_generators
 
     return spawn_generators(rng, n_devices)
+
+
+def render_stimulus(
+    stimulus: Stimulus, engine_rate: float, capture_seconds: float
+) -> Waveform:
+    """The stimulus at ``engine_rate``, padded or cut to ``capture_seconds``.
+
+    Accepts a raw :class:`Waveform` or any stimulus object exposing
+    ``to_waveform(sample_rate)`` (PWL, multitone, ...).
+    """
+    if hasattr(stimulus, "to_waveform"):
+        wf = stimulus.to_waveform(engine_rate)
+    else:
+        wf = stimulus
+        if wf.sample_rate != engine_rate:
+            wf = wf.resample(engine_rate)
+    n_needed = int(round(capture_seconds * engine_rate))
+    if len(wf) < n_needed:
+        wf = wf.pad_to(n_needed)
+    elif len(wf) > n_needed:
+        wf = Waveform(wf.samples[:n_needed], engine_rate, wf.t0)
+    return wf
 
 
 def envelope_coefficients(devices: Sequence[RFDevice]) -> np.ndarray:
@@ -233,33 +257,6 @@ def _add_noise_rows(
     env.imag[target] += draws[:, 1]
 
 
-def add_device_noise(
-    env: np.ndarray,
-    devices: Sequence[RFDevice],
-    gens: RngList,
-    engine_rate: float,
-) -> np.ndarray:
-    """Each DUT's added thermal noise on its complex carrier envelope row.
-
-    The complex envelope of bandpass noise occupying ``engine_rate``
-    hertz around the carrier has independent gaussian quadratures of
-    standard deviation equal to the real noise RMS in that band.  Row
-    ``i`` of ``env`` (shape ``(N, n)``) gains ``sigma_i * (re + 1j im)``
-    (:func:`device_noise_sigmas`) with ``re`` then ``im`` drawn from
-    ``gens[i]`` -- the draw order of a one-device capture -- and rows
-    without a generator or without added noise pass through untouched;
-    a NaN sigma draws and turns its row NaN.  The result is a copy;
-    with no noisy row, ``env`` itself comes back.
-    """
-    sigmas = device_noise_sigmas(devices, gens, engine_rate)
-    rows = _noisy_rows(sigmas)
-    if not len(rows):
-        return env
-    noisy = np.array(env, dtype=complex)
-    _add_noise_rows(noisy, sigmas, gens, rows)
-    return noisy
-
-
 def mix_envelope(
     mixer: Mixer,
     rf: EnvelopeSignal,
@@ -288,13 +285,150 @@ def mix_envelope(
     return out.scale(mixer.conversion_gain)
 
 
-class PerStimulusGrid:
-    """``signature_grid`` as a loop over the single-stimulus board forms.
+class SignaturePath:
+    """One signature path (Figure 3): stimulus to digitized records.
 
-    For boards whose capture has no cheaper many-stimulus form (the
-    BIST, ABM and multi-site paths): one noise-free ``signature_batch``
-    and one ``peak_drive`` per stimulus.
+    The board surface the runtime layer dispatches on, written once for
+    every path (the load board, on-die BIST, the 1149.4 ABM access path
+    and the multi-site board).  A path implements :meth:`_capture_matrix`
+    -- the digitized ``(N, n)`` records of a lot, row ``i`` drawing from
+    ``gens[i]`` only -- and :meth:`peak_drive`; its ``config`` supplies
+    ``digitizer_rate``.  Every capture is a batch: :meth:`capture` and
+    :meth:`signature` are row 0 of a one-device batch, so a lone device
+    and row ``i`` of a lot run the same code.  A path that drives the
+    DUT itself calls this ``__init__`` and records each capture's
+    overdrive with :meth:`_record_overdrive`; a path that wraps other
+    boards reports theirs from its own :meth:`overdrive_snapshot`.
     """
+
+    def __init__(self):
+        #: peak DUT drive / saturation amplitude of the last capture
+        #: (the batch maximum for a batched capture)
+        self.last_overdrive_ratio: float = 0.0
+        #: per-device overdrive ratios of the last (batched) capture
+        self.last_overdrive_ratios: np.ndarray = np.zeros(0)
+        #: guards the last-capture state: thread executors share one
+        #: path across concurrent captures
+        self._state_lock = threading.Lock()
+
+    def __getstate__(self):
+        # a lock does not pickle; the copy gets its own
+        state = self.__dict__.copy()
+        state.pop("_state_lock", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._state_lock = threading.Lock()
+
+    def _capture_matrix(
+        self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
+    ) -> np.ndarray:
+        """The lot's digitized records, one row per device."""
+        raise NotImplementedError
+
+    def peak_drive(self, stimulus: Stimulus) -> float:
+        """Peak DUT drive for this stimulus, without capturing."""
+        raise NotImplementedError
+
+    def _record_overdrive(self, ratios: np.ndarray) -> None:
+        with self._state_lock:
+            # one atomic pair: a reader never sees ratios from one
+            # capture next to the scalar peak of another
+            self.last_overdrive_ratios = ratios
+            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
+
+    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
+        """The last capture's (peak ratio, per-device ratios), atomically.
+
+        Readers that poll a path shared with a thread executor get a
+        consistent pair from one capture instead of a torn mix of two.
+        """
+        with self._state_lock:
+            return self.last_overdrive_ratio, self.last_overdrive_ratios
+
+    def capture(
+        self,
+        device: RFDevice,
+        stimulus: Stimulus,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Waveform:
+        """One signature acquisition: the digitized response (a batch of one)."""
+        return self.capture_batch([device], stimulus, rngs=[rng])[0]
+
+    def capture_batch(
+        self,
+        devices: Sequence[RFDevice],
+        stimulus: Stimulus,
+        rng: Optional[np.random.Generator] = None,
+        *,
+        rngs: Optional[RngList] = None,
+    ) -> List[Waveform]:
+        """One digitized :class:`~repro.dsp.waveform.Waveform` per device.
+
+        ``rng`` is a master generator spawning one independent stream
+        per device exactly like
+        :func:`repro.runtime.executor.spawn_generators` (``None``
+        disables measurement noise); ``rngs`` alternatively gives the
+        per-device generators (entries may be ``None``).  Record ``i``
+        is bit-identical to :meth:`capture` of device ``i`` with its
+        generator.
+        """
+        devices = list(devices)
+        if not devices:
+            return []
+        gens = resolve_rng_streams(rng, rngs, len(devices))
+        rate = self.config.digitizer_rate
+        return [
+            Waveform(row, rate, 0.0)
+            for row in self._capture_matrix(devices, stimulus, gens)
+        ]
+
+    def signature(
+        self,
+        device: RFDevice,
+        stimulus: Stimulus,
+        rng: Optional[np.random.Generator] = None,
+        n_bins: Optional[int] = None,
+        log_scale: bool = False,
+    ) -> np.ndarray:
+        """Capture and reduce to the FFT-magnitude signature (a batch of one)."""
+        return self.signature_batch(
+            [device], stimulus, n_bins=n_bins, log_scale=log_scale, rngs=[rng]
+        )[0]
+
+    def signature_batch(
+        self,
+        devices: Sequence[RFDevice],
+        stimulus: Stimulus,
+        rng: Optional[np.random.Generator] = None,
+        n_bins: Optional[int] = None,
+        log_scale: bool = False,
+        *,
+        rngs: Optional[RngList] = None,
+    ) -> np.ndarray:
+        """FFT-magnitude signatures for a device batch, shape ``(batch, m)``.
+
+        Generators as in :meth:`capture_batch`; row ``i`` is
+        bit-identical to :meth:`signature` of device ``i`` with its
+        generator.  An empty lot yields shape ``(0, m)`` with the same
+        bin count ``m`` as any non-empty batch, so downstream matrix
+        code never sees a degenerate ``(0, 0)``.
+        """
+        devices = list(devices)
+        gens = resolve_rng_streams(rng, rngs, len(devices))
+        return self._signature_rows(
+            self._capture_matrix(devices, stimulus, gens), n_bins, log_scale
+        )
+
+    @staticmethod
+    def _signature_rows(
+        records: np.ndarray, n_bins: Optional[int] = None, log_scale: bool = False
+    ) -> np.ndarray:
+        """The FFT-magnitude signature (Figure 3) of each digitized row."""
+        return fft_magnitude_signature_matrix(
+            records, n_bins=n_bins, log_scale=log_scale
+        )
 
     def signature_grid(
         self,
@@ -493,7 +627,7 @@ class CapturePlan:
         return self._nbytes
 
 
-class SignatureTestBoard:
+class SignatureTestBoard(SignaturePath):
     """Simulates one capture through the load board of Figure 2/3.
 
     After every capture, :attr:`last_overdrive_ratio` records the DUT
@@ -509,6 +643,7 @@ class SignatureTestBoard:
     _plan_cache_max_bytes = 64 * 1024 * 1024
 
     def __init__(self, config: SignaturePathConfig):
+        super().__init__()
         self.config = config
         self._lpf = ButterworthLowpass(
             config.lpf_order, config.lpf_cutoff_hz, config.engine_rate
@@ -518,11 +653,6 @@ class SignatureTestBoard:
             bits=config.digitizer_bits,
             noise_vrms=config.digitizer_noise_vrms,
         )
-        #: peak DUT drive / saturation amplitude of the last capture
-        #: (the batch maximum for a batched capture)
-        self.last_overdrive_ratio: float = 0.0
-        #: per-device overdrive ratios of the last (batched) capture
-        self.last_overdrive_ratios: np.ndarray = np.zeros(0)
         #: per-stage wall-clock breakdown of the last capture, summed
         #: over its row blocks
         self.last_stage_seconds: Dict[str, float] = {}
@@ -532,47 +662,25 @@ class SignatureTestBoard:
         #: record length, never on the stimulus, so every plan of one
         #: length shares them
         self._programs: "OrderedDict[tuple, CompiledCaptureProgram]" = OrderedDict()
-        #: guards the plan and program caches and the last-capture
-        #: telemetry above: thread executors share one board across
-        #: concurrent captures
-        self._state_lock = threading.Lock()
+        # the base's _state_lock also guards both caches and the stage
+        # telemetry: thread executors share one board across captures
 
     def __getstate__(self):
         # the caches can hold megabytes of envelopes and constants;
         # rebuilding them in a worker is cheaper than pickling them
         # across every task
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_plan_cache"] = OrderedDict()
         state["_programs"] = OrderedDict()
-        del state["_state_lock"]
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # stimulus handling
     # ------------------------------------------------------------------
     def _stimulus_record(self, stimulus: Stimulus) -> Waveform:
-        """Render the stimulus at the engine rate, padded to the capture.
-
-        Accepts a raw :class:`Waveform` or any stimulus object exposing
-        ``to_waveform(sample_rate)`` (PWL, multitone, ...).
-        """
+        """The stimulus rendered at the engine rate, padded to the capture."""
         cfg = self.config
-        if hasattr(stimulus, "to_waveform"):
-            wf = stimulus.to_waveform(cfg.engine_rate)
-        else:
-            wf = stimulus
-            if wf.sample_rate != cfg.engine_rate:
-                wf = wf.resample(cfg.engine_rate)
-        n_needed = int(round(cfg.capture_seconds * cfg.engine_rate))
-        if len(wf) < n_needed:
-            wf = wf.pad_to(n_needed)
-        elif len(wf) > n_needed:
-            wf = Waveform(wf.samples[:n_needed], cfg.engine_rate, wf.t0)
-        return wf
+        return render_stimulus(stimulus, cfg.engine_rate, cfg.capture_seconds)
 
     @staticmethod
     def _record_key(record: Waveform) -> tuple:
@@ -722,25 +830,6 @@ class SignatureTestBoard:
     # ------------------------------------------------------------------
     # the device-dependent back half (vectorized over the batch)
     # ------------------------------------------------------------------
-    def _record_overdrive(self, ratios: np.ndarray) -> None:
-        with self._state_lock:
-            # one atomic pair: a reader never sees ratios from one
-            # capture next to the scalar peak of another
-            self.last_overdrive_ratios = ratios
-            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
-
-    def _dut_response_batch(
-        self, plan: CapturePlan, devices: Sequence[RFDevice]
-    ) -> EnvelopeSignal:
-        """DUT outputs for a batch: one ``(batch, n)`` envelope signal.
-
-        Row ``i`` is bit-identical to pushing ``plan.dut_in`` through
-        device ``i`` alone; also updates the overdrive bookkeeping.
-        """
-        coeffs = envelope_coefficients(devices)
-        self._record_overdrive(overdrive_ratios(coeffs, plan.peak))
-        return self._dut_rows(plan, coeffs, _wideband_terms(coeffs), slice(None), 0)
-
     def _dut_rows(
         self,
         plan: CapturePlan,
@@ -806,39 +895,6 @@ class SignatureTestBoard:
             offset_hz=cfg.lo_offset_hz,
         )
 
-    def _reference_front_matrix(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Stimulus,
-        gens: RngList,
-    ) -> np.ndarray:
-        """Filtered baseband for a batch, stopping short of the digitizer.
-
-        The uncompiled analog front half of :meth:`_reference_signature_batch`:
-        plan, DUT response, fixture output loss, device noise, mixer-2
-        downconversion through :func:`mix_envelope` and the anti-alias
-        LPF, each over the whole batch at once.
-        """
-        cfg = self.config
-        plan = self.capture_plan(stimulus)
-        dut_out = self._dut_response_batch(plan, devices)
-        dut_out = self._envelope_bandwidth_batch(dut_out, devices)
-
-        if cfg.output_loss_db > 0.0:
-            dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
-
-        if cfg.include_device_noise and any(g is not None for g in gens):
-            dut_out = self._add_device_noise_batch(dut_out, devices, gens)
-
-        if cfg.random_path_phase:
-            lo2 = self._random_lo2(gens, plan.n)
-        else:
-            lo2 = plan.lo2
-        downconverted = mix_envelope(cfg.mixer2, dut_out, lo2, cfg.max_harmonic)
-
-        baseband = downconverted.keep_harmonics([0]).baseband()
-        return self._lpf.apply_fft_matrix(baseband)
-
     def digitize_matrix(self, filtered: np.ndarray, gens: RngList) -> np.ndarray:
         """Digitize filtered-baseband rows: jitter, resample, noise, quantize.
 
@@ -875,40 +931,6 @@ class SignatureTestBoard:
         gens = resolve_rng_streams(rng, rngs, len(devices))
         return self._capture(devices, stimulus, gens, "filter"), gens
 
-    def _reference_signature_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> np.ndarray:
-        """The test oracle for :meth:`signature_batch`: uncompiled algebra.
-
-        Same arguments and, bit for bit, the same result as
-        :meth:`signature_batch`, with the whole batch run through every
-        stage at once and the mixer-2 downconversion run through the
-        generic envelope algebra instead of the compiled program.  Only
-        tests, :mod:`repro.verify` and the capture benchmarks call it.
-        """
-        devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
-        filtered = self._reference_front_matrix(devices, stimulus, gens)
-        return self._signature_rows(
-            self.digitize_matrix(filtered, gens), n_bins, log_scale
-        )
-
-    @staticmethod
-    def _signature_rows(
-        records: np.ndarray, n_bins: Optional[int] = None, log_scale: bool = False
-    ) -> np.ndarray:
-        """The FFT-magnitude signature (Figure 3) of each digitized row."""
-        return fft_magnitude_signature_matrix(
-            records, n_bins=n_bins, log_scale=log_scale
-        )
-
     def _envelope_bandwidth_batch(
         self, dut_out: EnvelopeSignal, devices: Sequence[RFDevice]
     ) -> EnvelopeSignal:
@@ -929,23 +951,6 @@ class SignatureTestBoard:
             filtered_env[idx] = one_pole_lowpass(env1[idx], dut_out.sample_rate, bw)
         envs = dict(dut_out.envelopes)
         envs[1] = filtered_env
-        return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
-
-    def _add_device_noise_batch(
-        self,
-        dut_out: EnvelopeSignal,
-        devices: Sequence[RFDevice],
-        gens: RngList,
-    ) -> EnvelopeSignal:
-        """Inject each DUT's added thermal noise on the carrier band.
-
-        :func:`add_device_noise` on harmonic 1; the other harmonics
-        carry through untouched.
-        """
-        envs = dict(dut_out.envelopes)
-        envs[1] = add_device_noise(
-            dut_out.harmonic(1), devices, gens, self.config.engine_rate
-        )
         return EnvelopeSignal(envs, dut_out.sample_rate, dut_out.carrier_freq)
 
     # ------------------------------------------------------------------
@@ -1036,16 +1041,16 @@ class SignatureTestBoard:
         n_dev = len(devices)
         n_rows = len(plan) * n_dev
         coeffs = envelope_coefficients(devices)
-        sat = saturation_amplitudes(coeffs)
+        # each saturating (device, amplitude) cell of a stimulus cubes its
+        # grid's shared abscissae: one table per stimulus, built when the
+        # stimulus-major rows reach it and dropped when they leave it
+        lot = None if plan.gains is None else plan.gains.lot(coeffs)
+        sat = saturation_amplitudes(coeffs) if lot is None else lot.sat
         ratios = _saturation_ratios(sat, plan.peaks[-1])
         if overdrive_rows is not None:
             ratios = ratios[overdrive_rows]
         self._record_overdrive(ratios)
         terms = _wideband_terms(coeffs)
-        # each saturating (device, amplitude) cell of a stimulus cubes its
-        # grid's shared abscissae: one table per stimulus, built when the
-        # stimulus-major rows reach it and dropped when they leave it
-        lot = None if plan.gains is None else plan.gains.lot(coeffs)
         if cfg.random_path_phase and any(g is None for g in gens):
             raise ValueError("random_path_phase requires an rng")
         # lot-wide work, done once: the device-noise sigmas and whether
@@ -1080,8 +1085,7 @@ class SignatureTestBoard:
             t = lap("nonlinearity", t)
             if sigmas is not None:
                 # harmonic 1 is this block's own fresh array: noise goes
-                # in place (a missing harmonic joins as zeros, as in
-                # _add_device_noise_batch)
+                # in place (a missing harmonic joins as zeros)
                 env = rf_arrays.get(1)
                 if env is None or not env.flags.owndata:
                     env = np.array(dut_out.harmonic(1), dtype=complex)
@@ -1129,86 +1133,14 @@ class SignatureTestBoard:
         stages = {"plan": time.perf_counter() - start}
         return self._capture_rows(plan, devices, gens, stop, stages, n_bins, log_scale)
 
-    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
-        """The last capture's (peak ratio, per-device ratios), atomically.
-
-        Readers that poll a board shared with a thread executor get a
-        consistent pair from one capture instead of a torn mix of two.
-        """
-        with self._state_lock:
-            return self.last_overdrive_ratio, self.last_overdrive_ratios
-
     # ------------------------------------------------------------------
-    # the full path
+    # the full path and its signatures (Figure 3: FFT magnitude)
     # ------------------------------------------------------------------
-    def capture(
-        self,
-        device: RFDevice,
-        stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Waveform:
-        """One signature acquisition: the digitized baseband response.
-
-        Implemented as a batch of one, so a lone capture and row ``i`` of
-        a batched capture run the exact same code path.
-        """
-        return self.capture_batch([device], stimulus, rngs=[rng])[0]
-
-    def capture_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> List[Waveform]:
-        """One signature acquisition per device, vectorized over the batch.
-
-        Parameters
-        ----------
-        devices:
-            The device batch; results are returned in this order.
-        rng:
-            Master generator: one independent stream per device is
-            spawned exactly like
-            :func:`repro.runtime.executor.spawn_generators`, so the
-            records equal a per-device loop over those streams.  ``None``
-            disables measurement noise (noise-free captures).
-        rngs:
-            Alternatively, explicit per-device generators (entries may be
-            ``None``); mutually exclusive with ``rng``.
-
-        Returns
-        -------
-        One digitized :class:`~repro.dsp.waveform.Waveform` per device,
-        bit-identical to calling :meth:`capture` per device with the same
-        per-device generators.
-        """
-        devices = list(devices)
-        if not devices:
-            return []
-        gens = resolve_rng_streams(rng, rngs, len(devices))
-        mat = self._capture(devices, stimulus, gens, "digitize")
-        return [
-            Waveform(row, self._digitizer.sample_rate, 0.0) for row in mat
-        ]
-
-    # ------------------------------------------------------------------
-    # signature extraction (Figure 3: FFT magnitude)
-    # ------------------------------------------------------------------
-    def signature(
-        self,
-        device: RFDevice,
-        stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
+    def _capture_matrix(
+        self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
     ) -> np.ndarray:
-        """Capture and reduce to the FFT-magnitude signature vector."""
-        record = self.capture(device, stimulus, rng)
-        return fft_magnitude_signature(
-            record, n_bins=n_bins, log_scale=log_scale
-        )
+        """The lot's digitized records through the row-blocked back half."""
+        return self._capture(devices, stimulus, gens, "digitize")
 
     def signature_batch(
         self,
@@ -1222,12 +1154,11 @@ class SignatureTestBoard:
     ) -> np.ndarray:
         """FFT-magnitude signatures for a device batch, shape ``(batch, m)``.
 
-        Row ``i`` is bit-identical (``np.array_equal``) to
+        The base contract, with the FFT fused into each row block: row
+        ``i`` is bit-identical (``np.array_equal``) to
         ``signature(devices[i], stimulus, rng=stream_i, ...)`` where
         ``stream_i`` is the i-th generator spawned from ``rng`` (see
-        :meth:`capture_batch`).  An empty lot yields shape ``(0, m)``
-        with the same bin count ``m`` as any non-empty batch, so
-        downstream matrix code never sees a degenerate ``(0, 0)``.
+        :meth:`capture_batch`), and an empty lot yields ``(0, m)``.
         """
         devices = list(devices)
         gens = resolve_rng_streams(rng, rngs, len(devices))

@@ -46,19 +46,17 @@ bit-identical to the whole-lot capture.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.device import RFDevice
-from repro.dsp.spectral import fft_magnitude_signature_matrix
-from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import (
-    PerStimulusGrid,
     RngList,
+    SignaturePath,
     SignaturePathConfig,
     SignatureTestBoard,
-    resolve_rng_streams,
+    Stimulus,
 )
 
 __all__ = ["MultiSiteConfig", "MultiSiteBoard"]
@@ -116,7 +114,7 @@ class MultiSiteConfig:
         return self.crosstalk_coupling != 0.0
 
 
-class MultiSiteBoard(PerStimulusGrid):
+class MultiSiteBoard(SignaturePath):
     """An ``n_sites``-up signature load board captured per insertion.
 
     One :class:`~repro.loadboard.signature_path.SignatureTestBoard` is
@@ -126,10 +124,12 @@ class MultiSiteBoard(PerStimulusGrid):
     analog front end, couples the co-inserted filtered-baseband rows,
     and digitizes through the per-site back ends.
 
-    Exposes the same duck-typed surface the runtime layer dispatches on
-    (``signature_batch`` / ``config`` / ``site_of``), so
-    ``measure_signatures``, :class:`~repro.runtime.production.ProductionTestFlow`
-    and the streaming service work unchanged.
+    A :class:`~repro.loadboard.signature_path.SignaturePath` (plus
+    ``site_of``), so ``measure_signatures``,
+    :class:`~repro.runtime.production.ProductionTestFlow` and the
+    streaming service work unchanged.  A lone device (``capture``,
+    ``signature``) sits on site 0, in an insertion with the other sites
+    empty.
     """
 
     def __init__(self, config: SignaturePathConfig, sites: MultiSiteConfig):
@@ -251,15 +251,14 @@ class MultiSiteBoard(PerStimulusGrid):
         return coupled
 
     def _capture_matrix(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator],
-        rngs: Optional[RngList],
+        self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
     ) -> np.ndarray:
-        """Digitized records for a lot, in lot order, crosstalk applied."""
-        devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
+        """Digitized records for a lot, in lot order, crosstalk applied.
+
+        With zero crosstalk, record ``i`` is bit-identical to capturing
+        device ``i`` alone on ``site_boards[site_of(i)]`` with the same
+        per-device generator.
+        """
         per_site = self.site_indices(len(devices))
 
         filtered_site: List[np.ndarray] = []
@@ -286,68 +285,6 @@ class MultiSiteBoard(PerStimulusGrid):
             raise RuntimeError("multi-site board built with no sites")
         return out
 
-    def capture_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> List[Waveform]:
-        """One digitized record per device, in lot order.
-
-        With zero crosstalk, record ``i`` is bit-identical to capturing
-        device ``i`` alone on ``site_boards[site_of(i)]`` with the same
-        per-device generator.
-        """
-        mat = self._capture_matrix(devices, stimulus, rng, rngs)
-        return [
-            Waveform(row, self.config.digitizer_rate, 0.0) for row in mat
-        ]
-
-    def signature_batch(
-        self,
-        devices: Sequence[RFDevice],
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-        *,
-        rngs: Optional[RngList] = None,
-    ) -> np.ndarray:
-        """FFT-magnitude signatures for a lot, shape ``(batch, m)``.
-
-        The duck-typed surface ``measure_signatures`` / the production
-        flow / the streaming service dispatch on.  Empty lots yield
-        ``(0, m)`` with the same bin count as any non-empty batch.
-        """
-        mat = self._capture_matrix(devices, stimulus, rng, rngs)
-        return fft_magnitude_signature_matrix(
-            mat, n_bins=n_bins, log_scale=log_scale
-        )
-
-    def capture(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-    ) -> Waveform:
-        """One device on site 0 (an insertion with the other sites empty)."""
-        return self.capture_batch([device], stimulus, rngs=[rng])[0]
-
-    def signature(
-        self,
-        device: RFDevice,
-        stimulus: Union[Waveform, PiecewiseLinearStimulus],
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
-        log_scale: bool = False,
-    ) -> np.ndarray:
-        """One device on site 0 (an insertion with the other sites empty)."""
-        return self.signature_batch(
-            [device], stimulus, rngs=[rng], n_bins=n_bins, log_scale=log_scale
-        )[0]
-
     def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
         """Worst per-site overdrive of the last capture (site order)."""
         peaks = []
@@ -358,9 +295,7 @@ class MultiSiteBoard(PerStimulusGrid):
             ratio_blocks.append(np.asarray(ratios))
         return max(peaks), np.concatenate(ratio_blocks)
 
-    def peak_drive(
-        self, stimulus: Union[Waveform, PiecewiseLinearStimulus]
-    ) -> float:
+    def peak_drive(self, stimulus: Stimulus) -> float:
         """Site 0's peak DUT drive for this stimulus, without capturing.
 
         Site skew only adds output loss, so every site sees this drive.

@@ -10,7 +10,8 @@ relation                        invariant
 signature-lo2-phase-invariance  Eq. 5: offset-LO FFT-magnitude
                                 signatures are path-phase independent
 capture-batch-equivalence       batched capture == per-device capture,
-                                bit for bit
+                                bit for bit, on the board, BIST and ABM
+                                paths
 compiled-capture-equivalence    compiled whole-lot program == reference
                                 envelope algebra bit for bit
 executor-equivalence            ``measure_signatures`` is bit-identical
@@ -71,10 +72,10 @@ import numpy as np
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import RFDevice, SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
+from repro.circuits.parasitics import SwitchParasitics
 from repro.circuits.nonlinear import (
     DESCRIBING_TABLE_POINTS,
     DescribingGainStack,
-    DescribingGains,
     PolynomialNonlinearity,
     describing_gain_batch,
     poly_from_specs,
@@ -82,7 +83,12 @@ from repro.circuits.nonlinear import (
 )
 from repro.dsp.units import db, db20, dbm_to_watts, undb, undb20, watts_to_dbm
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
-from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
+from repro.loadboard.scenario_paths import (
+    AbmAccessPath,
+    AbmPathConfig,
+    BistPathConfig,
+    BistSignaturePath,
+)
 from repro.loadboard.capture_compiler import block_rows
 from repro.loadboard.signature_path import (
     SignaturePathConfig,
@@ -125,6 +131,7 @@ from repro.verify.harness import (
     relation,
     stratum,
 )
+from repro.verify.reference import DescribingGains, reference_signature_batch
 
 __all__: list = []  # relations register by import; nothing to re-export
 
@@ -315,6 +322,7 @@ def _rel_phase_invariance(case, rng):
 @relation(
     "capture-batch-equivalence",
     params={
+        "path": choice("board", "bist", "abm"),
         "n_devices": integers(1, 5, origin=1),
         "dut_coupling": choice("tuned", "wideband"),
         "digitizer_bits": choice(None, 12, 8),
@@ -330,12 +338,28 @@ def _rel_capture_batch_equivalence(case, rng):
     """``capture_batch``/``signature_batch`` equal the per-device path bit for bit.
 
     With one RNG stream per device, row ``i`` of a batched capture must
-    be ``np.array_equal`` to capturing device ``i`` alone with the same
-    stream -- across couplings, quantizers, fixture losses, and the
-    random-path-phase regime.
+    be ``np.array_equal`` to capturing device ``i`` alone -- its one-row
+    batch -- with the same stream, on every path that shares the
+    :class:`~repro.loadboard.signature_path.SignaturePath` surface: the
+    load board (across couplings, quantizers, fixture losses and the
+    random-path-phase regime), the on-die BIST path (its quantizer) and
+    the ABM access path (the board's regimes behind an in-band AT-bus
+    pole).  The multi-site board is checked by
+    ``multisite-serial-equivalence``: a lone device sits on site 0.
     """
-    board = SignatureTestBoard(
-        _fast_config(
+    stratum(f"{case['path']} path")
+    if case["path"] == "bist":
+        board = BistSignaturePath(
+            BistPathConfig(
+                adc_bits=case["digitizer_bits"],
+                adc_rate=2e6,
+                envelope_oversample=2,
+                detector_bandwidth_hz=0.8e6,
+                capture_seconds=_CAPTURE_SECONDS,
+            )
+        )
+    else:
+        config = _fast_config(
             dut_coupling=case["dut_coupling"],
             digitizer_bits=case["digitizer_bits"],
             random_path_phase=case["random_path_phase"],
@@ -343,7 +367,15 @@ def _rel_capture_batch_equivalence(case, rng):
             output_loss_db=case["output_loss_db"],
             lo_offset_hz=case["lo_offset_hz"],
         )
-    )
+        board = SignatureTestBoard(config)
+        if case["path"] == "abm":
+            # a 2 nF node puts the AT-bus pole (~0.8 MHz) inside the
+            # 2 MHz engine Nyquist band, so the pole filters the record
+            board = AbmAccessPath(
+                AbmPathConfig(
+                    config, SwitchParasitics(r_on_ohm=50.0, c_node_farads=2e-9)
+                )
+            )
     devices = _sample_lot(rng, case["n_devices"])
     stimulus = _stimulus(rng, case["n_breakpoints"])
     seeds = spawn_seeds(rng, len(devices))
@@ -387,7 +419,7 @@ def _rel_compiled_capture_equivalence(case, rng):
     """The compiled program equals the reference algebra bit for bit.
 
     ``signature_batch`` must be ``np.array_equal`` to the uncompiled
-    oracle (``_reference_signature_batch``) -- directly, through
+    oracle (``reference_signature_batch``) -- directly, through
     ``measure_signatures`` on every backend/chunking, and on the empty
     lot.  Two kinds of lot stress the row blocks' lot-wide work: one
     whose generators mix ``None`` and seeded rows (noise sigmas and
@@ -422,7 +454,7 @@ def _rel_compiled_capture_equivalence(case, rng):
     def generators():
         return [None if q else g for q, g in zip(quiet, seeds.generators())]
 
-    reference = board._reference_signature_batch(devices, stimulus, rngs=generators())
+    reference = reference_signature_batch(board, devices, stimulus, rngs=generators())
     compiled = board.signature_batch(devices, stimulus, rngs=generators())
     check_array_equal(compiled, reference, label="compiled program")
 
@@ -435,8 +467,8 @@ def _rel_compiled_capture_equivalence(case, rng):
     master = int(rng.integers(0, 2**63))
     # measure_signatures spawns per-device streams from the master
     # exactly like the oracle's ``rng`` argument
-    measured_ref = board._reference_signature_batch(
-        devices, stimulus, np.random.default_rng(master)
+    measured_ref = reference_signature_batch(
+        board, devices, stimulus, np.random.default_rng(master)
     )
     measured_compiled = measure_signatures(
         board,

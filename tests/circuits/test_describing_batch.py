@@ -14,15 +14,17 @@ import pytest
 
 from repro.circuits.nonlinear import (
     DescribingGainStack,
-    DescribingGains,
     PolynomialNonlinearity,
-    RowInterpolator,
     describing_gain_batch,
-    describing_gain_tables,
-    interp_rows,
     poly_from_specs,
     quadrature_cubes,
     saturation_amplitudes,
+)
+from repro.verify.reference import (
+    DescribingGains,
+    RowInterpolator,
+    describing_gain_tables,
+    interp_rows,
 )
 
 

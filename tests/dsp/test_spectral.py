@@ -14,6 +14,7 @@ from repro.dsp.spectral import (
     tone_power_dbm,
     window,
 )
+from repro.dsp.units import db20
 from repro.dsp.waveform import Waveform
 
 
@@ -111,6 +112,18 @@ class TestSignature:
         log = fft_magnitude_signature(wf, log_scale=True)
         k = np.argmax(lin)
         assert log[k] == pytest.approx(20 * np.log10(lin[k] + 1e-12), abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["rect", "hann", "hamming", "blackman", "flattop"])
+    @pytest.mark.parametrize("n", [2, 3, 64, 401])
+    def test_equals_amplitude_spectrum_bit_for_bit(self, kind, n):
+        # the signature is the matrix form on one record; its oracle is
+        # the spectrum analyzer's amplitude spectrum
+        wf = Waveform(np.random.default_rng(n).normal(size=n), 20e3)
+        want = amplitude_spectrum(wf, kind).amplitudes
+        got = fft_magnitude_signature(wf, window_kind=kind)
+        assert got.tobytes() == want.tobytes()
+        got = fft_magnitude_signature(wf, n_bins=2, window_kind=kind, log_scale=True)
+        assert got.tobytes() == db20(want[:2] + 1e-12).tobytes()
 
     def test_invalid_bins(self):
         wf = tone(1e3, 1e-3, 20e3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsp.noise import add_awgn, quantize, sample_jitter
 from repro.dsp.sources import tone
 from repro.dsp.waveform import Waveform
 from repro.instruments.digitizer import BasebandDigitizer
@@ -65,11 +66,30 @@ class TestDigitizer:
             BasebandDigitizer(1e6, noise_vrms=-1.0)
 
 
+def _chain(dig, wf, duration, rng):
+    """One record through the scalar waveform chain: jitter, resample,
+    truncate, noise, quantize."""
+    out = wf
+    if dig.jitter_rms > 0.0 and rng is not None:
+        out = sample_jitter(out, dig.jitter_rms, rng)
+    if out.sample_rate != dig.sample_rate:
+        out = out.resample(dig.sample_rate)
+    if duration is not None:
+        n = int(round(duration * dig.sample_rate))
+        if n < len(out):
+            out = Waveform(out.samples[:n], dig.sample_rate, out.t0)
+    if dig.noise_vrms > 0.0 and rng is not None:
+        out = add_awgn(out, dig.noise_vrms, rng)
+    if dig.bits is not None:
+        out = quantize(out, dig.bits, dig.full_scale)
+    return out
+
+
 def _per_row(dig, mat, rate, duration, rngs, t0=0.0):
-    """``capture_matrix``'s oracle: ``capture`` on each row alone."""
+    """``capture_matrix``'s oracle: the scalar chain on each row alone."""
     return np.array(
         [
-            dig.capture(Waveform(row, rate, t0), duration, rng).samples
+            _chain(dig, Waveform(row, rate, t0), duration, rng).samples
             for row, rng in zip(mat, rngs)
         ]
     )
@@ -83,7 +103,7 @@ class TestCaptureMatrix:
     def test_rows_equal_per_row_capture(self, bits):
         # noise is drawn with standard_normal into one buffer and scaled
         # as 0.0 + sigma * z, Generator.normal's own arithmetic; rows
-        # without a generator still add 0.0 (which clears a -0.0)
+        # without a generator are left untouched, -0.0 samples included
         dig = BasebandDigitizer(20e6, bits=bits, noise_vrms=1e-3)
         mat = self._rows()
         mat[1, :7] = -0.0
@@ -94,13 +114,13 @@ class TestCaptureMatrix:
 
         got = dig.capture_matrix(mat, 80e6, 5e-6, gens())
         want = _per_row(dig, mat, 80e6, 5e-6, gens())
-        noisy = [i for i, s in enumerate(seeds) if s is not None]
-        assert got[noisy].tobytes() == want[noisy].tobytes()
-        # a row without a generator adds 0.0, so its -0.0 samples turn
-        # +0.0 where capture() alone keeps them
-        quiet = [i for i, s in enumerate(seeds) if s is None]
-        assert got[quiet].tobytes() == (want[quiet] + 0.0).tobytes()
-        assert not np.signbit(got[1, :2]).any()
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[1, :2]).all()
+        # each row also equals its own one-row capture
+        for i, rng in enumerate(gens()):
+            one = dig.capture(Waveform(mat[i], 80e6), 5e-6, rng)
+            assert one.samples.tobytes() == got[i].tobytes()
+            assert (one.sample_rate, one.t0) == (20e6, 0.0)
 
     def test_noise_free_rows_are_copies(self):
         dig = BasebandDigitizer(20e6, bits=None, noise_vrms=1e-3)

@@ -34,6 +34,7 @@ from repro.loadboard.signature_path import (
 )
 from repro.parallel import ThreadExecutor, spawn_generators
 from repro.runtime.calibration import measure_signatures
+from repro.verify.reference import reference_front_matrix, reference_signature_batch
 
 
 @pytest.fixture
@@ -61,16 +62,16 @@ def engines_agree(cfg, devices, stim, seed=42, entry="signature_batch"):
     ``entry`` names the board method under test, fed the per-device
     streams spawned from ``seed``.  Signature entry points
     (``signature_batch``, ``signature``) are compared with
-    ``_reference_signature_batch``; record entry points
+    ``reference_signature_batch``; record entry points
     (``capture_batch``, ``time_signature``) with the oracle's digitized
     records (uncompiled front half plus the shared digitizer).
     """
     oracle = SignatureTestBoard(cfg)
     gens = spawn_generators(np.random.default_rng(seed), len(devices))
     if entry in ("signature_batch", "signature"):
-        ref = oracle._reference_signature_batch(devices, stim, rngs=gens)
+        ref = reference_signature_batch(oracle, devices, stim, rngs=gens)
     else:
-        filtered = oracle._reference_front_matrix(devices, stim, gens)
+        filtered = reference_front_matrix(oracle, devices, stim, gens)
         ref = oracle.digitize_matrix(filtered, gens)
 
     board = SignatureTestBoard(cfg)
@@ -393,8 +394,8 @@ class TestPlanCacheBytes:
         assert program.nbytes() == one_block
         (ws,) = program._workspaces.values()
         assert {buf.shape[0] for buf in ws.bufs} == {rows}
-        ref = SignatureTestBoard(cfg)._reference_signature_batch(
-            devices, stim, rng=np.random.default_rng(4)
+        ref = reference_signature_batch(
+            SignatureTestBoard(cfg), devices, stim, rng=np.random.default_rng(4)
         )
         assert np.array_equal(big, ref)
 

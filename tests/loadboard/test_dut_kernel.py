@@ -3,8 +3,10 @@
 ``SignatureTestBoard`` and ``BistSignaturePath`` share three kernels:
 :func:`envelope_coefficients` + :func:`overdrive_ratios` (the overdrive
 bookkeeping), :func:`repro.circuits.nonlinear.describing_gain_batch`
-(the tuned DUT gain) and :func:`add_device_noise` (device noise).  Each
-must equal the old one-device-at-a-time code bit for bit.
+(the tuned DUT gain) and the device-noise rows (``device_noise_sigmas``
+and ``_add_noise_rows``, whose whole-envelope form is the oracle
+:func:`repro.verify.reference.add_device_noise`).  Each must equal the
+old one-device-at-a-time code bit for bit.
 """
 
 import numpy as np
@@ -17,11 +19,11 @@ from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.scenario_paths import BistPathConfig, BistSignaturePath
 from repro.loadboard.signature_path import (
     SignatureTestBoard,
-    add_device_noise,
     envelope_coefficients,
     overdrive_ratios,
     simulation_config,
 )
+from repro.verify.reference import add_device_noise, dut_response_batch
 
 ENGINE_RATE = 80e6
 
@@ -119,7 +121,7 @@ class TestBoardDutStage:
         stimulus = PiecewiseLinearStimulus(rng.uniform(-0.3, 0.3, 12), 5e-6, 0.4)
         plan = board.capture_plan(stimulus)
         devices = make_lot(16)
-        out = board._dut_response_batch(plan, devices)
+        out = dut_response_batch(board, plan, devices)
         grid = np.linspace(0.0, 1.01 * plan.peak, 256)
         for i, d in enumerate(devices):
             poly = PolynomialNonlinearity(*d.envelope_poly())

@@ -3,7 +3,7 @@
 ``SignatureTestBoard`` runs every device-dependent stage (DUT gain,
 envelope bandwidth, output loss, device noise, path phase, compiled
 mixer-2 tape, LPF, digitizer, FFT) over blocks of ``block_rows(n)``
-rows.  The uncompiled oracle ``_reference_signature_batch`` runs each
+rows.  The uncompiled oracle ``reference_signature_batch`` runs each
 stage over the whole batch at once; the two must agree bit for bit at
 every lot size around a block boundary, for every configuration regime.
 ``capture_plans`` / ``signature_grid`` (one capture for many stimuli)
@@ -30,6 +30,7 @@ from repro.loadboard.signature_path import (
     simulation_config,
 )
 from repro.parallel import spawn_generators
+from repro.verify.reference import reference_front_matrix, reference_signature_batch
 
 
 def make_lot(n, seed=7, bandwidths=False):
@@ -88,8 +89,8 @@ def _cases(rows):
 def _agree(cfg, devices, stim, seed):
     """(oracle, blocked) signature matrices on fresh boards."""
     gens = None if seed is None else spawn_generators(seed, len(devices))
-    ref = SignatureTestBoard(cfg)._reference_signature_batch(
-        devices, stim, rngs=gens
+    ref = reference_signature_batch(
+        SignatureTestBoard(cfg), devices, stim, rngs=gens
     )
     gens = None if seed is None else spawn_generators(seed, len(devices))
     out = SignatureTestBoard(cfg).signature_batch(devices, stim, rngs=gens)
@@ -121,7 +122,7 @@ class TestBlockedBackHalf:
         stim = stimuli(1)[0]
         oracle = SignatureTestBoard(cfg)
         gens = spawn_generators(3, len(devices)) if noisy else [None] * len(devices)
-        filtered = oracle._reference_front_matrix(devices, stim, gens)
+        filtered = reference_front_matrix(oracle, devices, stim, gens)
         records = oracle.digitize_matrix(filtered, gens)
 
         board = SignatureTestBoard(cfg)
@@ -175,6 +176,32 @@ class TestStageSeconds:
         board.filtered_baseband_matrix(make_lot(2), stimuli(1)[0])
         assert "digitize" not in board.last_stage_seconds
         assert "filter" in board.last_stage_seconds
+
+
+class TestSaturationOnce:
+    """A capture reads its lot's saturation amplitudes once."""
+
+    @pytest.mark.parametrize("config", ["simulation", "wideband"])
+    def test_one_call_per_capture(self, monkeypatch, config):
+        # a tuned plan's GainLot holds them; a wideband plan has none
+        import repro.circuits.nonlinear as nonlinear
+        import repro.loadboard.signature_path as signature_path
+
+        seen = []
+        real = nonlinear.saturation_amplitudes
+
+        def counting(coeffs):
+            seen.append(len(coeffs))
+            return real(coeffs)
+
+        monkeypatch.setattr(nonlinear, "saturation_amplitudes", counting)
+        monkeypatch.setattr(signature_path, "saturation_amplitudes", counting)
+        board = SignatureTestBoard(_CONFIGS[config]())
+        stim = stimuli(1)[0]
+        board.capture_plan(stim)
+        devices = make_lot(TestBlockedBackHalf.ROWS + 3)
+        board.signature_batch(devices, stim, rng=np.random.default_rng(2))
+        assert seen == [len(devices)]
 
 
 class _SpecsOnly(BehavioralAmplifier):
@@ -244,8 +271,8 @@ class TestLotNoiseSigmas:
                 for i, g in enumerate(spawn_generators(6, n))
             ]
 
-        ref = SignatureTestBoard(simulation_config())._reference_signature_batch(
-            devices, stim, rngs=gens()
+        ref = reference_signature_batch(
+            SignatureTestBoard(simulation_config()), devices, stim, rngs=gens()
         )
         out = SignatureTestBoard(simulation_config()).signature_batch(
             devices, stim, rngs=gens()
@@ -265,8 +292,8 @@ class TestLotNoiseSigmas:
         out = SignatureTestBoard(simulation_config()).signature_batch(
             devices, stim, rngs=spawn_generators(8, n)
         )
-        ref = SignatureTestBoard(simulation_config())._reference_signature_batch(
-            devices, stim, rngs=spawn_generators(8, n)
+        ref = reference_signature_batch(
+            SignatureTestBoard(simulation_config()), devices, stim, rngs=spawn_generators(8, n)
         )
         assert np.array_equal(out, ref, equal_nan=True)
         assert np.isnan(out[nan_rows]).all()

@@ -9,7 +9,10 @@ rows they replaced), MARS's one-call knot table (against one
 quantile per feature) and the capture's block noise and FFT stages
 (``standard_normal`` then ``0.0 + sigma * z`` against
 ``Generator.normal``, the lot's array noise sigmas against the scalar
-chain, and the skipped rect window's ``x * 1.0 == x``).  That holds only while these library identities
+chain, and the skipped rect window's ``x * 1.0 == x``).  Every "row
+``i`` equals the device alone" contract, and every one-row ``signature``
+call, also rests on a batched ``rfft`` row equalling the ``rfft`` of
+that row alone.  That holds only while these library identities
 hold on the installed NumPy and LAPACK, so each is asserted here on
 random data: an upgrade that breaks one fails this file, not a golden
 corpus far downstream.
@@ -217,3 +220,15 @@ class TestCaptureNoiseArithmetic:
         assert float(np.mean(ones)) == 1.0
         finite = rng.normal(size=(40, 100))
         assert _bits(np.fft.rfft(finite * ones, axis=-1)) == _bits(np.fft.rfft(finite, axis=-1))
+
+
+class TestBatchedFFT:
+    # odd, prime and power-of-two lengths, and the simulation (400) and
+    # hardware (20,000) digitized record lengths
+    @pytest.mark.parametrize("n", [2, 3, 9, 97, 400, 1024, 4001, 16384, 20000])
+    def test_rfft_rows_equal_rfft_of_each_row(self, rng, n):
+        for rows in (1, 2, 7, 40, 64):
+            x = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-4, 2, (rows, 1))
+            got = np.fft.rfft(x, axis=-1)
+            for i in range(rows):
+                assert _bits(got[i]) == _bits(np.fft.rfft(x[i])), (n, rows, i)
