@@ -6,25 +6,46 @@ pipeline stage -- plan, nonlinearity, noise, mix, filter, digitize,
 fft -- for one compiled 64-device capture) and prints it as a markdown
 table.  ``make bench-profile`` runs the benchmark first and then this
 report; CI appends the same table to the job summary.
+
+The benchmark times the stages from the outside: the span tracer of
+``benchmarks/e2e/trace.py``, patched at the one callable of each stage
+in :data:`STAGES`, wraps one extra compiled capture.  A stage whose
+callable was renamed records nothing, so this report exits 1 when any
+stage of :data:`STAGES` is missing from the table.
 """
 
 import json
 import os
 import sys
 
-__all__ = []
+__all__ = ["STAGES"]
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RESULTS = os.path.join(HERE, "results", "capture_hotpath.json")
+
+#: each capture stage and the one callable (a tracer ``"module:attr"``
+#: path) it runs per row block.  The FFT stage is timed at the module
+#: function ``SignaturePath._signature_rows`` calls, because the tracer
+#: wraps functions, not staticmethods.
+STAGES = {
+    "plan": "repro.loadboard.signature_path:SignatureTestBoard.capture_plan",
+    "nonlinearity": "repro.loadboard.signature_path:SignatureTestBoard._dut_block",
+    "noise": "repro.loadboard.signature_path:_add_noise_rows",
+    "mix": "repro.loadboard.capture_compiler:CompiledCaptureProgram.execute",
+    "filter": "repro.dsp.filters:ButterworthLowpass.apply_fft_matrix",
+    "digitize": "repro.loadboard.signature_path:SignatureTestBoard.digitize_matrix",
+    "fft": "repro.loadboard.signature_path:fft_magnitude_signature_matrix",
+}
 
 
 def _main(path=RESULTS):
     with open(path) as fh:
         payload = json.load(fh)
     stages = payload.get("stage_seconds", {})
-    if not stages:
+    missing = [name for name in STAGES if name not in stages]
+    if missing:
         print(
-            "bench-profile: no stage breakdown recorded; "
+            f"bench-profile: no time recorded for stage(s) {', '.join(missing)}; "
             "run `make bench-profile` to regenerate",
             file=sys.stderr,
         )

@@ -16,9 +16,12 @@ numbers as JSON under ``benchmarks/results/``:
 
 All four are checked bit-identical (the batching + compilation
 contract); the speedup gates compare the compiled program against the
-per-device path it replaced -- cold plans and warm plans separately --
-and the per-stage breakdown of the compiled capture is recorded for
-``make bench-profile`` and the CI stage table.
+per-device path it replaced -- cold plans and warm plans separately.
+One more compiled capture then runs under the span tracer of
+``benchmarks/e2e/trace.py``, patched at the stage callables of
+``profile_stages.STAGES``; its per-stage wall times are recorded for
+``make bench-profile`` and the CI stage table, and a stage callable
+that no longer resolves, or records no call, fails the benchmark.
 
 The committed ``capture_hotpath.json`` is the regression baseline: CI
 re-runs this benchmark and fails if a *normalized* capture-time ratio
@@ -32,6 +35,8 @@ import os
 import time
 
 import numpy as np
+from e2e.trace import Target, Tracer, layer_stats
+from profile_stages import STAGES
 
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
@@ -69,6 +74,21 @@ def _best_of(fn, repeats=7):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _traced_stages(capture):
+    """``(result, {stage: seconds})`` of one ``capture()`` under the tracer."""
+    tracer = Tracer()
+    tracer.patch([Target(name, path) for name, path in STAGES.items()])
+    try:
+        result = capture()
+    finally:
+        tracer.unpatch()
+    assert not tracer.missing, f"stage targets missing: {tracer.missing}"
+    stats = layer_stats(tracer.spans())
+    unrecorded = [name for name in STAGES if name not in stats]
+    assert not unrecorded, f"stages that recorded no call: {unrecorded}"
+    return result, {name: stats[name].total_s for name in STAGES}
 
 
 def test_bench_capture_hotpath(benchmark, report):
@@ -109,12 +129,13 @@ def test_bench_capture_hotpath(benchmark, report):
     warm_s, warm_sigs = _best_of(per_device_warm)
     batched_s, batched_sigs = _best_of(reference_batched)
     compiled_s, compiled_sigs = _best_of(compiled)
-    stage_seconds = dict(board.last_stage_seconds)
+    traced_sigs, stage_seconds = _traced_stages(compiled)
 
     # the batching + compilation contract, end to end on the real lot
     assert np.array_equal(uncached_sigs, compiled_sigs)
     assert np.array_equal(warm_sigs, compiled_sigs)
     assert np.array_equal(batched_sigs, compiled_sigs)
+    assert np.array_equal(traced_sigs, compiled_sigs)
 
     speedup = uncached_s / batched_s
     compiled_speedup = uncached_s / compiled_s

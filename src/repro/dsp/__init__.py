@@ -12,7 +12,7 @@ instruments and experiments are built from:
 * :mod:`repro.dsp.units` -- the designated dB <-> linear conversion
   helpers (all log-domain arithmetic lives here; enforced by
   :mod:`repro.analysis.units`).
-* :mod:`repro.dsp.noise` -- additive noise, quantization and jitter models.
+* :mod:`repro.dsp.noise` -- additive noise, quantization and kTB helpers.
 * :mod:`repro.dsp.passband` -- brute-force passband simulator used to
   cross-validate the fast envelope engine in
   :mod:`repro.loadboard.signature_path`.
@@ -44,7 +44,6 @@ from repro.dsp.spectral import (
 from repro.dsp.noise import (
     add_awgn,
     quantize,
-    sample_jitter,
 )
 from repro.dsp.units import (
     db,
@@ -77,7 +76,6 @@ __all__ = [
     "window",
     "add_awgn",
     "quantize",
-    "sample_jitter",
     "db",
     "undb",
     "db20",

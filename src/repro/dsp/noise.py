@@ -5,7 +5,6 @@ Covers the non-idealities the framework injects:
 * additive gaussian measurement noise (the paper adds 1 mV gaussian noise
   to simulated signatures),
 * DAC/ADC quantization,
-* sampling-clock jitter,
 * thermal-noise helpers (kTB) used by the DUT noise-figure models.
 """
 
@@ -26,7 +25,6 @@ __all__ = [
     "add_awgn",
     "quantize",
     "quantize_array",
-    "sample_jitter",
 ]
 
 #: Boltzmann constant in J/K.
@@ -87,25 +85,3 @@ def quantize_array(samples: np.ndarray, bits: int, full_scale: float) -> np.ndar
 def quantize(wf: Waveform, bits: int, full_scale: float) -> Waveform:
     """Uniform mid-tread quantization to ``bits`` bits over +/- full_scale."""
     return Waveform(quantize_array(wf.samples, bits, full_scale), wf.sample_rate, wf.t0)
-
-
-def sample_jitter(
-    wf: Waveform,
-    jitter_rms_seconds: float,
-    rng: Optional[np.random.Generator] = None,
-) -> Waveform:
-    """Model sampling-clock jitter by resampling at perturbed instants.
-
-    Each nominal sample instant is shifted by independent gaussian jitter
-    and the record is linearly interpolated at the perturbed instants.
-    """
-    if jitter_rms_seconds < 0:
-        raise ValueError("jitter must be non-negative")
-    if jitter_rms_seconds == 0.0:
-        return wf.copy()
-    rng = rng if rng is not None else np.random.default_rng()
-    t = wf.times()
-    jittered = t + rng.normal(0.0, jitter_rms_seconds, size=len(wf))
-    # keep instants inside the record so interpolation never extrapolates
-    jittered = np.clip(jittered, t[0], t[-1])
-    return Waveform(np.interp(jittered, t, wf.samples), wf.sample_rate, wf.t0)

@@ -102,7 +102,7 @@ class CaptureTape:
     A tape is mutated only while the compiling thread traces the mixer
     chain; once ``CompiledCaptureProgram`` is built the tape is frozen,
     and the program's publication into the board's program cache (under
-    ``SignatureTestBoard._state_lock``) orders the writes before
+    ``SignatureTestBoard._cache_lock``) orders the writes before
     any cross-thread read.
     """
 
@@ -463,7 +463,7 @@ class CompiledCaptureProgram:
     and dtype fields) are written once by ``_schedule`` while the
     program is still private to the compiling thread; sharing starts
     only when the board publishes the finished program into its program
-    cache under ``SignatureTestBoard._state_lock``.
+    cache under ``SignatureTestBoard._cache_lock``.
     """
 
     def __init__(

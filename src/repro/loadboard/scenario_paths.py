@@ -28,7 +28,7 @@ predicts specs through the coarse BIST path to a declared tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.loadboard.signature_path import (
     _noisy_rows,
     device_noise_sigmas,
     envelope_coefficients,
-    overdrive_ratios,
     render_stimulus,
 )
 
@@ -136,7 +135,6 @@ class BistSignaturePath(SignaturePath):
     """
 
     def __init__(self, config: BistPathConfig):
-        super().__init__()
         self.config = config
         self._adc = BasebandDigitizer(
             sample_rate=config.adc_rate,
@@ -158,9 +156,7 @@ class BistSignaturePath(SignaturePath):
         u = self._drive_record(stimulus)
         amps = np.abs(u)
         peak = _peak(amps)
-
         coeffs = envelope_coefficients(devices)
-        self._record_overdrive(overdrive_ratios(coeffs, peak))
 
         # tuned coupling, exactly like the load board: the DUT's matched
         # port passes only the carrier band, so the saturating describing
@@ -267,10 +263,6 @@ class AbmAccessPath(SignaturePath):
             devices, stimulus, rngs=gens
         )
         return self.board.digitize_matrix(self._bus_filtered(filtered), gens)
-
-    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
-        """Delegate to the inner board (the DUT drive is the board's)."""
-        return self.board.overdrive_snapshot()
 
     def peak_drive(self, stimulus: Stimulus) -> float:
         """Delegate to the inner board (the DUT drive is the board's)."""

@@ -49,7 +49,6 @@ compiled program equals bit for bit.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -199,12 +198,13 @@ def _distinct_devices(devices: Sequence[RFDevice]) -> Tuple[List[int], np.ndarra
 
 
 def overdrive_ratios(coeffs: np.ndarray, peak: float) -> np.ndarray:
-    """Peak drive over each device's saturation amplitude (0 if none)."""
-    return _saturation_ratios(saturation_amplitudes(coeffs), peak)
+    """Peak drive over each device's saturation amplitude (0 if none).
 
-
-def _saturation_ratios(sat: np.ndarray, peak: float) -> np.ndarray:
-    """:func:`overdrive_ratios` from the lot's saturation amplitudes."""
+    A path's overdrive for a lot is
+    ``overdrive_ratios(envelope_coefficients(devices), path.peak_drive(stimulus))``;
+    no capture is needed.
+    """
+    sat = saturation_amplitudes(coeffs)
     finite = np.isfinite(sat)
     ratios = np.zeros(len(sat))
     ratios[finite] = peak / sat[finite]
@@ -295,31 +295,12 @@ class SignaturePath:
     ``gens[i]`` only -- and :meth:`peak_drive`; its ``config`` supplies
     ``digitizer_rate``.  Every capture is a batch: :meth:`capture` and
     :meth:`signature` are row 0 of a one-device batch, so a lone device
-    and row ``i`` of a lot run the same code.  A path that drives the
-    DUT itself calls this ``__init__`` and records each capture's
-    overdrive with :meth:`_record_overdrive`; a path that wraps other
-    boards reports theirs from its own :meth:`overdrive_snapshot`.
+    and row ``i`` of a lot run the same code.  A capture is a function
+    of its devices, stimulus and generators only: a path keeps no
+    record of its last capture, and a lot's overdrive is
+    :func:`overdrive_ratios` of its :func:`envelope_coefficients` and
+    :meth:`peak_drive`.
     """
-
-    def __init__(self):
-        #: peak DUT drive / saturation amplitude of the last capture
-        #: (the batch maximum for a batched capture)
-        self.last_overdrive_ratio: float = 0.0
-        #: per-device overdrive ratios of the last (batched) capture
-        self.last_overdrive_ratios: np.ndarray = np.zeros(0)
-        #: guards the last-capture state: thread executors share one
-        #: path across concurrent captures
-        self._state_lock = threading.Lock()
-
-    def __getstate__(self):
-        # a lock does not pickle; the copy gets its own
-        state = self.__dict__.copy()
-        state.pop("_state_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._state_lock = threading.Lock()
 
     def _capture_matrix(
         self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
@@ -330,22 +311,6 @@ class SignaturePath:
     def peak_drive(self, stimulus: Stimulus) -> float:
         """Peak DUT drive for this stimulus, without capturing."""
         raise NotImplementedError
-
-    def _record_overdrive(self, ratios: np.ndarray) -> None:
-        with self._state_lock:
-            # one atomic pair: a reader never sees ratios from one
-            # capture next to the scalar peak of another
-            self.last_overdrive_ratios = ratios
-            self.last_overdrive_ratio = float(ratios.max()) if len(ratios) else 0.0
-
-    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
-        """The last capture's (peak ratio, per-device ratios), atomically.
-
-        Readers that poll a path shared with a thread executor get a
-        consistent pair from one capture instead of a torn mix of two.
-        """
-        with self._state_lock:
-            return self.last_overdrive_ratio, self.last_overdrive_ratios
 
     def capture(
         self,
@@ -630,10 +595,11 @@ class CapturePlan:
 class SignatureTestBoard(SignaturePath):
     """Simulates one capture through the load board of Figure 2/3.
 
-    After every capture, :attr:`last_overdrive_ratio` records the DUT
-    input peak relative to the device polynomial's saturation amplitude.
+    :func:`overdrive_ratios` of a lot at :meth:`peak_drive` gives each
+    DUT's input peak relative to its polynomial's saturation amplitude.
     Ratios approaching 1 mean the cubic model is leaving its physical
     validity range; the stimulus optimizer penalizes such drive levels.
+    The board's only state is its plan and program caches.
     """
 
     #: distinct (stimulus, config) plans kept per board (LRU)
@@ -643,7 +609,6 @@ class SignatureTestBoard(SignaturePath):
     _plan_cache_max_bytes = 64 * 1024 * 1024
 
     def __init__(self, config: SignaturePathConfig):
-        super().__init__()
         self.config = config
         self._lpf = ButterworthLowpass(
             config.lpf_order, config.lpf_cutoff_hz, config.engine_rate
@@ -653,26 +618,29 @@ class SignatureTestBoard(SignaturePath):
             bits=config.digitizer_bits,
             noise_vrms=config.digitizer_noise_vrms,
         )
-        #: per-stage wall-clock breakdown of the last capture, summed
-        #: over its row blocks
-        self.last_stage_seconds: Dict[str, float] = {}
         self._plan_cache: "OrderedDict[tuple, CapturePlan]" = OrderedDict()
         #: compiled mixer-2 programs keyed (rf keys, n) (LRU): the tape
         #: and its folded LO constants depend on the board config and the
         #: record length, never on the stimulus, so every plan of one
         #: length shares them
         self._programs: "OrderedDict[tuple, CompiledCaptureProgram]" = OrderedDict()
-        # the base's _state_lock also guards both caches and the stage
-        # telemetry: thread executors share one board across captures
+        #: guards both caches: thread executors share one board across
+        #: captures
+        self._cache_lock = threading.Lock()
 
     def __getstate__(self):
         # the caches can hold megabytes of envelopes and constants;
         # rebuilding them in a worker is cheaper than pickling them
-        # across every task
-        state = super().__getstate__()
+        # across every task, and a lock does not pickle
+        state = self.__dict__.copy()
         state["_plan_cache"] = OrderedDict()
         state["_programs"] = OrderedDict()
+        del state["_cache_lock"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # stimulus handling
@@ -701,7 +669,7 @@ class SignatureTestBoard(SignaturePath):
         """
         record = self._stimulus_record(stimulus)
         key = self._record_key(record)
-        with self._state_lock:
+        with self._cache_lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
                 self._plan_cache.move_to_end(key)
@@ -709,7 +677,7 @@ class SignatureTestBoard(SignaturePath):
         # build outside the lock: concurrent first captures may build
         # the same plan twice, but neither stalls behind the other
         plan = self._build_plans([record])
-        with self._state_lock:
+        with self._cache_lock:
             winner = self._plan_cache.get(key)
             if winner is not None:
                 self._plan_cache.move_to_end(key)
@@ -746,7 +714,7 @@ class SignatureTestBoard(SignaturePath):
         plan and program always survive (a program's workspaces are one
         block per thread, so they never outgrow a lot).  Enforcement
         runs only when a plan or program is published.  The caller must
-        hold :attr:`_state_lock`.
+        hold :attr:`_cache_lock`.
         """
         budget = self._plan_cache_max_bytes
         for cache in (self._plan_cache, self._programs):
@@ -755,16 +723,16 @@ class SignatureTestBoard(SignaturePath):
 
     def clear_plan_cache(self) -> None:
         """Drop all cached plans and compiled programs (each rebuilds on next use)."""
-        with self._state_lock:
+        with self._cache_lock:
             self._plan_cache.clear()
             self._programs.clear()
 
     def peak_drive(self, stimulus: Stimulus) -> float:
         """Peak DUT drive for this stimulus, without capturing.
 
-        The numerator of every overdrive ratio a capture records
-        (:meth:`overdrive_snapshot`); device-independent, so it reads
-        the cached plan a following capture reuses.
+        The numerator of every :func:`overdrive_ratios` under this
+        stimulus; device-independent, so it reads the cached plan a
+        following capture reuses.
         """
         return self.capture_plan(stimulus).peak
 
@@ -963,7 +931,7 @@ class SignatureTestBoard(SignaturePath):
         cfg = self.config
         # the folded LO depends on the plan only through its length
         key = (rf_keys, plan.n)
-        with self._state_lock:
+        with self._cache_lock:
             program = self._programs.get(key)
             if program is not None:
                 self._programs.move_to_end(key)
@@ -977,7 +945,7 @@ class SignatureTestBoard(SignaturePath):
             if not cfg.random_path_phase:
                 const_inputs = {("lo", 1): np.asarray(plan.lo2.envelopes[1])}
             program = CompiledCaptureProgram(tape, out, const_inputs=const_inputs)
-            with self._state_lock:
+            with self._cache_lock:
                 winner = self._programs.get(key)
                 if winner is not None:
                     return winner
@@ -1011,10 +979,8 @@ class SignatureTestBoard(SignaturePath):
         devices: Sequence[RFDevice],
         gens: RngList,
         stop: str,
-        stages: Dict[str, float],
         n_bins: Optional[int] = None,
         log_scale: bool = False,
-        overdrive_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The device-dependent back half over every ``(stimulus, device)`` row.
 
@@ -1031,11 +997,7 @@ class SignatureTestBoard(SignaturePath):
         runs once, before the blocks: the device-noise sigmas
         (:func:`device_noise_sigmas`) and whether any device has
         envelope dynamics; device noise then lands in place on each
-        block's own DUT output.  Per-stage wall
-        times accumulate into ``stages`` and are published as
-        :attr:`last_stage_seconds`; the overdrive bookkeeping records
-        the last stimulus's ratios, as a loop over them would, for the
-        lot's ``overdrive_rows`` (default: one per device).
+        block's own DUT output.
         """
         cfg = self.config
         n_dev = len(devices)
@@ -1045,11 +1007,6 @@ class SignatureTestBoard(SignaturePath):
         # grid's shared abscissae: one table per stimulus, built when the
         # stimulus-major rows reach it and dropped when they leave it
         lot = None if plan.gains is None else plan.gains.lot(coeffs)
-        sat = saturation_amplitudes(coeffs) if lot is None else lot.sat
-        ratios = _saturation_ratios(sat, plan.peaks[-1])
-        if overdrive_rows is not None:
-            ratios = ratios[overdrive_rows]
-        self._record_overdrive(ratios)
         terms = _wideband_terms(coeffs)
         if cfg.random_path_phase and any(g is None for g in gens):
             raise ValueError("random_path_phase requires an rng")
@@ -1064,15 +1021,7 @@ class SignatureTestBoard(SignaturePath):
         n = plan.n
         program: Optional[CompiledCaptureProgram] = None
         out: Optional[np.ndarray] = None
-        clock = time.perf_counter
-
-        def lap(name: str, since: float) -> float:
-            now = clock()
-            stages[name] = stages.get(name, 0.0) + (now - since)
-            return now
-
         for start, end in _row_blocks(len(plan), n_dev, block_rows(n)):
-            t = clock()
             # one stimulus: row r is device r, so a block is a slice
             rows = slice(start, end) if len(plan) == 1 else np.arange(start, end) % n_dev
             row_gens = _take(gens, rows)
@@ -1082,7 +1031,6 @@ class SignatureTestBoard(SignaturePath):
             if cfg.output_loss_db > 0.0:
                 dut_out = dut_out.scale(undb20(-cfg.output_loss_db))
             rf_arrays = dict(dut_out.envelopes)
-            t = lap("nonlinearity", t)
             if sigmas is not None:
                 # harmonic 1 is this block's own fresh array: noise goes
                 # in place (a missing harmonic joins as zeros)
@@ -1094,28 +1042,20 @@ class SignatureTestBoard(SignaturePath):
                 drawn = _noisy_rows(row_sigmas)
                 if len(drawn):
                     _add_noise_rows(env, row_sigmas, row_gens, drawn)
-            t = lap("noise", t)
             if program is None:
                 program = self._compiled_program(plan, tuple(rf_arrays))
-                t = clock()  # compiling is not a capture stage
             lo = None
             if cfg.random_path_phase:
                 lo = {1: np.asarray(self._random_lo2(row_gens, n).envelopes[1])}
             block = program.execute(rf_arrays, lo)
-            t = lap("mix", t)
             block = self._lpf.apply_fft_matrix(block)
-            t = lap("filter", t)
             if stop != "filter":
                 block = self.digitize_matrix(block, row_gens)
-                t = lap("digitize", t)
                 if stop == "fft":
                     block = self._signature_rows(block, n_bins, log_scale)
-                    lap("fft", t)
             if out is None:
                 out = np.empty((n_rows,) + block.shape[1:])
             out[start:end] = block
-        with self._state_lock:
-            self.last_stage_seconds = stages
         return out
 
     def _capture(
@@ -1128,10 +1068,9 @@ class SignatureTestBoard(SignaturePath):
         log_scale: bool = False,
     ) -> np.ndarray:
         """One stimulus through the cached plan and the row-blocked back half."""
-        start = time.perf_counter()
-        plan = self.capture_plan(stimulus)
-        stages = {"plan": time.perf_counter() - start}
-        return self._capture_rows(plan, devices, gens, stop, stages, n_bins, log_scale)
+        return self._capture_rows(
+            self.capture_plan(stimulus), devices, gens, stop, n_bins, log_scale
+        )
 
     # ------------------------------------------------------------------
     # the full path and its signatures (Figure 3: FFT magnitude)
@@ -1175,32 +1114,23 @@ class SignatureTestBoard(SignaturePath):
         Returns ``(grid, peaks)``.  ``grid`` has shape ``(S, N, m)``:
         slice ``s`` equals ``signature_batch(devices, stimuli[s],
         rng=None, n_bins=n_bins)`` bit for bit.  ``peaks[s]`` equals
-        ``peak_drive(stimuli[s])``, the numerator of every overdrive
-        ratio a capture under that stimulus records.  The plans come
+        ``peak_drive(stimuli[s])``, the numerator of every
+        :func:`overdrive_ratios` under that stimulus.  The plans come
         from one plan stack (:meth:`_build_plans`) and all ``S * N`` rows share
         one row-blocked back half -- one capture per GA generation
         instead of one per gene.  Without noise a row depends on its
         device only through the envelope polynomial and
         ``envelope_bandwidth``, so each distinct pair is captured once
-        and its rows are scattered to every device that has it;
-        :meth:`overdrive_snapshot` still holds one ratio per device.
+        and its rows are scattered to every device that has it.
         """
         devices = list(devices)
         if not len(stimuli):
             raise ValueError("signature_grid needs at least one stimulus")
-        start = time.perf_counter()
         plan = self._build_plans([self._stimulus_record(s) for s in stimuli])
-        stages = {"plan": time.perf_counter() - start}
         first, rows = _distinct_devices(devices)
         distinct = [devices[i] for i in first]
         sigs = self._capture_rows(
-            plan,
-            distinct,
-            [None] * len(distinct),
-            "fft",
-            stages,
-            n_bins,
-            overdrive_rows=rows,
+            plan, distinct, [None] * len(distinct), "fft", n_bins
         )
         grid = sigs.reshape(len(plan), len(distinct), sigs.shape[-1])
         return grid[:, rows], plan.peaks.copy()

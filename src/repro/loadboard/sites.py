@@ -46,7 +46,7 @@ bit-identical to the whole-lot capture.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -284,16 +284,6 @@ class MultiSiteBoard(SignaturePath):
         if out is None:  # unreachable: n_sites >= 1 is validated
             raise RuntimeError("multi-site board built with no sites")
         return out
-
-    def overdrive_snapshot(self) -> Tuple[float, np.ndarray]:
-        """Worst per-site overdrive of the last capture (site order)."""
-        peaks = []
-        ratio_blocks = []
-        for board in self.site_boards:
-            peak, ratios = board.overdrive_snapshot()
-            peaks.append(peak)
-            ratio_blocks.append(np.asarray(ratios))
-        return max(peaks), np.concatenate(ratio_blocks)
 
     def peak_drive(self, stimulus: Stimulus) -> float:
         """Site 0's peak DUT drive for this stimulus, without capturing.

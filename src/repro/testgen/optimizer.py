@@ -107,7 +107,7 @@ class SignatureStimulusOptimizer:
         Prebuilt capture front end to optimize against instead of a
         fresh ``SignatureTestBoard(board_config)`` -- any object with
         the board surface (``signature`` / ``signature_batch`` /
-        ``signature_grid`` / ``overdrive_snapshot`` / ``peak_drive``), e.g. a
+        ``signature_grid`` / ``peak_drive``), e.g. a
         :class:`~repro.loadboard.sites.MultiSiteBoard` or a
         :class:`~repro.loadboard.scenario_paths.BistSignaturePath`.
         ``board_config`` then only supplies the capture geometry for
@@ -271,10 +271,10 @@ class SignatureStimulusOptimizer:
     def overdrive_ratio(self, stimulus: PiecewiseLinearStimulus) -> float:
         """Peak drive / saturation amplitude for the weakest corner device.
 
-        The ratio a capture of that device would record
-        (``board.overdrive_snapshot()[0]``), from the board's peak drive
+        The weakest device's row of
+        ``overdrive_ratios(envelope_coefficients(devices), board.peak_drive(stimulus))``,
         without capturing; 0.0 when the saturation amplitude is not
-        finite, as in the capture's bookkeeping.
+        finite, as in :func:`~repro.loadboard.signature_path.overdrive_ratios`.
         """
         peak = np.array([self.board.peak_drive(stimulus)], dtype=float)
         return float(self._overdrive_ratios(peak)[0])

@@ -9,6 +9,9 @@ envelope algebra (:func:`~repro.loadboard.signature_path.mix_envelope`)
 read its configuration, plan cache, filter and digitizer, so a result
 differs from the board's own only by how it was computed.
 
+The digitizer's jitter step has its one-record oracle here too
+(:func:`sample_jitter`).
+
 The tuned DUT gain has its own oracle here: :class:`DescribingGains`
 tabulates one record's describing gains on one grid and interpolates
 them with :class:`RowInterpolator` (``np.interp`` per row), which
@@ -34,6 +37,7 @@ from repro.circuits.nonlinear import (
     saturation_amplitudes,
 )
 from repro.dsp.units import undb20
+from repro.dsp.waveform import Waveform
 from repro.loadboard.envelope import EnvelopeSignal
 from repro.loadboard.signature_path import (
     CapturePlan,
@@ -46,7 +50,6 @@ from repro.loadboard.signature_path import (
     device_noise_sigmas,
     envelope_coefficients,
     mix_envelope,
-    overdrive_ratios,
     resolve_rng_streams,
 )
 
@@ -60,6 +63,7 @@ __all__ = [
     "interp_rows",
     "reference_front_matrix",
     "reference_signature_batch",
+    "sample_jitter",
 ]
 
 
@@ -115,10 +119,9 @@ def dut_response_batch(
     """DUT outputs for a batch: one ``(batch, n)`` envelope signal.
 
     Row ``i`` is bit-identical to pushing ``plan.dut_in`` through
-    device ``i`` alone; also updates the board's overdrive bookkeeping.
+    device ``i`` alone.
     """
     coeffs = envelope_coefficients(devices)
-    board._record_overdrive(overdrive_ratios(coeffs, plan.peak))
     return board._dut_rows(plan, coeffs, _wideband_terms(coeffs), slice(None), 0)
 
 
@@ -180,6 +183,30 @@ def reference_signature_batch(
     return board._signature_rows(
         board.digitize_matrix(filtered, gens), n_bins, log_scale
     )
+
+
+def sample_jitter(
+    wf: Waveform,
+    jitter_rms_seconds: float,
+    rng: Optional[np.random.Generator] = None,
+) -> Waveform:
+    """Model sampling-clock jitter by resampling at perturbed instants.
+
+    Each nominal sample instant is shifted by independent gaussian jitter
+    and the record is linearly interpolated at the perturbed instants.
+    The one-record oracle of the jitter step in
+    :meth:`~repro.instruments.digitizer.BasebandDigitizer.capture_matrix`.
+    """
+    if jitter_rms_seconds < 0:
+        raise ValueError("jitter must be non-negative")
+    if jitter_rms_seconds == 0.0:
+        return wf.copy()
+    rng = rng if rng is not None else np.random.default_rng()
+    t = wf.times()
+    jittered = t + rng.normal(0.0, jitter_rms_seconds, size=len(wf))
+    # keep instants inside the record so interpolation never extrapolates
+    jittered = np.clip(jittered, t[0], t[-1])
+    return Waveform(np.interp(jittered, t, wf.samples), wf.sample_rate, wf.t0)
 
 
 # ----------------------------------------------------------------------

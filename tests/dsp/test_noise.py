@@ -1,4 +1,6 @@
-"""Tests for repro.dsp.noise."""
+"""Tests for repro.dsp.noise, and for the one-record jitter oracle
+(``repro.verify.reference.sample_jitter``) the digitizer is checked
+against."""
 
 import numpy as np
 import pytest
@@ -6,12 +8,12 @@ import pytest
 from repro.dsp.noise import (
     add_awgn,
     quantize,
-    sample_jitter,
     thermal_noise_power_watts,
     thermal_noise_vrms,
 )
 from repro.dsp.sources import tone
 from repro.dsp.waveform import Waveform
+from repro.verify.reference import sample_jitter
 
 
 class TestThermalNoise:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.dsp.noise import add_awgn, quantize, sample_jitter
+from repro.dsp.noise import add_awgn, quantize
 from repro.dsp.sources import tone
 from repro.dsp.waveform import Waveform
 from repro.instruments.digitizer import BasebandDigitizer
+from repro.verify.reference import sample_jitter
 
 
 class TestDigitizer:

@@ -17,6 +17,8 @@ from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import (
     SignaturePathConfig,
     SignatureTestBoard,
+    envelope_coefficients,
+    overdrive_ratios,
     simulation_config,
 )
 from repro.parallel import SerialExecutor, ThreadExecutor, spawn_generators
@@ -137,17 +139,19 @@ class TestBatchBitIdentity:
         assert np.array_equal(batch[0], batch[2])
 
     def test_overdrive_ratios_per_device(self, stim):
+        # a lot's ratios are its devices' own: row i is device i alone
         board = SignatureTestBoard(simulation_config())
         devices = make_lot()
-        board.signature_batch(devices, stim)
-        ratios = board.last_overdrive_ratios.copy()
+        peak = board.peak_drive(stim)
+        ratios = overdrive_ratios(envelope_coefficients(devices), peak)
         assert ratios.shape == (len(devices),)
-        assert board.last_overdrive_ratio == pytest.approx(ratios.max())
-        singles = []
-        for device in devices:
-            board.signature(device, stim)
-            singles.append(board.last_overdrive_ratio)
+        singles = [
+            overdrive_ratios(envelope_coefficients([d]), peak)[0] for d in devices
+        ]
         assert np.array_equal(ratios, np.array(singles))
+        # a weaker (lower-IIP3) device is driven harder by the same stimulus
+        weaker = devices[0].with_specs(iip3_dbm=devices[0].specs().iip3_dbm - 6.0)
+        assert overdrive_ratios(envelope_coefficients([weaker]), peak)[0] > ratios[0]
 
 
 class TestBatchArguments:

@@ -128,8 +128,14 @@ class TestBoardDutStage:
             # a one-stimulus plan is the S = 1 stack: its drive is row 0
             gain = np.interp(plan.amps[0], grid, poly.describing_function(grid))
             assert np.array_equal(out.harmonic(1)[i], gain * plan.u1[0])
-        ratio, ratios = board.overdrive_snapshot()
-        assert ratio == ratios.max()
+        # each device's overdrive: the plan's peak over its own
+        # saturation amplitude
+        ratios = overdrive_ratios(
+            envelope_coefficients(devices), board.peak_drive(stimulus)
+        )
+        for i, d in enumerate(devices):
+            sat = PolynomialNonlinearity(*d.envelope_poly()).saturation_amplitude
+            assert ratios[i] == (plan.peak / sat if np.isfinite(sat) else 0.0)
 
     def test_bist_path_rows_equal_one_device_captures(self):
         path = BistSignaturePath(BistPathConfig())

@@ -182,13 +182,6 @@ class TestEdgeLots:
         assert sigs.shape[0] == 7
         assert np.all(np.isfinite(sigs))
 
-    def test_overdrive_snapshot_covers_all_sites(self, stim):
-        board = MultiSiteBoard(_cfg(), MultiSiteConfig(n_sites=3))
-        board.signature_batch(_lot(5), stim, rngs=_gens(5))
-        peak, ratios = board.overdrive_snapshot()
-        assert len(ratios) == 5
-        assert peak == pytest.approx(float(np.max(ratios)))
-
 
 class TestContentionTiming:
     def test_insertion_time_grows_with_occupancy(self):

@@ -153,13 +153,6 @@ class TestBistPath:
         ).signature(device, stim)
         assert not np.array_equal(coarse, analog)
 
-    def test_overdrive_snapshot_tracks_last_capture(self, stim):
-        path = BistSignaturePath(BistPathConfig())
-        path.signature_batch(_lot(3), stim, rngs=_gens(3))
-        peak, ratios = path.overdrive_snapshot()
-        assert len(ratios) == 3
-        assert peak == pytest.approx(float(np.max(ratios)))
-
     def test_pickle_roundtrip_captures_identically(self, stim):
         path = BistSignaturePath(BistPathConfig())
         clone = pickle.loads(pickle.dumps(path))
@@ -285,13 +278,6 @@ class TestAbmPath:
     def test_switch_count_validation(self):
         with pytest.raises(ValueError):
             AbmPathConfig(base=_board_cfg(), n_input_switches=-1)
-
-    def test_overdrive_snapshot_delegates_to_board(self, stim):
-        path = AbmAccessPath(AbmPathConfig(base=_board_cfg()))
-        path.signature_batch(_lot(2), stim, rngs=_gens(2))
-        peak, ratios = path.overdrive_snapshot()
-        assert len(ratios) == 2
-        assert peak == pytest.approx(float(np.max(ratios)))
 
     def test_calibration_predicts_gain(self, stim):
         rmse, baseline = _gain_calibration_beats_mean(

@@ -9,7 +9,9 @@ from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import (
     SignaturePathConfig,
     SignatureTestBoard,
+    envelope_coefficients,
     hardware_config,
+    overdrive_ratios,
     simulation_config,
 )
 
@@ -155,14 +157,14 @@ class TestCaptureMechanics:
             2.0, rel=0.02
         )
 
-    def test_overdrive_ratio_recorded(self, behavioral_amp):
+    def test_overdrive_ratio_grows_with_drive(self, behavioral_amp):
         board = SignatureTestBoard(fast_cfg())
+        coeffs = envelope_coefficients([behavioral_amp])
         weak = PiecewiseLinearStimulus(np.full(16, 0.02), 5e-6, 0.4)
-        board.capture(behavioral_amp, weak)
-        low = board.last_overdrive_ratio
         strong = PiecewiseLinearStimulus(np.full(16, 0.4), 5e-6, 0.4)
-        board.capture(behavioral_amp, strong)
-        high = board.last_overdrive_ratio
+        low, high = (
+            overdrive_ratios(coeffs, board.peak_drive(s))[0] for s in (weak, strong)
+        )
         assert 0.0 < low < high
 
     def test_device_noise_injected(self, stim):
