@@ -25,8 +25,9 @@ RESULTS = os.path.join(HERE, "results", "capture_hotpath.json")
 
 #: each capture stage and the one callable (a tracer ``"module:attr"``
 #: path) it runs per row block.  The FFT stage is timed at the module
-#: function ``SignaturePath._signature_rows`` calls, because the tracer
-#: wraps functions, not staticmethods.
+#: function the row blocks, the base ``SignaturePath.signature_batch``
+#: and the uncompiled oracle all call by its module-level name, so the
+#: tracer's patch reaches every one of them.
 STAGES = {
     "plan": "repro.loadboard.signature_path:SignatureTestBoard.capture_plan",
     "nonlinearity": "repro.loadboard.signature_path:SignatureTestBoard._dut_block",

@@ -495,10 +495,6 @@ class DescribingGainStack:
     def __len__(self) -> int:
         return len(self.amps)
 
-    def __getitem__(self, key: slice) -> "DescribingGainStack":
-        """The records ``key`` as a stack of views."""
-        return DescribingGainStack(*(getattr(self, f.name)[key] for f in fields(self)))
-
     def nbytes(self) -> int:
         """Bytes of the grids and knot searches (``amps``, the first
         field, excluded)."""

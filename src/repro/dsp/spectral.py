@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.units import db20, watts_to_dbm
+from repro.dsp.units import watts_to_dbm
 from repro.dsp.waveform import Waveform
 
 __all__ = [
@@ -126,19 +126,13 @@ def amplitude_spectrum(wf: Waveform, window_kind: str = "rect") -> Spectrum:
     """Single-sided amplitude spectrum of a waveform.
 
     Scaled so a sine of peak amplitude ``A`` appears as ``A`` in its bin
-    (after coherent-gain correction for the chosen window).
+    (after coherent-gain correction for the chosen window): the
+    :func:`fft_magnitude_signature` of ``wf`` with its bin frequencies.
     """
     n = len(wf)
-    if n < 2:
-        raise ValueError("need at least 2 samples for a spectrum")
-    w = window(window_kind, n)
-    coherent_gain = float(np.mean(w))
-    spec = np.fft.rfft(wf.samples * w)
-    amps = np.abs(spec) * 2.0 / (n * coherent_gain)
-    amps[0] /= 2.0  # DC bin is not doubled
-    if n % 2 == 0 and len(amps) > 1:
-        amps[-1] /= 2.0  # Nyquist bin is not doubled either
-    freqs = np.fft.rfftfreq(n, d=wf.dt)
+    amps = fft_magnitude_signature(wf, window_kind=window_kind)
+    # np.fft.rfftfreq's arithmetic, bit for bit
+    freqs = np.arange(len(amps)) * (1.0 / (n * wf.dt))
     return Spectrum(freqs=freqs, amplitudes=amps, resolution_hz=wf.sample_rate / n)
 
 
@@ -146,8 +140,6 @@ def fft_magnitude_signature(
     wf: Waveform,
     n_bins: int | None = None,
     window_kind: str = "rect",
-    log_scale: bool = False,
-    floor: float = 1e-12,
 ) -> np.ndarray:
     """The paper's phase-robust signature: FFT magnitudes of the response.
 
@@ -160,32 +152,25 @@ def fft_magnitude_signature(
         keeps the full single-sided spectrum.
     window_kind:
         Analysis window.
-    log_scale:
-        If true, return ``20 log10(|X| + floor)`` -- useful for regression
-        features because spec errors are naturally expressed in dB.
-    floor:
-        Small constant preventing ``log(0)``.
 
     The one-record :func:`fft_magnitude_signature_matrix`.
     """
-    return fft_magnitude_signature_matrix(
-        wf.samples, n_bins, window_kind, log_scale, floor
-    )
+    return fft_magnitude_signature_matrix(wf.samples, n_bins, window_kind)
 
 
 def fft_magnitude_signature_matrix(
     samples: np.ndarray,
     n_bins: int | None = None,
     window_kind: str = "rect",
-    log_scale: bool = False,
-    floor: float = 1e-12,
 ) -> np.ndarray:
     """:func:`fft_magnitude_signature` of ``(..., n)`` records.
 
     One ``rfft`` call over the whole batch; row ``i`` of the result is
     bit-identical to the signature of row ``i`` alone (the sample rate
     only affects bin *frequencies*, never the magnitude signature, so it
-    is not needed here).  Scaled like :func:`amplitude_spectrum`.
+    is not needed here).  Scaled so a sine of peak amplitude ``A``
+    appears as ``A`` in its bin, after coherent-gain correction for the
+    window.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[-1]
@@ -207,8 +192,6 @@ def fft_magnitude_signature_matrix(
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         amps = amps[..., :n_bins]
-    if log_scale:
-        return db20(amps + floor)
     return amps
 
 

@@ -28,7 +28,7 @@ predicts specs through the coarse BIST path to a declared tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 

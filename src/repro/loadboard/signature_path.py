@@ -19,7 +19,7 @@ Everything upstream of the DUT -- the rendered stimulus, the first LO,
 the mixer-1 upconversion and its harmonic powers, and (for a fixed path
 phase) the second LO -- depends only on ``(stimulus, config)``, never on
 the device.  :class:`CapturePlan` precomputes that front half once
-(:meth:`SignatureTestBoard.capture_plans` builds several stimuli's plans
+(:meth:`SignatureTestBoard.signature_grid` builds several stimuli's plans
 as one ``(S, n)`` batch) and :meth:`SignatureTestBoard.capture_batch` /
 :meth:`SignatureTestBoard.signature_batch` run the device-dependent back
 half as ``(rows, n)`` NumPy operations over blocks of a device lot whose
@@ -355,12 +355,9 @@ class SignaturePath:
         stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
-        log_scale: bool = False,
     ) -> np.ndarray:
         """Capture and reduce to the FFT-magnitude signature (a batch of one)."""
-        return self.signature_batch(
-            [device], stimulus, n_bins=n_bins, log_scale=log_scale, rngs=[rng]
-        )[0]
+        return self.signature_batch([device], stimulus, n_bins=n_bins, rngs=[rng])[0]
 
     def signature_batch(
         self,
@@ -368,7 +365,6 @@ class SignaturePath:
         stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
-        log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
     ) -> np.ndarray:
@@ -382,17 +378,9 @@ class SignaturePath:
         """
         devices = list(devices)
         gens = resolve_rng_streams(rng, rngs, len(devices))
-        return self._signature_rows(
-            self._capture_matrix(devices, stimulus, gens), n_bins, log_scale
-        )
-
-    @staticmethod
-    def _signature_rows(
-        records: np.ndarray, n_bins: Optional[int] = None, log_scale: bool = False
-    ) -> np.ndarray:
-        """The FFT-magnitude signature (Figure 3) of each digitized row."""
+        # the FFT-magnitude signature (Figure 3) of each digitized row
         return fft_magnitude_signature_matrix(
-            records, n_bins=n_bins, log_scale=log_scale
+            self._capture_matrix(devices, stimulus, gens), n_bins
         )
 
     def signature_grid(
@@ -495,7 +483,7 @@ class CapturePlan:
     LO envelope.  Every array holds one row per stimulus; a lot of N
     devices reuses one plan instead of paying the front half N times.
     One stimulus's plan (:meth:`SignatureTestBoard.capture_plan`) is the
-    ``S = 1`` stack, and ``plan[s]`` is stimulus ``s``'s, made of views.
+    ``S = 1`` stack.
     """
 
     #: stimuli rendered at the engine rate, padded/truncated to the capture
@@ -542,40 +530,11 @@ class CapturePlan:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, s: int) -> "CapturePlan":
-        """Stimulus ``s``'s plan: the ``S = 1`` stack of row views."""
-        s = range(len(self))[s]
-        key = slice(s, s + 1)
-        return CapturePlan(
-            records=self.records[key],
-            upconverted=_rows(self.upconverted, key),
-            dut_in=_rows(self.dut_in, key),
-            peaks=self.peaks[key],
-            u1=None if self.u1 is None else self.u1[key],
-            amps=None if self.amps is None else self.amps[key],
-            gains=None if self.gains is None else self.gains[key],
-            dut_in_sq=_rows(self.dut_in_sq, key),
-            dut_in_cube=_rows(self.dut_in_cube, key),
-            lo2=self.lo2,
-        )
-
-    def __iter__(self):
-        return (self[s] for s in range(len(self)))
-
-    def _one(self) -> None:
-        if len(self) != 1:
-            raise ValueError("a stack of several stimuli: index it first")
-
-    @property
-    def record(self) -> Waveform:
-        """A one-stimulus plan's rendered record."""
-        self._one()
-        return self.records[0]
-
     @property
     def peak(self) -> float:
         """A one-stimulus plan's peak drive."""
-        self._one()
+        if len(self) != 1:
+            raise ValueError("a stack of several stimuli has no single peak")
         return float(self.peaks[0])
 
     @property
@@ -687,19 +646,6 @@ class SignatureTestBoard(SignaturePath):
                 self._plan_cache.popitem(last=False)
             self._enforce_plan_cache_bytes()
         return plan
-
-    def capture_plans(self, stimuli: Sequence[Stimulus]) -> List[CapturePlan]:
-        """Front halves for several stimuli, built as one stack.
-
-        The rows of :meth:`_build_plans` of every rendered record, as
-        one-stimulus plans of views: plan ``s`` equals
-        :meth:`capture_plan` of ``stimuli[s]`` bit for bit, its ``peak``
-        included.  The plans bypass the LRU: a GA generation's stimuli
-        are seldom seen again.
-        """
-        if not len(stimuli):
-            return []
-        return list(self._build_plans([self._stimulus_record(s) for s in stimuli]))
 
     def _cache_nbytes(self) -> int:
         """Bytes retained by cached plans and compiled programs."""
@@ -980,7 +926,6 @@ class SignatureTestBoard(SignaturePath):
         gens: RngList,
         stop: str,
         n_bins: Optional[int] = None,
-        log_scale: bool = False,
     ) -> np.ndarray:
         """The device-dependent back half over every ``(stimulus, device)`` row.
 
@@ -1052,7 +997,7 @@ class SignatureTestBoard(SignaturePath):
             if stop != "filter":
                 block = self.digitize_matrix(block, row_gens)
                 if stop == "fft":
-                    block = self._signature_rows(block, n_bins, log_scale)
+                    block = fft_magnitude_signature_matrix(block, n_bins)
             if out is None:
                 out = np.empty((n_rows,) + block.shape[1:])
             out[start:end] = block
@@ -1065,12 +1010,10 @@ class SignatureTestBoard(SignaturePath):
         gens: RngList,
         stop: str,
         n_bins: Optional[int] = None,
-        log_scale: bool = False,
     ) -> np.ndarray:
         """One stimulus through the cached plan and the row-blocked back half."""
-        return self._capture_rows(
-            self.capture_plan(stimulus), devices, gens, stop, n_bins, log_scale
-        )
+        plan = self.capture_plan(stimulus)
+        return self._capture_rows(plan, devices, gens, stop, n_bins)
 
     # ------------------------------------------------------------------
     # the full path and its signatures (Figure 3: FFT magnitude)
@@ -1087,7 +1030,6 @@ class SignatureTestBoard(SignaturePath):
         stimulus: Stimulus,
         rng: Optional[np.random.Generator] = None,
         n_bins: Optional[int] = None,
-        log_scale: bool = False,
         *,
         rngs: Optional[RngList] = None,
     ) -> np.ndarray:
@@ -1101,7 +1043,7 @@ class SignatureTestBoard(SignaturePath):
         """
         devices = list(devices)
         gens = resolve_rng_streams(rng, rngs, len(devices))
-        return self._capture(devices, stimulus, gens, "fft", n_bins, log_scale)
+        return self._capture(devices, stimulus, gens, "fft", n_bins)
 
     def signature_grid(
         self,

@@ -38,7 +38,7 @@ Chunk alignment
 ---------------
 Crosstalk groups are positional, so splitting a lot mid-insertion would
 change the physics.  :attr:`MultiSiteBoard.chunk_alignment` publishes
-``n_sites``; the executor layer (``_chunk_bounds``) rounds every chunk
+``n_sites``; the executor layer (``_chunk_size``) rounds every chunk
 boundary to a multiple of it, keeping streamed/chunked captures
 bit-identical to the whole-lot capture.
 """

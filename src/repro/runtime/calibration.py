@@ -33,7 +33,8 @@ from repro.regression.polynomial import PolynomialRidge
 from repro.regression.scaling import StandardScaler
 from repro.runtime.executor import (
     Executor,
-    _chunk_bounds,
+    _chunk_size,
+    _device_chunks,
     get_executor,
     spawn_seeds,
 )
@@ -46,11 +47,19 @@ __all__ = [
 ]
 
 
-def _capture_batch_task(board, stimulus, n_bins, task) -> np.ndarray:
-    """One pickled batched capture over a device chunk."""
-    devices, seeds = task
+def _capture_chunk(board, stimulus, task, n_bins: Optional[int] = None) -> np.ndarray:
+    """One batched capture of a :func:`_device_chunks` task's devices.
+
+    Each row draws from its own generator: the task's seed blocks, one
+    per lot piece, in row order.
+    """
+    _, devices, seed_blocks = task
+    # no local name: the generators are freed once the capture returns
     return board.signature_batch(
-        devices, stimulus, rngs=seeds.generators(), n_bins=n_bins
+        devices,
+        stimulus,
+        rngs=[rng for block in seed_blocks for rng in block.generators()],
+        n_bins=n_bins,
     )
 
 
@@ -103,15 +112,12 @@ def measure_signatures(
     # ship device *chunks*, one batched capture per task, each with its
     # slice of the seed block; per-device seeds keep the result
     # independent of chunking
-    tasks = [
-        (devices[a:b], seeds[a:b])
-        for a, b in _chunk_bounds(
-            len(devices), ex, chunksize, getattr(board, "chunk_alignment", 1)
-        )
-    ]
+    size = _chunk_size(
+        len(devices), ex, chunksize, getattr(board, "chunk_alignment", 1)
+    )
     blocks = ex.map_tasks(
-        partial(_capture_batch_task, board, stimulus, n_bins),
-        tasks,
+        partial(_capture_chunk, board, stimulus, n_bins=n_bins),
+        list(_device_chunks([(devices, seeds)], size)),
         chunksize=1,
     )
     return np.vstack(blocks)

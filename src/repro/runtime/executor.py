@@ -79,16 +79,16 @@ def default_chunksize(n_items: int, n_workers: int) -> int:
     return max(1, n_items // (4 * n_workers) or 1)
 
 
-def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
-    """``(start, stop)`` bounds for dispatching ``n`` items in batches.
+def _chunk_size(n: int, executor, chunksize: Optional[int], align: int = 1) -> int:
+    """Items per task when ``n`` items are dispatched in batches.
 
     Serial backends get the whole lot as one batch (maximum
     vectorization); pooled backends split it so every worker stays busy.
     The rule behind every batched call site: device lots
     (``measure_signatures``, the production flow, the streaming
-    service) and GA generations.  Per-device RNG seeding (and
-    row-independent fitnesses) make the results independent of the
-    split.
+    service, all cut by :func:`_device_chunks`) and GA generations.
+    Per-device RNG seeding (and row-independent fitnesses) make the
+    results independent of the split.
 
     ``align`` rounds the chunk size up to a multiple (multi-site boards
     publish ``chunk_alignment = n_sites``): crosstalk couples positional
@@ -100,9 +100,35 @@ def _chunk_bounds(n: int, executor, chunksize: Optional[int], align: int = 1):
         chunksize = n if workers <= 1 else default_chunksize(n, workers)
     chunksize = max(1, chunksize)
     align = max(1, int(align))
-    if align > 1:
-        chunksize = ((chunksize + align - 1) // align) * align
-    return [(i, min(i + chunksize, n)) for i in range(0, n, chunksize)]
+    return ((chunksize + align - 1) // align) * align
+
+
+def _device_chunks(pieces, chunksize: int):
+    """``(ids, devices, seed_blocks)`` capture tasks covering ``pieces`` in order.
+
+    ``pieces`` are ``(devices, seeds)`` pairs -- one lot each, ``seeds``
+    its :class:`SeedBlock` -- run as one row stream cut every
+    ``chunksize`` rows (:func:`_chunk_size`), so a chunk may span lots:
+    ``ids`` are lot-local device ids and ``seed_blocks`` holds one seed
+    sub-block per lot piece.  A chunk pickles as is, so it can be
+    shipped to any executor backend.
+    """
+    if chunksize < 1:
+        raise ValueError("chunksize must be >= 1")
+    ids, devices, seed_blocks = [], [], []
+    for lot_devices, seeds in pieces:
+        start = 0
+        while start < len(lot_devices):
+            stop = min(len(lot_devices), start + chunksize - len(ids))
+            ids.extend(range(start, stop))
+            devices.extend(lot_devices[start:stop])
+            seed_blocks.append(seeds[start:stop])
+            start = stop
+            if len(ids) == chunksize:
+                yield ids, devices, tuple(seed_blocks)
+                ids, devices, seed_blocks = [], [], []
+    if ids:
+        yield ids, devices, tuple(seed_blocks)
 
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]

@@ -22,10 +22,11 @@ import numpy as np
 from repro.circuits.device import RFDevice, SpecSet
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
 from repro.loadboard.signature_path import SignatureTestBoard
-from repro.runtime.calibration import CalibrationModel
+from repro.runtime.calibration import CalibrationModel, _capture_chunk
 from repro.runtime.executor import (
     Executor,
-    _chunk_bounds,
+    _chunk_size,
+    _device_chunks,
     get_executor,
     spawn_seeds,
 )
@@ -45,23 +46,18 @@ def _insertion_batch_task(
     (:mod:`repro.regression.rowwise`), so a row's prediction does not
     depend on the chunk it was predicted in.
 
-    The task is ``(ids, devices, seed_blocks)``: ``seed_blocks`` holds
-    one :class:`~repro.runtime.executor.SeedBlock` per lot the chunk
-    covers (the streaming service captures several queued lots as one
-    chunk), in row order, so every row draws from its own generator.
+    The task is a :func:`~repro.runtime.executor._device_chunks` chunk,
+    ``(ids, devices, seed_blocks)``: ``seed_blocks`` holds one
+    :class:`~repro.runtime.executor.SeedBlock` per lot the chunk covers
+    (the streaming service captures several queued lots as one chunk),
+    in row order, so every row draws from its own generator.
 
     With limits set, a row whose signature has a NaN or inf entry fails:
     a model that ignores the signature (a hinge-free MARS fit is a
     constant) would otherwise predict passing specs from it.
     """
-    ids, devices, seed_blocks = task
-    # no local name: the generators are freed once the capture returns
-    signatures = flow.board.signature_batch(
-        devices,
-        flow.stimulus,
-        rngs=[rng for block in seed_blocks for rng in block.generators()],
-        n_bins=flow.signature_bins,
-    )
+    ids, _, seed_blocks = task
+    signatures = _capture_chunk(flow.board, flow.stimulus, task)
     predicted = flow.calibration.predict_matrix(signatures)
     passed = None if flow.limits is None else (
         flow.limits.check_matrix(predicted) & np.isfinite(signatures).all(axis=1)
@@ -209,13 +205,11 @@ class ProductionTestFlow:
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         calibration: CalibrationModel,
         limits: Optional[SpecificationLimits] = None,
-        signature_bins: Optional[int] = None,
     ):
         self.board = board
         self.stimulus = stimulus
         self.calibration = calibration
         self.limits = limits
-        self.signature_bins = signature_bins
 
     def test_device(
         self,
@@ -268,13 +262,13 @@ class ProductionTestFlow:
         devices = list(devices)
         seeds = spawn_seeds(rng, len(devices))
         ex = get_executor(executor)
-        tasks = [
-            (range(a, b), devices[a:b], (seeds[a:b],))
-            for a, b in _chunk_bounds(
-                len(devices), ex, chunksize,
-                getattr(self.board, "chunk_alignment", 1),
-            )
-        ]
+        size = _chunk_size(
+            len(devices), ex, chunksize, getattr(self.board, "chunk_alignment", 1)
+        )
         return ProductionRunResult.concat(
-            ex.map_tasks(partial(_insertion_batch_task, self), tasks, chunksize=1)
+            ex.map_tasks(
+                partial(_insertion_batch_task, self),
+                list(_device_chunks([(devices, seeds)], size)),
+                chunksize=1,
+            )
         )

@@ -50,7 +50,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.runtime.executor import (
     Executor,
     SeedLike,
-    _chunk_bounds,
+    _chunk_size,
+    _device_chunks,
     get_executor,
 )
 from repro.runtime.metrics import LatencyTracker, MetricsSnapshot, ThroughputMeter
@@ -65,7 +66,6 @@ from repro.runtime.stream import (
     StreamRecord,
     SubmitTimeout,
     batched,
-    iter_lot_chunks,
 )
 
 __all__ = ["StreamingTestService"]
@@ -317,7 +317,7 @@ class StreamingTestService:
             try:
                 for row in range(len(block)):
                     taken = row + 1
-                    yield StreamRecord(lot.lot_id, lot.cell_id, None, latency, block, row)
+                    yield StreamRecord(lot.lot_id, lot.cell_id, latency, block, row)
             finally:
                 if taken < len(block):
                     self._outbox.unget((lot, latency, block[taken:]))
@@ -423,15 +423,16 @@ class StreamingTestService:
 
     def _capture(self, batch: _Batch) -> None:
         """One capture of a batch's row stream, emitted chunk wave by wave."""
-        bounds = _chunk_bounds(
+        chunksize = _chunk_size(
             batch.ends[-1], self._executor, self._chunksize, self._align
         )
-        chunksize = bounds[0][1] - bounds[0][0] if bounds else 1
         with self._lock:
             self._captures += 1
         # one wave = one task per worker: every backend stays saturated
         # inside a wave, and records still leave the service wave by wave
-        chunks = iter_lot_chunks(batch.lots, chunksize)
+        chunks = _device_chunks(
+            [(lot.devices, lot.seeds) for lot in batch.lots], chunksize
+        )
         for wave in batched(chunks, self._workers):
             self._emit(batch, self._executor.map_tasks(self._task_fn, wave, chunksize=1))
         if batch.lots_done < len(batch.lots):  # trailing empty lots

@@ -39,7 +39,6 @@ __all__ = [
     "ServiceClosed",
     "SubmitTimeout",
     "batched",
-    "iter_lot_chunks",
 ]
 
 
@@ -120,8 +119,7 @@ class StreamRecord:
     :class:`~repro.runtime.production.ProductionRunResult`):
     :attr:`device_id` reads the id column, and :attr:`record` -- the
     row's :class:`DeviceTestRecord` -- is built on its first read, so a
-    drainer that reads only ids builds none.  Pass ``record`` instead of
-    a block to wrap a record that already exists.
+    drainer that reads only ids builds none.
     """
 
     __slots__ = ("lot_id", "cell_id", "latency", "_record", "_block", "_row")
@@ -130,18 +128,15 @@ class StreamRecord:
         self,
         lot_id: int,
         cell_id: int,
-        record: Optional[DeviceTestRecord],
         latency: float,
-        block: Optional[ProductionRunResult] = None,
-        row: int = 0,
+        block: ProductionRunResult,
+        row: int,
     ):
-        if (record is None) == (block is None):
-            raise ValueError("a stream record wraps a record or a block row")
         self.lot_id = lot_id
         self.cell_id = cell_id
         #: seconds from lot submission to record emission (service clock)
         self.latency = latency
-        self._record = record
+        self._record: Optional[DeviceTestRecord] = None
         self._block = block
         self._row = row
 
@@ -153,9 +148,7 @@ class StreamRecord:
 
     @property
     def device_id(self) -> int:
-        if self._record is None:
-            return int(self._block.device_id[self._row])
-        return self._record.device_id
+        return int(self._block.device_id[self._row])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StreamRecord):
@@ -171,34 +164,6 @@ class StreamRecord:
             f"StreamRecord(lot_id={self.lot_id}, cell_id={self.cell_id}, "
             f"device_id={self.device_id}, latency={self.latency})"
         )
-
-
-def iter_lot_chunks(lots: Sequence[Lot], chunksize: int):
-    """``(ids, devices, seed_blocks)`` capture tasks covering ``lots`` in order.
-
-    The lots run as one row stream cut every ``chunksize`` rows, so a
-    chunk may span lots: ``ids`` are lot-local device ids and
-    ``seed_blocks`` holds one seed sub-block per lot piece.  The triple
-    matches the task shape of
-    :func:`repro.runtime.production._insertion_batch_task`, so a chunk
-    can be shipped to any executor backend unchanged.
-    """
-    if chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
-    ids, devices, seed_blocks = [], [], []
-    for lot in lots:
-        start = 0
-        while start < len(lot):
-            stop = min(len(lot), start + chunksize - len(ids))
-            ids.extend(range(start, stop))
-            devices.extend(lot.devices[start:stop])
-            seed_blocks.append(lot.seeds[start:stop])
-            start = stop
-            if len(ids) == chunksize:
-                yield ids, devices, tuple(seed_blocks)
-                ids, devices, seed_blocks = [], [], []
-    if ids:
-        yield ids, devices, tuple(seed_blocks)
 
 
 def batched(iterable, size: int):

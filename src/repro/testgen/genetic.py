@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.runtime.executor import Executor, SerialExecutor, _chunk_bounds
+from repro.runtime.executor import Executor, SerialExecutor, _chunk_size
 
 __all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
 
@@ -113,7 +113,7 @@ class GeneticAlgorithm:
         (:class:`repro.parallel.ProcessExecutor` et al.); ``None`` is
         serial.  A serial backend gets the generation's unscored genes
         as one batch, a pooled one chunks of them (the lots' chunk rule,
-        :func:`repro.runtime.executor._chunk_bounds`).  Because
+        :func:`repro.runtime.executor._chunk_size`).  Because
         ``fitness`` is required to be deterministic and row-independent
         and results are order-preserving, every backend yields the same
         :class:`GAResult` bit for bit.
@@ -209,10 +209,8 @@ class GeneticAlgorithm:
             fresh = list(first.values())
             if fresh:
                 genes = pop[fresh]
-                chunks = [
-                    genes[a:b]
-                    for a, b in _chunk_bounds(len(genes), self.executor, None)
-                ]
+                size = _chunk_size(len(genes), self.executor, None)
+                chunks = [genes[a:a + size] for a in range(0, len(genes), size)]
                 values = self.executor.map_tasks(self.fitness, chunks, chunksize=1)
                 new = np.concatenate(
                     [np.asarray(v, dtype=float).reshape(-1) for v in values]

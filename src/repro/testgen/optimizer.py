@@ -91,8 +91,6 @@ class SignatureStimulusOptimizer:
     sigma_m:
         Per-component signature noise std; default derives it from the
         digitizer noise and the capture length (Equation 10's noise term).
-    signature_bins:
-        Number of FFT bins kept as the signature (``None`` = all).
     rel_step:
         Finite-difference perturbation size.
     ga_config:
@@ -122,7 +120,6 @@ class SignatureStimulusOptimizer:
         space: ParameterSpace,
         encoding: StimulusEncoding,
         sigma_m: Optional[float] = None,
-        signature_bins: Optional[int] = None,
         rel_step: float = 0.05,
         spec_scales: Optional[Sequence[float]] = None,
         ga_config: GAConfig = GAConfig(),
@@ -133,7 +130,6 @@ class SignatureStimulusOptimizer:
         self.device_factory = device_factory
         self.space = space
         self.encoding = encoding
-        self.signature_bins = signature_bins
         self.rel_step = rel_step
         self.spec_scales = spec_scales
         self.ga_config = ga_config
@@ -216,9 +212,7 @@ class SignatureStimulusOptimizer:
         matrix equal to :func:`~repro.testgen.sensitivity.star_jacobian`
         of its star bit for bit.
         """
-        grid, peaks = self.board.signature_grid(
-            self._fd_star(), stimuli, n_bins=self.signature_bins
-        )
+        grid, peaks = self.board.signature_grid(self._fd_star(), stimuli)
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 3 or grid.shape[1] != 1 + 2 * len(self.space):
             raise ValueError("need one signature row per difference-star point")

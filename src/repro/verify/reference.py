@@ -36,6 +36,7 @@ from repro.circuits.nonlinear import (
     quadrature_cubes,
     saturation_amplitudes,
 )
+from repro.dsp.spectral import fft_magnitude_signature_matrix
 from repro.dsp.units import undb20
 from repro.dsp.waveform import Waveform
 from repro.loadboard.envelope import EnvelopeSignal
@@ -165,7 +166,6 @@ def reference_signature_batch(
     stimulus: Stimulus,
     rng: Optional[np.random.Generator] = None,
     n_bins: Optional[int] = None,
-    log_scale: bool = False,
     *,
     rngs: Optional[RngList] = None,
 ) -> np.ndarray:
@@ -180,9 +180,7 @@ def reference_signature_batch(
     devices = list(devices)
     gens = resolve_rng_streams(rng, rngs, len(devices))
     filtered = reference_front_matrix(board, devices, stimulus, gens)
-    return board._signature_rows(
-        board.digitize_matrix(filtered, gens), n_bins, log_scale
-    )
+    return fft_magnitude_signature_matrix(board.digitize_matrix(filtered, gens), n_bins)
 
 
 def sample_jitter(

@@ -889,9 +889,7 @@ def _per_row_records(
     if not devices:
         return []
     board = flow.board
-    signatures = board.signature_batch(
-        devices, flow.stimulus, rngs=seeds.generators(), n_bins=flow.signature_bins
-    )
+    signatures = board.signature_batch(devices, flow.stimulus, rngs=seeds.generators())
     predicted = flow.calibration.predict_matrix(signatures)
     passed = [None] * len(devices)
     if flow.limits is not None:

@@ -366,4 +366,3 @@ class TestDescribingGainStack:
         stack = DescribingGainStack.build(amps[None, :], [peak])
         got = stack(stack.lot(coeffs), slice(None), 0)
         assert np.array_equal(got, _oracle_gain(coeffs, amps, peak))
-        assert np.array_equal(stack[0:1].grids, stack.grids)

@@ -73,11 +73,3 @@ class TestAgainstLegacyCallSites:
             assert vpeak_to_dbm(v) == pytest.approx(expected, rel=1e-12)
             assert dbm_to_vpeak(vpeak_to_dbm(v)) == pytest.approx(v, rel=1e-12)
 
-    def test_log_scale_signature_unchanged(self):
-        from repro.dsp.sources import tone
-        from repro.dsp.spectral import amplitude_spectrum, fft_magnitude_signature
-
-        wf = tone(1e3, 1e-2, 1e5, amplitude=0.5)
-        sig = fft_magnitude_signature(wf, n_bins=16, log_scale=True)
-        mags = amplitude_spectrum(wf).amplitudes[:16]
-        np.testing.assert_allclose(sig, 20.0 * np.log10(mags + 1e-12))

@@ -48,18 +48,17 @@ def make_lot(n=6, engine_rate=80e6, with_env_bw=False):
     ]
 
 
-def batch_and_serial(cfg, devices, stim, seed=42, n_bins=None, log_scale=False):
+def batch_and_serial(cfg, devices, stim, seed=42, n_bins=None):
     """Signatures from one batched call and from a per-device loop."""
     board = SignatureTestBoard(cfg)
     batch = board.signature_batch(
-        devices, stim, rng=np.random.default_rng(seed),
-        n_bins=n_bins, log_scale=log_scale,
+        devices, stim, rng=np.random.default_rng(seed), n_bins=n_bins
     )
     board2 = SignatureTestBoard(cfg)
     gens = spawn_generators(np.random.default_rng(seed), len(devices))
     serial = np.vstack(
         [
-            board2.signature(d, stim, rng=g, n_bins=n_bins, log_scale=log_scale)
+            board2.signature(d, stim, rng=g, n_bins=n_bins)
             for d, g in zip(devices, gens)
         ]
     )
@@ -104,11 +103,9 @@ class TestBatchBitIdentity:
         batch, serial = batch_and_serial(cfg, make_lot(), stim)
         assert np.array_equal(batch, serial)
 
-    def test_n_bins_and_log_scale(self, stim):
+    def test_n_bins(self, stim):
         cfg = simulation_config()
-        batch, serial = batch_and_serial(
-            cfg, make_lot(), stim, n_bins=12, log_scale=True
-        )
+        batch, serial = batch_and_serial(cfg, make_lot(), stim, n_bins=12)
         assert batch.shape[1] == 12
         assert np.array_equal(batch, serial)
 

@@ -6,8 +6,8 @@ mixer-2 tape, LPF, digitizer, FFT) over blocks of ``block_rows(n)``
 rows.  The uncompiled oracle ``reference_signature_batch`` runs each
 stage over the whole batch at once; the two must agree bit for bit at
 every lot size around a block boundary, for every configuration regime.
-``capture_plans`` / ``signature_grid`` (one capture for many stimuli)
-must equal the one-stimulus plan and capture.
+A plan stack / ``signature_grid`` (one capture for many stimuli) must
+equal the one-stimulus plan and capture.
 """
 
 import dataclasses
@@ -328,17 +328,24 @@ class TestRowBlocks:
         assert _row_blocks(0, 5, 40) == [(0, 0)]
 
 
-def _plan_arrays(plan):
-    arrays = {"record": plan.record.samples}
+def _plan_arrays(plan, s=0):
+    """Stimulus ``s``'s rows of a plan stack (the shared second LO whole)."""
+    row = slice(s, s + 1)
+    arrays = {"record": plan.records[s].samples}
     for name in ("upconverted", "dut_in", "dut_in_sq", "dut_in_cube", "lo2"):
         env = getattr(plan, name)
         if env is not None:
             for h, e in env.envelopes.items():
-                arrays[f"{name}[{h}]"] = np.asarray(e)
+                arrays[f"{name}[{h}]"] = np.asarray(e) if name == "lo2" else e[row]
     for name in ("u1", "amps"):
         if getattr(plan, name) is not None:
-            arrays[name] = getattr(plan, name)
+            arrays[name] = getattr(plan, name)[row]
     return arrays
+
+
+def _plan_stack(cfg, stims):
+    board = SignatureTestBoard(cfg)
+    return board._build_plans([board._stimulus_record(s) for s in stims])
 
 
 class TestBatchedPlans:
@@ -346,11 +353,11 @@ class TestBatchedPlans:
     def test_rows_equal_single_plans(self, config):
         cfg = _CONFIGS[config]()
         stims = stimuli(6)
-        plans = SignatureTestBoard(cfg).capture_plans(stims)
-        for stim, plan in zip(stims, plans):
+        stack = _plan_stack(cfg, stims)
+        for s, stim in enumerate(stims):
             single = SignatureTestBoard(cfg).capture_plan(stim)
-            assert plan.peak == single.peak
-            got, want = _plan_arrays(plan), _plan_arrays(single)
+            assert stack.peaks[s] == single.peak
+            got, want = _plan_arrays(stack, s), _plan_arrays(single)
             assert got.keys() == want.keys()
             for name in want:
                 assert np.array_equal(got[name], want[name]), name
@@ -358,26 +365,21 @@ class TestBatchedPlans:
     def test_wideband_peak_is_per_row(self):
         cfg = _CONFIGS["wideband"]()
         stims = stimuli(4)
-        peaks = [plan.peak for plan in SignatureTestBoard(cfg).capture_plans(stims)]
+        peaks = _plan_stack(cfg, stims).peaks.tolist()
         assert len(set(peaks)) == len(stims)
         for stim, peak in zip(stims, peaks):
             assert peak == SignatureTestBoard(cfg).peak_drive(stim)
 
-    def test_empty_batch(self):
-        board = SignatureTestBoard(simulation_config())
-        assert board.capture_plans([]) == []
-
     def test_stack_bytes_count_every_row(self):
         # the plan-cache budget reads nbytes(): a stack counts each row's
         # arrays and describing-gain grids once, and the shared LO once
-        board = SignatureTestBoard(simulation_config())
-        stack = board._build_plans([board._stimulus_record(s) for s in stimuli(4)])
-        rows = list(stack)
+        cfg = simulation_config()
+        stims = stimuli(4)
+        stack = _plan_stack(cfg, stims)
+        singles = [SignatureTestBoard(cfg).capture_plan(s) for s in stims]
         lo2 = np.asarray(stack.lo2.envelopes[1]).nbytes
         assert stack.gains.nbytes() > 0
-        assert stack.nbytes() == sum(p.nbytes() for p in rows) - 3 * lo2
-        single = board.capture_plan(stimuli(1)[0])
-        assert single.nbytes() == rows[0].nbytes()
+        assert stack.nbytes() == sum(p.nbytes() for p in singles) - 3 * lo2
 
 
 class TestSignatureGrid:

@@ -1,7 +1,7 @@
 """Multi-site boards through the runtime layer.
 
 Site-aligned chunking is the load-bearing contract: crosstalk couples
-positional insertion groups, so ``_chunk_bounds`` must never split one
+positional insertion groups, so ``_chunk_size`` must never split one
 -- ``measure_signatures``, ``ProductionTestFlow.run`` and the
 streaming service all stay bit-identical to the whole-lot capture for
 any executor and any requested chunk size.  On top of that, every
@@ -24,7 +24,13 @@ from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
 from repro.regression.scaling import StandardScaler
 from repro.runtime.calibration import CalibrationModel, measure_signatures
-from repro.runtime.executor import ThreadExecutor, _chunk_bounds, get_executor
+from repro.runtime.executor import (
+    ThreadExecutor,
+    _chunk_size,
+    _device_chunks,
+    get_executor,
+    spawn_seeds,
+)
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
@@ -99,14 +105,27 @@ def _ridge_flow(board, stim, seed=41):
 class TestChunkAlignment:
     def test_chunk_bounds_round_up_to_alignment(self):
         ex = get_executor("thread:2")
-        bounds = _chunk_bounds(10, ex, 3, 4)
-        assert bounds == [(0, 4), (4, 8), (8, 10)]
-        for a, b in bounds[:-1]:
-            assert (b - a) % 4 == 0
+        size = _chunk_size(10, ex, 3, 4)
+        assert size == 4
+        chunks = list(_device_chunks([(list(range(10)), spawn_seeds(0, 10))], size))
+        assert [ids for ids, _, _ in chunks] == [
+            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9]
+        ]
 
     def test_alignment_one_is_unchanged(self):
         ex = get_executor("thread:2")
-        assert _chunk_bounds(10, ex, 3, 1) == _chunk_bounds(10, ex, 3)
+        assert _chunk_size(10, ex, 3, 1) == _chunk_size(10, ex, 3) == 3
+
+    def test_serial_lot_is_one_chunk(self):
+        # a serial backend captures the whole lot at once; an empty lot
+        # yields no chunk, and a size beyond the lot one chunk
+        ex = get_executor(None)
+        assert _chunk_size(10, ex, None) == 10
+        assert _chunk_size(0, ex, None) == 1
+        assert _chunk_size(10, get_executor("thread:2"), 0) == 1
+        assert list(_device_chunks([([], spawn_seeds(0, 0))], 1)) == []
+        chunks = list(_device_chunks([(list(range(10)), spawn_seeds(0, 10))], 50))
+        assert [ids for ids, _, _ in chunks] == [list(range(10))]
 
     def test_measure_signatures_chunking_invariant_with_crosstalk(self, stim):
         board = _board(n_sites=3)

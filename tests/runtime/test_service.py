@@ -24,6 +24,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
 from repro.runtime.calibration import CalibrationSession
+from repro.runtime.executor import _device_chunks
 from repro.runtime.production import ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
@@ -33,7 +34,6 @@ from repro.runtime.stream import (
     StreamRecord,
     SubmitTimeout,
     batched,
-    iter_lot_chunks,
 )
 from repro.testgen.pwl import StimulusEncoding
 
@@ -538,13 +538,13 @@ class TestStreamTypes:
 
     def test_iter_lot_chunks_covers_in_order(self):
         lot = Lot.seeded(0, [f"d{i}" for i in range(5)], seed=1)
-        chunks = list(iter_lot_chunks([lot], 2))
+        chunks = list(_device_chunks([(lot.devices, lot.seeds)], 2))
         assert [ids for ids, _, _ in chunks] == [[0, 1], [2, 3], [4]]
         assert [devs for _, devs, _ in chunks] == [
             ["d0", "d1"], ["d2", "d3"], ["d4"]
         ]
         with pytest.raises(ValueError):
-            list(iter_lot_chunks([lot], 0))
+            list(_device_chunks([(lot.devices, lot.seeds)], 0))
 
     def test_iter_lot_chunks_spans_lots(self):
         # three lots (one empty) as one row stream: chunks cross lot
@@ -554,7 +554,7 @@ class TestStreamTypes:
             Lot.seeded(1, [], seed=2),
             Lot.seeded(2, ["b0", "b1", "b2"], seed=3),
         ]
-        chunks = list(iter_lot_chunks(lots, 4))
+        chunks = list(_device_chunks([(lot.devices, lot.seeds) for lot in lots], 4))
         assert [ids for ids, _, _ in chunks] == [[0, 1, 2, 0], [1, 2]]
         assert [devs for _, devs, _ in chunks] == [
             ["a0", "a1", "a2", "b0"], ["b1", "b2"]
@@ -575,11 +575,11 @@ class TestStreamTypes:
 
     def test_stream_record_exposes_device_id(self, flow_setup):
         flow = flow_setup[2]
-        rec = flow.test_device(
-            _lot_devices(flow_setup, 1)[0], np.random.default_rng(0), device_id=9
-        )
-        wrapped = StreamRecord(lot_id=2, cell_id=1, record=rec, latency=0.5)
-        assert wrapped.device_id == 9
+        # a lot piece's row reads its id from the column, not its position
+        block = flow.run(_lot_devices(flow_setup, 3), np.random.default_rng(0))[1:]
+        wrapped = StreamRecord(lot_id=2, cell_id=1, latency=0.5, block=block, row=1)
+        assert wrapped.device_id == 2
+        assert wrapped.record == block[1]
 
     def test_id_only_drain_builds_no_record(self, flow_setup, monkeypatch):
         # a stream record is a row view of its lot piece's columns: reading

@@ -229,7 +229,6 @@ class CaptureOracleOptimizer(SignatureStimulusOptimizer):
             [self.device_factory(p) for p in star],
             stimulus,
             rng=None,
-            n_bins=self.signature_bins,
         )
         a_s, _ = star_jacobian(signatures, self.space, self.rel_step, central=True)
         return a_s * self.space.fractional_std_vector()[None, :]
@@ -386,9 +385,7 @@ def _per_gene_objective(opt, gene, sat, star):
     excess = ratio - opt.overdrive_margin
     if excess > 0.0:
         penalty = opt.overdrive_weight * excess**2
-    signatures = opt.board.signature_batch(
-        star, stimulus, rng=None, n_bins=opt.signature_bins
-    )
+    signatures = opt.board.signature_batch(star, stimulus, rng=None)
     a_s, _ = star_jacobian(signatures, opt.space, opt.rel_step, central=True)
     a_s = a_s * opt.space.fractional_std_vector()[None, :]
     return penalty + signature_test_objective(
