@@ -118,12 +118,12 @@ def test_bench_capture_hotpath(benchmark, report):
         )
 
     def reference_batched():
-        return reference_signature_batch(
-            board, lot, stim, rng=np.random.default_rng(LOT_SEED)
-        )
+        gens = spawn_generators(np.random.default_rng(LOT_SEED), len(lot))
+        return reference_signature_batch(board, lot, stim, rngs=gens)
 
     def compiled():
-        return board.signature_batch(lot, stim, rng=np.random.default_rng(LOT_SEED))
+        gens = spawn_generators(np.random.default_rng(LOT_SEED), len(lot))
+        return board.signature_batch(lot, stim, rngs=gens)
 
     uncached_s, uncached_sigs = _best_of(per_device_uncached)
     warm_s, warm_sigs = _best_of(per_device_warm)

@@ -68,6 +68,9 @@ class RFDevice(abc.ABC):
 
     #: design (center) frequency in Hz
     center_frequency: float
+    #: single-pole envelope (modulation) bandwidth in Hz; ``None`` for a
+    #: device whose bandwidth is far beyond the signature baseband
+    envelope_bandwidth: Optional[float] = None
 
     @abc.abstractmethod
     def specs(self) -> SpecSet:

@@ -156,7 +156,7 @@ def passband_capture(
     dut_out = PolynomialNonlinearity(a1, a2, a3).apply(dut_in)
     if cfg.dut_coupling == "tuned":
         dut_out = bandpass_mask(dut_out, cfg.carrier_freq, half_width)
-        env_bw = getattr(device, "envelope_bandwidth", None)
+        env_bw = device.envelope_bandwidth
         if env_bw is not None:
             dut_out = envelope_one_pole(
                 dut_out, cfg.carrier_freq, env_bw, half_width

@@ -28,8 +28,8 @@ complex operands stay cache resident
 written into one preallocated result.
 :meth:`SignatureTestBoard.signature_grid` runs every (stimulus, device)
 pair of several stimuli through the same blocks -- one capture per GA
-generation, each distinct noise-free device captured once.  Per-device RNG streams are spawned exactly like the
-executor layer's (:func:`repro.runtime.executor.spawn_generators`), and
+generation, each distinct noise-free device captured once.  Each row
+draws only from its own device's generator (the caller's ``rngs``), and
 every vectorized step is elementwise along the record axis, so batched
 and blocked results are bit-identical to the one-device-at-a-time path
 -- :meth:`SignaturePath.capture` itself is a batch of one.
@@ -96,32 +96,22 @@ Stimulus = Union[Waveform, PiecewiseLinearStimulus]
 
 
 def resolve_rng_streams(
-    rng: Optional[np.random.Generator],
-    rngs: Optional[RngList],
-    n_devices: int,
+    rngs: Optional[RngList], n_devices: int
 ) -> List[Optional[np.random.Generator]]:
-    """Per-device generators: explicit list, spawned from ``rng``, or None.
+    """Per-device generators: the explicit list, or ``None`` for every device.
 
-    The one spawning rule every board front end shares: explicit ``rngs``
-    pass through unchanged, a master ``rng`` spawns one independent
-    stream per device exactly like
-    :func:`repro.runtime.executor.spawn_generators`, and ``None``
-    disables measurement noise.
+    The one rule every batch front end shares: ``rngs`` passes through
+    (one generator, or ``None``, per device) and ``None`` disables
+    measurement noise.  A caller holding one master generator spawns
+    the per-device streams itself
+    (:func:`repro.runtime.executor.spawn_generators`).
     """
-    if rngs is not None:
-        if rng is not None:
-            raise ValueError("pass either rng or rngs, not both")
-        rngs = list(rngs)
-        if len(rngs) != n_devices:
-            raise ValueError("need one rng (or None) per device")
-        return rngs
-    if rng is None:
+    if rngs is None:
         return [None] * n_devices
-    # local import: repro.runtime's package __init__ imports modules
-    # that import this one
-    from repro.runtime.executor import spawn_generators
-
-    return spawn_generators(rng, n_devices)
+    rngs = list(rngs)
+    if len(rngs) != n_devices:
+        raise ValueError("need one rng (or None) per device")
+    return rngs
 
 
 def render_stimulus(
@@ -188,7 +178,7 @@ def _distinct_devices(devices: Sequence[RFDevice]) -> Tuple[List[int], np.ndarra
     first: List[int] = []
     rows = np.empty(len(devices), dtype=np.intp)
     for i, device in enumerate(devices):
-        bw = getattr(device, "envelope_bandwidth", None)
+        bw = device.envelope_bandwidth
         key = (coeffs[i].tobytes(), None if bw is None else np.float64(bw).tobytes())
         if key not in index:
             index[key] = len(first)
@@ -293,7 +283,11 @@ class SignaturePath:
     and the multi-site board).  A path implements :meth:`_capture_matrix`
     -- the digitized ``(N, n)`` records of a lot, row ``i`` drawing from
     ``gens[i]`` only -- and :meth:`peak_drive`; its ``config`` supplies
-    ``digitizer_rate``.  Every capture is a batch: :meth:`capture` and
+    ``digitizer_rate`` and ``total_test_time()``.  The lot geometry the
+    runtime reads is declared here once: one site (:attr:`n_sites`), the
+    config's test time per device and no shared-instrument arbitration;
+    :class:`~repro.loadboard.sites.MultiSiteBoard` overrides all three.
+    Every capture is a batch: :meth:`capture` and
     :meth:`signature` are row 0 of a one-device batch, so a lone device
     and row ``i`` of a lot run the same code.  A capture is a function
     of its devices, stimulus and generators only: a path keeps no
@@ -301,6 +295,18 @@ class SignaturePath:
     :func:`overdrive_ratios` of its :func:`envelope_coefficients` and
     :meth:`peak_drive`.
     """
+
+    #: DUT sites per insertion; lot position ``i`` sits on site
+    #: ``i % n_sites``, and lot chunks are cut at multiples of it
+    n_sites = 1
+
+    def device_test_time(self) -> float:
+        """Tester seconds per device."""
+        return self.config.total_test_time()
+
+    def arbitration_seconds(self) -> float:
+        """Shared-instrument overhead of one insertion (none on one site)."""
+        return 0.0
 
     def _capture_matrix(
         self, devices: List[RFDevice], stimulus: Stimulus, gens: RngList
@@ -325,24 +331,20 @@ class SignaturePath:
         self,
         devices: Sequence[RFDevice],
         stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
     ) -> List[Waveform]:
         """One digitized :class:`~repro.dsp.waveform.Waveform` per device.
 
-        ``rng`` is a master generator spawning one independent stream
-        per device exactly like
-        :func:`repro.runtime.executor.spawn_generators` (``None``
-        disables measurement noise); ``rngs`` alternatively gives the
-        per-device generators (entries may be ``None``).  Record ``i``
-        is bit-identical to :meth:`capture` of device ``i`` with its
+        ``rngs`` gives the per-device generators (entries may be
+        ``None``); ``None`` disables measurement noise.  Record ``i`` is
+        bit-identical to :meth:`capture` of device ``i`` with its
         generator.
         """
         devices = list(devices)
         if not devices:
             return []
-        gens = resolve_rng_streams(rng, rngs, len(devices))
+        gens = resolve_rng_streams(rngs, len(devices))
         rate = self.config.digitizer_rate
         return [
             Waveform(row, rate, 0.0)
@@ -363,10 +365,9 @@ class SignaturePath:
         self,
         devices: Sequence[RFDevice],
         stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
         *,
         rngs: Optional[RngList] = None,
+        n_bins: Optional[int] = None,
     ) -> np.ndarray:
         """FFT-magnitude signatures for a device batch, shape ``(batch, m)``.
 
@@ -377,7 +378,7 @@ class SignaturePath:
         code never sees a degenerate ``(0, 0)``.
         """
         devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
+        gens = resolve_rng_streams(rngs, len(devices))
         # the FFT-magnitude signature (Figure 3) of each digitized row
         return fft_magnitude_signature_matrix(
             self._capture_matrix(devices, stimulus, gens), n_bins
@@ -824,7 +825,6 @@ class SignatureTestBoard(SignaturePath):
         self,
         devices: Sequence[RFDevice],
         stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
         *,
         rngs: Optional[RngList] = None,
     ) -> Tuple[np.ndarray, List[Optional[np.random.Generator]]]:
@@ -842,7 +842,7 @@ class SignatureTestBoard(SignaturePath):
         insertions.
         """
         devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
+        gens = resolve_rng_streams(rngs, len(devices))
         return self._capture(devices, stimulus, gens, "filter"), gens
 
     def _envelope_bandwidth_batch(
@@ -852,7 +852,7 @@ class SignatureTestBoard(SignaturePath):
         the carrier-band envelope (tuned coupling only -- a wideband DUT
         with memory is outside this model's scope)."""
         cfg = self.config
-        bws = [getattr(d, "envelope_bandwidth", None) for d in devices]
+        bws = [d.envelope_bandwidth for d in devices]
         if cfg.dut_coupling != "tuned" or not any(bw is not None for bw in bws):
             return dut_out
         env1 = dut_out.harmonic(1)
@@ -961,7 +961,7 @@ class SignatureTestBoard(SignaturePath):
         if cfg.include_device_noise and any(g is not None for g in gens):
             sigmas = device_noise_sigmas(devices, gens, cfg.engine_rate)
         dynamics = cfg.dut_coupling == "tuned" and any(
-            getattr(d, "envelope_bandwidth", None) is not None for d in devices
+            d.envelope_bandwidth is not None for d in devices
         )
         n = plan.n
         program: Optional[CompiledCaptureProgram] = None
@@ -1028,21 +1028,19 @@ class SignatureTestBoard(SignaturePath):
         self,
         devices: Sequence[RFDevice],
         stimulus: Stimulus,
-        rng: Optional[np.random.Generator] = None,
-        n_bins: Optional[int] = None,
         *,
         rngs: Optional[RngList] = None,
+        n_bins: Optional[int] = None,
     ) -> np.ndarray:
         """FFT-magnitude signatures for a device batch, shape ``(batch, m)``.
 
         The base contract, with the FFT fused into each row block: row
         ``i`` is bit-identical (``np.array_equal``) to
-        ``signature(devices[i], stimulus, rng=stream_i, ...)`` where
-        ``stream_i`` is the i-th generator spawned from ``rng`` (see
-        :meth:`capture_batch`), and an empty lot yields ``(0, m)``.
+        ``signature(devices[i], stimulus, rngs[i], ...)``, and an empty
+        lot yields ``(0, m)``.
         """
         devices = list(devices)
-        gens = resolve_rng_streams(rng, rngs, len(devices))
+        gens = resolve_rng_streams(rngs, len(devices))
         return self._capture(devices, stimulus, gens, "fft", n_bins)
 
     def signature_grid(
@@ -1055,7 +1053,7 @@ class SignatureTestBoard(SignaturePath):
 
         Returns ``(grid, peaks)``.  ``grid`` has shape ``(S, N, m)``:
         slice ``s`` equals ``signature_batch(devices, stimuli[s],
-        rng=None, n_bins=n_bins)`` bit for bit.  ``peaks[s]`` equals
+        n_bins=n_bins)`` bit for bit.  ``peaks[s]`` equals
         ``peak_drive(stimuli[s])``, the numerator of every
         :func:`overdrive_ratios` under that stimulus.  The plans come
         from one plan stack (:meth:`_build_plans`) and all ``S * N`` rows share

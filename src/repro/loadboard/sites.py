@@ -37,10 +37,11 @@ enforces exactly that on every executor backend.
 Chunk alignment
 ---------------
 Crosstalk groups are positional, so splitting a lot mid-insertion would
-change the physics.  :attr:`MultiSiteBoard.chunk_alignment` publishes
-``n_sites``; the executor layer (``_chunk_size``) rounds every chunk
+change the physics.  The runtime passes :attr:`MultiSiteBoard.n_sites`
+to the executor layer's ``_chunk_size``, which rounds every chunk
 boundary to a multiple of it, keeping streamed/chunked captures
-bit-identical to the whole-lot capture.
+bit-identical to the whole-lot capture; the device at chunk position
+``i`` then sits on site ``i % n_sites``.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class MultiSiteBoard(SignaturePath):
     analog front end, couples the co-inserted filtered-baseband rows,
     and digitizes through the per-site back ends.
 
-    A :class:`~repro.loadboard.signature_path.SignaturePath` (plus
-    ``site_of``), so ``measure_signatures``,
+    A :class:`~repro.loadboard.signature_path.SignaturePath` that
+    overrides its lot geometry (``n_sites``, ``device_test_time``,
+    ``arbitration_seconds``), so ``measure_signatures``,
     :class:`~repro.runtime.production.ProductionTestFlow` and the
     streaming service work unchanged.  A lone device (``capture``,
     ``signature``) sits on site 0, in an insertion with the other sites
@@ -151,20 +153,6 @@ class MultiSiteBoard(SignaturePath):
     @property
     def n_sites(self) -> int:
         return self.sites.n_sites
-
-    @property
-    def chunk_alignment(self) -> int:
-        """Executor chunk boundaries must be multiples of this.
-
-        Crosstalk couples positional insertion groups of ``n_sites``
-        devices; aligned chunks keep any chunking bit-identical to the
-        whole-lot capture.
-        """
-        return self.sites.n_sites
-
-    def site_of(self, lot_position: int) -> int:
-        """The site testing the device at this (chunk-local) position."""
-        return int(lot_position) % self.sites.n_sites
 
     def site_indices(self, n_devices: int) -> List[List[int]]:
         """Per-site lot positions for an ``n_devices`` lot (round-robin)."""
@@ -256,7 +244,7 @@ class MultiSiteBoard(SignaturePath):
         """Digitized records for a lot, in lot order, crosstalk applied.
 
         With zero crosstalk, record ``i`` is bit-identical to capturing
-        device ``i`` alone on ``site_boards[site_of(i)]`` with the same
+        device ``i`` alone on ``site_boards[i % n_sites]`` with the same
         per-device generator.
         """
         per_site = self.site_indices(len(devices))

@@ -87,8 +87,9 @@ def measure_signatures(
     Parameters
     ----------
     board:
-        :class:`~repro.loadboard.signature_path.SignatureTestBoard` (or
-        anything with its ``signature_batch`` method).
+        A :class:`~repro.loadboard.signature_path.SignaturePath`: its
+        ``signature_batch`` captures, and its ``n_sites`` aligns the
+        chunks.
     stimulus:
         Stimulus applied to every device.
     devices:
@@ -105,16 +106,11 @@ def measure_signatures(
     """
     devices = list(devices)
     seeds = spawn_seeds(rng, len(devices))
-    if not devices:
-        # an empty capture still knows its bin count: (0, m), not (0, 0)
-        return board.signature_batch([], stimulus, rngs=[], n_bins=n_bins)
     ex = get_executor(executor)
     # ship device *chunks*, one batched capture per task, each with its
     # slice of the seed block; per-device seeds keep the result
     # independent of chunking
-    size = _chunk_size(
-        len(devices), ex, chunksize, getattr(board, "chunk_alignment", 1)
-    )
+    size = _chunk_size(len(devices), ex, chunksize, board.n_sites)
     blocks = ex.map_tasks(
         partial(_capture_chunk, board, stimulus, n_bins=n_bins),
         list(_device_chunks([(devices, seeds)], size)),

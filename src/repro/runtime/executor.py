@@ -90,12 +90,12 @@ def _chunk_size(n: int, executor, chunksize: Optional[int], align: int = 1) -> i
     Per-device RNG seeding (and row-independent fitnesses) make the
     results independent of the split.
 
-    ``align`` rounds the chunk size up to a multiple (multi-site boards
-    publish ``chunk_alignment = n_sites``): crosstalk couples positional
+    ``align`` rounds the chunk size up to a multiple (lot call sites
+    pass the board's ``n_sites``): crosstalk couples positional
     insertion groups, so a boundary mid-insertion would change which
     devices share an insertion and break chunking-invariance.
     """
-    workers = getattr(executor, "workers", 1)
+    workers = executor.workers
     if chunksize is None:
         chunksize = n if workers <= 1 else default_chunksize(n, workers)
     chunksize = max(1, chunksize)
@@ -112,10 +112,15 @@ def _device_chunks(pieces, chunksize: int):
     ``ids`` are lot-local device ids and ``seed_blocks`` holds one seed
     sub-block per lot piece.  A chunk pickles as is, so it can be
     shipped to any executor backend.
+
+    Pieces that hold no rows yield one empty chunk (no ids, no devices,
+    one zero-length seed block), so every lot -- the empty one too --
+    runs its task once and gets its real result columns back.
     """
     if chunksize < 1:
         raise ValueError("chunksize must be >= 1")
     ids, devices, seed_blocks = [], [], []
+    rows = 0
     for lot_devices, seeds in pieces:
         start = 0
         while start < len(lot_devices):
@@ -123,12 +128,15 @@ def _device_chunks(pieces, chunksize: int):
             ids.extend(range(start, stop))
             devices.extend(lot_devices[start:stop])
             seed_blocks.append(seeds[start:stop])
+            rows += stop - start
             start = stop
             if len(ids) == chunksize:
                 yield ids, devices, tuple(seed_blocks)
                 ids, devices, seed_blocks = [], [], []
     if ids:
         yield ids, devices, tuple(seed_blocks)
+    elif not rows:
+        yield ids, devices, (seeds[:0],)
 
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -375,6 +383,8 @@ class Executor:
 
     #: human-readable backend name ("serial", "thread", "process")
     name = "serial"
+    #: tasks run at once; pooled backends override it with their pool size
+    workers = 1
 
     def map_tasks(
         self,

@@ -13,7 +13,7 @@ yield and throughput statistics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.circuits.device import RFDevice, SpecSet
 from repro.dsp.waveform import PiecewiseLinearStimulus, Waveform
-from repro.loadboard.signature_path import SignatureTestBoard
+from repro.loadboard.signature_path import SignaturePath
 from repro.runtime.calibration import CalibrationModel, _capture_chunk
 from repro.runtime.executor import (
     Executor,
@@ -62,19 +62,13 @@ def _insertion_batch_task(
     passed = None if flow.limits is None else (
         flow.limits.check_matrix(predicted) & np.isfinite(signatures).all(axis=1)
     )
-    # multi-site boards amortize the (contention-inflated) insertion
-    # time over the sites; single-site boards keep the config's time
-    if hasattr(flow.board, "device_test_time"):
-        test_time = flow.board.device_test_time()
-    else:
-        test_time = flow.board.config.total_test_time()
     # chunk bounds, and the starts of the lots a chunk covers, are
     # aligned to the site count, so the chunk-local position determines the site
-    site_of = getattr(flow.board, "site_of", lambda position: 0)
     return ProductionRunResult(
         np.array(ids, dtype=np.int64), signatures, predicted, passed,
-        np.fromiter(map(site_of, range(len(ids))), dtype=np.int64, count=len(ids)),
-        np.concatenate([block.words for block in seed_blocks]), test_time,
+        np.arange(len(ids), dtype=np.int64) % flow.board.n_sites,
+        np.concatenate([block.words for block in seed_blocks]),
+        flow.board.device_test_time(),
     )
 
 
@@ -99,10 +93,6 @@ class DeviceTestRecord:
             (self.signature, other.signature)))
 
 
-def _empty(*shape, dtype=float):
-    return field(default_factory=lambda: np.empty(shape, dtype=dtype))
-
-
 @dataclass(frozen=True, eq=False)
 class ProductionRunResult:
     """A lot's outcome as read-only columns, one row per device in lot order.
@@ -113,13 +103,13 @@ class ProductionRunResult:
     ``result[a:b]`` is a sub-result sharing the columns.
     """
 
-    device_id: np.ndarray = _empty(0, dtype=np.int64)
-    signatures: np.ndarray = _empty(0, 0)  #: ``(N, m)``
-    predicted: np.ndarray = _empty(0, len(SpecSet.NAMES))  #: ``(N, 3)``, NAMES order
-    passed: Optional[np.ndarray] = None  #: ``(N,)`` bool; None without limits
-    site: np.ndarray = _empty(0, dtype=np.int64)  #: load-board site per row
-    seed_words: np.ndarray = _empty(0, 4, dtype=np.uint64)  #: each row's PCG64 seed
-    test_time: float = 0.0  #: tester seconds per device (one flow, one value)
+    device_id: np.ndarray
+    signatures: np.ndarray  #: ``(N, m)``
+    predicted: np.ndarray  #: ``(N, 3)``, NAMES order
+    passed: Optional[np.ndarray]  #: ``(N,)`` bool; None without limits
+    site: np.ndarray  #: load-board site per row
+    seed_words: np.ndarray  #: each row's PCG64 seed
+    test_time: float  #: tester seconds per device (one flow, one value)
 
     def _columns(self):  # the per-row fields, in order; test_time stays last
         return [getattr(self, f.name) for f in fields(self) if f.name != "test_time"]
@@ -132,8 +122,8 @@ class ProductionRunResult:
     @classmethod
     def concat(cls, parts: Sequence["ProductionRunResult"]) -> "ProductionRunResult":
         """The rows of ``parts`` in order (a single part is returned as it is)."""
-        if len(parts) <= 1:
-            return parts[0] if parts else cls()
+        if len(parts) == 1:
+            return parts[0]
         columns = zip(*(part._columns() for part in parts))
         return cls(*(None if c[0] is None else np.concatenate(c) for c in columns),
                    parts[0].test_time)
@@ -201,7 +191,7 @@ class ProductionTestFlow:
 
     def __init__(
         self,
-        board: SignatureTestBoard,
+        board: SignaturePath,
         stimulus: Union[Waveform, PiecewiseLinearStimulus],
         calibration: CalibrationModel,
         limits: Optional[SpecificationLimits] = None,
@@ -210,23 +200,6 @@ class ProductionTestFlow:
         self.stimulus = stimulus
         self.calibration = calibration
         self.limits = limits
-
-    def test_device(
-        self,
-        device: RFDevice,
-        rng: np.random.Generator,
-        device_id: int = 0,
-    ) -> DeviceTestRecord:
-        """One production insertion: a one-device lot.
-
-        Like :meth:`run`, this spawns the device's noise stream from
-        ``rng`` (one 64-bit draw consumed) instead of drawing from
-        ``rng`` directly, so the record equals ``run([device], rng)``'s
-        only record (up to ``device_id``).
-        """
-        return _insertion_batch_task(
-            self, ([device_id], [device], (spawn_seeds(rng, 1),))
-        )[0]
 
     def run(
         self,
@@ -243,7 +216,10 @@ class ProductionTestFlow:
         input order -- are bit-identical for any ``executor`` backend,
         worker count, or ``chunksize``.  The lot is split into device
         chunks (the whole lot at once on a serial backend), and each
-        chunk is captured, predicted and binned as one matrix.
+        chunk is captured, predicted and binned as one matrix.  An empty
+        lot is one empty chunk, so its result has the same columns as
+        any other: ``(0, m)`` signatures, a ``(0,)`` verdict column with
+        limits, and the board's test time.
 
         Parameters
         ----------
@@ -262,9 +238,7 @@ class ProductionTestFlow:
         devices = list(devices)
         seeds = spawn_seeds(rng, len(devices))
         ex = get_executor(executor)
-        size = _chunk_size(
-            len(devices), ex, chunksize, getattr(self.board, "chunk_alignment", 1)
-        )
+        size = _chunk_size(len(devices), ex, chunksize, self.board.n_sites)
         return ProductionRunResult.concat(
             ex.map_tasks(
                 partial(_insertion_batch_task, self),

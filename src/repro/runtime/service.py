@@ -173,21 +173,14 @@ class StreamingTestService:
         self._captures = 0
         self._failure: Optional[BaseException] = None
 
-        # multi-site observability: boards modeling shared-instrument
-        # contention amortize the arbitration overhead per device, and
-        # emitted records carry their site for per-site accounting
+        # multi-site observability: shared-instrument contention is
+        # amortized per device, and emitted records carry their site for
+        # per-site accounting
         board = flow.board
-        self._track_sites = hasattr(board, "site_of")
+        self._track_sites = board.n_sites > 1
         self._site_counts: Dict[int, int] = Counter()
-        if hasattr(board, "arbitration_seconds") and hasattr(board, "n_sites"):
-            self._arbitration_per_device = (
-                board.arbitration_seconds() / board.n_sites
-            )
-        else:
-            self._arbitration_per_device = 0.0
+        self._arbitration_per_device = board.arbitration_seconds() / board.n_sites
         self._contention_wait = 0.0
-        self._align = max(1, int(getattr(board, "chunk_alignment", 1)))
-        self._workers = max(1, getattr(self._executor, "workers", 1))
         self._task_fn = partial(_insertion_batch_task, flow)
 
         self._dispatcher = threading.Thread(
@@ -375,7 +368,7 @@ class StreamingTestService:
 
         Drains the inbox without blocking.  A lot joins only at an
         insertion boundary -- the rows already in the batch are a
-        multiple of the board's ``chunk_alignment`` -- so a multi-site
+        multiple of the board's ``n_sites`` -- so a multi-site
         board assigns sites and crosstalk groups exactly as it does
         offline; otherwise the lot (or the end-of-stream sentinel) is
         handed back to start the next batch.  At most
@@ -388,7 +381,7 @@ class StreamingTestService:
                 item = self._inbox.get_nowait()
             except queue.Empty:
                 break
-            if isinstance(item, _EndOfStream) or rows % self._align:
+            if isinstance(item, _EndOfStream) or rows % self.flow.board.n_sites:
                 return lots, item
             lots.append(item)
             rows += len(item)
@@ -424,7 +417,7 @@ class StreamingTestService:
     def _capture(self, batch: _Batch) -> None:
         """One capture of a batch's row stream, emitted chunk wave by wave."""
         chunksize = _chunk_size(
-            batch.ends[-1], self._executor, self._chunksize, self._align
+            batch.ends[-1], self._executor, self._chunksize, self.flow.board.n_sites
         )
         with self._lock:
             self._captures += 1
@@ -433,10 +426,8 @@ class StreamingTestService:
         chunks = _device_chunks(
             [(lot.devices, lot.seeds) for lot in batch.lots], chunksize
         )
-        for wave in batched(chunks, self._workers):
+        for wave in batched(chunks, self._executor.workers):
             self._emit(batch, self._executor.map_tasks(self._task_fn, wave, chunksize=1))
-        if batch.lots_done < len(batch.lots):  # trailing empty lots
-            self._emit(batch, [])
 
     def _emit(self, batch: _Batch, results: List[ProductionRunResult]) -> None:
         """Emit the batch's next rows: one block of columns per lot piece."""

@@ -30,7 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearSignatureMap"]
+__all__ = ["RCOND", "LinearSignatureMap"]
+
+#: relative singular-value floor of every Eq. 9/10 solve: the GA's
+#: fitness and the map ``optimize()`` packages truncate at the same rank
+RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class LinearSignatureMap:
         a_s: np.ndarray,
         sigma_m: Optional[float] = None,
         rank: Optional[int] = None,
-        rcond: float = 1e-8,
+        rcond: float = RCOND,
     ) -> "LinearSignatureMap":
         """Solve ``A = A_p A_s^+`` via a rank-truncated SVD (Equation 9).
 

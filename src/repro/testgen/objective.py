@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.testgen.mapping import LinearSignatureMap
+from repro.testgen.mapping import RCOND, LinearSignatureMap
 
 __all__ = [
     "signature_noise_std",
@@ -62,7 +62,7 @@ def prediction_error_variances(
     a_s: np.ndarray,
     sigma_m: float,
     spec_scales: Optional[Sequence[float]] = None,
-    rcond: float = 1e-10,
+    rcond: float = RCOND,
 ) -> np.ndarray:
     """Per-spec total error variances for a candidate stimulus.
 
@@ -92,7 +92,7 @@ def signature_test_objective(
     a_s: np.ndarray,
     sigma_m: float,
     spec_scales: Optional[Sequence[float]] = None,
-    rcond: float = 1e-10,
+    rcond: float = RCOND,
 ) -> float:
     """The scalar objective ``F`` minimized by the genetic optimizer."""
     variances = prediction_error_variances(a_p, a_s, sigma_m, spec_scales, rcond)
@@ -104,7 +104,7 @@ def signature_test_objective_batch(
     a_s: np.ndarray,
     sigma_m: float,
     spec_scales: Optional[Sequence[float]] = None,
-    rcond: float = 1e-10,
+    rcond: float = RCOND,
 ) -> np.ndarray:
     """:func:`signature_test_objective` of every matrix of an ``(G, m, k)``
     ``A_s`` stack, bit for bit.

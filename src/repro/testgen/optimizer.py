@@ -35,6 +35,7 @@ from repro.runtime.executor import Executor
 from repro.testgen.genetic import GAConfig, GAResult, GeneticAlgorithm
 from repro.testgen.mapping import LinearSignatureMap
 from repro.testgen.objective import (
+    _scaled_performance,
     signature_noise_std,
     signature_test_objective_batch,
 )
@@ -318,11 +319,8 @@ class SignatureStimulusOptimizer:
         stimulus = self.encoding.decode(result.best_gene)
         a_p = self.performance_matrix()
         a_s = self.signature_matrix(stimulus)
-        a_p_scaled = a_p
-        if self.spec_scales is not None:
-            a_p_scaled = a_p / np.asarray(self.spec_scales, dtype=float)[:, None]
         mapping = LinearSignatureMap.from_sensitivities(
-            a_p_scaled, a_s, sigma_m=self.sigma_m
+            _scaled_performance(a_p, self.spec_scales), a_s, sigma_m=self.sigma_m
         )
         variances = mapping.total_error_variances(self.sigma_m)
         return OptimizationResult(

@@ -164,10 +164,9 @@ def reference_signature_batch(
     board: SignatureTestBoard,
     devices: Sequence[RFDevice],
     stimulus: Stimulus,
-    rng: Optional[np.random.Generator] = None,
-    n_bins: Optional[int] = None,
     *,
     rngs: Optional[RngList] = None,
+    n_bins: Optional[int] = None,
 ) -> np.ndarray:
     """The test oracle for ``board.signature_batch``: uncompiled algebra.
 
@@ -178,7 +177,7 @@ def reference_signature_batch(
     instead of the compiled program.
     """
     devices = list(devices)
-    gens = resolve_rng_streams(rng, rngs, len(devices))
+    gens = resolve_rng_streams(rngs, len(devices))
     filtered = reference_front_matrix(board, devices, stimulus, gens)
     return fft_magnitude_signature_matrix(board.digitize_matrix(filtered, gens), n_bins)
 

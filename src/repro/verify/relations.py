@@ -111,7 +111,12 @@ from repro.runtime.calibration import (
     default_candidates,
     measure_signatures,
 )
-from repro.runtime.executor import SeedBlock, SerialExecutor, spawn_seeds
+from repro.runtime.executor import (
+    SeedBlock,
+    SerialExecutor,
+    spawn_generators,
+    spawn_seeds,
+)
 from repro.runtime.production import DeviceTestRecord, ProductionTestFlow
 from repro.runtime.service import StreamingTestService
 from repro.runtime.specs import lna_limits
@@ -466,9 +471,12 @@ def _rel_compiled_capture_equivalence(case, rng):
 
     master = int(rng.integers(0, 2**63))
     # measure_signatures spawns per-device streams from the master
-    # exactly like the oracle's ``rng`` argument
+    # exactly like spawn_generators
     measured_ref = reference_signature_batch(
-        board, devices, stimulus, np.random.default_rng(master)
+        board,
+        devices,
+        stimulus,
+        rngs=spawn_generators(np.random.default_rng(master), len(devices)),
     )
     measured_compiled = measure_signatures(
         board,
@@ -683,13 +691,16 @@ def _rel_noise_determinism(case, rng):
     stimulus = _stimulus(rng, case["n_breakpoints"])
     master = int(rng.integers(0, 2**63))
 
-    first = board.signature_batch(devices, stimulus, rng=np.random.default_rng(master))
-    second = board.signature_batch(devices, stimulus, rng=np.random.default_rng(master))
+    def replay() -> np.ndarray:
+        gens = spawn_generators(np.random.default_rng(master), len(devices))
+        return board.signature_batch(devices, stimulus, rngs=gens)
+
+    first, second = replay(), replay()
     check_array_equal(second, first, label="same-seed replay")
 
     if not case["random_path_phase"]:  # the random-phase path requires an rng
-        clean_a = board.signature_batch(devices, stimulus, rng=None)
-        clean_b = board.signature_batch(devices, stimulus, rng=None)
+        clean_a = board.signature_batch(devices, stimulus)
+        clean_b = board.signature_batch(devices, stimulus)
         check_array_equal(clean_b, clean_a, label="noise-free determinism")
         check(
             not np.array_equal(first, clean_a),
@@ -886,8 +897,6 @@ def _per_row_records(
     of its signature row and its site.
     """
     seeds = spawn_seeds(rng, len(devices))
-    if not devices:
-        return []
     board = flow.board
     signatures = board.signature_batch(devices, flow.stimulus, rngs=seeds.generators())
     predicted = flow.calibration.predict_matrix(signatures)
@@ -895,19 +904,14 @@ def _per_row_records(
     if flow.limits is not None:
         verdicts = flow.limits.check_matrix(predicted)
         passed = [bool(p) for p in verdicts & np.isfinite(signatures).all(axis=1)]
-    if hasattr(board, "device_test_time"):
-        test_time = board.device_test_time()
-    else:
-        test_time = board.config.total_test_time()
-    site_of = getattr(board, "site_of", lambda position: 0)
     return [
         DeviceTestRecord(
             device_id=i,
             predicted=SpecSet.from_vector(predicted[i]),
             passed=passed[i],
-            test_time=test_time,
+            test_time=board.device_test_time(),
             signature=signatures[i].copy(),
-            site_index=site_of(i),
+            site_index=i % board.n_sites,
         )
         for i in range(len(devices))
     ]
@@ -937,7 +941,9 @@ def _rel_lot_columns_equivalence(case, rng):
     ``test_time``, ``site_index`` -- and the run's aggregates must equal
     :func:`_per_row_records` bit for bit, on serial, thread and process
     backends, any chunking, a 4-site crosstalk board, with and without
-    limits, and for the empty lot.  A device with a NaN gain has a
+    limits, and for the empty lot; every lot, the empty one too, has
+    the capture's signature width, a verdict column exactly when limits
+    are set, and the board's test time.  A device with a NaN gain has a
     non-finite signature row: with limits set it must stay failed, also
     when every model is a constant that predicts passing specs from it.
     """
@@ -980,6 +986,17 @@ def _rel_lot_columns_equivalence(case, rng):
     check(
         len(got) == len(want) == result.n_devices,
         f"{result.n_devices} devices, {len(got)} records, oracle {len(want)}",
+    )
+    # every lot, the empty one too, has the same columns
+    width = flow.board.signature_batch([], stimulus).shape[1]
+    check(
+        result.signatures.shape == (len(devices), width)
+        and (flow.limits is None) == (result.passed is None)
+        and (result.passed is None or result.passed.shape == (len(devices),))
+        and result.test_time == flow.board.device_test_time(),
+        f"columns: signatures {result.signatures.shape}, passed "
+        f"{None if result.passed is None else result.passed.shape}, "
+        f"test time {result.test_time!r}",
     )
     for record, reference in zip(got, want):
         label = f"device {reference.device_id}"
@@ -1677,7 +1694,7 @@ def _rel_ga_generation_batch_equivalence(case, rng):
             ratio = float(peak / single._weakest_saturation)
         excess = ratio - single.overdrive_margin
         penalty = single.overdrive_weight * excess**2 if excess > 0.0 else 0.0
-        signatures = single.board.signature_batch(star, stimulus, rng=None)
+        signatures = single.board.signature_batch(star, stimulus)
         check_array_equal(
             grid[j], signatures, label=f"gene {j}: grid slice vs signature_batch"
         )

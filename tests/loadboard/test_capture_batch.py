@@ -52,7 +52,10 @@ def batch_and_serial(cfg, devices, stim, seed=42, n_bins=None):
     """Signatures from one batched call and from a per-device loop."""
     board = SignatureTestBoard(cfg)
     batch = board.signature_batch(
-        devices, stim, rng=np.random.default_rng(seed), n_bins=n_bins
+        devices,
+        stim,
+        rngs=spawn_generators(np.random.default_rng(seed), len(devices)),
+        n_bins=n_bins,
     )
     board2 = SignatureTestBoard(cfg)
     gens = spawn_generators(np.random.default_rng(seed), len(devices))
@@ -152,15 +155,6 @@ class TestBatchBitIdentity:
 
 
 class TestBatchArguments:
-    def test_rng_and_rngs_mutually_exclusive(self, stim):
-        board = SignatureTestBoard(simulation_config())
-        devices = make_lot(n=2)
-        gens = spawn_generators(0, 2)
-        with pytest.raises(ValueError, match="not both"):
-            board.signature_batch(
-                devices, stim, rng=np.random.default_rng(0), rngs=gens
-            )
-
     def test_rngs_length_checked(self, stim):
         board = SignatureTestBoard(simulation_config())
         with pytest.raises(ValueError, match="per device"):

@@ -241,7 +241,9 @@ class TestCompiledBitIdentity:
         cfg = simulation_config()
         devices = make_lot()
         board = SignatureTestBoard(cfg)
-        batch = board.signature_batch(devices, stim, rng=np.random.default_rng(3))
+        batch = board.signature_batch(
+            devices, stim, rngs=spawn_generators(np.random.default_rng(3), len(devices))
+        )
         board2 = SignatureTestBoard(cfg)
         gens = spawn_generators(np.random.default_rng(3), len(devices))
         for i, (dev, g) in enumerate(zip(devices, gens)):
@@ -332,20 +334,20 @@ class TestProgramCache:
         devices = make_lot(3)
         stimuli = _stimuli(5)
         shared = [
-            board.signature_batch(devices, s, rng=np.random.default_rng(8))
+            board.signature_batch(devices, s, rngs=spawn_generators(8, len(devices)))
             for s in stimuli
         ]
         assert len(board._plan_cache) == len(stimuli)
         assert len(board._programs) == 1
         for s, sig in zip(stimuli, shared):
             fresh = SignatureTestBoard(cfg).signature_batch(
-                devices, s, rng=np.random.default_rng(8)
+                devices, s, rngs=spawn_generators(8, len(devices))
             )
             assert np.array_equal(sig, fresh)
 
     def test_clear_plan_cache_drops_programs(self, stim):
         board = SignatureTestBoard(simulation_config())
-        board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(1))
+        board.signature_batch(make_lot(2), stim, rngs=spawn_generators(1, 2))
         assert board._programs
         board.clear_plan_cache()
         assert not board._plan_cache and not board._programs
@@ -357,7 +359,7 @@ class TestPlanCacheBytes:
         devices = make_lot(2)
         stimuli = _stimuli(3)
         for s in stimuli:
-            board.signature_batch(devices, s, rng=np.random.default_rng(1))
+            board.signature_batch(devices, s, rngs=spawn_generators(1, len(devices)))
         board._plan_cache_max_bytes = 0
         board._enforce_plan_cache_bytes()
         assert len(board._plan_cache) == 1
@@ -369,24 +371,24 @@ class TestPlanCacheBytes:
         board._plan_cache_max_bytes = 1
         devices = make_lot(2)
         for s in _stimuli(4):
-            board.signature_batch(devices, s, rng=np.random.default_rng(1))
+            board.signature_batch(devices, s, rngs=spawn_generators(1, len(devices)))
             assert len(board._plan_cache) == 1
 
     def test_workspaces_bounded_by_one_block(self, stim):
         cfg = simulation_config()
         board = SignatureTestBoard(cfg)
-        board.signature_batch(make_lot(3), stim, rng=np.random.default_rng(4))
+        board.signature_batch(make_lot(3), stim, rngs=spawn_generators(4, 3))
         program = next(iter(board._programs.values()))
         one_block = program.nbytes()
         rows = block_rows(board.capture_plan(stim).n)
         devices = make_lot(2 * rows + 3)
-        big = board.signature_batch(devices, stim, rng=np.random.default_rng(4))
+        big = board.signature_batch(devices, stim, rngs=spawn_generators(4, len(devices)))
         # a lot of three blocks streams through the same block-sized set
         assert program.nbytes() == one_block
         (ws,) = program._workspaces.values()
         assert {buf.shape[0] for buf in ws.bufs} == {rows}
         ref = reference_signature_batch(
-            SignatureTestBoard(cfg), devices, stim, rng=np.random.default_rng(4)
+            SignatureTestBoard(cfg), devices, stim, rngs=spawn_generators(4, len(devices))
         )
         assert np.array_equal(big, ref)
 
@@ -405,7 +407,8 @@ def _compiled(cfg, stim):
     """A board's compiled program for ``cfg`` after a one-block capture."""
     board = SignatureTestBoard(cfg)
     n = board.capture_plan(stim).n
-    board.signature_batch(make_lot(block_rows(n)), stim, rng=np.random.default_rng(1))
+    rows = block_rows(n)
+    board.signature_batch(make_lot(rows), stim, rngs=spawn_generators(1, rows))
     return next(iter(board._programs.values())), n
 
 
@@ -516,7 +519,7 @@ class TestBoundOpList:
 class TestPickling:
     def test_program_roundtrip_drops_workspaces(self, stim):
         board = SignatureTestBoard(simulation_config())
-        board.signature_batch(make_lot(2), stim, rng=np.random.default_rng(3))
+        board.signature_batch(make_lot(2), stim, rngs=spawn_generators(3, 2))
         plan = next(iter(board._plan_cache.values()))
         program = next(iter(board._programs.values()))
         # populated by the capture, with the op list bound to them
@@ -540,12 +543,12 @@ class TestPickling:
     def test_board_roundtrip_recompiles_same_fingerprint(self, stim):
         board = SignatureTestBoard(simulation_config())
         devices = make_lot(2)
-        first = board.signature_batch(devices, stim, rng=np.random.default_rng(3))
+        first = board.signature_batch(devices, stim, rngs=spawn_generators(3, 2))
         clone = pickle.loads(pickle.dumps(board))
         # compiled programs stay behind, like plans; the worker-side
         # board recompiles the same tape on its first capture
         assert len(clone._programs) == 0
-        again = clone.signature_batch(devices, stim, rng=np.random.default_rng(3))
+        again = clone.signature_batch(devices, stim, rngs=spawn_generators(3, 2))
         assert np.array_equal(first, again)
         assert set(clone._programs) == set(board._programs)
         for key, program in board._programs.items():

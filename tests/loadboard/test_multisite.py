@@ -245,8 +245,7 @@ class TestConfigValidation:
         mat = np.zeros((2, 2))
         assert not MultiSiteConfig(n_sites=2, coupling_matrix=mat).has_crosstalk
 
-    def test_chunk_alignment_is_site_count(self):
+    def test_sites_are_round_robin(self):
         board = MultiSiteBoard(_cfg(), MultiSiteConfig(n_sites=3))
-        assert board.chunk_alignment == 3
-        assert [board.site_of(i) for i in range(5)] == [0, 1, 2, 0, 1]
+        assert board.n_sites == 3
         assert board.site_indices(5) == [[0, 3], [1, 4], [2]]

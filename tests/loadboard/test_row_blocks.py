@@ -173,7 +173,7 @@ class TestStopStage:
 
         monkeypatch.setattr(CompiledCaptureProgram, "execute", counting)
         board.signature_batch(
-            make_lot(3 * rows), stimuli(1)[0], rng=np.random.default_rng(1)
+            make_lot(3 * rows), stimuli(1)[0], rngs=spawn_generators(1, 3 * rows)
         )
         assert blocks == [rows, rows, rows]
 
@@ -212,7 +212,7 @@ class TestSaturationOnce:
         stim = stimuli(1)[0]
         board.capture_plan(stim)
         devices = make_lot(TestBlockedBackHalf.ROWS + 3)
-        board.signature_batch(devices, stim, rng=np.random.default_rng(2))
+        board.signature_batch(devices, stim, rngs=spawn_generators(2, len(devices)))
         assert seen == ([len(devices)] if config == "simulation" else [])
 
 
@@ -441,7 +441,7 @@ class TestSignatureGrid:
         assert seen == [captured]
         loop = SignatureTestBoard(cfg)
         want = np.stack(
-            [loop.signature_batch(devices, stim, rng=None, n_bins=40) for stim in stims]
+            [loop.signature_batch(devices, stim, n_bins=40) for stim in stims]
         )
         assert np.array_equal(grid, want)
 

@@ -125,16 +125,10 @@ class TestBistPath:
     def test_seeded_replay_is_deterministic_and_noisy(self, stim):
         path = BistSignaturePath(BistPathConfig())
         devices = _lot(2)
-        first = path.signature_batch(
-            devices, stim, rng=np.random.default_rng(77)
-        )
-        second = path.signature_batch(
-            devices, stim, rng=np.random.default_rng(77)
-        )
+        first = path.signature_batch(devices, stim, rngs=spawn_generators(77, 2))
+        second = path.signature_batch(devices, stim, rngs=spawn_generators(77, 2))
         assert np.array_equal(first, second)
-        other = path.signature_batch(
-            devices, stim, rng=np.random.default_rng(78)
-        )
+        other = path.signature_batch(devices, stim, rngs=spawn_generators(78, 2))
         assert not np.array_equal(first, other)
 
     def test_distinct_devices_yield_distinct_signatures(self, stim):

@@ -18,7 +18,13 @@ import pytest
 from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import SpecSet
 from repro.dsp.waveform import PiecewiseLinearStimulus
-from repro.loadboard.signature_path import SignaturePathConfig
+from repro.loadboard.scenario_paths import (
+    AbmAccessPath,
+    AbmPathConfig,
+    BistPathConfig,
+    BistSignaturePath,
+)
+from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
 from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.linear import RidgeRegression
 from repro.regression.pipeline import Pipeline
@@ -117,13 +123,16 @@ class TestChunkAlignment:
         assert _chunk_size(10, ex, 3, 1) == _chunk_size(10, ex, 3) == 3
 
     def test_serial_lot_is_one_chunk(self):
-        # a serial backend captures the whole lot at once; an empty lot
-        # yields no chunk, and a size beyond the lot one chunk
+        # a serial backend captures the whole lot at once; lots without
+        # rows yield one empty chunk, and a size beyond the lot one chunk
         ex = get_executor(None)
         assert _chunk_size(10, ex, None) == 10
         assert _chunk_size(0, ex, None) == 1
         assert _chunk_size(10, get_executor("thread:2"), 0) == 1
-        assert list(_device_chunks([([], spawn_seeds(0, 0))], 1)) == []
+        for n_lots in (1, 3):
+            pieces = [([], spawn_seeds(lot, 0)) for lot in range(n_lots)]
+            ((ids, devices, (seeds,)),) = _device_chunks(pieces, 1)
+            assert ids == devices == [] and seeds.words.shape == (0, 4)
         chunks = list(_device_chunks([(list(range(10)), spawn_seeds(0, 10))], 50))
         assert [ids for ids, _, _ in chunks] == [list(range(10))]
 
@@ -178,8 +187,6 @@ class TestProductionFlow:
         assert board.device_test_time() < board.insertion_test_time()
 
     def test_single_site_records_default_to_site_zero(self, stim):
-        from repro.loadboard.signature_path import SignatureTestBoard
-
         flow = _ridge_flow(SignatureTestBoard(_cfg()), stim)
         result = flow.run(_lot(3, seed=9), np.random.default_rng(13))
         assert all(r.site_index == 0 for r in result.records)
@@ -220,8 +227,6 @@ class TestStreamingMetrics:
             assert stream_record.record.site_index == reference.site_index
 
     def test_single_site_board_reports_no_site_metrics(self, stim):
-        from repro.loadboard.signature_path import SignatureTestBoard
-
         flow = _ridge_flow(SignatureTestBoard(_cfg()), stim)
         with StreamingTestService(flow) as service:
             service.submit(_lot(2, seed=9), np.random.default_rng(21))
@@ -230,6 +235,45 @@ class TestStreamingMetrics:
             snapshot = service.metrics()
         assert snapshot.site_devices_emitted is None
         assert snapshot.contention_wait_s == 0.0
+
+
+_PATHS = {
+    "board": lambda: SignatureTestBoard(_cfg()),
+    "bist": lambda: BistSignaturePath(BistPathConfig()),
+    "abm": lambda: AbmAccessPath(AbmPathConfig(_cfg())),
+    "multisite-1": lambda: _board(n_sites=1),
+    "multisite-3": lambda: _board(n_sites=3),
+}
+
+
+class TestDeclaredSurfaces:
+    """Every path declares the lot geometry the runtime reads."""
+
+    @pytest.mark.parametrize("kind", sorted(_PATHS))
+    def test_lot_geometry(self, kind, stim):
+        path = _PATHS[kind]()
+        if kind.startswith("multisite"):
+            sites = int(kind[-1])
+            assert path.n_sites == sites
+            assert path.device_test_time() == path.insertion_test_time() / sites
+            # one readout per extra site, one LO retune per extra site
+            assert path.arbitration_seconds() == pytest.approx((sites - 1) * 3e-3)
+        else:
+            assert path.n_sites == 1
+            assert path.device_test_time() == path.config.total_test_time()
+            assert path.arbitration_seconds() == 0.0
+        flow = _ridge_flow(path, stim)
+        result = flow.run(_lot(7, seed=9), np.random.default_rng(13))
+        assert np.array_equal(result.site, np.arange(7) % path.n_sites)
+        assert result.test_time == path.device_test_time()
+        with StreamingTestService(flow) as service:
+            service.submit(_lot(7, seed=9), np.random.default_rng(13))
+            service.close()
+            assert len(list(service.records())) == 7
+            snapshot = service.metrics()
+        # only a board with more than one site reports per-site counts
+        expected = None if path.n_sites == 1 else {0: 3, 1: 2, 2: 2}
+        assert snapshot.site_devices_emitted == expected
 
 
 class _GatedBoard:

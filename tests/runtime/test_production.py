@@ -9,9 +9,11 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.circuits.device import SpecSet
 from repro.circuits.parameters import ParameterSpace, ProcessParameter
 from repro.loadboard.signature_path import SignaturePathConfig, SignatureTestBoard
+from repro.loadboard.sites import MultiSiteBoard, MultiSiteConfig
 from repro.regression.mars import MARSRegressor
 from repro.regression.pipeline import Pipeline
 from repro.runtime.calibration import CalibrationModel, CalibrationSession
+from repro.runtime.executor import spawn_generators
 from repro.runtime.production import (
     DeviceTestRecord,
     ProductionRunResult,
@@ -62,8 +64,8 @@ class TestProductionFlow:
         space, factory, board, stim, calibration = flow_setup
         flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
         device = factory(space.to_dict(space.nominal_vector()))
-        rec = flow.test_device(device, np.random.default_rng(0), device_id=7)
-        assert rec.device_id == 7
+        rec = flow.run([device], np.random.default_rng(0))[0]
+        assert rec.device_id == 0
         assert rec.passed is True
         assert rec.predicted.gain_db == pytest.approx(16.0, abs=0.5)
         assert rec.test_time == board.config.total_test_time()
@@ -73,7 +75,7 @@ class TestProductionFlow:
         flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
         # train distribution is around 16 dB; an 11 dB device must fail
         dud = factory({"gain_db": 11.0, "nf_db": 2.2, "iip3_dbm": 3.0})
-        rec = flow.test_device(dud, np.random.default_rng(1))
+        rec = flow.run([dud], np.random.default_rng(1))[0]
         assert rec.passed is False
 
     def test_run_statistics(self, flow_setup):
@@ -88,27 +90,18 @@ class TestProductionFlow:
         assert result.throughput_per_hour() > 100.0
         assert result.predicted_matrix().shape == (10, 3)
 
-    def test_test_device_is_a_one_device_lot(self, flow_setup):
-        space, factory, board, stim, calibration = flow_setup
-        flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
-        device = factory(space.to_dict(space.nominal_vector()))
-        rec = flow.test_device(device, np.random.default_rng(8), device_id=4)
-        (ref,) = flow.run([device], np.random.default_rng(8)).records
-        assert rec.device_id == 4
-        assert np.array_equal(rec.signature, ref.signature)
-        assert np.array_equal(rec.predicted.as_vector(), ref.predicted.as_vector())
-        assert rec.passed is ref.passed
-
     def test_no_limits_means_no_verdict(self, flow_setup):
         space, factory, board, stim, calibration = flow_setup
         flow = ProductionTestFlow(board, stim, calibration, limits=None)
-        rec = flow.test_device(
-            factory(space.to_dict(space.nominal_vector())), np.random.default_rng(3)
-        )
+        rec = flow.run(
+            [factory(space.to_dict(space.nominal_vector()))], np.random.default_rng(3)
+        )[0]
         assert rec.passed is None
 
-    def test_empty_run_statistics_raise(self):
-        result = ProductionRunResult()
+    def test_empty_run_statistics_raise(self, flow_setup):
+        _, _, board, stim, calibration = flow_setup
+        flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
+        result = flow.run([], np.random.default_rng(4))
         with pytest.raises(ValueError):
             result.mean_test_time
         with pytest.raises(ValueError):
@@ -147,7 +140,9 @@ class TestFailClosed:
         good = factory(nominal)
         # hinge-free MARS fits on a constant target: every limited spec
         # predicts the (passing) nominal value whatever the signature
-        train = board.signature_batch([good] * 8, stim, rng=np.random.default_rng(1))
+        train = board.signature_batch(
+            [good] * 8, stim, rngs=spawn_generators(np.random.default_rng(1), 8)
+        )
         pipelines = {}
         for name, value in zip(SpecSet.NAMES, good.specs().as_vector()):
             pipelines[name] = Pipeline([MARSRegressor()]).fit(
@@ -228,12 +223,27 @@ class TestFailClosed:
 class TestEdgeLots:
     @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
     def test_empty_lot(self, flow_setup, executor):
-        space, factory, board, stim, calibration = flow_setup
+        self._check_empty_lot(flow_setup, executor, flow_setup[2])
+
+    @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+    def test_empty_lot_on_four_sites(self, flow_setup, executor):
+        board = MultiSiteBoard(flow_setup[2].config, MultiSiteConfig(n_sites=4))
+        self._check_empty_lot(flow_setup, executor, board)
+
+    @staticmethod
+    def _check_empty_lot(flow_setup, executor, board):
+        space, factory, _, stim, calibration = flow_setup
         flow = ProductionTestFlow(board, stim, calibration, limits=lna_limits())
         result = flow.run([], np.random.default_rng(0), executor=executor)
         assert result.n_devices == 0
         assert result.records == []
         assert result.predicted_matrix().shape == (0, 3)
+        # an empty lot has every column a lot has, and the board's test time
+        device = factory(space.to_dict(space.nominal_vector()))
+        assert result.signatures.shape == (0, board.signature(device, stim).size)
+        assert result.passed.dtype == bool and result.passed.shape == (0,)
+        assert result.seed_words.shape == (0, 4)
+        assert result.test_time == board.device_test_time()
 
     @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
     def test_single_device_matches_serial(self, flow_setup, executor):

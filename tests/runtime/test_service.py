@@ -16,6 +16,7 @@ The contracts under test, in order of importance:
 
 import queue
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -354,6 +355,27 @@ class TestCoalescing:
         for i, devices in enumerate(lots):
             offline = flow.run(devices, np.random.default_rng(200 + i))
             _assert_records_match([r for r in streamed if r.lot_id == i], offline.records)
+
+    def test_a_batch_of_empty_lots_completes_and_emits_nothing(self, flow_setup):
+        flow = flow_setup[2]
+        gate = threading.Event()
+        board = _CountingGatedBoard(flow.board, gate)
+        with StreamingTestService(_proxied_flow(flow, board), max_pending_lots=4) as svc:
+            for i in range(4):
+                svc.submit([], np.random.default_rng(300 + i))
+                deadline = time.monotonic() + 30
+                while not board.rows:  # lot 0 holds the dispatcher at the gate
+                    assert time.monotonic() < deadline
+                    threading.Event().wait(0.005)
+            gate.set()
+            svc.close()
+            streamed = list(svc.records())
+            snapshot = svc.metrics()
+        # lots 1-3 share the second capture: one empty chunk
+        assert board.rows == [0, 0]
+        assert snapshot.captures == 2
+        assert snapshot.lots_completed == 4
+        assert streamed == [] and snapshot.devices_emitted == 0
 
     def test_each_lot_keeps_its_own_latency(self, flow_setup):
         flow = flow_setup[2]

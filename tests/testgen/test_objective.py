@@ -147,6 +147,21 @@ class TestObjectiveBatch:
         self._assert_equals_loop(a_p, a_s, 0.0)
         self._assert_equals_loop(a_p, a_s, 1e-3, rcond=1e-3)
 
+    def test_default_map_uses_the_fitness_rank_floor(self):
+        # the Eq. 10 minimum inverts a direction at 1e-9 of s_max: the
+        # packaged map's default floor must admit it as the fitness's does
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        a_s = u @ np.diag([1.0, 1e-9]) @ v.T
+        a_p = np.ones((1, 2)) @ v.T
+        sigma_m = 1e-12
+        mapping = LinearSignatureMap.from_sensitivities(a_p, a_s, sigma_m=sigma_m)
+        assert mapping.rank == 2
+        assert mapping.total_error_variances(sigma_m).mean() == (
+            signature_test_objective_batch(a_p, a_s[None], sigma_m)[0]
+        )
+
     def test_spec_scales(self):
         rng = np.random.default_rng(4)
         a_p, a_s = rng.normal(size=(3, 5)), rng.normal(size=(6, 25, 5))

@@ -226,9 +226,7 @@ class CaptureOracleOptimizer(SignatureStimulusOptimizer):
     def signature_matrix(self, stimulus):
         star = difference_star(self.space, self.rel_step, central=True)
         signatures = self.board.signature_batch(
-            [self.device_factory(p) for p in star],
-            stimulus,
-            rng=None,
+            [self.device_factory(p) for p in star], stimulus
         )
         a_s, _ = star_jacobian(signatures, self.space, self.rel_step, central=True)
         return a_s * self.space.fractional_std_vector()[None, :]
@@ -385,7 +383,7 @@ def _per_gene_objective(opt, gene, sat, star):
     excess = ratio - opt.overdrive_margin
     if excess > 0.0:
         penalty = opt.overdrive_weight * excess**2
-    signatures = opt.board.signature_batch(star, stimulus, rng=None)
+    signatures = opt.board.signature_batch(star, stimulus)
     a_s, _ = star_jacobian(signatures, opt.space, opt.rel_step, central=True)
     a_s = a_s * opt.space.fractional_std_vector()[None, :]
     return penalty + signature_test_objective(
