@@ -4,7 +4,8 @@ Reads the stage breakdown that ``test_bench_capture_hotpath`` records
 in ``benchmarks/results/capture_hotpath.json`` (the wall time of each
 pipeline stage -- plan, nonlinearity, noise, mix, filter, digitize,
 fft -- for one compiled 64-device capture) and prints it as a markdown
-table.  ``make bench-profile`` runs the benchmark first and then this
+table, with the compiled mixer-2 tape's step count beside the ``mix``
+stage.  ``make bench-profile`` runs the benchmark first and then this
 report; CI appends the same table to the job summary.
 
 The benchmark times the stages from the outside: the span tracer of
@@ -58,11 +59,13 @@ def _main(path=RESULTS):
         f"({payload['n_devices']} devices, {compiled_ms:.2f} ms)"
     )
     print()
-    print("| stage | ms | share |")
-    print("|---|---:|---:|")
+    ops = payload.get("mix_op_count")
+    print("| stage | ms | share | tape steps |")
+    print("|---|---:|---:|---:|")
     for name, seconds in sorted(stages.items(), key=lambda kv: -kv[1]):
-        print(f"| {name} | {seconds * 1e3:.3f} | {seconds / total:.1%} |")
-    print(f"| **total** | **{total * 1e3:.3f}** | |")
+        steps = ops if name == "mix" and ops is not None else ""
+        print(f"| {name} | {seconds * 1e3:.3f} | {seconds / total:.1%} | {steps} |")
+    print(f"| **total** | **{total * 1e3:.3f}** | | |")
     print()
     print(
         f"cold speedup {payload['compiled_speedup']:.2f}x "

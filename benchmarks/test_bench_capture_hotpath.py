@@ -17,6 +17,8 @@ numbers as JSON under ``benchmarks/results/``:
 All four are checked bit-identical (the batching + compilation
 contract); the speedup gates compare the compiled program against the
 per-device path it replaced -- cold plans and warm plans separately.
+The JSON also records the compiled mixer-2 tape's step count
+(``mix_op_count``), so a change to the tape shows beside its stage time.
 One more compiled capture then runs under the span tracer of
 ``benchmarks/e2e/trace.py``, patched at the stage callables of
 ``profile_stages.STAGES``; its per-stage wall times are recorded for
@@ -137,6 +139,9 @@ def test_bench_capture_hotpath(benchmark, report):
     assert np.array_equal(batched_sigs, compiled_sigs)
     assert np.array_equal(traced_sigs, compiled_sigs)
 
+    # the size of the mixer-2 tape the "mix" stage runs
+    (program,) = board._programs.values()
+
     speedup = uncached_s / batched_s
     compiled_speedup = uncached_s / compiled_s
     compiled_warm_speedup = warm_s / compiled_s
@@ -155,6 +160,7 @@ def test_bench_capture_hotpath(benchmark, report):
         "cold_speedup_target": COLD_SPEEDUP_TARGET,
         "warm_speedup_target": WARM_SPEEDUP_TARGET,
         "stage_seconds": stage_seconds,
+        "mix_op_count": program.op_count,
         "unix_time": time.time(),
     }
     os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)
@@ -175,7 +181,8 @@ def test_bench_capture_hotpath(benchmark, report):
             stage_seconds.items(), key=lambda kv: -kv[1]
         ):
             p(f"  stage {name:<13} {seconds * 1e3:8.3f} ms "
-              f"({seconds / total:5.1%})")
+              f"({seconds / total:5.1%})"
+              + (f", {program.op_count} tape steps" if name == "mix" else ""))
         p(f"recorded: {os.path.relpath(RESULTS_PATH)}")
 
     assert compiled_speedup >= COLD_SPEEDUP_TARGET, (

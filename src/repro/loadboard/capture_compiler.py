@@ -22,7 +22,6 @@ This module compiles that stage once per board and capture shape
    identities of IEEE-754 / NumPy elementwise kernels (each one is
    locked by ``tests/loadboard/test_capture_compiler.py``):
 
-   * ``(x / 2) * 2 == x`` and ``x * 1.0 == x`` (power-of-two scaling);
    * ``conj(x) / 2 == conj(x / 2)`` and conjugation commutes with
      doubling, real scaling, products and sums;
    * ``Re(a * conj(b)) == Re(conj(a) * b)`` and multiplication
@@ -30,8 +29,20 @@ This module compiles that stage once per board and capture shape
      complex multiply whose real part is accumulated twice;
    * ``Re(c + d) == Re(c) + Re(d)`` and ``Re(r * c) == r * Re(c)`` for
      a real-coerced operand ``r``, so the harmonic-0 chain runs in real
-     float64 end to end.
+     float64 end to end;
+   * a power-of-two factor ``2**k`` commutes with every kernel:
+     ``(2**k a) * b == 2**k (a * b)`` (NumPy's FMA complex multiply
+     included), ``2**k a + 2**k b == 2**k (a + b)``, ``x + x == 2 x``,
+     ``c (2**k x) == (c 2**k) x`` and ``x * 1.0 == x``, for finite
+     values whose intermediates stay in the normal range.
 
+   The traced tape still halves every two-sided harmonic and doubles
+   every folded one.  A second pass,
+   ``CompiledCaptureProgram._fold_scalings``, rebuilds it with a
+   power-of-two exponent carried on every runtime node and folded into
+   the constants (the LO factors, the mixer coefficients), so the
+   emitted program has no ``half`` (a complex division), no ``double``
+   and no ``x + x`` step.
 3. **DCE + fold.**  Only ops reachable from the baseband output are
    kept (the sparse harmonic-mixing structure: each surviving ``mul``
    is one nonzero of the harmonic-product matrix); subgraphs fed only
@@ -42,7 +53,8 @@ This module compiles that stage once per board and capture shape
    (thread, record length) for full blocks: each entry holds its
    kernel, its operand arrays and its output view, so the steady-state
    inner loop performs no operand lookups, no envelope bookkeeping and
-   no allocations.
+   no allocations.  A step may write over an operand it reads for the
+   last time, so the workspace holds only the block's live values.
    One call runs one cache-resident block of rows (:data:`BLOCK_BYTES`);
    the board streams a whole lot through it block by block.
 
@@ -52,8 +64,10 @@ traced reference chain.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,16 +161,12 @@ class CaptureTape:
 
     def half(self, a: int) -> int:
         node = self.nodes[a]
-        if node.op == "double":
-            return node.args[0]  # (x * 2) / 2 == x
         if node.op == "conj":
             return self.conj(self.half(node.args[0]))  # conj(x)/2 == conj(x/2)
         return self._cached(("half", a), TapeNode("half", (a,), dtype=node.dtype))
 
     def double(self, a: int) -> int:
         node = self.nodes[a]
-        if node.op == "half":
-            return node.args[0]  # (x / 2) * 2 == x
         if node.op == "conj":
             return self.conj(self.double(node.args[0]))
         return self._cached(("double", a), TapeNode("double", (a,), dtype=node.dtype))
@@ -368,6 +378,16 @@ def trace_mixer_baseband(
 # ----------------------------------------------------------------------
 # compilation: DCE, constant folding, buffer planning
 # ----------------------------------------------------------------------
+def _power_of_two(factor: float) -> Optional[int]:
+    """``k`` when ``factor == 2.0**k`` exactly, else ``None``."""
+    if not (math.isfinite(factor) and factor > 0.0):
+        return None
+    num, den = factor.as_integer_ratio()  # in lowest terms
+    if num & (num - 1) or den & (den - 1):
+        return None
+    return num.bit_length() - den.bit_length()
+
+
 def _apply_kernel(node: TapeNode, a, b, out=None):
     """Evaluate one tape op with the exact kernels the reference uses.
 
@@ -401,10 +421,6 @@ def _bind_kernel(node: TapeNode, a, b, out) -> Tuple[object, tuple]:
     The kernels, operands and operand order of :func:`_apply_kernel`
     with ``out=``, resolved once so a call is just ``fn(*args)``.
     """
-    if node.op == "half":
-        return np.divide, (a, 2.0, out)
-    if node.op == "double":
-        return np.multiply, (a, 2.0, out)
     if node.op == "conj":
         return np.conjugate, (a, out)
     if node.op == "mul":
@@ -474,6 +490,8 @@ class CompiledCaptureProgram:
     ):
         const_inputs = dict(const_inputs or {})
 
+        self.fingerprint = tape.fingerprint(out)
+        tape, out = self._fold_scalings(tape, out, set(const_inputs))
         needed = self._needed(tape, out)
         consts = self._fold_constants(tape, needed, const_inputs)
         # a folded operand whose samples all share their bits (every
@@ -487,7 +505,6 @@ class CompiledCaptureProgram:
                 consts[nid] = flat[:1].reshape(()).copy()
         self._schedule(tape, needed, consts, out)
         self.out_node = out
-        self.fingerprint = tape.fingerprint(out)
         self.op_count = len(self.steps)
         self._workspaces: "Dict[tuple, _Workspace]" = {}
         self._workspace_lock = threading.Lock()
@@ -504,6 +521,130 @@ class CompiledCaptureProgram:
             needed.add(nid)
             stack.extend(tape.nodes[nid].args)
         return sorted(needed)  # construction order is topological
+
+    @classmethod
+    def _fold_scalings(
+        cls, tape: CaptureTape, out: int, const_keys
+    ) -> Tuple[CaptureTape, int]:
+        """A new tape computing ``out`` with no runtime power-of-two scaling.
+
+        Each runtime node of ``tape`` becomes a pair ``(node, k)`` of a
+        new tape whose value times ``2**k`` is the traced value bit for
+        bit: ``half``, ``double``, a ``scale`` by a power of two and
+        ``add(x, x)`` only move ``k``; ``conj`` and ``real`` carry it;
+        ``mul`` adds its operands' ``k``.  An exponent goes into a
+        constant factor wherever one is at hand -- a constant operand
+        of a ``mul`` (as a ``scale`` node that folding evaluates) or
+        the scalar of a ``scale`` -- and an ``add`` of unequal exponents
+        or a non-zero exponent at the output costs one runtime ``scale``
+        only when no single-use operand can take it (through ``real``
+        and ``conj``) for free.  Subgraphs of plan-bound inputs are
+        copied as traced, so folding computes the same constants.
+        """
+        needed = cls._needed(tape, out)
+        uses = Counter(arg for nid in needed for arg in tape.nodes[nid].args)
+        uses[out] += 1
+        new = CaptureTape()
+        # new node -> fed only by plan-bound inputs
+        const: Dict[int, bool] = {}
+        # new node -> consumers still to come (a single-use node may be
+        # rewritten in place of its one consumer's operand)
+        owners: Counter = Counter()
+
+        def is_const(nid: int) -> bool:
+            if nid not in const:
+                node = new.nodes[nid]
+                if node.op == "input":
+                    const[nid] = node.key in const_keys
+                else:
+                    const[nid] = all(is_const(arg) for arg in node.args)
+            return const[nid]
+
+        def absorb(nid: int, k: int) -> Optional[int]:
+            """A node equal to ``2**k * nid`` at no runtime cost, or None."""
+            if k == 0:
+                return nid
+            if is_const(nid):
+                return new.scale(nid, 2.0**k)
+            if owners[nid] != 1:
+                return None
+            node = new.nodes[nid]
+            if node.op == "scale":
+                return new.scale(node.args[0], node.scalar * 2.0**k)
+            if node.op == "mul":
+                a, b = node.args
+                if is_const(a):
+                    return new.mul(new.scale(a, 2.0**k), b)
+                if is_const(b):
+                    return new.mul(a, new.scale(b, 2.0**k))
+            if node.op in ("real", "conj"):
+                inner = absorb(node.args[0], k)
+                if inner is not None:
+                    return new.real(inner) if node.op == "real" else new.conj(inner)
+            return None
+
+        def add(a: int, ka: int, b: int, kb: int) -> Tuple[int, int]:
+            if ka != kb:
+                moved = absorb(a, ka - kb)
+                if moved is not None:
+                    a, ka = moved, kb
+                else:
+                    moved = absorb(b, kb - ka)
+                    if moved is not None:
+                        b, kb = moved, ka
+                    else:
+                        a, ka = new.scale(a, 2.0 ** (ka - kb)), kb
+            if a == b:
+                return a, ka + 1  # x + x == 2 * x
+            return new.add(a, b), ka
+
+        image: Dict[int, Tuple[int, int]] = {}
+        for nid in needed:
+            node = tape.nodes[nid]
+            args = [image[arg][0] for arg in node.args]
+            exps = [image[arg][1] for arg in node.args]
+            op = node.op
+            if op == "input":
+                image[nid] = (new.input_(*node.key, dtype=node.dtype), 0)
+            elif op == "zeros":
+                image[nid] = (new.zeros(), 0)
+            elif all(is_const(arg) for arg in args):
+                # a constant subgraph, copied as traced
+                if op == "scale":
+                    image[nid] = (new.scale(args[0], node.scalar), 0)
+                else:
+                    image[nid] = (getattr(new, op)(*args), 0)
+            elif op in ("half", "double"):
+                image[nid] = (args[0], exps[0] + (1 if op == "double" else -1))
+            elif op in ("conj", "real"):
+                image[nid] = (getattr(new, op)(args[0]), exps[0])
+            elif op == "scale":
+                j = _power_of_two(node.scalar)
+                if j is not None:
+                    image[nid] = (args[0], exps[0] + j)
+                else:
+                    image[nid] = (new.scale(args[0], node.scalar * 2.0 ** exps[0]), 0)
+            elif op == "mul":
+                a, b = args
+                k = exps[0] + exps[1]
+                if k and is_const(a):
+                    a, k = new.scale(a, 2.0**k), 0
+                elif k and is_const(b):
+                    b, k = new.scale(b, 2.0**k), 0
+                image[nid] = (new.mul(a, b), k)
+            elif op == "add":
+                image[nid] = add(args[0], exps[0], args[1], exps[1])
+            else:
+                raise AssertionError(f"unexpected tape op {op!r}")
+            result = image[nid][0]
+            # an operand the result is (x + x, a power-of-two scaling)
+            # loses the consumer the traced tape counted for it
+            owners[result] += uses[nid] - sum(arg == result for arg in args)
+        result, k = image[out]
+        if k:
+            moved = absorb(result, k)
+            result = new.scale(result, 2.0**k) if moved is None else moved
+        return new, result
 
     def _fold_constants(self, tape, needed, const_inputs) -> Dict[int, np.ndarray]:
         """Evaluate every needed node fed only by plan-bound inputs."""
@@ -526,7 +667,14 @@ class CompiledCaptureProgram:
         return consts
 
     def _schedule(self, tape, needed, consts, out) -> None:
-        """Linearize runtime ops and assign liveness-reused buffer slots."""
+        """Linearize runtime ops and assign liveness-reused buffer slots.
+
+        A step may write over an operand it reads for the last time:
+        every kernel is elementwise and reads each element before it
+        writes it (``tests/test_stacking_identities.py`` pins that the
+        in-place call equals the out-of-place one), so the block's
+        working set is as small as its live values.
+        """
         runtime = [
             nid
             for nid in needed
@@ -567,27 +715,21 @@ class CompiledCaptureProgram:
 
         for nid in runtime:
             node = tape.nodes[nid]
-            pool = free[node.dtype]
-            if pool:
-                slot = pool.pop()
-            else:
-                slot = len(slot_dtype)
-                slot_dtype.append(node.dtype)
-            slot_of[nid] = slot
             args = node.args
-            steps.append(
-                _Step(
-                    node,
-                    slot,
-                    loc(args[0]),
-                    loc(args[1]) if len(args) > 1 else None,
-                )
-            )
+            step = _Step(node, -1, loc(args[0]), loc(args[1]) if len(args) > 1 else None)
             for arg in args:
                 if arg in refs:
                     refs[arg] -= 1
                     if refs[arg] == 0 and arg != out:
                         free[tape.nodes[arg].dtype].append(slot_of[arg])
+            pool = free[node.dtype]
+            if pool:
+                step.out_slot = pool.pop()
+            else:
+                step.out_slot = len(slot_dtype)
+                slot_dtype.append(node.dtype)
+            slot_of[nid] = step.out_slot
+            steps.append(step)
         self.steps = steps
         self._slot_dtype = slot_dtype
         self._out_slot = slot_of.get(out)

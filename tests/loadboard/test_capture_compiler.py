@@ -23,6 +23,7 @@ from repro.circuits.behavioral import BehavioralAmplifier
 from repro.dsp.waveform import PiecewiseLinearStimulus
 from repro.loadboard.capture_compiler import (
     CaptureTape,
+    CompiledCaptureProgram,
     _apply_kernel,
     block_rows,
     trace_mixer_baseband,
@@ -87,6 +88,10 @@ def engines_agree(cfg, devices, stim, seed=42, entry="signature_batch"):
     return ref, other
 
 
+def _same_bits(x, y) -> bool:
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
 # ----------------------------------------------------------------------
 # the bitwise identities the smart constructors rely on
 # ----------------------------------------------------------------------
@@ -144,6 +149,34 @@ class TestLoweringIdentities:
         c = cplx()
         assert np.array_equal((c * 0.37).real, c.real * 0.37)
 
+    # the scaling pass carries ``2**k`` past every kernel and folds it
+    # into a constant; these hold bit for bit, not just by value
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_power_of_two_commutes_with_products(self, cplx, k):
+        a, b = cplx(), cplx()
+        r = cplx().real + 0.0
+        const = np.array(0.3 - 1.7j)  # a 0-d folded constant
+        p = 2.0**k
+        for other in (b, r, const):
+            assert _same_bits((p * a) * other, p * (a * other))
+            assert _same_bits(other * (p * a), p * (other * a))
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_power_of_two_commutes_with_sum_conj_and_real(self, cplx, k):
+        a, b = cplx(), cplx()
+        p = 2.0**k
+        assert _same_bits(p * a + p * b, p * (a + b))
+        assert _same_bits(p * a.real + p * b.real, p * (a.real + b.real))
+        assert _same_bits(np.conjugate(p * a), p * np.conjugate(a))
+        assert _same_bits((p * a).real, p * a.real)
+
+    def test_doubling_moves_into_a_constant(self, cplx):
+        x, z = cplx(), cplx()
+        c, K = 0.37, np.array(0.25 + 0.5j)
+        assert _same_bits(c * (x + x), (2 * c) * x)
+        assert _same_bits(c * (x.real + x.real), (2 * c) * x.real)
+        assert _same_bits((z * (2 * K)).real, 2 * (z * K).real)
+
 
 class TestTapeConstruction:
     """The tape reorders operands only where an identity licenses it."""
@@ -181,10 +214,17 @@ class TestTapeConstruction:
         assert tape.conj(r) == r
 
     def test_double_then_half_cancels(self):
-        tape = CaptureTape()
-        a = tape.input_("rf", 1)
-        assert tape.half(tape.double(a)) == a
-        assert tape.double(tape.half(a)) == a
+        # the tape records both scalings; the compiled program runs
+        # neither, only the product that reads them
+        rng = np.random.default_rng(5)
+        x, y = (rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8)) for _ in range(2))
+        for first, then in (("double", "half"), ("half", "double")):
+            tape = CaptureTape()
+            a, b = tape.input_("rf", 1), tape.input_("rf", 2)
+            scaled = getattr(tape, then)(getattr(tape, first)(a))
+            program = CompiledCaptureProgram(tape, tape.mul(scaled, b))
+            assert [step.node.op for step in program.steps] == ["mul"]
+            assert np.array_equal(program.execute({1: x, 2: y}), x * y)
 
     def test_mirrored_products_share_one_real_node(self):
         tape = CaptureTape()
@@ -450,6 +490,63 @@ def _step_loop(program, rf, lo):
     return bufs[program._out_slot]
 
 
+class TestScalingPass:
+    """The emitted program carries no power-of-two scaling step."""
+
+    # (config, most steps, most workspace slots)
+    BUDGETS = {"simulation": (simulation_config, 34, 8), "hardware": (hardware_config, 48, 12)}
+
+    @pytest.mark.parametrize("config", sorted(BUDGETS))
+    def test_no_runtime_halving_doubling_or_self_add(self, stim, config):
+        make_cfg, max_steps, max_slots = self.BUDGETS[config]
+        program, _ = _compiled(make_cfg(), stim)
+        ops = [step.node.op for step in program.steps]
+        assert "half" not in ops and "double" not in ops
+        assert not any(
+            step.node.op == "add" and step.a == step.b for step in program.steps
+        )
+        assert len(program.steps) <= max_steps
+        assert len(program._slot_dtype) <= max_slots
+
+    def test_zero_padded_stimulus(self):
+        # a stimulus shorter than the capture: the DUT output ends in
+        # exact zeros, which a noise-free capture keeps to the tape
+        rng = np.random.default_rng(4)
+        short = PiecewiseLinearStimulus(rng.uniform(-0.25, 0.25, 8), 2e-6, 0.4)
+        devices = make_lot(4)
+        for rngs in (None, spawn_generators(5, len(devices))):
+            ref, got = _both(simulation_config(), devices, short, rngs)
+            assert np.array_equal(ref, got)
+
+    @pytest.mark.allow_nonfinite
+    def test_nan_gain_device(self, stim):
+        devices = make_lot(4)
+        devices[2] = BehavioralAmplifier(900e6, float("nan"), 2.0, 10.0)
+        ref, got = _both(simulation_config(), devices, stim, spawn_generators(6, 4))
+        assert np.array_equal(ref, got, equal_nan=True)
+        assert np.isnan(got[2]).all() and not np.isnan(np.delete(got, 2, axis=0)).any()
+
+    def test_drive_from_microvolts_to_volts(self, stim):
+        # DUT outputs into mixer 2 from 1 uV to 10 V peak
+        peak = SignatureTestBoard(simulation_config()).peak_drive(stim)
+        devices = [
+            BehavioralAmplifier(900e6, 20.0 * np.log10(v / peak), 2.0, 60.0)
+            for v in np.logspace(-6.0, 1.0, 8)
+        ]
+        for cfg in (simulation_config(), hardware_config()):
+            ref, got = _both(cfg, devices, stim, spawn_generators(7, len(devices)))
+            assert np.array_equal(ref, got)
+
+
+def _both(cfg, devices, stim, rngs):
+    """(oracle, compiled) signatures of one lot; ``rngs`` are re-spawned."""
+    def fresh():
+        return None if rngs is None else [np.random.default_rng(g.bit_generator.seed_seq) for g in rngs]
+    ref = reference_signature_batch(SignatureTestBoard(cfg), devices, stim, rngs=fresh())
+    got = SignatureTestBoard(cfg).signature_batch(devices, stim, rngs=fresh())
+    return ref, got
+
+
 class TestBoundOpList:
     """``execute`` runs an op list bound to the thread's workspace: kept
     for full blocks, built per call for tail blocks."""
@@ -458,8 +555,8 @@ class TestBoundOpList:
         "config",
         [
             "tuned",
-            # the LO is a runtime input too: two input-fed steps rebound
-            # on every call
+            # the LO is a runtime input too: its steps are rebound on
+            # every call as well
             "random_phase",
         ],
     )
@@ -488,7 +585,11 @@ class TestBoundOpList:
         program.execute(rf, lo)
         (ws,) = program._workspaces.values()
         ops, late, _ = ws.full
-        assert len(late) == 2
+        reads_input = [
+            i for i, step in enumerate(program.steps)
+            if "input" in (step.a[0], step.b[0] if step.b else None)
+        ]
+        assert reads_input and [entry[0] for entry in late] == reads_input
         assert all(ops[entry[0]] is None for entry in late)
 
     def test_two_threads_share_one_program(self, stim):

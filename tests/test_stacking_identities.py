@@ -5,7 +5,9 @@ grids and knot searches of every stimulus, one table per row block,
 one Eq. 10 solve for every gene), and each stacked call must equal the
 per-stimulus or per-gene call it replaced bit for bit.  So must the
 compiled mixer-2 tape's 0-d folded constants (against the per-sample
-rows they replaced), MARS's one-call knot table (against one
+rows they replaced), its power-of-two factors folded into constants
+(against the halvings and doublings they replaced), its steps written
+over a dying operand (against fresh outputs), MARS's one-call knot table (against one
 quantile per feature) and the capture's block noise and FFT stages
 (``standard_normal`` then ``0.0 + sigma * z`` against
 ``Generator.normal``, the lot's array noise sigmas against the scalar
@@ -142,6 +144,85 @@ class TestScalarOperands:
                     got = op(*args_s, out=np.empty(a.shape, dtype))
                     want = op(*args_r, out=np.empty(a.shape, dtype))
                 assert _bits(got) == _bits(want), (op.__name__, c, left)
+
+
+class TestPowerOfTwoScaling:
+    """``2**k`` commutes with the mixer tape's kernels, bit for bit.
+
+    The compiler folds the envelope algebra's halvings and doublings
+    into constants, which needs every kernel -- NumPy's complex
+    multiply with its fused multiply-adds included -- to round the same
+    whether a power-of-two factor is applied before or after it, on
+    finite values whose intermediates stay in the normal range.
+    """
+
+    @staticmethod
+    def _normal_range(rng, shape, dtype):
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, shape)
+        if dtype is complex:
+            a = a + 1j * rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 2, shape)
+        return a
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    @pytest.mark.parametrize("b_kind", ["complex", "real", "0-d complex", "0-d real", "row"])
+    def test_scaled_operand_product(self, rng, k, b_kind):
+        a = self._normal_range(rng, (40, 400), complex)
+        b = {
+            "complex": lambda: self._normal_range(rng, (40, 400), complex),
+            "real": lambda: self._normal_range(rng, (40, 400), float),
+            "0-d complex": lambda: np.array(0.37 - 1.9j),
+            "0-d real": lambda: np.array(-0.0625),
+            "row": lambda: self._normal_range(rng, (400,), complex),
+        }[b_kind]()
+        p = 2.0**k
+        for left in (True, False):
+            pair, scaled = ((a, b), (a * p, b)) if left else ((b, a), (b, a * p))
+            assert _bits(np.multiply(*scaled)) == _bits(np.multiply(*pair) * p), left
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_scaled_sum_conjugate_and_real_part(self, rng, k):
+        p = 2.0**k
+        for dtype in (complex, float):
+            a = self._normal_range(rng, (40, 400), dtype)
+            b = self._normal_range(rng, (40, 400), dtype)
+            assert _bits(a * p + b * p) == _bits((a + b) * p)
+            assert _bits(a + a) == _bits(a * 2.0)
+        a = self._normal_range(rng, (40, 400), complex)
+        assert _bits(np.conjugate(a * p)) == _bits(np.conjugate(a) * p)
+        assert _bits((a * p).real) == _bits(a.real * p)
+
+    def test_scale_factor_takes_the_power_of_two(self, rng):
+        x = self._normal_range(rng, (40, 400), complex)
+        for c in (0.37, 0.002, 0.05, -1.3):
+            for k in range(-3, 4):
+                assert _bits((x * 2.0**k) * c) == _bits(x * (c * 2.0**k))
+
+
+class TestInPlaceKernels:
+    """A tape step may write over an operand it reads for the last time:
+    each elementwise kernel gives the same bits into its own operand."""
+
+    @pytest.mark.parametrize("op", [np.multiply, np.add])
+    @pytest.mark.parametrize("a_dtype, b_dtype", [(complex, complex), (complex, float), (float, float)])
+    def test_binary_kernel_into_an_operand(self, rng, op, a_dtype, b_dtype):
+        a = _with_specials(rng, (40, 400), a_dtype)
+        b = _with_specials(rng, (40, 400), b_dtype)
+        for operands in ((a, b), (b, a), (a, a), (a, np.array(0.25 - 3.0j)), (a, 0.002)):
+            dtype = np.result_type(*operands)
+            with np.errstate(all="ignore"):
+                want = op(*operands, out=np.empty(a.shape, dtype))
+                for i, x in enumerate(operands):
+                    if np.shape(x) != a.shape or x.dtype != dtype:
+                        continue  # not an output-shaped buffer of the result type
+                    alias = x.copy()
+                    args = [alias if y is x else y for y in operands]
+                    assert _bits(op(*args, out=alias)) == _bits(want), (op.__name__, i)
+
+    def test_conjugate_into_its_operand(self, rng):
+        a = _with_specials(rng, (40, 400), complex)
+        want = np.conjugate(a)
+        alias = a.copy()
+        assert _bits(np.conjugate(alias, out=alias)) == _bits(want)
 
 
 class TestQuantileTable:
